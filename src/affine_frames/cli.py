@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from . import io as docio
 from .bezout import bezout_degree_search, minimal_bezout, mu_basis
@@ -40,7 +41,7 @@ from .io import (
 from .poly import Polynomial
 from .svg import render_plot
 from .sylvester import build_sylvester
-from .vectors import PolyVector, RegularityError, require_regular
+from .vectors import PolyMatrix, RegularityError, outer_product, require_regular
 from .groups import GroupElement
 
 
@@ -52,260 +53,209 @@ class CommandRejection(Exception):
         self.details = details
 
 
-def _input_dict(doc: CurveDocument) -> dict:
-    return curve_to_dict(doc)
+Checks = Iterator[tuple[str, bool]]
 
 
-def _cmd_frame(doc: CurveDocument) -> ResultDocument:
+@dataclass(frozen=True)
+class Command:
+    """A command that reads a curve document and writes one result kind.
+
+    ``compute(doc, options)`` returns the result's payload, without the
+    embedded input, and its metadata.  ``verify(doc, payload)`` re-checks a
+    stored payload against its parsed input and yields ``(check name,
+    passed)``; it raises :class:`DocumentError` before any math when the
+    payload is malformed.  ``flags`` are the command's own on/off switches.
+    """
+
+    kind: str
+    help: str
+    compute: Callable[[CurveDocument, dict], tuple[dict, dict]]
+    verify: Callable[[CurveDocument, dict], Checks]
+    flags: tuple[str, ...] = ()
+
+
+def _stored_matrix(payload: dict, doc: CurveDocument, kind: str) -> PolyMatrix:
+    """The payload's matrix, rejected unless it is n x n for the curve."""
+    matrix = dict_to_matrix(payload.get("matrix"))
+    if matrix.nrows != doc.n or matrix.ncols != doc.n:
+        raise DocumentError(f"{kind} matrix does not match the curve dimension")
+    return matrix
+
+
+def _profile_dict(vector) -> dict:
+    profile = pivot_profile(vector)
+    return {
+        "indices": list(profile.indices),
+        "k": profile.k,
+        "det_vbar": format_rational(profile.det_vbar),
+    }
+
+
+def _frame(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     outcome = validate_curve(doc.vector)
     if isinstance(outcome, CurveRejection):
         raise CommandRejection("curve rejected", outcome.failures)
     result = moving_frame(outcome)
-    return ResultDocument(
-        kind="frame",
-        payload={
-            "input": _input_dict(doc),
-            "matrix": matrix_to_dict(result.matrix),
-            "section": group_to_dict(result.section),
-            "canonical_tangent": vector_to_dict(result.canonical_tangent),
-            "bezout_degree": result.bezout_degree,
-        },
-        metadata={
-            "degree": int(result.matrix.degree),
-            "determinant": "1",
-            "tangent_degree": int(outcome.vector.derivative().degree),
-        },
-    )
+    payload = {
+        "matrix": matrix_to_dict(result.matrix),
+        "section": group_to_dict(result.section),
+        "canonical_tangent": vector_to_dict(result.canonical_tangent),
+        "bezout_degree": result.bezout_degree,
+    }
+    return payload, {
+        "degree": int(result.matrix.degree),
+        "determinant": "1",
+        "tangent_degree": int(outcome.vector.derivative().degree),
+    }
 
 
-def _cmd_complete(doc: CurveDocument) -> ResultDocument:
+def _verify_frame(doc: CurveDocument, payload: dict) -> Checks:
+    outcome = validate_curve(doc.vector)
+    yield "input_is_generic_curve", not isinstance(outcome, CurveRejection)
+    if isinstance(outcome, CurveRejection):
+        return
+    stored = _stored_matrix(payload, doc, "frame")
+    recomputed = moving_frame(outcome)
+    tangent = doc.vector.derivative()
+    yield "matrix_reproducible", stored == recomputed.matrix
+    yield "first_column_is_tangent", stored.column(0) == tangent
+    yield "determinant_is_one", stored.determinant() == Polynomial.one()
+    minimal = int(tangent.degree) + bezout_degree_search(tangent)
+    yield "degree_is_minimal", stored.degree == minimal
+
+
+def _complete(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     require_regular(doc.vector)
     result = minimal_completion(doc.vector)
-    return ResultDocument(
-        kind="completion",
-        payload={
-            "input": _input_dict(doc),
-            "matrix": matrix_to_dict(result.matrix),
-            "bezout_degree": result.bezout_degree,
-        },
-        metadata={
-            "degree": int(result.matrix.degree),
-            "determinant": "1",
-        },
-    )
+    payload = {
+        "matrix": matrix_to_dict(result.matrix),
+        "bezout_degree": result.bezout_degree,
+    }
+    return payload, {"degree": int(result.matrix.degree), "determinant": "1"}
 
 
-def _cmd_bezout(doc: CurveDocument) -> ResultDocument:
+def _verify_completion(doc: CurveDocument, payload: dict) -> Checks:
+    stored = _stored_matrix(payload, doc, "completion")
+    report = verify_completion(stored, doc.vector)
+    yield "first_column_matches", report.first_column_matches
+    yield "determinant_is_one", report.determinant_one
+    yield "degree_is_minimal", report.minimal
+    yield "matrix_reproducible", stored == minimal_completion(doc.vector).matrix
+
+
+def _bezout(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     require_regular(doc.vector)
     result = minimal_bezout(doc.vector)
-    return ResultDocument(
-        kind="bezout",
-        payload={
-            "input": _input_dict(doc),
-            "vector": vector_to_dict(result.vector),
-            "degree": result.degree,
-        },
-        metadata={
-            "pairing": "1",
-        },
-    )
+    payload = {"vector": vector_to_dict(result.vector), "degree": result.degree}
+    return payload, {"pairing": "1"}
 
 
-def _cmd_mubasis(doc: CurveDocument) -> ResultDocument:
+def _verify_bezout(doc: CurveDocument, payload: dict) -> Checks:
+    stored = dict_to_vector(payload.get("vector"))
+    if stored.dim != doc.n:
+        raise DocumentError("bezout vector does not match the curve dimension")
+    yield "pairing_is_one", doc.vector.dot(stored) == Polynomial.one()
+    yield "degree_is_minimal", stored.degree == bezout_degree_search(doc.vector)
+    yield "vector_reproducible", stored == minimal_bezout(doc.vector).vector
+
+
+def _mubasis(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     require_regular(doc.vector)
     result = mu_basis(doc.vector)
     degrees = [int(u.degree) for u in result.elements]
-    return ResultDocument(
-        kind="mubasis",
-        payload={
-            "input": _input_dict(doc),
-            "elements": [vector_to_dict(u) for u in result.elements],
-            "scale": format_rational(result.scale),
-        },
-        metadata={
-            "degrees": degrees,
-            "degree_sum": sum(degrees),
-        },
-    )
-
-
-def _cmd_section(doc: CurveDocument) -> ResultDocument:
-    g = section(doc.vector)
-    profile = pivot_profile(doc.vector)
-    return ResultDocument(
-        kind="section",
-        payload={
-            "input": _input_dict(doc),
-            "matrix": docio.rational_matrix_to_lists(g.matrix),
-            "shift": format_rational(g.shift),
-        },
-        metadata={
-            "profile": {
-                "indices": list(profile.indices),
-                "k": profile.k,
-                "det_vbar": format_rational(profile.det_vbar),
-            },
-        },
-    )
-
-
-def _cmd_canonical(doc: CurveDocument) -> ResultDocument:
-    g = section(doc.vector)
-    reduced = g.inverse().apply(doc.vector)
-    profile = pivot_profile(reduced)
-    return ResultDocument(
-        kind="canonical",
-        payload={
-            "input": _input_dict(doc),
-            "vector": vector_to_dict(reduced),
-            "section": group_to_dict(g),
-        },
-        metadata={
-            "degree": int(reduced.degree),
-            "profile": {
-                "indices": list(profile.indices),
-                "k": profile.k,
-                "det_vbar": format_rational(profile.det_vbar),
-            },
-        },
-    )
-
-
-def _cmd_sylvester(doc: CurveDocument, dump_pivots: bool = False) -> ResultDocument:
-    if doc.vector.is_zero:
-        raise CommandRejection("zero vector has no Sylvester matrix")
-    system = build_sylvester(doc.vector)
     payload = {
-        "input": _input_dict(doc),
-        "matrix": docio.rational_matrix_to_lists(system.matrix),
-        "pivot_cols": list(system.pivot_cols),
-        "nonpivot_cols": list(system.nonpivot_cols),
-        "basic_nonpivot": list(system.basic_nonpivot),
+        "elements": [vector_to_dict(u) for u in result.elements],
+        "scale": format_rational(result.scale),
     }
-    if dump_pivots:
-        payload["reduced"] = docio.rational_matrix_to_lists(system.reduced)
-    return ResultDocument(
-        kind="sylvester",
-        payload=payload,
-        metadata={
-            "rows": system.nrows,
-            "cols": system.ncols,
-            "rank": system.rank,
-        },
-    )
+    return payload, {"degrees": degrees, "degree_sum": sum(degrees)}
 
 
-def _check(checks: list, name: str, passed: bool) -> None:
-    checks.append({"name": name, "passed": bool(passed)})
-
-
-def _verify_frame(payload: dict, checks: list) -> None:
-    doc = parse_curve_dict(payload.get("input"))
-    outcome = validate_curve(doc.vector)
-    _check(checks, "input_is_generic_curve", not isinstance(outcome, CurveRejection))
-    if isinstance(outcome, CurveRejection):
-        return
-    stored = dict_to_matrix(payload.get("matrix"))
-    recomputed = moving_frame(outcome)
-    tangent = doc.vector.derivative()
-    _check(checks, "matrix_reproducible", stored == recomputed.matrix)
-    _check(checks, "first_column_is_tangent", stored.column(0) == tangent)
-    _check(checks, "determinant_is_one", stored.determinant() == Polynomial.one())
-    minimal = int(tangent.degree) + bezout_degree_search(tangent)
-    _check(checks, "degree_is_minimal", stored.degree == minimal)
-
-
-def _verify_completion(payload: dict, checks: list) -> None:
-    doc = parse_curve_dict(payload.get("input"))
-    stored = dict_to_matrix(payload.get("matrix"))
-    report = verify_completion(stored, doc.vector)
-    _check(checks, "first_column_matches", report.first_column_matches)
-    _check(checks, "determinant_is_one", report.determinant_one)
-    _check(checks, "degree_is_minimal", report.minimal)
-    _check(
-        checks,
-        "matrix_reproducible",
-        stored == minimal_completion(doc.vector).matrix,
-    )
-
-
-def _verify_bezout(payload: dict, checks: list) -> None:
-    doc = parse_curve_dict(payload.get("input"))
-    stored = dict_to_vector(payload.get("vector"))
-    _check(checks, "pairing_is_one", doc.vector.dot(stored) == Polynomial.one())
-    _check(
-        checks,
-        "degree_is_minimal",
-        stored.degree == bezout_degree_search(doc.vector),
-    )
-    _check(
-        checks,
-        "vector_reproducible",
-        stored == minimal_bezout(doc.vector).vector,
-    )
-
-
-def _verify_mubasis(payload: dict, checks: list) -> None:
-    from .vectors import outer_product
-
-    doc = parse_curve_dict(payload.get("input"))
+def _verify_mubasis(doc: CurveDocument, payload: dict) -> Checks:
     elements = [dict_to_vector(e) for e in payload.get("elements", [])]
     scale = parse_rational(payload.get("scale"))
-    _check(
-        checks,
-        "elements_are_syzygies",
-        all(doc.vector.dot(u).is_zero for u in elements),
-    )
+    if len(elements) != doc.n - 1 or any(u.dim != doc.n for u in elements):
+        raise DocumentError("mubasis elements do not match the curve dimension")
+    yield "elements_are_syzygies", all(doc.vector.dot(u).is_zero for u in elements)
     degrees = [u.degree for u in elements]
-    _check(checks, "degrees_ascending", degrees == sorted(degrees))
-    _check(checks, "degrees_sum_to_input", sum(degrees) == doc.vector.degree)
-    _check(
-        checks,
+    yield "degrees_ascending", degrees == sorted(degrees)
+    yield "degrees_sum_to_input", sum(degrees) == doc.vector.degree
+    yield (
         "outer_product_proportional",
         outer_product(elements) == doc.vector.scale(scale),
     )
     recomputed = mu_basis(doc.vector)
-    _check(
-        checks,
+    yield (
         "basis_reproducible",
         tuple(elements) == recomputed.elements and scale == recomputed.scale,
     )
 
 
-def _verify_section(payload: dict, checks: list) -> None:
-    doc = parse_curve_dict(payload.get("input"))
+def _section(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
+    g = section(doc.vector)
+    payload = {
+        "matrix": docio.rational_matrix_to_lists(g.matrix),
+        "shift": format_rational(g.shift),
+    }
+    return payload, {"profile": _profile_dict(doc.vector)}
+
+
+def _verify_section(doc: CurveDocument, payload: dict) -> Checks:
     matrix = docio.lists_to_rational_matrix(payload.get("matrix"))
     shift = parse_rational(payload.get("shift"))
     try:
         stored = GroupElement(matrix, shift)
-        _check(checks, "matrix_is_unimodular", True)
     except ValueError:
-        _check(checks, "matrix_is_unimodular", False)
+        yield "matrix_is_unimodular", False
         return
+    yield "matrix_is_unimodular", True
     recomputed = section(doc.vector)
-    _check(
-        checks,
+    yield (
         "section_reproducible",
         stored.matrix == recomputed.matrix and stored.shift == recomputed.shift,
     )
 
 
-def _verify_canonical(payload: dict, checks: list) -> None:
-    doc = parse_curve_dict(payload.get("input"))
+def _canonical(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
+    g = section(doc.vector)
+    reduced = g.inverse().apply(doc.vector)
+    payload = {"vector": vector_to_dict(reduced), "section": group_to_dict(g)}
+    return payload, {
+        "degree": int(reduced.degree),
+        "profile": _profile_dict(reduced),
+    }
+
+
+def _verify_canonical(doc: CurveDocument, payload: dict) -> Checks:
     stored = dict_to_vector(payload.get("vector"))
-    recomputed = canonical_form(doc.vector)
-    _check(checks, "vector_reproducible", stored == recomputed)
-    _check(checks, "shape_constraints_hold", not canonical_shape_violations(stored))
-    _check(checks, "section_is_identity", section(stored).is_identity())
+    yield "vector_reproducible", stored == canonical_form(doc.vector)
+    yield "shape_constraints_hold", not canonical_shape_violations(stored)
+    yield "section_is_identity", section(stored).is_identity()
 
 
-def _verify_sylvester(payload: dict, checks: list) -> None:
-    doc = parse_curve_dict(payload.get("input"))
+def _sylvester(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
+    if doc.vector.is_zero:
+        raise CommandRejection("zero vector has no Sylvester matrix")
+    system = build_sylvester(doc.vector)
+    payload = {
+        "matrix": docio.rational_matrix_to_lists(system.matrix),
+        "pivot_cols": list(system.pivot_cols),
+        "nonpivot_cols": list(system.nonpivot_cols),
+        "basic_nonpivot": list(system.basic_nonpivot),
+    }
+    if options.get("dump_pivots"):
+        payload["reduced"] = docio.rational_matrix_to_lists(system.reduced)
+    return payload, {
+        "rows": system.nrows,
+        "cols": system.ncols,
+        "rank": system.rank,
+    }
+
+
+def _verify_sylvester(doc: CurveDocument, payload: dict) -> Checks:
     system = build_sylvester(doc.vector)
     stored = docio.lists_to_rational_matrix(payload.get("matrix"))
-    _check(checks, "matrix_reproducible", stored == system.matrix)
-    _check(
-        checks,
+    yield "matrix_reproducible", stored == system.matrix
+    yield (
         "pivots_reproducible",
         tuple(payload.get("pivot_cols", ())) == system.pivot_cols
         and tuple(payload.get("nonpivot_cols", ())) == system.nonpivot_cols
@@ -316,33 +266,53 @@ def _verify_sylvester(payload: dict, checks: list) -> None:
         j + system.n > system.ncols or j + system.n in nonpivot
         for j in system.nonpivot_cols
     )
-    _check(checks, "nonpivot_indices_periodic", periodic)
+    yield "nonpivot_indices_periodic", periodic
     if doc.vector.gcd() == Polynomial.one():
-        _check(checks, "rank_is_full", system.rank == system.nrows)
-        _check(
-            checks,
-            "basic_nonpivot_count",
-            len(system.basic_nonpivot) == system.n - 1,
-        )
+        yield "rank_is_full", system.rank == system.nrows
+        yield "basic_nonpivot_count", len(system.basic_nonpivot) == system.n - 1
 
 
-_VERIFIERS = {
-    "frame": _verify_frame,
-    "completion": _verify_completion,
-    "bezout": _verify_bezout,
-    "mubasis": _verify_mubasis,
-    "section": _verify_section,
-    "canonical": _verify_canonical,
-    "sylvester": _verify_sylvester,
+# Every command that reads a curve, in ``--help`` order.  ``verify`` and
+# ``plot`` read a stored result instead and are dispatched separately.
+COMMANDS = {
+    "frame": Command(
+        "frame", "equivariant minimal-degree frame along a curve",
+        _frame, _verify_frame,
+    ),
+    "complete": Command(
+        "completion", "minimal completion of a vector to determinant one",
+        _complete, _verify_completion,
+    ),
+    "bezout": Command(
+        "bezout", "minimal-degree Bezout vector", _bezout, _verify_bezout
+    ),
+    "mubasis": Command(
+        "mubasis", "degree-ordered syzygy basis", _mubasis, _verify_mubasis
+    ),
+    "section": Command(
+        "section", "group section (matrix and shift) of a vector",
+        _section, _verify_section,
+    ),
+    "canonical": Command(
+        "canonical", "canonical orbit representative",
+        _canonical, _verify_canonical,
+    ),
+    "sylvester": Command(
+        "sylvester", "Sylvester-type matrix with pivot data",
+        _sylvester, _verify_sylvester, flags=("--dump-pivots",),
+    ),
 }
 
 
-def _cmd_verify(stored: ResultDocument) -> ResultDocument:
-    verifier = _VERIFIERS.get(stored.kind)
-    if verifier is None:
+def _verify(stored: ResultDocument) -> ResultDocument:
+    command = next((c for c in COMMANDS.values() if c.kind == stored.kind), None)
+    if command is None:
         raise DocumentError(f"cannot verify a document of kind {stored.kind!r}")
-    checks: list = []
-    verifier(stored.payload, checks)
+    doc = parse_curve_dict(stored.payload.get("input"))
+    checks = [
+        {"name": name, "passed": bool(passed)}
+        for name, passed in command.verify(doc, stored.payload)
+    ]
     return ResultDocument(
         kind="verify",
         payload={"input": stored.to_dict()},
@@ -353,13 +323,11 @@ def _cmd_verify(stored: ResultDocument) -> ResultDocument:
     )
 
 
-def _cmd_plot(stored: ResultDocument, params_text: str, project_text: str | None) -> str:
+def _plot(stored: ResultDocument, params_text: str, project_text: str | None) -> str:
     if stored.kind != "frame":
         raise DocumentError("plot expects a frame result document")
     doc = parse_curve_dict(stored.payload.get("input"))
-    frame = dict_to_matrix(stored.payload.get("matrix"))
-    if frame.nrows != doc.n or frame.ncols != doc.n:
-        raise DocumentError("frame matrix does not match the curve dimension")
+    frame = _stored_matrix(stored.payload, doc, "frame")
     params = docio.parse_param_list(params_text)
     if project_text is not None:
         axes = docio.parse_projection(project_text, doc.n)
@@ -372,38 +340,16 @@ def _cmd_plot(stored: ResultDocument, params_text: str, project_text: str | None
 
 def run_command(command: str, document, **options):
     """Dispatch a parsed input document; returns a result or SVG text."""
-    if command == "frame":
-        return _cmd_frame(document)
-    if command == "complete":
-        return _cmd_complete(document)
-    if command == "bezout":
-        return _cmd_bezout(document)
-    if command == "mubasis":
-        return _cmd_mubasis(document)
-    if command == "section":
-        return _cmd_section(document)
-    if command == "canonical":
-        return _cmd_canonical(document)
-    if command == "sylvester":
-        return _cmd_sylvester(document, dump_pivots=options.get("dump_pivots", False))
     if command == "verify":
-        return _cmd_verify(document)
+        return _verify(document)
     if command == "plot":
-        return _cmd_plot(
-            document, options.get("params"), options.get("project")
-        )
-    raise DocumentError(f"unknown command: {command}")
-
-
-_CURVE_COMMANDS = (
-    "frame",
-    "complete",
-    "bezout",
-    "mubasis",
-    "section",
-    "canonical",
-    "sylvester",
-)
+        return _plot(document, options.get("params"), options.get("project"))
+    entry = COMMANDS.get(command)
+    if entry is None:
+        raise DocumentError(f"unknown command: {command}")
+    payload, metadata = entry.compute(document, options)
+    payload["input"] = curve_to_dict(document)
+    return ResultDocument(kind=entry.kind, payload=payload, metadata=metadata)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,26 +358,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal-degree moving frames for polynomial curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "frame": "equivariant minimal-degree frame along a curve",
-        "complete": "minimal completion of a vector to determinant one",
-        "bezout": "minimal-degree Bezout vector",
-        "mubasis": "degree-ordered syzygy basis",
-        "section": "group section (matrix and shift) of a vector",
-        "canonical": "canonical orbit representative",
-        "sylvester": "Sylvester-type matrix with pivot data",
-        "verify": "re-check all invariants of a stored result",
-        "plot": "SVG drawing of a curve with frame arrows",
-    }
-    for name in (*_CURVE_COMMANDS, "verify", "plot"):
-        cmd = sub.add_parser(name, help=helps[name])
+
+    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+        cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--in", dest="infile", required=True, metavar="FILE")
         cmd.add_argument("--out", dest="outfile", metavar="FILE")
-        if name == "sylvester":
-            cmd.add_argument("--dump-pivots", action="store_true")
-        if name == "plot":
-            cmd.add_argument("--params", required=True, metavar="LIST")
-            cmd.add_argument("--project", metavar="I,J")
+        return cmd
+
+    for name, command in COMMANDS.items():
+        cmd = add(name, command.help)
+        for flag in command.flags:
+            cmd.add_argument(flag, action="store_true")
+    add("verify", "re-check all invariants of a stored result")
+    plot = add("plot", "SVG drawing of a curve with frame arrows")
+    plot.add_argument("--params", required=True, metavar="LIST")
+    plot.add_argument("--project", metavar="I,J")
     return parser
 
 
@@ -444,28 +385,22 @@ def _emit(text: str, outfile: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    command = options.pop("command")
+    infile, outfile = options.pop("infile"), options.pop("outfile")
     try:
-        if args.command in _CURVE_COMMANDS:
-            with open(args.infile, "r", encoding="utf-8") as handle:
-                document = docio.parse_curve(handle.read())
-            options = {}
-            if args.command == "sylvester":
-                options["dump_pivots"] = args.dump_pivots
-            result = run_command(args.command, document, **options)
-            _emit(result.to_json(), args.outfile)
+        with open(infile, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        if command in COMMANDS:
+            document = docio.parse_curve(text)
+        else:
+            document = ResultDocument.from_json(text)
+        result = run_command(command, document, **options)
+        if command == "plot":
+            _emit(result, outfile)
             return 0
-        with open(args.infile, "r", encoding="utf-8") as handle:
-            stored = ResultDocument.from_json(handle.read())
-        if args.command == "verify":
-            result = run_command("verify", stored)
-            _emit(result.to_json(), args.outfile)
-            return 0 if result.metadata["ok"] else 2
-        svg_text = run_command(
-            "plot", stored, params=args.params, project=args.project
-        )
-        _emit(svg_text, args.outfile)
-        return 0
+        _emit(result.to_json(), outfile)
+        return 0 if command != "verify" or result.metadata["ok"] else 2
     except CommandRejection as exc:
         _print_rejection(str(exc), exc.details)
         return 2

@@ -18,7 +18,9 @@ from .groups import GroupElement
 from .poly import Polynomial
 from .vectors import PolyMatrix, PolyVector
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# ASCII digits only: ``\d`` would also read other scripts' digits.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 RESULT_KINDS = frozenset(
     {
@@ -39,12 +41,12 @@ class DocumentError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text.strip()):
         raise DocumentError(f"not an exact rational: {text!r}")
-    value = text.strip()
-    if "/" in value and value.split("/")[1] == "0":
-        raise DocumentError(f"zero denominator: {text!r}")
-    return Fraction(value)
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise DocumentError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -227,10 +229,9 @@ def parse_projection(text: str, dim: int) -> tuple[int, int]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) != 2:
         raise DocumentError("projection needs exactly two axes")
-    try:
-        axes = tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise DocumentError("projection axes must be integers") from exc
+    if not all(_INTEGER_RE.fullmatch(p) for p in parts):
+        raise DocumentError("projection axes must be integers")
+    axes = tuple(int(p) for p in parts)
     if axes[0] == axes[1] or any(not 0 <= a < dim for a in axes):
         raise DocumentError("projection axes must be distinct and in range")
     return axes  # type: ignore[return-value]

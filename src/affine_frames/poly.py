@@ -169,6 +169,8 @@ class Polynomial:
 
     def exact_div(self, other: "Polynomial") -> "Polynomial":
         """Division known to leave no remainder; raise if it does."""
+        if len(other.coeffs) == 1:
+            return self / other.coeffs[0]
         quot, rem = divmod(self, other)
         if not rem.is_zero:
             raise ValueError("division is not exact")

@@ -276,12 +276,10 @@ class PolyMatrix:
         return PolyMatrix.from_columns(cols)
 
     def determinant(self) -> Polynomial:
-        """Exact determinant, fraction-free for moderate sizes."""
+        """Exact determinant by fraction-free elimination."""
         if self.nrows != self.ncols:
             raise ValueError("determinant requires a square matrix")
-        if self.nrows <= 6:
-            return _det_bareiss(self.rows)
-        return _det_cofactor(self.rows)
+        return _det_bareiss(self.rows)
 
     def inverse_unimodular(self) -> "PolyMatrix":
         """Inverse of a matrix with nonzero constant determinant."""
@@ -299,7 +297,7 @@ class PolyMatrix:
                     [self.rows[r][c] for c in range(n) if c != i]
                     for r in range(n) if r != j
                 ]
-                cof = _det_bareiss(minor) if n - 1 <= 6 else _det_cofactor(minor)
+                cof = _det_bareiss(minor)
                 if (i + j) % 2:
                     cof = -cof
                 row.append(cof / d.coeff(0))
@@ -312,43 +310,45 @@ class PolyMatrix:
         )
 
 
-def _det_cofactor(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = Polynomial.zero()
-    for j, head in enumerate(rows[0]):
-        if head.is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = head * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
 def _det_bareiss(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Bareiss fraction-free elimination; divisions are exact in the ring."""
+    """Bareiss fraction-free elimination; divisions are exact in the ring.
+
+    Each step pivots on a lowest-degree nonzero entry of the remaining block,
+    swapping its row and column into place.  With one high-degree column
+    beside low-degree ones, as in an assembled completion, this keeps the
+    intermediate minors small; pivoting on the leading entry instead would
+    multiply every later entry by that column's high degree.
+    """
     n = len(rows)
     work = [list(row) for row in rows]
     sign = 1
     prev = Polynomial.one()
     for k in range(n - 1):
-        if work[k][k].is_zero:
-            src = next(
-                (i for i in range(k + 1, n) if not work[i][k].is_zero), None
-            )
-            if src is None:
-                return Polynomial.zero()
-            work[k], work[src] = work[src], work[k]
+        nonzero = [
+            (work[i][j].degree, i, j)
+            for i in range(k, n)
+            for j in range(k, n)
+            if not work[i][j].is_zero
+        ]
+        if not nonzero:
+            return Polynomial.zero()
+        _, pi, pj = min(nonzero)
+        if pi != k:
+            work[k], work[pi] = work[pi], work[k]
             sign = -sign
+        if pj != k:
+            for row in work[k:]:
+                row[k], row[pj] = row[pj], row[k]
+            sign = -sign
+        pivot = work[k][k]
         for i in range(k + 1, n):
+            lead = work[i][k]
             for j in range(k + 1, n):
-                num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
+                num = work[i][j] * pivot
+                if lead and work[k][j]:
+                    num = num - lead * work[k][j]
                 work[i][j] = num.exact_div(prev)
-            work[i][k] = Polynomial.zero()
-        prev = work[k][k]
+        prev = pivot
     result = work[n - 1][n - 1]
     return -result if sign < 0 else result
 
@@ -369,7 +369,7 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
         minor = [
             [vec[r] for vec in vectors] for r in range(n) if r != i
         ]
-        d = _det_bareiss(minor) if n - 1 <= 6 else _det_cofactor(minor)
+        d = _det_bareiss(minor)
         comps.append(d if i % 2 == 0 else -d)
     return PolyVector(comps)
 

@@ -350,3 +350,59 @@ def test_plot_rejects_bad_axes(tmp_path, capsys):
     )
     assert code == 2
     assert "axes" in json.loads(err)["error"]
+
+
+def test_command_kinds_match_result_kinds():
+    from affine_frames.cli import COMMANDS
+    from affine_frames.io import RESULT_KINDS
+
+    kinds = [command.kind for command in COMMANDS.values()]
+    assert len(set(kinds)) == len(kinds)
+    assert set(kinds) | {"verify"} == RESULT_KINDS
+
+
+def _empty_elements(doc):
+    doc["payload"]["elements"] = []
+
+
+def _wrong_element_dimension(doc):
+    element = doc["payload"]["elements"][0]
+    element["n"], element["coeffs"] = 4, element["coeffs"] + [["1"]]
+
+
+def _planar_input(doc):
+    doc["payload"]["input"] = PLANAR
+
+
+def _nonsquare_matrix(doc):
+    matrix = doc["payload"]["matrix"]
+    matrix["cols"], matrix["entries"] = 2, [row[:2] for row in matrix["entries"]]
+
+
+def _short_vector(doc):
+    doc["payload"]["vector"] = {"n": 2, "coeffs": [["1"], ["0"]]}
+
+
+@pytest.mark.parametrize(
+    "command, source, damage, message",
+    [
+        ("mubasis", SEXTIC, _empty_elements, "elements do not match"),
+        ("mubasis", SEXTIC, _wrong_element_dimension, "elements do not match"),
+        ("complete", SEXTIC, _planar_input, "matrix does not match"),
+        ("frame", QUINTIC, _nonsquare_matrix, "matrix does not match"),
+        ("bezout", SEXTIC, _short_vector, "vector does not match"),
+    ],
+)
+def test_verify_rejects_malformed_document(tmp_path, capsys, command, source,
+                                           damage, message):
+    infile = write(tmp_path / "in.json", source)
+    result_path = tmp_path / "result.json"
+    assert main([command, "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    damage(doc)
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == 2
+    assert out == ""
+    assert message in json.loads(err)["error"]

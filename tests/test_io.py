@@ -47,6 +47,13 @@ def test_parse_rational_rejections():
         parse_rational(1.5)
     with pytest.raises(DocumentError, match="zero denominator"):
         parse_rational("1/0")
+    # digits of other scripts would not survive the round trip
+    for text in ("\u0661", "1/\u0662", "\uff13"):
+        with pytest.raises(DocumentError, match="not an exact rational"):
+            parse_rational(text)
+    for text in ("1/00", "-3/000", "0/0"):
+        with pytest.raises(DocumentError, match="zero denominator"):
+            parse_rational(text)
 
 
 def test_format_rational():
@@ -164,6 +171,8 @@ def test_projection():
         parse_projection("0", 3)
     with pytest.raises(DocumentError, match="integers"):
         parse_projection("x,y", 3)
+    with pytest.raises(DocumentError, match="integers"):
+        parse_projection("\u0661,0", 3)
     with pytest.raises(DocumentError, match="distinct"):
         parse_projection("1,1", 3)
     with pytest.raises(DocumentError, match="in range"):

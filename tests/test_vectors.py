@@ -167,17 +167,49 @@ def test_determinant_multiplicative():
         assert (a @ b).determinant() == a.determinant() * b.determinant()
 
 
+def _det_cofactor(rows):
+    """Laplace expansion along the first row: the reference determinant."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = Polynomial.zero()
+    for j, head in enumerate(rows[0]):
+        if head.is_zero:
+            continue
+        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
+        term = head * _det_cofactor(minor)
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def test_determinant_methods_agree():
-    from affine_frames.vectors import _det_bareiss, _det_cofactor
+    from affine_frames.vectors import _det_bareiss
 
     rng = random.Random(57)
-    for _ in range(20):
-        n = rng.choice((2, 3, 4))
-        rows = [
-            [p(*[rng.randint(-4, 4) for _ in range(3)]) for _ in range(n)]
-            for _ in range(n)
-        ]
+
+    def entry(degree):
+        return p(*[rng.randint(-4, 4) for _ in range(degree + 1)])
+
+    cases = []
+    for n in range(1, 8):
+        # dense entries of mixed degree, so pivots come from anywhere
+        cases.append([[entry(rng.randint(0, 2)) for _ in range(n)] for _ in range(n)])
+        # an assembled completion: one high-degree column beside constants
+        cases.append([[entry(n + 2)] + [entry(0) for _ in range(n - 1)]
+                      for _ in range(n)])
+    for rows in cases[:]:
+        n = len(rows)
+        if n < 2:
+            continue
+        zero_lead = [list(row) for row in rows]
+        zero_lead[0][0] = Polynomial.zero()
+        cases.append(zero_lead)
+        # singular: a repeated row, and a zero column
+        cases.append([list(row) for row in rows[:-1]] + [list(rows[0])])
+        cases.append([[Polynomial.zero()] + list(row[1:]) for row in rows])
+    for rows in cases:
         assert _det_bareiss(rows) == _det_cofactor(rows)
+    assert _det_cofactor(cases[-1]).is_zero
 
 
 def test_inverse_unimodular():
