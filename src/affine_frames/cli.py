@@ -227,6 +227,8 @@ def _canonical(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
 
 def _verify_canonical(doc: CurveDocument, payload: dict) -> Checks:
     stored = dict_to_vector(payload.get("vector"))
+    if stored.dim != doc.n:
+        raise DocumentError("canonical vector does not match the curve dimension")
     yield "vector_reproducible", stored == canonical_form(doc.vector)
     yield "shape_constraints_hold", not canonical_shape_violations(stored)
     yield "section_is_identity", section(stored).is_identity()
@@ -251,15 +253,28 @@ def _sylvester(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     }
 
 
+def _index_list(payload: dict, key: str) -> tuple[int, ...]:
+    value = payload.get(key)
+    if not isinstance(value, list) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise DocumentError(f"sylvester {key} must be a list of integers")
+    return tuple(value)
+
+
 def _verify_sylvester(doc: CurveDocument, payload: dict) -> Checks:
-    system = build_sylvester(doc.vector)
+    pivot_cols, nonpivot_cols, basic_nonpivot = (
+        _index_list(payload, key)
+        for key in ("pivot_cols", "nonpivot_cols", "basic_nonpivot")
+    )
     stored = docio.lists_to_rational_matrix(payload.get("matrix"))
+    system = build_sylvester(doc.vector)
     yield "matrix_reproducible", stored == system.matrix
     yield (
         "pivots_reproducible",
-        tuple(payload.get("pivot_cols", ())) == system.pivot_cols
-        and tuple(payload.get("nonpivot_cols", ())) == system.nonpivot_cols
-        and tuple(payload.get("basic_nonpivot", ())) == system.basic_nonpivot,
+        pivot_cols == system.pivot_cols
+        and nonpivot_cols == system.nonpivot_cols
+        and basic_nonpivot == system.basic_nonpivot,
     )
     nonpivot = set(system.nonpivot_cols)
     periodic = all(
@@ -407,7 +422,7 @@ def main(argv=None) -> int:
     except (DocumentError, RegularityError) as exc:
         _print_rejection(str(exc), ())
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _print_rejection(f"cannot read input: {exc}", ())
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -111,6 +111,16 @@ def test_missing_input_file(tmp_path, capsys):
     assert "cannot read input" in json.loads(err)["error"]
 
 
+def test_rejects_non_utf8_input(tmp_path, capsys):
+    infile = tmp_path / "curve.json"
+    infile.write_bytes(b'{"n": 2, "coeffs": [["\xff"], ["1"]]}')
+    for argv in (["frame", "--in", str(infile)], ["verify", "--in", str(infile)]):
+        code, out, err = run(tmp_path, capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "cannot read input" in json.loads(err)["error"]
+
+
 def test_complete_golden(tmp_path, capsys):
     infile = write(tmp_path / "vec.json", SEXTIC)
     code, out, err = run(tmp_path, capsys, ["complete", "--in", infile])
@@ -383,6 +393,10 @@ def _short_vector(doc):
     doc["payload"]["vector"] = {"n": 2, "coeffs": [["1"], ["0"]]}
 
 
+def _scalar_pivot_cols(doc):
+    doc["payload"]["pivot_cols"] = 5
+
+
 @pytest.mark.parametrize(
     "command, source, damage, message",
     [
@@ -391,6 +405,8 @@ def _short_vector(doc):
         ("complete", SEXTIC, _planar_input, "matrix does not match"),
         ("frame", QUINTIC, _nonsquare_matrix, "matrix does not match"),
         ("bezout", SEXTIC, _short_vector, "vector does not match"),
+        ("sylvester", QUARTIC, _scalar_pivot_cols, "must be a list of integers"),
+        ("canonical", QUARTIC, _short_vector, "vector does not match"),
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, command, source,

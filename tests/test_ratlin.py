@@ -1,0 +1,173 @@
+"""The fraction-free elimination kernel against Fraction Gauss-Jordan."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affine_frames import ratlin
+
+
+def _eliminate_fractions(work):
+    """Gauss-Jordan over Fractions in place: the reference elimination.
+
+    Same pivot rule as the kernel: the leftmost column with a nonzero
+    entry, and in it the first such row.
+    """
+    nrows = len(work)
+    ncols = len(work[0]) if nrows else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        src = next((i for i in range(row, nrows) if work[i][col] != 0), None)
+        if src is None:
+            continue
+        if src != row:
+            work[row], work[src] = work[src], work[row]
+        inv = 1 / work[row][col]
+        work[row] = [x * inv for x in work[row]]
+        for i in range(nrows):
+            if i != row and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[row])]
+        pivots.append(col)
+        row += 1
+    return pivots
+
+
+def _rref_reference(rows):
+    work = [list(row) for row in rows]
+    pivots = _eliminate_fractions(work)
+    return ratlin.freeze(work), tuple(pivots)
+
+
+def _rref_with_transform_reference(rows):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(nrows)]
+           for i, row in enumerate(rows)]
+    pivots = [c for c in _eliminate_fractions(aug) if c < ncols]
+    reduced = ratlin.freeze(row[:ncols] for row in aug)
+    transform = ratlin.freeze(row[ncols:] for row in aug)
+    return reduced, transform, tuple(pivots)
+
+
+def _det_reference(rows):
+    """Fraction Gaussian elimination with row swaps: the reference determinant."""
+    n = len(rows)
+    work = [list(row) for row in rows]
+    result = Fraction(1)
+    for col in range(n):
+        src = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if src is None:
+            return Fraction(0)
+        if src != col:
+            work[col], work[src] = work[src], work[col]
+            result = -result
+        pivot = work[col][col]
+        result *= pivot
+        for i in range(col + 1, n):
+            if work[i][col] != 0:
+                factor = work[i][col] / pivot
+                work[i] = [x - factor * y for x, y in zip(work[i], work[col])]
+    return result
+
+
+_SMALL = st.integers(-9, 9)
+_HUGE = st.integers(-(2 ** 200), 2 ** 200)
+_ENTRIES = {
+    "integer": _SMALL.map(Fraction),
+    "rational": st.builds(Fraction, _SMALL, st.integers(1, 9)),
+    "huge": st.builds(Fraction, _HUGE, st.integers(1, 2 ** 200)),
+}
+
+
+@st.composite
+def matrices(draw, max_rows=9, max_cols=12, square=False):
+    """Random Fraction matrices with dependent rows and zero columns."""
+    nrows = draw(st.integers(0, max_rows))
+    ncols = nrows if square else draw(st.integers(0, max_cols))
+    kinds = draw(st.lists(st.sampled_from(sorted(_ENTRIES)), min_size=1, max_size=3))
+    entry = st.one_of(*(_ENTRIES[kind] for kind in kinds))
+    rows = [draw(st.lists(entry, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        # force a dependent row: a rational combination of two others
+        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        a, b = draw(_ENTRIES["rational"]), draw(_ENTRIES["rational"])
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=3)) if ncols else ()
+    for col in zero_cols:
+        for row in rows:
+            row[col] = Fraction(0)
+    return ratlin.freeze(rows)
+
+
+_EDGE_CASES = [
+    (),
+    ((), ()),
+    ((Fraction(0),),),
+    ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
+    ((Fraction(1, 2), Fraction(1, 3)), (Fraction(3), Fraction(2))),
+    ((Fraction(0), Fraction(2, 3), Fraction(1)),
+     (Fraction(0), Fraction(4, 3), Fraction(2)),
+     (Fraction(5), Fraction(0), Fraction(-1, 7))),
+]
+
+
+def _check_against_reference(rows):
+    assert ratlin.rref(rows) == _rref_reference(rows)
+    reduced, transform, pivots = ratlin.rref_with_transform(rows)
+    assert (reduced, transform, pivots) == _rref_with_transform_reference(rows)
+    assert ratlin.rank(rows) == len(pivots)
+    assert ratlin.mat_mul(transform, rows) == reduced
+
+
+def _check_square_against_reference(rows):
+    expected = _det_reference(rows)
+    assert ratlin.det(rows) == expected
+    if expected:
+        assert ratlin.inverse(rows) == _rref_with_transform_reference(rows)[1]
+    else:
+        with pytest.raises(ValueError):
+            ratlin.inverse(rows)
+
+
+@pytest.mark.parametrize("rows", _EDGE_CASES)
+def test_kernel_edge_cases(rows):
+    _check_against_reference(rows)
+    if all(len(row) == len(rows) for row in rows):
+        _check_square_against_reference(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_matches_fraction_elimination(rows):
+    _check_against_reference(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_det_and_inverse_match_fraction_elimination(rows):
+    _check_square_against_reference(rows)
+
+
+def test_rank_deficient_transform():
+    rows = ratlin.freeze([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 1, Fraction(3, 2)]])
+    reduced, transform, pivots = ratlin.rref_with_transform(rows)
+    assert pivots == (0,)
+    assert ratlin.mat_mul(transform, rows) == reduced
+    assert ratlin.det(transform) != 0
+    assert reduced[1:] == ((0, 0, 0), (0, 0, 0))
+
+
+def test_shape_errors():
+    with pytest.raises(ValueError):
+        ratlin.det(ratlin.freeze([[1, 2]]))
+    with pytest.raises(ValueError):
+        ratlin.inverse(ratlin.freeze([[1, 2]]))
+    with pytest.raises(ValueError):
+        ratlin.rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
