@@ -171,7 +171,10 @@ def _mubasis(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
 
 
 def _verify_mubasis(doc: CurveDocument, payload: dict) -> Checks:
-    elements = [dict_to_vector(e) for e in payload.get("elements", [])]
+    raw = payload.get("elements", [])
+    if not isinstance(raw, list):
+        raise DocumentError("mubasis elements must be a list")
+    elements = [dict_to_vector(e) for e in raw]
     scale = parse_rational(payload.get("scale"))
     if len(elements) != doc.n - 1 or any(u.dim != doc.n for u in elements):
         raise DocumentError("mubasis elements do not match the curve dimension")
@@ -393,8 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, outfile: str | None) -> None:
     if outfile:
-        with open(outfile, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(outfile, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CommandRejection(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

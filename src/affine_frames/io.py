@@ -201,7 +201,7 @@ class ResultDocument:
         if not isinstance(obj, dict):
             raise DocumentError("result document must be a JSON object")
         kind = obj.get("kind")
-        if kind not in RESULT_KINDS:
+        if not isinstance(kind, str) or kind not in RESULT_KINDS:
             raise DocumentError(f"unknown result kind: {kind!r}")
         payload = obj.get("payload")
         metadata = obj.get("metadata")

@@ -146,6 +146,7 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square matrix of Fractions or ints."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")

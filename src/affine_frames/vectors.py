@@ -9,6 +9,7 @@ matrix is the sum of its column degrees.  Both follow the absorbing
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -276,10 +277,11 @@ class PolyMatrix:
         return PolyMatrix.from_columns(cols)
 
     def determinant(self) -> Polynomial:
-        """Exact determinant by fraction-free elimination."""
+        """Exact determinant, evaluated at integer points by :func:`ratlin.det`
+        and interpolated."""
         if self.nrows != self.ncols:
             raise ValueError("determinant requires a square matrix")
-        return _det_bareiss(self.rows)
+        return _det_interpolate(self.rows)
 
     def inverse_unimodular(self) -> "PolyMatrix":
         """Inverse of a matrix with nonzero constant determinant."""
@@ -297,7 +299,7 @@ class PolyMatrix:
                     [self.rows[r][c] for c in range(n) if c != i]
                     for r in range(n) if r != j
                 ]
-                cof = _det_bareiss(minor)
+                cof = _det_interpolate(minor)
                 if (i + j) % 2:
                     cof = -cof
                 row.append(cof / d.coeff(0))
@@ -310,47 +312,57 @@ class PolyMatrix:
         )
 
 
-def _det_bareiss(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Bareiss fraction-free elimination; divisions are exact in the ring.
+def _det_interpolate(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
+    """Exact determinant by evaluation at integer points and interpolation.
 
-    Each step pivots on a lowest-degree nonzero entry of the remaining block,
-    swapping its row and column into place.  With one high-degree column
-    beside low-degree ones, as in an assembled completion, this keeps the
-    intermediate minors small; pivoting on the leading entry instead would
-    multiply every later entry by that column's high degree.
+    Every term of the determinant takes one entry from each row and each
+    column, so its degree is at most D, the smaller of the sum of the row
+    max-degrees and the sum of the column max-degrees.  That bound holds
+    whatever cancels, so the values at the D + 1 points ``0..D`` fix the
+    determinant.  Each row is scaled by the lcm of its coefficient
+    denominators; the values are then determinants of integer matrices,
+    taken by :func:`ratlin.det`, and Newton's forward differences with the
+    integer weights ``D!/k!`` interpolate them.  One division by ``D!``
+    times the product of the row scales gives the rational coefficients.
     """
-    n = len(rows)
-    work = [list(row) for row in rows]
-    sign = 1
-    prev = Polynomial.one()
-    for k in range(n - 1):
-        nonzero = [
-            (work[i][j].degree, i, j)
-            for i in range(k, n)
-            for j in range(k, n)
-            if not work[i][j].is_zero
-        ]
-        if not nonzero:
-            return Polynomial.zero()
-        _, pi, pj = min(nonzero)
-        if pi != k:
-            work[k], work[pi] = work[pi], work[k]
-            sign = -sign
-        if pj != k:
-            for row in work[k:]:
-                row[k], row[pj] = row[pj], row[k]
-            sign = -sign
-        pivot = work[k][k]
-        for i in range(k + 1, n):
-            lead = work[i][k]
-            for j in range(k + 1, n):
-                num = work[i][j] * pivot
-                if lead and work[k][j]:
-                    num = num - lead * work[k][j]
-                work[i][j] = num.exact_div(prev)
-        prev = pivot
-    result = work[n - 1][n - 1]
-    return -result if sign < 0 else result
+    bound = min(
+        sum(max(e.degree for e in row) for row in rows),
+        sum(max(e.degree for e in col) for col in zip(*rows)),
+    )
+    if bound == NEG_INF:
+        return Polynomial.zero()
+    work, denominator = [], 1
+    for row in rows:
+        scale = math.lcm(*(c.denominator for e in row for c in e.coeffs))
+        work.append([
+            [c.numerator * (scale // c.denominator) for c in reversed(e.coeffs)]
+            for e in row
+        ])
+        denominator *= scale
+    values = [
+        ratlin.det([[_horner(e, x) for e in row] for row in work]).numerator
+        for x in range(bound + 1)
+    ]
+    for k in range(1, bound + 1):
+        for i in range(bound, k - 1, -1):
+            values[i] -= values[i - 1]
+    # values[k] is now the k-th forward difference at 0; expand
+    # sum_k values[k] * D!/k! * x(x-1)...(x-k+1) by nested multiplication.
+    coeffs, weight = [values[bound]], 1
+    for k in range(bound - 1, -1, -1):
+        weight *= k + 1
+        shifted = [a - k * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        shifted[0] += values[k] * weight
+        coeffs = shifted
+    denominator *= weight
+    return Polynomial(Fraction(c, denominator) for c in coeffs)
+
+
+def _horner(descending: Sequence[int], x: int) -> int:
+    acc = 0
+    for c in descending:
+        acc = acc * x + c
+    return acc
 
 
 def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
@@ -369,7 +381,7 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
         minor = [
             [vec[r] for vec in vectors] for r in range(n) if r != i
         ]
-        d = _det_bareiss(minor)
+        d = _det_interpolate(minor)
         comps.append(d if i % 2 == 0 else -d)
     return PolyVector(comps)
 

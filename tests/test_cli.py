@@ -121,6 +121,25 @@ def test_rejects_non_utf8_input(tmp_path, capsys):
         assert "cannot read input" in json.loads(err)["error"]
 
 
+def test_unwritable_output_is_a_write_error(tmp_path, capsys):
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    frame_path = tmp_path / "frame.json"
+    assert main(["frame", "--in", infile, "--out", str(frame_path)]) == 0
+    capsys.readouterr()
+    missing = str(tmp_path / "missing" / "dir" / "out")
+    for argv in (
+        ["frame", "--in", infile, "--out", missing],
+        ["plot", "--in", str(frame_path), "--params", "0", "--project", "0,1",
+         "--out", missing],
+    ):
+        code, out, err = run(tmp_path, capsys, argv)
+        assert code == 2
+        assert out == ""
+        message = json.loads(err)["error"]
+        assert message.startswith("cannot write output: ")
+        assert missing in message
+
+
 def test_complete_golden(tmp_path, capsys):
     infile = write(tmp_path / "vec.json", SEXTIC)
     code, out, err = run(tmp_path, capsys, ["complete", "--in", infile])
@@ -348,6 +367,24 @@ def test_plot_rejects_non_frame_document(tmp_path, capsys):
     assert "plot expects a frame result" in json.loads(err)["error"]
 
 
+def test_plot_rejects_non_string_kind(tmp_path, capsys):
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    frame_path = tmp_path / "frame.json"
+    assert main(["frame", "--in", infile, "--out", str(frame_path)]) == 0
+    doc = json.loads(frame_path.read_text(encoding="utf-8"))
+    doc["kind"] = ["frame"]
+    write(frame_path, doc)
+    capsys.readouterr()
+    code, out, err = run(
+        tmp_path,
+        capsys,
+        ["plot", "--in", str(frame_path), "--params", "0", "--project", "0,1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert "unknown result kind" in json.loads(err)["error"]
+
+
 def test_plot_rejects_bad_axes(tmp_path, capsys):
     infile = write(tmp_path / "curve.json", QUINTIC)
     frame_path = tmp_path / "frame.json"
@@ -397,6 +434,18 @@ def _scalar_pivot_cols(doc):
     doc["payload"]["pivot_cols"] = 5
 
 
+def _list_kind(doc):
+    doc["kind"] = ["mubasis"]
+
+
+def _object_kind(doc):
+    doc["kind"] = {}
+
+
+def _scalar_elements(doc):
+    doc["payload"]["elements"] = 0
+
+
 @pytest.mark.parametrize(
     "command, source, damage, message",
     [
@@ -407,6 +456,9 @@ def _scalar_pivot_cols(doc):
         ("bezout", SEXTIC, _short_vector, "vector does not match"),
         ("sylvester", QUARTIC, _scalar_pivot_cols, "must be a list of integers"),
         ("canonical", QUARTIC, _short_vector, "vector does not match"),
+        ("mubasis", SEXTIC, _list_kind, "unknown result kind"),
+        ("mubasis", SEXTIC, _object_kind, "unknown result kind"),
+        ("mubasis", SEXTIC, _scalar_elements, "elements must be a list"),
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, command, source,

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_frames import (
     NEG_INF,
@@ -183,7 +185,7 @@ def _det_cofactor(rows):
 
 
 def test_determinant_methods_agree():
-    from affine_frames.vectors import _det_bareiss
+    from affine_frames.vectors import _det_interpolate
 
     rng = random.Random(57)
 
@@ -208,8 +210,79 @@ def test_determinant_methods_agree():
         cases.append([list(row) for row in rows[:-1]] + [list(rows[0])])
         cases.append([[Polynomial.zero()] + list(row[1:]) for row in rows])
     for rows in cases:
-        assert _det_bareiss(rows) == _det_cofactor(rows)
+        assert _det_interpolate(rows) == _det_cofactor(rows)
     assert _det_cofactor(cases[-1]).is_zero
+
+
+_COEFFS = {
+    "integer": st.integers(-9, 9).map(Fraction),
+    "rational": st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    "huge": st.builds(
+        Fraction, st.integers(-(2 ** 100), 2 ** 100), st.integers(2 ** 99, 2 ** 100)
+    ),
+}
+
+
+@st.composite
+def poly_matrices(draw):
+    """Square polynomial matrices, n = 1..5, entries of degree 0..4.
+
+    ``shape`` adds structure: a zero row or column; a row equal to a multiple
+    of another plus terms of degree at most 1, so leading terms cancel and
+    the determinant drops below the degree bound; or rows whose leading
+    coefficients form a triangular matrix with nonzero diagonal, so the
+    determinant reaches the bound exactly.
+    """
+    n = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from(sorted(_COEFFS)), min_size=1, max_size=3))
+    coeff = st.one_of(*(_COEFFS[kind] for kind in kinds))
+
+    def entry(max_degree=4):
+        if max_degree < 0 or draw(st.integers(0, 5)) == 0:
+            return Polynomial.zero()
+        return Polynomial(draw(st.lists(coeff, min_size=1, max_size=max_degree + 1)))
+
+    shape = draw(st.sampled_from(("plain", "zero row", "zero column", "cancel", "bound")))
+    if shape == "bound":
+        degrees = [draw(st.integers(0, 4)) for _ in range(n)]
+        rows = []
+        for i, d in enumerate(degrees):
+            lead = draw(coeff.filter(bool))
+            row = [entry(d if j < i else d - 1) for j in range(n)]
+            row[i] = entry(d - 1) + Polynomial.monomial(d, lead)
+            rows.append(row)
+        return rows, shape
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    k = draw(st.integers(0, n - 1))
+    if shape == "zero row":
+        rows[k] = [Polynomial.zero()] * n
+    elif shape == "zero column":
+        for row in rows:
+            row[k] = Polynomial.zero()
+    elif shape == "cancel" and n >= 2:
+        i = draw(st.integers(0, n - 1).filter(lambda i: i != k))
+        factor = draw(coeff)
+        rows[k] = [e * factor + entry(1) for e in rows[i]]
+    return rows, shape
+
+
+def _degree_bound(rows):
+    return min(
+        sum(max(e.degree for e in row) for row in rows),
+        sum(max(e.degree for e in col) for col in zip(*rows)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(poly_matrices())
+def test_determinant_matches_cofactor_expansion(case):
+    rows, shape = case
+    expected = _det_cofactor(rows)
+    assert PolyMatrix(rows).determinant() == expected
+    if shape == "bound":
+        assert expected.degree == _degree_bound(rows)
+    if shape in ("zero row", "zero column"):
+        assert expected.is_zero
 
 
 def test_inverse_unimodular():
@@ -243,13 +316,20 @@ def test_outer_product_goldens():
 
 def test_outer_product_laplace_identity():
     rng = random.Random(88)
-    for _ in range(20):
+
+    def integer():
+        return rng.randint(-3, 3)
+
+    def rational():
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 4, 7, 2 ** 40)))
+
+    for coeff in [integer] * 20 + [rational] * 20:
         n = rng.choice((2, 3, 4))
         us = [
-            vec(*[[rng.randint(-3, 3) for _ in range(3)] for _ in range(n)])
+            vec(*[[coeff() for _ in range(3)] for _ in range(n)])
             for _ in range(n - 1)
         ]
-        w = vec(*[[rng.randint(-3, 3) for _ in range(3)] for _ in range(n)])
+        w = vec(*[[coeff() for _ in range(3)] for _ in range(n)])
         cross = outer_product(us)
         det = PolyMatrix.from_columns([w] + us).determinant()
         assert w.dot(cross) == det
