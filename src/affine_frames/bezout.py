@@ -39,28 +39,18 @@ class MuBasis:
     scale: Fraction
 
 
-def _require_unit_gcd(v: PolyVector) -> None:
-    if v.is_zero:
-        raise RegularityError("vector is zero")
-    if v.gcd() != Polynomial.one():
-        raise RegularityError("components share a nonconstant factor")
-
-
 def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> BezoutVector:
     """Minimal-degree b with ``v . b = 1``, supported on pivotal columns.
 
     Requires the components of ``v`` to be coprime; the result is unique
     among Bezout vectors supported on the pivotal column set.
     """
-    _require_unit_gcd(v)
     sys = system if system is not None else build_sylvester(v)
-    if sys.rank != sys.nrows:
-        raise RegularityError("system is rank deficient")
+    if sys.rank != sys.nrows:  # rank A = nrows - deg gcd(v)
+        raise RegularityError("components share a nonconstant factor")
     coords = [Fraction(0)] * sys.ncols
-    # e1 in the pivot-column basis: coefficients sit in the first column of
-    # the elimination transform.
     for row, col in enumerate(sys.pivot_cols):
-        coords[col - 1] = sys.transform[row][0]
+        coords[col - 1] = sys.reduced_e1[row]
     b = flat(coords, sys.n, sys.d)
     return BezoutVector(b, int(b.degree))
 
@@ -70,12 +60,11 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
 
     Element degrees are ascending and sum to the degree of ``v``.
     """
-    _require_unit_gcd(v)
+    sys = system if system is not None else build_sylvester(v)
+    if sys.rank != sys.nrows:  # rank A = nrows - deg gcd(v)
+        raise RegularityError("components share a nonconstant factor")
     if v.dim < 2:
         raise RegularityError("syzygies need dimension at least 2")
-    sys = system if system is not None else build_sylvester(v)
-    if sys.rank != sys.nrows:
-        raise RegularityError("system is rank deficient")
     pivot_rows = {col: row for row, col in enumerate(sys.pivot_cols)}
     elements = []
     for col in sys.basic_nonpivot:
@@ -116,7 +105,10 @@ def bezout_degree_search(v: PolyVector) -> int:
     coefficients up to degree e.  Independent of the pivot-supported
     construction, so it can certify minimality.
     """
-    _require_unit_gcd(v)
+    if v.is_zero:
+        raise RegularityError("vector is zero")
+    if v.gcd() != Polynomial.one():
+        raise RegularityError("components share a nonconstant factor")
     sys = build_sylvester(v)
     target_col = [Fraction(1 if i == 0 else 0) for i in range(sys.nrows)]
     for e in range(sys.d + 1):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bezout import bezout_degree_search, minimal_bezout, mu_basis
-from .poly import Polynomial
+from .poly import NEG_INF, Polynomial
 from .vectors import PolyMatrix, PolyVector, RegularityError
 
 
@@ -73,15 +73,16 @@ def verify_completion(m: PolyMatrix, v: PolyVector) -> CompletionReport:
         raise ValueError("completion matrix must be square")
     if m.nrows != v.dim:
         raise ValueError("matrix and vector dimensions differ")
-    first = m.column(0) == v
-    detval = m.determinant()
-    det_one = detval == Polynomial.one()
     degree = m.degree
+    if degree == NEG_INF:
+        raise RegularityError("completion matrix has a zero column")
+    first = m.column(0) == v
+    det_one = m.determinant() == Polynomial.one()
     minimal_degree = None
     minimal = False
     if det_one:
-        # det = 1 forces coprime components, so the degree oracle applies.
-        minimal_degree = int(v.degree) + bezout_degree_search(v)
+        # The oracle rejects a zero or non-coprime v before its degree is read.
+        minimal_degree = bezout_degree_search(v) + int(v.degree)
         minimal = degree == minimal_degree
     return CompletionReport(
         first_column_matches=first,

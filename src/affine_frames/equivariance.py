@@ -43,24 +43,18 @@ class PivotProfile:
 
 
 def pivot_profile(v: PolyVector) -> PivotProfile:
-    """Select columns right to left, keeping those that raise the rank."""
+    """Select the columns independent of all columns to their right.
+
+    These are the pivot columns of the coefficient matrix read right to left.
+    """
     if v.is_zero:
         raise RegularityError("vector is zero")
     coeffs = v.coefficient_matrix()
-    n = v.dim
     d = int(v.degree)
-    chosen: list[int] = []
-    basis: list[tuple[Fraction, ...]] = []
-    for col in range(d, -1, -1):
-        candidate = basis + [tuple(row[col] for row in coeffs)]
-        if ratlin.rank(candidate) > len(basis):
-            basis = candidate
-            chosen.append(col)
-            if len(chosen) == n:
-                break
-    if len(chosen) < n:
+    _, pivots = ratlin.rref([row[::-1] for row in coeffs])
+    if len(pivots) < v.dim:
         raise RegularityError("components are linearly dependent")
-    indices = tuple(sorted(chosen))
+    indices = tuple(sorted(d - p for p in pivots))
     excluded = [c for c in range(d + 1) if c not in set(indices)]
     k = max(excluded) if excluded else -1
     submatrix = tuple(tuple(row[c] for c in indices) for row in coeffs)
@@ -73,7 +67,10 @@ def linear_section(v: PolyVector) -> ratlin.Matrix:
     The selected submatrix keeps its columns in ascending order and the last
     one is divided by the determinant.
     """
-    profile = pivot_profile(v)
+    return _linear_section(v, pivot_profile(v))
+
+
+def _linear_section(v: PolyVector, profile: PivotProfile) -> ratlin.Matrix:
     coeffs = v.coefficient_matrix()
     cols = list(profile.indices)
     matrix = [[row[c] for c in cols] for row in coeffs]
@@ -93,7 +90,7 @@ def shift_section(v: PolyVector) -> Fraction:
     k = profile.k
     d = int(v.degree)
     n = v.dim
-    reduced = v.linear_map(ratlin.inverse(linear_section(v)))
+    reduced = v.linear_map(ratlin.inverse(_linear_section(v, profile)))
     component = reduced[n - (d - k - 1) - 1]
     denom = (k + 1) * component.coeff(k + 1)
     if denom == 0:
@@ -157,7 +154,6 @@ def equivariant_completion_with_section(
     v: PolyVector,
 ) -> tuple[Completion, GroupElement, PolyVector]:
     """Equivariant minimal completion plus the section and reduced vector."""
-    require_regular(v)
     g = section(v)
     reduced = g.inverse().apply(v)
     base = minimal_completion(reduced)
@@ -179,7 +175,6 @@ def equivariantize(
     """Turn any completion map into an equivariant one by conjugation."""
 
     def wrapped(v: PolyVector) -> Completion:
-        require_regular(v)
         g = section(v)
         base = completion_map(g.inverse().apply(v))
         return Completion(g.apply(base.matrix), base.bezout_degree)

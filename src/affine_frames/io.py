@@ -113,7 +113,9 @@ def rational_matrix_to_lists(matrix) -> list[list[str]]:
 
 
 def lists_to_rational_matrix(obj) -> tuple[tuple[Fraction, ...], ...]:
-    if not isinstance(obj, list) or not obj:
+    if not isinstance(obj, list) or not obj or not all(
+        isinstance(row, list) for row in obj
+    ):
         raise DocumentError("rational matrix must be a list of rows")
     rows = tuple(
         tuple(parse_rational(x) for x in row) for row in obj

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import ratlin
 from .poly import Polynomial
-from .vectors import PolyVector
+from .vectors import PolyVector, RegularityError
 
 
 def sharp(v: PolyVector, bound: int) -> tuple[Fraction, ...]:
@@ -56,8 +56,12 @@ class SylvesterSystem:
 
     ``pivot_cols`` are the 1-based indices of columns that are linearly
     independent of all columns to their left; ``basic_nonpivot`` keeps the
-    first non-pivotal index of each residue class modulo n.  ``transform``
-    satisfies ``transform @ matrix == reduced``.
+    first non-pivotal index of each residue class modulo n.  ``reduced_e1``
+    is the first unit vector e1 carried through the row operations that
+    take A to ``reduced``: when A has full rank, the vector that holds
+    ``reduced_e1[i]`` at ``pivot_cols[i]`` and zeros elsewhere solves
+    ``A b = e1``.  The rank is ``nrows - deg gcd(v)``, so it is full exactly
+    when the components of v are coprime.
     """
 
     vector: PolyVector
@@ -65,7 +69,7 @@ class SylvesterSystem:
     d: int
     matrix: ratlin.Matrix
     reduced: ratlin.Matrix
-    transform: ratlin.Matrix
+    reduced_e1: ratlin.Vector
     pivot_cols: tuple[int, ...]
     nonpivot_cols: tuple[int, ...]
     basic_nonpivot: tuple[int, ...]
@@ -96,7 +100,7 @@ class SylvesterSystem:
 def build_sylvester(v: PolyVector) -> SylvesterSystem:
     """Construct the Sylvester-type system of a nonzero vector."""
     if v.is_zero:
-        raise ValueError("zero vector has no Sylvester matrix")
+        raise RegularityError("vector is zero")
     n = v.dim
     d = int(v.degree)
     coeff_rows = v.coefficient_matrix()
@@ -109,11 +113,12 @@ def build_sylvester(v: PolyVector) -> SylvesterSystem:
             for c in range(n):
                 rows[copy + r][copy * n + c] = block[r][c]
     matrix = ratlin.freeze(rows)
-    reduced, transform, pivots0 = ratlin.rref_with_transform(matrix)
-    pivot_cols = tuple(p + 1 for p in pivots0)
-    nonpivot = tuple(
-        j for j in range(1, ncols + 1) if j not in set(pivot_cols)
+    # Reduce [A | e1]; a pivot in the e1 column means e1 is not in the span.
+    augmented, pivots0 = ratlin.rref(
+        [row + (Fraction(i == 0),) for i, row in enumerate(matrix)]
     )
+    pivot_cols = tuple(p + 1 for p in pivots0 if p < ncols)
+    nonpivot = tuple(j for j in range(1, ncols + 1) if j not in pivot_cols)
     seen: set[int] = set()
     basic = []
     for j in nonpivot:
@@ -126,8 +131,8 @@ def build_sylvester(v: PolyVector) -> SylvesterSystem:
         n=n,
         d=d,
         matrix=matrix,
-        reduced=reduced,
-        transform=transform,
+        reduced=tuple(row[:ncols] for row in augmented),
+        reduced_e1=tuple(row[ncols] for row in augmented),
         pivot_cols=pivot_cols,
         nonpivot_cols=nonpivot,
         basic_nonpivot=tuple(basic),

@@ -50,10 +50,12 @@ def test_minimal_bezout_canonical_quartic():
 
 
 def test_minimal_bezout_rejects_common_factor():
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match="nonconstant factor"):
         minimal_bezout(vec((0, 2), (0, 0, 4)))
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match="nonconstant factor"):
         minimal_bezout(vec((0, 1), (0, 0, 1), (0, 0, 0, 1)))
+    with pytest.raises(RegularityError, match="vector is zero"):
+        minimal_bezout(vec((0,), (0,)))
 
 
 def test_mu_basis_sextic():
@@ -83,8 +85,12 @@ def test_mu_basis_dimension_two():
 
 
 def test_mu_basis_rejects_common_factor():
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match="nonconstant factor"):
         mu_basis(vec((0, 2), (0, 0, 4)))
+    with pytest.raises(RegularityError, match="nonconstant factor"):
+        mu_basis(vec((0, 1)))
+    with pytest.raises(RegularityError, match="dimension at least 2"):
+        mu_basis(vec((3,)))
 
 
 def test_degree_search_goldens():

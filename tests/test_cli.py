@@ -1,6 +1,8 @@
 """End-to-end command-line runs via main()."""
 
+import copy
 import json
+import random
 
 import pytest
 
@@ -446,6 +448,23 @@ def _scalar_elements(doc):
     doc["payload"]["elements"] = 0
 
 
+def _zero_column(doc):
+    for row in doc["payload"]["matrix"]["entries"]:
+        row[1] = []
+
+
+def _zero_input(doc):
+    vector = doc["payload"]["input"]
+    vector["coeffs"] = [["0"] for _ in vector["coeffs"]]
+
+
+def _matrix_row(value):
+    def damage(doc):
+        doc["payload"]["matrix"][1] = value
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "command, source, damage, message",
     [
@@ -459,6 +478,14 @@ def _scalar_elements(doc):
         ("mubasis", SEXTIC, _list_kind, "unknown result kind"),
         ("mubasis", SEXTIC, _object_kind, "unknown result kind"),
         ("mubasis", SEXTIC, _scalar_elements, "elements must be a list"),
+        ("complete", SEXTIC, _zero_column, "has a zero column"),
+        ("complete", SEXTIC, _zero_input, "vector is zero"),
+        ("sylvester", QUARTIC, _zero_input, "vector is zero"),
+        *(
+            (command, QUARTIC, _matrix_row(value), "must be a list of rows")
+            for command in ("section", "sylvester")
+            for value in (True, None, -1, 1.5)
+        ),
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, command, source,
@@ -474,3 +501,86 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, command, source,
     assert code == 2
     assert out == ""
     assert message in json.loads(err)["error"]
+
+
+_DROP = object()
+_DAMAGE = (True, None, -1, 1.5, [], {}, "x")
+
+
+def _fields(obj, path=()):
+    """Path of every value inside a JSON object, parents first."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield path + (key,)
+        yield from _fields(value, path + (key,))
+
+
+def _damage_list(doc, rng):
+    """Three seeded damages for each field down to depth 3 and for 10 deeper ones.
+
+    A damage replaces the field by one of ``_DAMAGE`` or drops its key.
+    """
+    fields = list(_fields(doc))
+    deep = [f for f in fields if len(f) > 3]
+    for path in [f for f in fields if len(f) <= 3] + rng.sample(deep, 10):
+        choices = _DAMAGE + ((_DROP,) if isinstance(path[-1], str) else ())
+        for value in rng.sample(choices, 3):
+            yield path, value
+    if "coeffs" in doc["payload"]["input"]:
+        yield ("payload", "input", "coeffs"), [["0"]] * 3
+
+
+def _damaged(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    if value is _DROP:
+        del target[key]
+    else:
+        target[key] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [
+        ("frame", QUINTIC),
+        ("complete", QUARTIC),
+        ("bezout", QUARTIC),
+        ("mubasis", QUARTIC),
+        ("section", QUARTIC),
+        ("canonical", QUARTIC),
+        ("sylvester", QUARTIC),
+        ("verify", QUINTIC),
+    ],
+)
+def test_damaged_documents_never_exit_one(tmp_path, capsys, command, source):
+    """Every result kind for the golden quintic's tangent, damaged field by field."""
+    infile = write(tmp_path / "in.json", source)
+    result_path = tmp_path / "result.json"
+    if command == "verify":
+        assert main(["frame", "--in", infile, "--out", str(result_path)]) == 0
+        assert main(["verify", "--in", str(result_path), "--out", str(result_path)]) == 0
+    else:
+        assert main([command, "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    damaged_path = tmp_path / "damaged.json"
+    runs = [["verify", "--in", str(damaged_path)]]
+    if command == "frame":
+        runs.append(["plot", "--in", str(damaged_path), "--params", "0,1",
+                     "--project", "0,1"])
+    cases = list(_damage_list(doc, random.Random(0)))
+    assert len(cases) >= 60
+    for path, value in cases:
+        write(damaged_path, _damaged(doc, path, value))
+        for argv in runs:
+            capsys.readouterr()
+            code, out, err = run(tmp_path, capsys, argv)
+            assert code != 1, (argv[0], path, value, err)

@@ -72,6 +72,52 @@ def test_pivot_profile_rejects_dependent_components():
         pivot_profile(vec((0, 1), (0, 2), (1,)))
 
 
+def _pivot_indices_reference(v):
+    """Select columns right to left, keeping those that raise the rank.
+
+    The loop ``pivot_profile`` used before it took one elimination; None
+    when fewer than n columns are independent.
+    """
+    coeffs = v.coefficient_matrix()
+    chosen, basis = [], []
+    for col in range(int(v.degree), -1, -1):
+        candidate = basis + [tuple(row[col] for row in coeffs)]
+        if ratlin.rank(candidate) > len(basis):
+            basis = candidate
+            chosen.append(col)
+            if len(chosen) == v.dim:
+                break
+    return tuple(sorted(chosen)) if len(chosen) == v.dim else None
+
+
+def test_pivot_profile_matches_right_to_left_rank_loop():
+    rng = random.Random(27)
+    cases = [quartic_tangent(), probe_vector(0), vec((0, 1), (0, 2), (1,))]
+    for _ in range(60):
+        n = rng.choice((2, 3, 4))
+        d = rng.randint(n - 1, 7)
+        rows = [[rng.randint(-2, 2) for _ in range(d + 1)] for _ in range(n)]
+        rows[0][d] = 1
+        for _ in range(rng.randint(0, 2)):
+            # copy a combination of two columns into a third
+            i, j, k = (rng.randrange(d + 1) for _ in range(3))
+            for row in rows:
+                row[k] = row[i] - 2 * row[j]
+        if rng.random() < 0.2:
+            rows[-1] = [2 * x for x in rows[0]]  # dependent components
+        cases.append(vec(*rows))
+    dependent = 0
+    for v in cases:
+        expected = _pivot_indices_reference(v)
+        if expected is None:
+            dependent += 1
+            with pytest.raises(RegularityError, match="linearly dependent"):
+                pivot_profile(v)
+        else:
+            assert pivot_profile(v).indices == expected
+    assert dependent >= 5
+
+
 def test_linear_section_goldens():
     assert linear_section(quartic_tangent()) == (
         (Fraction(0), Fraction(1), Fraction(1, 5)),

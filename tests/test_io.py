@@ -123,6 +123,10 @@ def test_rational_matrix_roundtrip():
     assert lists_to_rational_matrix(lists) == rows
     with pytest.raises(DocumentError, match="ragged"):
         lists_to_rational_matrix([["1", "2"], ["3"]])
+    # a string row would otherwise be read character by character
+    for row in ("10", {}, True, None, -1, 1.5):
+        with pytest.raises(DocumentError, match="list of rows"):
+            lists_to_rational_matrix([["1", "0"], row])
 
 
 def test_group_roundtrip():

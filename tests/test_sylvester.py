@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affine_frames import (
     Polynomial,
     PolyVector,
+    RegularityError,
     build_sylvester,
     flat,
+    ratlin,
     sharp,
 )
 
@@ -56,8 +60,42 @@ def test_small_system():
 
 
 def test_zero_vector_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(RegularityError, match="vector is zero"):
         build_sylvester(PolyVector([Polynomial.zero(), Polynomial.zero()]))
+
+
+@st.composite
+def shared_factor_vectors(draw):
+    """Nonzero vectors whose components share 0-2 linear factors.
+
+    Some components are zero, and the cofactors may share a further factor.
+    """
+    n = draw(st.integers(2, 4))
+    factor = Polynomial.one()
+    for root in draw(st.lists(st.integers(-3, 3), max_size=2)):
+        factor = factor * p(-root, 1)
+    cofactors = [
+        p(*draw(st.lists(st.integers(-5, 5), min_size=1, max_size=5)))
+        for _ in range(n)
+    ]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        cofactors[i] = Polynomial.zero()
+    v = PolyVector(c * factor for c in cofactors)
+    assume(not v.is_zero)
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_factor_vectors())
+def test_rank_measures_common_factor(v):
+    """rank A = 2d+1 - deg gcd(v), and the reduced data match [A | I]."""
+    sys = build_sylvester(v)
+    assert sys.rank == sys.nrows - int(v.gcd().degree)
+    reduced, transform, pivots = ratlin.rref_with_transform(sys.matrix)
+    assert sys.reduced == reduced
+    assert tuple(c - 1 for c in sys.pivot_cols) == pivots
+    if sys.rank == sys.nrows:
+        assert sys.reduced_e1 == tuple(row[0] for row in transform)
 
 
 def test_sharp_golden():
