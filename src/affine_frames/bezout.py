@@ -15,7 +15,7 @@ from math import ceil
 
 from . import ratlin
 from .poly import Polynomial
-from .sylvester import SylvesterSystem, build_sylvester, flat
+from .sylvester import SylvesterSystem, build_sylvester, flat, sylvester_matrix
 from .vectors import PolyVector, RegularityError, outer_product
 
 
@@ -65,14 +65,13 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
         raise RegularityError("components share a nonconstant factor")
     if v.dim < 2:
         raise RegularityError("syzygies need dimension at least 2")
-    pivot_rows = {col: row for row, col in enumerate(sys.pivot_cols)}
     elements = []
-    for col in sys.basic_nonpivot:
+    for col, reduced in zip(sys.basic_nonpivot, sys.reduced_basic):
         coords = [Fraction(0)] * sys.ncols
         coords[col - 1] = Fraction(1)
-        for pcol, prow in pivot_rows.items():
+        for prow, pcol in enumerate(sys.pivot_cols):
             if pcol < col:
-                coords[pcol - 1] = -sys.reduced[prow][col - 1]
+                coords[pcol - 1] = -reduced[prow]
         elements.append(flat(coords, sys.n, sys.d))
     cross = outer_product(elements)
     scale = None
@@ -100,24 +99,21 @@ def expected_bezout_degree(system: SylvesterSystem, b: PolyVector) -> int:
 def bezout_degree_search(v: PolyVector) -> int:
     """Smallest degree bound that makes ``v . b = 1`` solvable.
 
-    Brute-force oracle: for e = 0, 1, 2, ... check by elimination whether
-    ``A b = e1`` has a solution using only the columns that encode
-    coefficients up to degree e.  Independent of the pivot-supported
-    construction, so it can certify minimality.
+    Brute-force oracle: for e = 0, 1, 2, ... check whether ``A b = e1`` has
+    a solution using only the columns that encode coefficients up to
+    degree e, that is, whether e1 is not a pivot column of ``[A_e | e1]``.
+    It reads only the plain matrix A and the pivots of its own forward
+    eliminations, never a :class:`SylvesterSystem`, so it stays independent
+    of the pivot-supported construction and can certify minimality.
     """
     if v.is_zero:
         raise RegularityError("vector is zero")
     if v.gcd() != Polynomial.one():
         raise RegularityError("components share a nonconstant factor")
-    sys = build_sylvester(v)
-    target_col = [Fraction(1 if i == 0 else 0) for i in range(sys.nrows)]
-    for e in range(sys.d + 1):
-        width = sys.n * (e + 1)
-        augmented = [
-            list(row[:width]) + [target_col[i]]
-            for i, row in enumerate(sys.matrix)
-        ]
-        _, pivots = ratlin.rref(augmented)
-        if width not in pivots:
+    matrix = sylvester_matrix(v)
+    for e in range(int(v.degree) + 1):
+        width = v.dim * (e + 1)
+        augmented = [row[:width] + (Fraction(i == 0),) for i, row in enumerate(matrix)]
+        if width not in ratlin.Echelon(augmented).pivots:
             return e
     raise RegularityError("no Bezout vector exists")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .bezout import bezout_degree_search, minimal_bezout, mu_basis
 from .poly import NEG_INF, Polynomial
+from .sylvester import build_sylvester
 from .vectors import PolyMatrix, PolyVector, RegularityError
 
 
@@ -101,8 +102,9 @@ def quillen_suslin(v: PolyVector) -> PolyMatrix:
     """
     if v.dim < 2:
         raise RegularityError("dimension at least 2 required")
-    bez = minimal_bezout(v)
-    syz = mu_basis(v)
+    system = build_sylvester(v)
+    bez = minimal_bezout(v, system)
+    syz = mu_basis(v, system)
     cols = list(syz.elements)
     cols[-1] = cols[-1].scale(1 / syz.scale)
     return PolyMatrix.from_columns([bez.vector, *cols])
@@ -119,8 +121,9 @@ def nonminimal_completion(v: PolyVector) -> Completion:
         raise RegularityError("completion needs dimension at least 2")
     if v[0].is_zero:
         raise RegularityError("first component must be nonzero")
-    syz = mu_basis(v)
-    bez = minimal_bezout(v)
+    system = build_sylvester(v)
+    syz = mu_basis(v, system)
+    bez = minimal_bezout(v, system)
     bump = syz.elements[-1].scale(Polynomial.monomial(int(v[0].degree)))
     inflated = bez.vector + bump
     inflated_syz = mu_basis(inflated)

@@ -51,7 +51,7 @@ def pivot_profile(v: PolyVector) -> PivotProfile:
         raise RegularityError("vector is zero")
     coeffs = v.coefficient_matrix()
     d = int(v.degree)
-    _, pivots = ratlin.rref([row[::-1] for row in coeffs])
+    pivots = ratlin.Echelon([row[::-1] for row in coeffs]).pivots
     if len(pivots) < v.dim:
         raise RegularityError("components are linearly dependent")
     indices = tuple(sorted(d - p for p in pivots))

@@ -5,9 +5,12 @@ is pure (inputs are never mutated) and deterministic: elimination always
 takes the leftmost column with a nonzero entry as the next pivot, so reduced
 forms and everything read off them are reproducible bit for bit.
 
-Fractions appear only at the boundary: every elimination runs one
-fraction-free integer Gauss-Jordan kernel, :func:`_eliminate`, and its
-results become Fractions once, at the end.
+Fractions appear only at the boundary.  Every routine runs one
+fraction-free integer kernel, :class:`Echelon`: a forward elimination to
+row-echelon form, then exact back-substitution of only those columns of the
+reduced form that are read.  ``rank``, ``det`` and pivot lookups stop after
+the forward pass; ``rref`` and ``inverse`` back-substitute every column.
+Integer results become Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -66,60 +69,113 @@ def _integer_rows(
         if len(row) != width:
             raise ValueError("ragged matrix")
         scale = math.lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+        if scale == 1:
+            work.append([x.numerator for x in row])
+        else:
+            work.append([x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
     return work, scales
 
 
-def _eliminate(work: list[list[int]]) -> tuple[list[int], int, int]:
-    """Fraction-free Gauss-Jordan reduce integer rows in place.
+class Echelon:
+    """One fraction-free forward elimination of a matrix of Fractions or ints.
 
+    Each row is first scaled to integers (``scales`` holds the factors).
     The pivot is the first nonzero entry of the leftmost column that has
-    one, as in textbook elimination.  A step with pivot ``p`` replaces every
-    other row by ``(p * row - a * pivot_row) // prev``, where ``a`` is the
-    row's entry in the pivot column and ``prev`` the previous pivot.  The
-    division is exact (Bareiss 1968): every entry is a minor of the scaled rows.
-    At the end each pivot row holds the last pivot ``D`` in its pivot column
-    and zeros in the other pivot columns, and every other row is zero.
+    one, as in textbook elimination.  A step with pivot ``p`` in column
+    ``c`` replaces every row below the pivot row, from column ``c``
+    rightwards, by ``(p * row - a * pivot_row) // prev``, where ``a`` is the
+    row's entry in column ``c`` and ``prev`` the previous pivot; a row with
+    ``a == 0`` is still scaled by ``p / prev``.  The division is exact
+    (Bareiss 1968): every entry is a minor of the scaled rows.  The rows
+    above are left as they are, so no step touches a pivot row again.
 
-    Returns the pivot columns, ``D`` (1 when there is no pivot) and the sign
-    of the row permutation.
+    ``pivots``, ``sign`` (of the row permutation) and ``last_pivot``
+    (1 when there is no pivot) come from this pass alone; :meth:`columns`
+    back-substitutes only the columns a caller reads.
     """
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots: list[int] = []
-    prev = sign = 1
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        src = next((i for i in range(row, nrows) if work[i][col]), None)
-        if src is None:
-            continue
-        if src != row:
-            work[row], work[src] = work[src], work[row]
-            sign = -sign
-        top = work[row]
-        p = top[col]
-        for i in range(nrows):
-            if i != row:
-                a = work[i][col]
-                work[i] = [(p * x - a * y) // prev for x, y in zip(work[i], top)]
-        pivots.append(col)
-        prev = p
-        row += 1
-    return pivots, prev, sign
+
+    def __init__(self, rows: Sequence[Sequence[Fraction]]):
+        work, self.scales = _integer_rows(rows)
+        nrows = len(work)
+        ncols = len(work[0]) if nrows else 0
+        pivots: list[int] = []
+        prev = sign = 1
+        for col in range(ncols):
+            row = len(pivots)
+            if row == nrows:
+                break
+            src = next((i for i in range(row, nrows) if work[i][col]), None)
+            if src is None:
+                continue
+            if src != row:
+                work[row], work[src] = work[src], work[row]
+                sign = -sign
+            top = work[row][col:]
+            p = top[0]
+            for below in work[row + 1:]:
+                a = below[col]
+                if a:
+                    below[col:] = [
+                        (p * x - a * y) // prev for x, y in zip(below[col:], top)
+                    ]
+                else:
+                    below[col:] = [p * x // prev for x in below[col:]]
+            pivots.append(col)
+            prev = p
+        self._rows = work
+        self.pivots = tuple(pivots)
+        self.sign = sign
+        self.last_pivot = prev
+
+    def columns(self, cols: Iterable[int]) -> tuple[Vector, ...]:
+        """Columns ``cols`` (0-based) of the reduced row-echelon form.
+
+        Row k of the forward form U is ``sum_{m >= k} U[k][c_m] R[m]`` over
+        the reduced rows R, so with the last pivot D and ``p_k = U[k][c_k]``
+
+            D R[k] = (D U[k] - sum_{m > k} U[k][c_m] D R[m]) // p_k,
+
+        exactly, since ``D R`` is integral (Cramer).  The recursion runs
+        from the last pivot row up (Nakos, Turner and Williams 1997); a
+        pivot column is a unit vector and needs none of it.
+        """
+        cols = tuple(cols)
+        pivots, work, d = self.pivots, self._rows, self.last_pivot
+        where = {col: k for k, col in enumerate(pivots)}
+        free = [j for j in cols if j not in where]
+        scaled: list[list[int]] = [[] for _ in pivots]
+        for k in reversed(range(len(pivots))):
+            row = work[k]
+            acc = [d * row[j] for j in free]
+            for m in range(k + 1, len(pivots)):
+                u = row[pivots[m]]
+                if u:
+                    acc = [x - u * y for x, y in zip(acc, scaled[m])]
+            p = row[pivots[k]]
+            scaled[k] = [x // p for x in acc]
+        nrows = len(work)
+        out = {}
+        for i, j in enumerate(free):
+            column = [_ZERO] * nrows
+            for k, values in enumerate(scaled):
+                if values[i]:
+                    column[k] = Fraction(values[i], d)
+            out[j] = tuple(column)
+        for j, k in where.items():
+            out[j] = (_ZERO,) * k + (_ONE,) + (_ZERO,) * (nrows - k - 1)
+        return tuple(out[j] for j in cols)
 
 
-def _divided(row: Sequence[int], d: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x, d) if x else _ZERO for x in row)
+def _rows_of(columns: tuple[Vector, ...], nrows: int) -> Matrix:
+    return tuple(tuple(column[i] for column in columns) for i in range(nrows))
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and 0-based pivot column indices."""
-    work, _ = _integer_rows(rows)
-    pivots, d, _ = _eliminate(work)
-    return tuple(_divided(row, d) for row in work), tuple(pivots)
+    echelon = Echelon(rows)
+    width = len(rows[0]) if rows else 0
+    return _rows_of(echelon.columns(range(width)), len(rows)), echelon.pivots
 
 
 def rref_with_transform(
@@ -130,19 +186,22 @@ def rref_with_transform(
     E is the right block of the reduced form of ``[rows | I]``, so it is
     unique also when ``rows`` is rank deficient.
     """
+    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    work, scales = _integer_rows(rows)
-    for i, (row, scale) in enumerate(zip(work, scales)):
-        row.extend(scale if i == j else 0 for j in range(len(work)))
-    pivots, d, _ = _eliminate(work)
-    reduced = tuple(_divided(row[:ncols], d) for row in work)
-    transform = tuple(_divided(row[ncols:], d) for row in work)
-    return reduced, transform, tuple(c for c in pivots if c < ncols)
+    unit = (_ZERO,) * nrows
+    echelon = Echelon([
+        (*row, *unit[:i], _ONE, *unit[i + 1:]) for i, row in enumerate(rows)
+    ])
+    columns = echelon.columns(range(ncols + nrows))
+    return (
+        _rows_of(columns[:ncols], nrows),
+        _rows_of(columns[ncols:], nrows),
+        tuple(c for c in echelon.pivots if c < ncols),
+    )
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    work, _ = _integer_rows(rows)
-    return len(_eliminate(work)[0])
+    return len(Echelon(rows).pivots)
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -150,9 +209,10 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    work, scales = _integer_rows(rows)
-    pivots, d, sign = _eliminate(work)
-    return Fraction(sign * d, math.prod(scales)) if len(pivots) == n else _ZERO
+    echelon = Echelon(rows)
+    if len(echelon.pivots) < n:
+        return _ZERO
+    return Fraction(echelon.sign * echelon.last_pivot, math.prod(echelon.scales))
 
 
 def inverse(rows: Sequence[Sequence[Fraction]]) -> Matrix:

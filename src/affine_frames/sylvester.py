@@ -16,6 +16,7 @@ meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -52,27 +53,35 @@ def flat(values: Sequence[Fraction], n: int, bound: int) -> PolyVector:
 
 @dataclass(frozen=True)
 class SylvesterSystem:
-    """The matrix A of a vector with its reduced form and pivot data.
+    """The matrix A of a vector with its pivot data and reduced columns.
 
     ``pivot_cols`` are the 1-based indices of columns that are linearly
     independent of all columns to their left; ``basic_nonpivot`` keeps the
-    first non-pivotal index of each residue class modulo n.  ``reduced_e1``
-    is the first unit vector e1 carried through the row operations that
-    take A to ``reduced``: when A has full rank, the vector that holds
-    ``reduced_e1[i]`` at ``pivot_cols[i]`` and zeros elsewhere solves
-    ``A b = e1``.  The rank is ``nrows - deg gcd(v)``, so it is full exactly
-    when the components of v are coprime.
+    first non-pivotal index of each residue class modulo n, and
+    ``reduced_basic`` holds, in the same order, those columns of the
+    reduced row-echelon form of A.  ``reduced_e1`` is the first unit vector
+    e1 carried through the row operations that take ``[A | e1]`` to reduced
+    form: when A has full rank, the vector that holds ``reduced_e1[i]`` at
+    ``pivot_cols[i]`` and zeros elsewhere solves ``A b = e1``.  The rank is
+    ``nrows - deg gcd(v)``, so it is full exactly when the components of v
+    are coprime.  The whole reduced matrix, ``reduced``, is computed on
+    first access; nothing on the Bezout or syzygy path reads it.
     """
 
     vector: PolyVector
     n: int
     d: int
     matrix: ratlin.Matrix
-    reduced: ratlin.Matrix
     reduced_e1: ratlin.Vector
+    reduced_basic: tuple[ratlin.Vector, ...]
     pivot_cols: tuple[int, ...]
     nonpivot_cols: tuple[int, ...]
     basic_nonpivot: tuple[int, ...]
+
+    @cached_property
+    def reduced(self) -> ratlin.Matrix:
+        """Reduced row-echelon form of A."""
+        return ratlin.rref(self.matrix)[0]
 
     @property
     def nrows(self) -> int:
@@ -97,8 +106,8 @@ class SylvesterSystem:
         return tuple(row[index - 1] for row in self.matrix)
 
 
-def build_sylvester(v: PolyVector) -> SylvesterSystem:
-    """Construct the Sylvester-type system of a nonzero vector."""
+def sylvester_matrix(v: PolyVector) -> ratlin.Matrix:
+    """The matrix A of a nonzero vector, with no elimination."""
     if v.is_zero:
         raise RegularityError("vector is zero")
     n = v.dim
@@ -112,12 +121,23 @@ def build_sylvester(v: PolyVector) -> SylvesterSystem:
         for r in range(d + 1):
             for c in range(n):
                 rows[copy + r][copy * n + c] = block[r][c]
-    matrix = ratlin.freeze(rows)
-    # Reduce [A | e1]; a pivot in the e1 column means e1 is not in the span.
-    augmented, pivots0 = ratlin.rref(
+    return tuple(map(tuple, rows))  # coefficients are Fractions already
+
+
+def build_sylvester(v: PolyVector) -> SylvesterSystem:
+    """Construct the Sylvester-type system of a nonzero vector.
+
+    One forward elimination of ``[A | e1]`` gives the pivots; only the e1
+    column and the basic non-pivotal columns are back-substituted.
+    """
+    matrix = sylvester_matrix(v)
+    n = v.dim
+    ncols = len(matrix[0])
+    # A pivot in the e1 column means e1 is not in the span of A.
+    echelon = ratlin.Echelon(
         [row + (Fraction(i == 0),) for i, row in enumerate(matrix)]
     )
-    pivot_cols = tuple(p + 1 for p in pivots0 if p < ncols)
+    pivot_cols = tuple(p + 1 for p in echelon.pivots if p < ncols)
     nonpivot = tuple(j for j in range(1, ncols + 1) if j not in pivot_cols)
     seen: set[int] = set()
     basic = []
@@ -126,13 +146,14 @@ def build_sylvester(v: PolyVector) -> SylvesterSystem:
         if cls not in seen:
             seen.add(cls)
             basic.append(j)
+    e1, *reduced_basic = echelon.columns([ncols, *(j - 1 for j in basic)])
     return SylvesterSystem(
         vector=v,
         n=n,
-        d=d,
+        d=int(v.degree),
         matrix=matrix,
-        reduced=tuple(row[:ncols] for row in augmented),
-        reduced_e1=tuple(row[ncols] for row in augmented),
+        reduced_e1=e1,
+        reduced_basic=tuple(reduced_basic),
         pivot_cols=pivot_cols,
         nonpivot_cols=nonpivot,
         basic_nonpivot=tuple(basic),

@@ -16,8 +16,9 @@ from affine_frames import (
     quillen_suslin,
     verify_completion,
 )
+from affine_frames import bezout, completion
 
-from conftest import p, random_regular_vector, vec
+from conftest import p, quartic_tangent, random_regular_vector, vec
 
 SEXTIC = vec((1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 1), (0, 1))
 
@@ -218,3 +219,21 @@ def test_nonminimal_completion_errors():
         nonminimal_completion(vec((0,), (0, 1), (1,)))
     with pytest.raises(RegularityError):
         nonminimal_completion(vec((0, 2), (0, 0, 4)))
+
+
+def test_one_sylvester_build_per_distinct_vector(monkeypatch):
+    built = []
+    original = bezout.build_sylvester
+
+    def counting(v):
+        built.append(v)
+        return original(v)
+
+    monkeypatch.setattr(bezout, "build_sylvester", counting)
+    monkeypatch.setattr(completion, "build_sylvester", counting)
+    v = quartic_tangent()
+    quillen_suslin(v)
+    assert built == [v]
+    built.clear()
+    nonminimal_completion(v)
+    assert len(built) == 2 and built[0] == v and built[1] != v

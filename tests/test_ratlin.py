@@ -103,6 +103,15 @@ def matrices(draw, max_rows=9, max_cols=12, square=False):
     for col in zero_cols:
         for row in rows:
             row[col] = Fraction(0)
+    # zeros below the diagonal: a row below each pivot with a 0 in the
+    # pivot column, which elimination must still scale
+    if draw(st.booleans()):
+        for i, row in enumerate(rows):
+            for j in range(min(i, ncols)):
+                if draw(st.booleans()):
+                    row[j] = Fraction(0)
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)) if nrows else ():
+        rows[i] = [Fraction(0)] * ncols
     return ratlin.freeze(rows)
 
 
@@ -115,15 +124,29 @@ _EDGE_CASES = [
     ((Fraction(0), Fraction(2, 3), Fraction(1)),
      (Fraction(0), Fraction(4, 3), Fraction(2)),
      (Fraction(5), Fraction(0), Fraction(-1, 7))),
+    # the last row has a 0 in both pivot columns before its own
+    ratlin.freeze([[2, 1, 1], [1, 1, 2], [0, 0, 3]]),
+    # rank deficient, with a zero row between the pivot rows
+    ratlin.freeze([[0, 3, 1, 2], [0, 0, 0, 0], [0, 6, 2, 5], [0, 0, 0, 7]]),
 ]
 
 
 def _check_against_reference(rows):
-    assert ratlin.rref(rows) == _rref_reference(rows)
+    expected, expected_pivots = _rref_reference(rows)
+    assert ratlin.rref(rows) == (expected, expected_pivots)
     reduced, transform, pivots = ratlin.rref_with_transform(rows)
     assert (reduced, transform, pivots) == _rref_with_transform_reference(rows)
     assert ratlin.rank(rows) == len(pivots)
     assert ratlin.mat_mul(transform, rows) == reduced
+    assert ratlin.Echelon(rows).pivots == expected_pivots
+
+
+def _check_columns_against_reference(rows, cols):
+    """Back-substituting a subset of columns, in any order, with repeats."""
+    expected, _ = _rref_reference(rows)
+    assert ratlin.Echelon(rows).columns(cols) == tuple(
+        tuple(row[j] for row in expected) for j in cols
+    )
 
 
 def _check_square_against_reference(rows):
@@ -139,6 +162,9 @@ def _check_square_against_reference(rows):
 @pytest.mark.parametrize("rows", _EDGE_CASES)
 def test_kernel_edge_cases(rows):
     _check_against_reference(rows)
+    width = len(rows[0]) if rows else 0
+    _check_columns_against_reference(rows, range(width))
+    _check_columns_against_reference(rows, range(width - 1, -1, -2))
     if all(len(row) == len(rows) for row in rows):
         _check_square_against_reference(rows)
 
@@ -147,6 +173,15 @@ def test_kernel_edge_cases(rows):
 @given(matrices())
 def test_kernel_matches_fraction_elimination(rows):
     _check_against_reference(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_column_subset_matches_fraction_elimination(data):
+    rows = data.draw(matrices())
+    width = len(rows[0]) if rows else 0
+    cols = data.draw(st.lists(st.integers(0, width - 1), max_size=6)) if width else []
+    _check_columns_against_reference(rows, cols)
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
@@ -85,17 +85,39 @@ def shared_factor_vectors(draw):
     return v
 
 
+def _check_reduced_data(sys):
+    """The back-substituted columns match the reduced form of [A | I]."""
+    reduced, transform, pivots = ratlin.rref_with_transform(sys.matrix)
+    assert tuple(c - 1 for c in sys.pivot_cols) == pivots
+    assert sys.reduced_basic == tuple(
+        tuple(row[j - 1] for row in reduced) for j in sys.basic_nonpivot
+    )
+    if sys.rank == sys.nrows:
+        assert sys.reduced_e1 == tuple(row[0] for row in transform)
+    else:
+        # e1 is outside the span of A, so it is the next pivot column
+        unit = [Fraction(0)] * sys.nrows
+        unit[sys.rank] = Fraction(1)
+        assert sys.reduced_e1 == tuple(unit)
+    assert sys.reduced == reduced
+
+
 @settings(max_examples=150, deadline=None)
 @given(shared_factor_vectors())
+@example(vec((-1, 0, 1), (0, -1, 0, 1), (1, 1)))  # (t + 1)(t - 1, t^2 - t, 1)
 def test_rank_measures_common_factor(v):
     """rank A = 2d+1 - deg gcd(v), and the reduced data match [A | I]."""
     sys = build_sylvester(v)
     assert sys.rank == sys.nrows - int(v.gcd().degree)
-    reduced, transform, pivots = ratlin.rref_with_transform(sys.matrix)
-    assert sys.reduced == reduced
-    assert tuple(c - 1 for c in sys.pivot_cols) == pivots
-    if sys.rank == sys.nrows:
-        assert sys.reduced_e1 == tuple(row[0] for row in transform)
+    _check_reduced_data(sys)
+
+
+def test_reduced_data_of_coprime_vectors():
+    rng = random.Random(96)
+    for _ in range(20):
+        sys = build_sylvester(random_regular_vector(rng, max_degree=6))
+        assert sys.rank == sys.nrows
+        _check_reduced_data(sys)
 
 
 def test_sharp_golden():
