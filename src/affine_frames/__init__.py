@@ -30,7 +30,6 @@ from .equivariance import (
 from .frames import (
     CurveRejection,
     FrameResult,
-    GenericCurve,
     moving_frame,
     validate_curve,
 )
@@ -41,6 +40,7 @@ from .vectors import (
     PolyMatrix,
     PolyVector,
     RegularityError,
+    RegularVector,
     outer_product,
     require_regular,
 )
@@ -52,7 +52,6 @@ __all__ = [
     "CompletionReport",
     "CurveRejection",
     "FrameResult",
-    "GenericCurve",
     "GroupElement",
     "MuBasis",
     "NEG_INF",
@@ -61,6 +60,7 @@ __all__ = [
     "PolyVector",
     "Polynomial",
     "RegularityError",
+    "RegularVector",
     "SylvesterSystem",
     "bezout_degree_search",
     "build_sylvester",

@@ -17,12 +17,7 @@ from typing import Callable, Iterator
 from . import io as docio
 from .bezout import bezout_degree_search, minimal_bezout, mu_basis
 from .completion import minimal_completion, verify_completion
-from .equivariance import (
-    canonical_form,
-    canonical_shape_violations,
-    pivot_profile,
-    section,
-)
+from .equivariance import canonical_form, canonical_shape_violations, section
 from .frames import CurveRejection, moving_frame, validate_curve
 from .io import (
     CurveDocument,
@@ -82,8 +77,7 @@ def _stored_matrix(payload: dict, doc: CurveDocument, kind: str) -> PolyMatrix:
     return matrix
 
 
-def _profile_dict(vector) -> dict:
-    profile = pivot_profile(vector)
+def _profile_dict(profile) -> dict:
     return {
         "indices": list(profile.indices),
         "k": profile.k,
@@ -92,10 +86,10 @@ def _profile_dict(vector) -> dict:
 
 
 def _frame(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
-    outcome = validate_curve(doc.vector)
-    if isinstance(outcome, CurveRejection):
-        raise CommandRejection("curve rejected", outcome.failures)
-    result = moving_frame(outcome)
+    tangent = validate_curve(doc.vector)
+    if isinstance(tangent, CurveRejection):
+        raise CommandRejection("curve rejected", tangent.failures)
+    result = moving_frame(tangent)
     payload = {
         "matrix": matrix_to_dict(result.matrix),
         "section": group_to_dict(result.section),
@@ -105,18 +99,17 @@ def _frame(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     return payload, {
         "degree": int(result.matrix.degree),
         "determinant": "1",
-        "tangent_degree": int(outcome.vector.derivative().degree),
+        "tangent_degree": int(tangent.degree),
     }
 
 
 def _verify_frame(doc: CurveDocument, payload: dict) -> Checks:
-    outcome = validate_curve(doc.vector)
-    yield "input_is_generic_curve", not isinstance(outcome, CurveRejection)
-    if isinstance(outcome, CurveRejection):
+    tangent = validate_curve(doc.vector)
+    yield "input_is_generic_curve", not isinstance(tangent, CurveRejection)
+    if isinstance(tangent, CurveRejection):
         return
     stored = _stored_matrix(payload, doc, "frame")
-    recomputed = moving_frame(outcome)
-    tangent = doc.vector.derivative()
+    recomputed = moving_frame(tangent)
     yield "matrix_reproducible", stored == recomputed.matrix
     yield "first_column_is_tangent", stored.column(0) == tangent
     yield "determinant_is_one", stored.determinant() == Polynomial.one()
@@ -194,12 +187,13 @@ def _verify_mubasis(doc: CurveDocument, payload: dict) -> Checks:
 
 
 def _section(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
-    g = section(doc.vector)
+    v = require_regular(doc.vector)
+    g = section(v)
     payload = {
         "matrix": docio.rational_matrix_to_lists(g.matrix),
         "shift": format_rational(g.shift),
     }
-    return payload, {"profile": _profile_dict(doc.vector)}
+    return payload, {"profile": _profile_dict(v.profile)}
 
 
 def _verify_section(doc: CurveDocument, payload: dict) -> Checks:
@@ -219,12 +213,14 @@ def _verify_section(doc: CurveDocument, payload: dict) -> Checks:
 
 
 def _canonical(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
-    g = section(doc.vector)
-    reduced = g.inverse().apply(doc.vector)
+    v = require_regular(doc.vector)
+    g = section(v)
+    reduced = g.inverse().apply(v)
     payload = {"vector": vector_to_dict(reduced), "section": group_to_dict(g)}
+    # The group action keeps the pivot profile: the input's is the result's.
     return payload, {
         "degree": int(reduced.degree),
-        "profile": _profile_dict(reduced),
+        "profile": _profile_dict(v.profile),
     }
 
 

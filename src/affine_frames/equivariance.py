@@ -17,65 +17,27 @@ rigid staircase shape checked by ``canonical_shape_violations``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import ratlin
 from .completion import Completion, minimal_completion
 from .groups import GroupElement
-from .vectors import PolyMatrix, PolyVector, RegularityError, require_regular
-
-
-@dataclass(frozen=True)
-class PivotProfile:
-    """Rightmost independent column choice of a coefficient matrix.
-
-    ``indices`` are 0-based ascending column indices of the coefficient
-    matrix; the last is always the degree.  ``k`` is the rightmost column
-    index not selected (-1 when every column is).  ``det_vbar`` is the
-    determinant of the selected square submatrix.
-    """
-
-    indices: tuple[int, ...]
-    k: int
-    det_vbar: Fraction
-
-
-def pivot_profile(v: PolyVector) -> PivotProfile:
-    """Select the columns independent of all columns to their right.
-
-    These are the pivot columns of the coefficient matrix read right to left.
-    """
-    if v.is_zero:
-        raise RegularityError("vector is zero")
-    coeffs = v.coefficient_matrix()
-    d = int(v.degree)
-    pivots = ratlin.Echelon([row[::-1] for row in coeffs]).pivots
-    if len(pivots) < v.dim:
-        raise RegularityError("components are linearly dependent")
-    indices = tuple(sorted(d - p for p in pivots))
-    excluded = [c for c in range(d + 1) if c not in set(indices)]
-    k = max(excluded) if excluded else -1
-    submatrix = tuple(tuple(row[c] for c in indices) for row in coeffs)
-    return PivotProfile(indices, k, ratlin.det(submatrix))
+from .vectors import PivotProfile, pivot_profile  # re-exported with the sections
+from .vectors import PolyVector, RegularityError, RegularVector, require_regular
 
 
 def linear_section(v: PolyVector) -> ratlin.Matrix:
     """Determinant-one matrix from the selected coefficient columns.
 
     The selected submatrix keeps its columns in ascending order and the last
-    one is divided by the determinant.
+    one is divided by the determinant.  Requires a regular vector.
     """
-    return _linear_section(v, pivot_profile(v))
-
-
-def _linear_section(v: PolyVector, profile: PivotProfile) -> ratlin.Matrix:
-    coeffs = v.coefficient_matrix()
-    cols = list(profile.indices)
-    matrix = [[row[c] for c in cols] for row in coeffs]
+    v = require_regular(v)
+    *first, last = v.profile.indices
     return ratlin.freeze(
-        [row[:-1] + [row[-1] / profile.det_vbar] for row in matrix]
+        [row[c] for c in first] + [row[last] / v.profile.det_vbar]
+        for row in v.coefficient_matrix()
     )
 
 
@@ -85,12 +47,11 @@ def shift_section(v: PolyVector) -> Fraction:
     Requires a regular vector; the relevant denominator is structurally
     nonzero once the vector is reduced by the linear section.
     """
-    require_regular(v)
-    profile = pivot_profile(v)
-    k = profile.k
+    v = require_regular(v)
+    k = v.profile.k
     d = int(v.degree)
     n = v.dim
-    reduced = v.linear_map(ratlin.inverse(_linear_section(v, profile)))
+    reduced = v.linear_map(ratlin.inverse(linear_section(v)))
     component = reduced[n - (d - k - 1) - 1]
     denom = (k + 1) * component.coeff(k + 1)
     if denom == 0:
@@ -99,9 +60,13 @@ def shift_section(v: PolyVector) -> Fraction:
 
 
 def section(v: PolyVector) -> GroupElement:
-    """Equivariant section: shift first, then the linear part of the result."""
+    """Equivariant section: shift first, then the linear part of the result.
+
+    The recentered vector keeps the pivot profile of ``v``.
+    """
+    v = require_regular(v)
     s = shift_section(v)
-    recentered = v.shift(-s)
+    recentered = RegularVector(v.shift(-s), v.profile)
     return GroupElement(linear_section(recentered), s)
 
 
@@ -124,24 +89,15 @@ def canonical_shape_violations(w: PolyVector) -> list[str]:
     d = int(w.degree)
     k = profile.k
     problems: list[str] = []
-    if profile.indices[-1] != d:
-        problems.append("last selected column is not the degree column")
     for j, col in enumerate(profile.indices):
-        expected_row = j
+        unit = profile.det_vbar if j == n - 1 else 1
         for i in range(n):
             value = coeffs[i][col]
-            if j == n - 1:
-                want = profile.det_vbar if i == expected_row else 0
-            else:
-                want = 1 if i == expected_row else 0
-            if value != want:
+            if value != (unit if i == j else 0):
                 problems.append(f"selected column {col} row {i}: {value}")
     for i in range(n):
-        bound = profile.indices[i]
-        for col in range(bound + 1, d + 1):
-            if col in profile.indices:
-                continue
-            if coeffs[i][col] != 0:
+        for col in range(profile.indices[i] + 1, d + 1):
+            if col not in profile.indices and coeffs[i][col] != 0:
                 problems.append(f"entry ({i},{col}) right of pivot is nonzero")
     if k >= 0:
         row = n - (d - k - 1) - 1
@@ -157,11 +113,7 @@ def equivariant_completion_with_section(
     g = section(v)
     reduced = g.inverse().apply(v)
     base = minimal_completion(reduced)
-    return (
-        Completion(g.apply(base.matrix), base.bezout_degree),
-        g,
-        reduced,
-    )
+    return Completion(g.apply(base.matrix), base.bezout_degree), g, reduced
 
 
 def equivariant_completion(v: PolyVector) -> Completion:

@@ -2,7 +2,8 @@
 
 A curve qualifies when its tangent vector never vanishes (over the
 algebraic closure), its image spans the ambient space affinely, and its
-degree exceeds the dimension.  For such curves the frame attaches the
+degree exceeds the dimension.  That is, when its tangent is a regular
+vector, which :func:`validate_curve` returns.  The frame attaches the
 equivariant minimal completion of the tangent, yielding a determinant-one
 matrix of polynomials whose first column is the tangent and which transforms
 covariantly under special-affine maps and parameter shifts.
@@ -12,29 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import ratlin
 from .equivariance import equivariant_completion_with_section
 from .groups import GroupElement
 from .poly import Polynomial
-from .vectors import PolyMatrix, PolyVector
-
-
-@dataclass(frozen=True)
-class GenericCurve:
-    """A curve that passed :func:`validate_curve`."""
-
-    vector: PolyVector
-
-    @property
-    def dim(self) -> int:
-        return self.vector.dim
-
-    @property
-    def degree(self) -> int:
-        return int(self.vector.degree)
-
-    def tangent(self) -> PolyVector:
-        return self.vector.derivative()
+from .vectors import PolyMatrix, PolyVector, RegularityError, RegularVector, pivot_profile
 
 
 @dataclass(frozen=True)
@@ -54,34 +36,36 @@ class FrameResult:
     bezout_degree: int
 
 
-def validate_curve(c: PolyVector) -> GenericCurve | CurveRejection:
-    """Structured admissibility check; collects all failures, raises none."""
+def validate_curve(c: PolyVector) -> RegularVector | CurveRejection:
+    """The curve's tangent, checked once; collects all failures, raises none."""
     failures = []
     tangent = c.derivative()
+    profile = None
     if tangent.is_zero:
         failures.append("tangent vector is identically zero")
         failures.append("curve lies in a proper affine subspace")
     else:
         if tangent.gcd() != Polynomial.one():
             failures.append("tangent vanishes at a parameter value")
-        if ratlin.rank(tangent.coefficient_matrix()) < c.dim:
+        try:
+            profile = pivot_profile(tangent)
+        except RegularityError:
             failures.append("curve lies in a proper affine subspace")
     if c.degree <= c.dim:
         failures.append("degree does not exceed the dimension")
     if failures:
         return CurveRejection(tuple(failures))
-    return GenericCurve(c)
+    return RegularVector(tangent, profile)
 
 
-def moving_frame(curve: GenericCurve) -> FrameResult:
-    """Equivariant minimal-degree frame along the curve.
+def moving_frame(tangent: RegularVector) -> FrameResult:
+    """Equivariant minimal-degree frame along a curve, from its checked tangent.
 
-    The first column of the frame is the tangent; the whole matrix has
-    determinant one and minimal degree among completions of the tangent.
+    ``tangent`` is what :func:`validate_curve` returns.  The first column of
+    the frame is the tangent; the whole matrix has determinant one and
+    minimal degree among completions of the tangent.
     """
-    completion, g, reduced = equivariant_completion_with_section(
-        curve.tangent()
-    )
+    completion, g, reduced = equivariant_completion_with_section(tangent)
     return FrameResult(
         matrix=completion.matrix,
         section=g,

@@ -4,12 +4,15 @@ A :class:`PolyVector` models a polynomial curve or tangent vector, a
 :class:`PolyMatrix` a polynomial matrix whose columns are such vectors.  The
 degree of a vector is the maximum of its component degrees; the degree of a
 matrix is the sum of its column degrees.  Both follow the absorbing
-``NEG_INF`` convention for zero entries.
+``NEG_INF`` convention for zero entries.  :func:`require_regular` checks a
+vector once and returns it as a :class:`RegularVector`, which carries the
+:class:`PivotProfile` found on the way.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -386,17 +389,78 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     return PolyVector(comps)
 
 
-def require_regular(v: PolyVector) -> None:
-    """Raise :class:`RegularityError` unless ``v`` is a regular vector.
+@dataclass(frozen=True)
+class PivotProfile:
+    """Rightmost independent column choice of a coefficient matrix.
+
+    ``indices`` are 0-based ascending column indices of the coefficient
+    matrix; the last is always the degree.  ``k`` is the rightmost column
+    index not selected (-1 when every column is).  ``det_vbar`` is the
+    determinant of the selected square submatrix.
+
+    Special-linear maps and parameter shifts leave the profile unchanged:
+    the first multiplies the coefficient matrix on the left by a
+    determinant-one matrix, the second adds to each column a combination of
+    the columns to its right.
+    """
+
+    indices: tuple[int, ...]
+    k: int
+    det_vbar: Fraction
+
+
+def pivot_profile(v: PolyVector) -> PivotProfile:
+    """Select the columns independent of all columns to their right.
+
+    These are the pivot columns of the coefficient matrix read right to
+    left, found by one forward elimination of the column-reversed matrix.
+    Its pivot columns are the selected submatrix with the n columns in
+    reverse order, so ``det_vbar`` is their determinant, read off the same
+    pass, times ``(-1)**(n(n-1)/2)``.
+    """
+    if v.is_zero:
+        raise RegularityError("vector is zero")
+    d, n = int(v.degree), v.dim
+    echelon = ratlin.Echelon([row[::-1] for row in v.coefficient_matrix()])
+    if len(echelon.pivots) < n:
+        raise RegularityError("components are linearly dependent")
+    indices = tuple(d - p for p in reversed(echelon.pivots))
+    k = max(set(range(d + 1)) - set(indices), default=-1)
+    sign = echelon.sign * (-1) ** (n * (n - 1) // 2)
+    det_vbar = Fraction(sign * echelon.last_pivot, math.prod(echelon.scales))
+    return PivotProfile(indices, k, det_vbar)
+
+
+class RegularVector(PolyVector):
+    """A vector that passed :func:`require_regular`, with its pivot profile.
+
+    Get one from :func:`require_regular` (or ``validate_curve`` for a
+    curve's tangent); the constructor trusts the profile it is given.
+    Arithmetic on it returns plain :class:`PolyVector` values.
+    """
+
+    __slots__ = ("profile",)
+
+    profile: PivotProfile
+
+    def __init__(self, components: Iterable, profile: PivotProfile):
+        super().__init__(components)
+        object.__setattr__(self, "profile", profile)
+
+
+def require_regular(v: PolyVector) -> RegularVector:
+    """``v`` as a :class:`RegularVector`; :class:`RegularityError` unless regular.
 
     Regular means: unit gcd, linearly independent components, and degree at
-    least the dimension.
+    least the dimension.  A :class:`RegularVector` is returned unchanged.
     """
+    if isinstance(v, RegularVector):
+        return v
     if v.is_zero:
         raise RegularityError("vector is zero")
     if v.gcd() != Polynomial.one():
         raise RegularityError("components share a nonconstant factor")
-    if ratlin.rank(v.coefficient_matrix()) < v.dim:
-        raise RegularityError("components are linearly dependent")
+    profile = pivot_profile(v)
     if v.degree < v.dim:
         raise RegularityError("degree is below the dimension")
+    return RegularVector(v, profile)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from affine_frames import (
     AffineElement,
-    GenericCurve,
+    CurveRejection,
     GroupElement,
     Polynomial,
     PolyVector,
@@ -81,8 +81,8 @@ def random_affine(rng: random.Random, n: int) -> AffineElement:
 
 def random_generic_curve(
     rng: random.Random, n: int = 3, max_degree: int = 7
-) -> GenericCurve:
-    """Curve whose tangent is a random regular vector."""
+) -> PolyVector:
+    """Curve whose tangent is a random regular vector, so it is generic."""
     while True:
         tangent = random_regular_vector(rng, n, max_degree - 1)
         comps = []
@@ -92,6 +92,6 @@ def random_generic_curve(
                 c / (i + 1) for i, c in enumerate(component.coeffs)
             )
             comps.append(Polynomial(coeffs))
-        outcome = validate_curve(PolyVector(comps))
-        if isinstance(outcome, GenericCurve):
-            return outcome
+        curve = PolyVector(comps)
+        if not isinstance(validate_curve(curve), CurveRejection):
+            return curve

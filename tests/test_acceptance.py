@@ -10,8 +10,8 @@ import time
 from fractions import Fraction
 
 from affine_frames import (
-    GenericCurve,
     PolyMatrix,
+    RegularVector,
     bezout_degree_search,
     build_sylvester,
     canonical_form,
@@ -176,13 +176,13 @@ def test_criterion_5_equivariance_suite():
         for _ in range(100):
             curve = random_generic_curve(rng, 3, max_degree=7)
             g = random_affine(rng, 3)
-            moved = validate_curve(g.apply(curve.vector))
-            assert isinstance(moved, GenericCurve)
+            moved = validate_curve(g.apply(curve))
+            assert isinstance(moved, RegularVector)
+            tangent = validate_curve(curve)
             assert (
                 moving_frame(moved).matrix
-                == g.linear_part.apply(moving_frame(curve).matrix)
+                == g.linear_part.apply(moving_frame(tangent).matrix)
             )
-            tangent = curve.tangent()
             linear = g.linear_part
             assert section(linear.apply(tangent)) == linear.compose(
                 section(tangent)

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from affine_frames import cli, equivariance, frames, ratlin, vectors
 from affine_frames.cli import main
 
 QUINTIC = {
@@ -66,6 +67,29 @@ def test_frame_golden(tmp_path, capsys):
     assert doc["metadata"]["degree"] == 5
     assert doc["metadata"]["determinant"] == "1"
     assert doc["payload"]["input"]["label"] == "quintic"
+
+
+def test_frame_checks_the_tangent_once(tmp_path, capsys, monkeypatch):
+    """One gcd and one pivot profile of the tangent, and no rank."""
+    calls = {"poly_gcd": 0, "pivot_profile": 0, "rank": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    gcd = counting("poly_gcd", vectors.poly_gcd)
+    monkeypatch.setattr(vectors, "poly_gcd", gcd)
+    profile = counting("pivot_profile", equivariance.pivot_profile)
+    for module in (vectors, frames, equivariance, cli):
+        if hasattr(module, "pivot_profile"):
+            monkeypatch.setattr(module, "pivot_profile", profile)
+    monkeypatch.setattr(ratlin, "rank", counting("rank", ratlin.rank))
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    code, out, err = run(tmp_path, capsys, ["frame", "--in", infile])
+    assert code == 0, err
+    assert calls == {"poly_gcd": 2, "pivot_profile": 1, "rank": 0}
 
 
 def test_frame_deterministic(tmp_path, capsys):
@@ -205,6 +229,9 @@ def test_canonical_golden(tmp_path, capsys):
         ["325/81", "0", "25/3", "0", "5"],
     ]
     assert doc["metadata"]["degree"] == 4
+    assert doc["metadata"]["profile"] == {
+        "indices": [1, 3, 4], "k": 2, "det_vbar": "5"
+    }
 
 
 def test_sylvester_dump(tmp_path, capsys):

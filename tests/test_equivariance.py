@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_frames import (
     PolyMatrix,
@@ -76,7 +78,9 @@ def _pivot_indices_reference(v):
     """Select columns right to left, keeping those that raise the rank.
 
     The loop ``pivot_profile`` used before it took one elimination; None
-    when fewer than n columns are independent.
+    when fewer than n columns are independent.  The determinant of the
+    selected submatrix, ``ratlin.det`` of those columns in ascending order,
+    is the reference for ``det_vbar``.
     """
     coeffs = v.coefficient_matrix()
     chosen, basis = [], []
@@ -114,8 +118,23 @@ def test_pivot_profile_matches_right_to_left_rank_loop():
             with pytest.raises(RegularityError, match="linearly dependent"):
                 pivot_profile(v)
         else:
-            assert pivot_profile(v).indices == expected
+            profile = pivot_profile(v)
+            assert profile.indices == expected
+            coeffs = v.coefficient_matrix()
+            submatrix = [[row[c] for c in expected] for row in coeffs]
+            assert profile.det_vbar == ratlin.det(submatrix)
     assert dependent >= 5
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4)))
+def test_pivot_profile_invariant_under_group_action(seed, n):
+    """Special-linear maps and shifts keep the profile; so does the section."""
+    rng = random.Random(seed)
+    v = random_regular_vector(rng, n, max_degree=6)
+    profile = pivot_profile(v)
+    assert pivot_profile(random_group(rng, n).apply(v)) == profile
+    assert pivot_profile(canonical_form(v)) == profile
 
 
 def test_linear_section_goldens():
@@ -167,6 +186,9 @@ def test_shift_section_requires_regular():
         shift_section(vec((1, 1), (0, 1)))
     with pytest.raises(RegularityError):
         shift_section(vec((0, 2), (0, 0, 4)))
+    # linear_section takes the same check, and so refuses a common factor
+    with pytest.raises(RegularityError, match="nonconstant factor"):
+        linear_section(vec((0, 2), (0, 0, 4)))
 
 
 def test_shift_section_behavior_under_action():

@@ -7,10 +7,11 @@ import pytest
 
 from affine_frames import (
     CurveRejection,
-    GenericCurve,
     PolyMatrix,
+    RegularVector,
     bezout_degree_search,
     moving_frame,
+    pivot_profile,
     ratlin,
     validate_curve,
 )
@@ -26,11 +27,12 @@ from conftest import (
 
 
 def test_validate_accepts_generic():
-    outcome = validate_curve(vec((0, 1), (0, 0, 1), (1, 0, 0, 0, 1)))
-    assert isinstance(outcome, GenericCurve)
-    assert outcome.dim == 3
-    assert outcome.degree == 4
-    assert isinstance(validate_curve(quintic_curve()), GenericCurve)
+    tangent = validate_curve(vec((0, 1), (0, 0, 1), (1, 0, 0, 0, 1)))
+    assert isinstance(tangent, RegularVector)
+    assert tangent.dim == 3
+    assert tangent.degree == 3
+    assert tangent.profile == pivot_profile(tangent)
+    assert isinstance(validate_curve(quintic_curve()), RegularVector)
 
 
 def test_validate_rejects_low_degree():
@@ -59,17 +61,15 @@ def test_validate_rejects_constant_curve():
 
 
 def test_tangent_golden():
-    curve = validate_curve(vec((0, 1), (0, 0, 1), (1, 0, 0, 0, 1)))
-    assert curve.tangent() == vec((1,), (0, 2), (0, 0, 0, 4))
-    quintic = validate_curve(quintic_curve())
-    assert quintic.tangent() == quartic_tangent()
+    tangent = validate_curve(vec((0, 1), (0, 0, 1), (1, 0, 0, 0, 1)))
+    assert tangent == vec((1,), (0, 2), (0, 0, 0, 4))
+    assert validate_curve(quintic_curve()) == quartic_tangent()
 
 
 def test_tangent_translation_invariant():
     base = quintic_curve()
     moved = base.translate([Fraction(5), Fraction(-1, 2), Fraction(7, 3)])
-    curve, moved_curve = validate_curve(base), validate_curve(moved)
-    assert curve.tangent() == moved_curve.tangent()
+    assert validate_curve(base) == validate_curve(moved)
 
 
 def test_moving_frame_quintic_golden():
@@ -94,8 +94,8 @@ def test_moving_frame_quintic_golden():
 
 
 def test_moving_frame_monomial_curve():
-    curve = validate_curve(vec((0, 1), (0, 0, 1), (1, 0, 0, 0, 1)))
-    frame = moving_frame(curve)
+    tangent = validate_curve(vec((0, 1), (0, 0, 1), (1, 0, 0, 0, 1)))
+    frame = moving_frame(tangent)
     assert frame.matrix.column(0) == vec((1,), (0, 2), (0, 0, 0, 4))
     assert frame.matrix.determinant() == p(1)
     assert frame.matrix.degree == 3
@@ -105,9 +105,8 @@ def test_moving_frame_monomial_curve():
 def test_moving_frame_contract_random():
     rng = random.Random(61)
     for _ in range(20):
-        curve = random_generic_curve(rng)
-        frame = moving_frame(curve)
-        tangent = curve.tangent()
+        tangent = validate_curve(random_generic_curve(rng))
+        frame = moving_frame(tangent)
         assert frame.matrix.column(0) == tangent
         assert frame.matrix.determinant() == p(1)
         assert frame.matrix.degree == tangent.degree + bezout_degree_search(
@@ -120,19 +119,19 @@ def test_moving_frame_equivariance():
     for _ in range(15):
         curve = random_generic_curve(rng)
         a = random_affine(rng, 3)
-        moved = validate_curve(a.apply(curve.vector))
-        assert isinstance(moved, GenericCurve)
+        moved = validate_curve(a.apply(curve))
+        assert isinstance(moved, RegularVector)
         left = moving_frame(moved).matrix
-        right = a.linear_part.apply(moving_frame(curve).matrix)
+        right = a.linear_part.apply(moving_frame(validate_curve(curve)).matrix)
         assert left == right
 
 
 def test_moving_frame_translation_invariance():
-    curve = validate_curve(quintic_curve())
+    tangent = validate_curve(quintic_curve())
     moved = validate_curve(
         quintic_curve().translate([Fraction(9), Fraction(-4), Fraction(1, 7)])
     )
-    assert moving_frame(moved).matrix == moving_frame(curve).matrix
+    assert moving_frame(moved).matrix == moving_frame(tangent).matrix
 
 
 def test_genericity_closed_under_action():
@@ -140,7 +139,7 @@ def test_genericity_closed_under_action():
     for _ in range(15):
         curve = random_generic_curve(rng)
         a = random_affine(rng, 3)
-        assert isinstance(validate_curve(a.apply(curve.vector)), GenericCurve)
+        assert isinstance(validate_curve(a.apply(curve)), RegularVector)
 
 
 def test_pointwise_unit_volume():

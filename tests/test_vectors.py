@@ -13,7 +13,9 @@ from affine_frames import (
     PolyMatrix,
     PolyVector,
     RegularityError,
+    RegularVector,
     outer_product,
+    pivot_profile,
     require_regular,
 )
 
@@ -342,7 +344,10 @@ def test_outer_product_laplace_identity():
 
 def test_require_regular():
     require_regular(vec((1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 1), (0, 1)))
-    require_regular(quartic_tangent())
+    checked = require_regular(quartic_tangent())
+    assert isinstance(checked, RegularVector) and checked == quartic_tangent()
+    assert checked.profile == pivot_profile(quartic_tangent())
+    assert require_regular(checked) is checked
     with pytest.raises(RegularityError, match="zero"):
         require_regular(PolyVector([Polynomial.zero(), Polynomial.zero()]))
     with pytest.raises(RegularityError, match="nonconstant factor"):
