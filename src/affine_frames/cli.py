@@ -349,7 +349,10 @@ def _plot(stored: ResultDocument, params_text: str, project_text: str | None) ->
         axes = (0, 1)
     else:
         raise DocumentError("--project is required when the dimension exceeds 2")
-    return render_plot(doc.vector, frame, params, axes)
+    try:
+        return render_plot(doc.vector, frame, params, axes)
+    except ValueError as exc:
+        raise CommandRejection(str(exc)) from exc
 
 
 def run_command(command: str, document, **options):

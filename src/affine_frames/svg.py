@@ -1,16 +1,22 @@
 """Deterministic SVG rendering of a curve with frame vectors.
 
-All geometry is evaluated in exact rational arithmetic; floating point
-enters only when coordinates are written into the SVG text, so the drawing
-layer cannot contaminate any exact result.  Identical inputs yield
+Only the two projected components of the curve and the two projected rows
+of the frame are evaluated.  Each is evaluated exactly, on integers: the
+coefficient and point denominators are cleared, integer Horner gives a
+scaled value, and one true division rounds it to the float written into the
+SVG text.  That is the float ``Fraction.__float__`` gives, so the drawing
+layer cannot contaminate any exact result.  A drawing whose coordinates or
+extent do not fit in a float is refused.  Identical inputs yield
 byte-identical output: fixed sampling, fixed formatting, no timestamps.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
+from .poly import Polynomial
 from .vectors import PolyMatrix, PolyVector
 
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
@@ -19,6 +25,37 @@ _SAMPLES = 128
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _floats(p: Polynomial, nums: Sequence[int], den: int) -> list[float]:
+    """``float(p.evaluate(Fraction(x, den)))`` for each ``x`` in ``nums``.
+
+    With ``L`` the lcm of the coefficient denominators and ``d`` the degree,
+    ``den**d * L * p(x / den)`` is an integer, found by integer Horner on the
+    scaled coefficients.  One correctly rounded ``int / int`` division by
+    ``den**d * L`` (``den > 0``) finishes each value; a value beyond the
+    float range becomes an infinity of its sign.
+    """
+    coeffs = p.coeffs
+    if not coeffs:
+        return [0.0] * len(nums)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    d = len(coeffs) - 1
+    scaled = [  # highest power first, times den ** (d - power)
+        c.numerator * (lcm // c.denominator) * den**i
+        for i, c in enumerate(reversed(coeffs))
+    ]
+    scale = lcm * den**d
+    out = []
+    for x in nums:
+        acc = 0
+        for b in scaled:
+            acc = acc * x + b
+        try:
+            out.append(acc / scale)
+        except OverflowError:
+            out.append(math.inf if acc > 0 else -math.inf)
+    return out
 
 
 def render_plot(
@@ -36,36 +73,45 @@ def render_plot(
     if ax == ay or not (0 <= ax < curve.dim and 0 <= ay < curve.dim):
         raise ValueError("projection axes must be distinct and in range")
 
+    # The grid lo + i * (hi - lo) / _SAMPLES over one denominator.
     lo = min(params) - 1
     hi = max(params) + 1
-    step = Fraction(hi - lo, _SAMPLES)
+    den = lo.denominator * hi.denominator * _SAMPLES
+    start = lo.numerator * hi.denominator * _SAMPLES
+    step = hi.numerator * lo.denominator - lo.numerator * hi.denominator
+    grid = [start + i * step for i in range(_SAMPLES + 1)]
     # y is negated so the drawing keeps mathematical orientation.
-    curve_pts = []
-    for i in range(_SAMPLES + 1):
-        point = curve.evaluate(lo + i * step)
-        curve_pts.append((float(point[ax]), -float(point[ay])))
+    curve_x = _floats(curve[ax], grid, den)
+    curve_y = [-y for y in _floats(curve[ay], grid, den)]
 
+    pden = math.lcm(*(t.denominator for t in params))
+    pnums = [t.numerator * (pden // t.denominator) for t in params]
+    base_x = _floats(curve[ax], pnums, pden)
+    base_y = _floats(curve[ay], pnums, pden)
+    cols_x = [_floats(e, pnums, pden) for e in frame.rows[ax]]
+    cols_y = [_floats(e, pnums, pden) for e in frame.rows[ay]]
     arrows = []
-    for t0 in params:
-        base = curve.evaluate(t0)
-        columns = frame.evaluate(t0)
-        x0, y0 = float(base[ax]), -float(base[ay])
+    for k in range(len(params)):
+        x0, y0 = base_x[k], -base_y[k]
         for j in range(frame.ncols):
-            dx = float(columns[ax][j])
-            dy = -float(columns[ay][j])
+            dx = cols_x[j][k]
+            dy = -cols_y[j][k]
             arrows.append((j, x0, y0, x0 + dx, y0 + dy))
 
-    xs = [p[0] for p in curve_pts] + [a[1] for a in arrows] + [a[3] for a in arrows]
-    ys = [p[1] for p in curve_pts] + [a[2] for a in arrows] + [a[4] for a in arrows]
+    xs = curve_x + [a[1] for a in arrows] + [a[3] for a in arrows]
+    ys = curve_y + [a[2] for a in arrows] + [a[4] for a in arrows]
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     width = max(xmax - xmin, 1e-9)
     height = max(ymax - ymin, 1e-9)
     pad_x, pad_y = 0.05 * width, 0.05 * height
-    view = (
-        f"{_fmt(xmin - pad_x)} {_fmt(ymin - pad_y)} "
-        f"{_fmt(width + 2 * pad_x)} {_fmt(height + 2 * pad_y)}"
-    )
+    box = (xmin - pad_x, ymin - pad_y, width + 2 * pad_x, height + 2 * pad_y)
+    if not all(map(math.isfinite, xs + ys + list(box))):
+        raise ValueError(
+            "drawing is not finite: a coordinate or its extent exceeds "
+            "the float range"
+        )
+    view = " ".join(_fmt(v) for v in box)
     stroke = max(width, height) / 200.0
 
     lines = [
@@ -78,7 +124,7 @@ def render_plot(
         "</defs>",
         '<polyline fill="none" stroke="#222222" '
         f'stroke-width="{_fmt(stroke)}" points="'
-        + " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in curve_pts)
+        + " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(curve_x, curve_y))
         + '"/>',
     ]
     for j, x0, y0, x1, y1 in arrows:

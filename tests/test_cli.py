@@ -1,6 +1,7 @@
 """End-to-end command-line runs via main()."""
 
 import copy
+import hashlib
 import json
 import random
 
@@ -34,6 +35,9 @@ QUARTIC = {
 }
 
 PLANAR = {"n": 2, "coeffs": [["0", "1"], ["0", "0", "0", "1"]]}
+
+# The README's `plot --params 0,1,-1/2 --project 0,1` SVG of the quintic's frame.
+QUINTIC_PLOT_SHA256 = "fb25cc85ffe33f6c69df9e83dab5451102f834a307ddd99ff7e1915d75a77e7b"
 
 
 def write(path, obj):
@@ -343,6 +347,7 @@ def test_plot_three_dimensional(tmp_path, capsys):
     assert text.count("<line ") == 9  # three columns at three parameters
     assert text.count("<polyline ") == 1
     assert "frame-col-2" in text
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == QUINTIC_PLOT_SHA256
     # floats only appear in the drawing; rerunning is byte-identical
     svg2 = tmp_path / "plot2.svg"
     assert main(
@@ -356,6 +361,38 @@ def test_plot_three_dimensional(tmp_path, capsys):
     ) == 0
     capsys.readouterr()
     assert svg2.read_bytes() == svg_path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "curve, params",
+    [
+        # a 324-digit coefficient: sampled values overflow a float
+        ({"n": 2, "coeffs": [["0", "1" + "0" * 323, "0", "1"], ["0", "0", "1"]]},
+         "0"),
+        # a 400-digit parameter: its base point overflows a float
+        (QUINTIC, "1" + "0" * 399),
+        # every value finite, but the extent from -1.5e308 to 1.5e308 is not
+        ({"n": 2, "coeffs": [["0", "15" + "0" * 307, "0", "1"], ["0", "0", "1"]]},
+         "0"),
+    ],
+    ids=["huge-coefficient", "huge-parameter", "extent-overflow"],
+)
+def test_plot_refuses_a_drawing_beyond_floats(tmp_path, capsys, curve, params):
+    infile = write(tmp_path / "curve.json", curve)
+    frame_path = tmp_path / "frame.json"
+    assert main(["frame", "--in", infile, "--out", str(frame_path)]) == 0
+    capsys.readouterr()
+    code, out, err = run(
+        tmp_path,
+        capsys,
+        ["plot", "--in", str(frame_path), "--params", params, "--project", "0,1"],
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "drawing is not finite: a coordinate or its extent exceeds "
+        "the float range"
+    }
 
 
 def test_plot_planar_defaults_axes(tmp_path, capsys):
