@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import ceil
 
 from . import ratlin
-from .poly import Polynomial
 from .sylvester import SylvesterSystem, build_sylvester, flat, sylvester_matrix
 from .vectors import PolyVector, RegularityError, outer_product
 
@@ -37,6 +36,11 @@ class MuBasis:
 
     elements: tuple[PolyVector, ...]
     scale: Fraction
+
+    def normalized(self) -> tuple[PolyVector, ...]:
+        """Elements with the last divided by ``scale``; their outer product is v."""
+        *first, last = self.elements
+        return (*first, last.scale(1 / self.scale))
 
 
 def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> BezoutVector:
@@ -74,15 +78,9 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
                 coords[pcol - 1] = -reduced[prow]
         elements.append(flat(coords, sys.n, sys.d))
     cross = outer_product(elements)
-    scale = None
-    for a, b in zip(v, cross):
-        if not a.is_zero:
-            ratio = b.exact_div(a)
-            if not ratio.is_constant:
-                raise RegularityError("syzygy basis is not proportional to input")
-            scale = ratio.coeff(0)
-            break
-    if scale is None or scale == 0 or cross != v.scale(scale):
+    a, c = next((a, c) for a, c in zip(v, cross) if not a.is_zero)
+    scale = c.coeff(int(a.degree)) / a.leading
+    if scale == 0 or cross != v.scale(scale):
         raise RegularityError("syzygy basis is not proportional to input")
     return MuBasis(tuple(elements), scale)
 
@@ -108,12 +106,10 @@ def bezout_degree_search(v: PolyVector) -> int:
     """
     if v.is_zero:
         raise RegularityError("vector is zero")
-    if v.gcd() != Polynomial.one():
-        raise RegularityError("components share a nonconstant factor")
     matrix = sylvester_matrix(v)
     for e in range(int(v.degree) + 1):
         width = v.dim * (e + 1)
         augmented = [row[:width] + (Fraction(i == 0),) for i, row in enumerate(matrix)]
         if width not in ratlin.Echelon(augmented).pivots:
             return e
-    raise RegularityError("no Bezout vector exists")
+    raise RegularityError("components share a nonconstant factor")

@@ -405,6 +405,10 @@ def _emit(text: str, outfile: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--params" in argv[:-1]:  # one token, so a leading "-" reads as a value
+        i = argv.index("--params")
+        argv[i:i + 2] = ["=".join(argv[i:i + 2])]
     options = vars(build_parser().parse_args(argv))
     command = options.pop("command")
     infile, outfile = options.pop("infile"), options.pop("outfile")

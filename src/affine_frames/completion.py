@@ -1,10 +1,12 @@
 """Completion of a polynomial vector to a unimodular polynomial matrix.
 
 ``minimal_completion`` realizes the minimal-degree construction: take a
-minimal Bezout vector b of v, then a syzygy basis of b; the square matrix
-with columns v and the syzygy elements has constant determinant, and
-dividing the last column by it gives determinant one at degree
-``deg v + deg b``, which is the least possible.
+minimal Bezout vector b of v, then a µ-basis (syzygy basis) syz of b with
+``outer_product(syz) == scale * b``.  By the Laplace identity,
+``det [v | syz] = v . outer_product(syz) = scale * (v . b) = scale``, so
+dividing the last syzygy by the µ-basis scale gives determinant one at
+degree ``deg v + deg b``, which is the least possible.  No determinant is
+computed; the exact check ``v . b == 1`` stands in for it.
 
 ``quillen_suslin`` builds instead a matrix Q with ``v^T Q = e1^T`` from the
 same ingredients computed for v itself; its inverse transpose is a
@@ -46,17 +48,17 @@ class CompletionReport:
         return self.first_column_matches and self.determinant_one
 
 
-def _assemble(first: PolyVector, rest: tuple[PolyVector, ...]) -> PolyMatrix:
-    """Join columns and normalize the determinant by scaling the last one.
+def _assemble(v: PolyVector, b: PolyVector) -> PolyMatrix:
+    """``[v | syz]`` for the µ-basis syz of ``b``, of determinant one.
 
-    Only the last column is touched so the output is deterministic and the
-    column degrees are untouched.
+    The determinant is ``v . b`` once the last syzygy is divided by the
+    scale (module docstring), so a ``b`` that is no Bezout vector of ``v``
+    is caught here.  Only the last column is scaled, so the output is
+    deterministic and the column degrees are untouched.
     """
-    m = PolyMatrix.from_columns([first, *rest])
-    detval = m.determinant()
-    if detval.is_zero or not detval.is_constant:
+    if v.dot(b) != Polynomial.one():
         raise RegularityError("assembled matrix is not unimodular")
-    return m.scale_column(m.ncols - 1, 1 / detval.coeff(0))
+    return PolyMatrix.from_columns([v, *mu_basis(b).normalized()])
 
 
 def minimal_completion(v: PolyVector) -> Completion:
@@ -64,8 +66,7 @@ def minimal_completion(v: PolyVector) -> Completion:
     if v.dim < 2:
         raise RegularityError("completion needs dimension at least 2")
     bez = minimal_bezout(v)
-    syz = mu_basis(bez.vector)
-    return Completion(_assemble(v, syz.elements), bez.degree)
+    return Completion(_assemble(v, bez.vector), bez.degree)
 
 
 def verify_completion(m: PolyMatrix, v: PolyVector) -> CompletionReport:
@@ -104,10 +105,7 @@ def quillen_suslin(v: PolyVector) -> PolyMatrix:
         raise RegularityError("dimension at least 2 required")
     system = build_sylvester(v)
     bez = minimal_bezout(v, system)
-    syz = mu_basis(v, system)
-    cols = list(syz.elements)
-    cols[-1] = cols[-1].scale(1 / syz.scale)
-    return PolyMatrix.from_columns([bez.vector, *cols])
+    return PolyMatrix.from_columns([bez.vector, *mu_basis(v, system).normalized()])
 
 
 def nonminimal_completion(v: PolyVector) -> Completion:
@@ -126,5 +124,4 @@ def nonminimal_completion(v: PolyVector) -> Completion:
     bez = minimal_bezout(v, system)
     bump = syz.elements[-1].scale(Polynomial.monomial(int(v[0].degree)))
     inflated = bez.vector + bump
-    inflated_syz = mu_basis(inflated)
-    return Completion(_assemble(v, inflated_syz.elements), int(inflated.degree))
+    return Completion(_assemble(v, inflated), int(inflated.degree))

@@ -108,27 +108,24 @@ def canonical_shape_violations(w: PolyVector) -> list[str]:
 
 def equivariant_completion_with_section(
     v: PolyVector,
+    completion_map: Callable[[PolyVector], Completion] | None = None,
 ) -> tuple[Completion, GroupElement, PolyVector]:
-    """Equivariant minimal completion plus the section and reduced vector."""
+    """``completion_map`` conjugated by the section, plus section and reduced vector.
+
+    The map defaults to :func:`minimal_completion`, looked up at call time.
+    """
     g = section(v)
     reduced = g.inverse().apply(v)
-    base = minimal_completion(reduced)
+    base = (completion_map or minimal_completion)(reduced)
     return Completion(g.apply(base.matrix), base.bezout_degree), g, reduced
-
-
-def equivariant_completion(v: PolyVector) -> Completion:
-    """Minimal completion conjugated by the section, hence equivariant."""
-    return equivariant_completion_with_section(v)[0]
 
 
 def equivariantize(
     completion_map: Callable[[PolyVector], Completion],
 ) -> Callable[[PolyVector], Completion]:
     """Turn any completion map into an equivariant one by conjugation."""
+    return lambda v: equivariant_completion_with_section(v, completion_map)[0]
 
-    def wrapped(v: PolyVector) -> Completion:
-        g = section(v)
-        base = completion_map(g.inverse().apply(v))
-        return Completion(g.apply(base.matrix), base.bezout_degree)
 
-    return wrapped
+# Minimal completion conjugated by the section, hence equivariant.
+equivariant_completion = equivariantize(minimal_completion)

@@ -239,24 +239,11 @@ class PolyMatrix:
         return total
 
     def shift(self, s: Scalar) -> "PolyMatrix":
-        return PolyMatrix(
-            tuple(e.shift(s) for e in row) for row in self.rows
-        )
+        return PolyMatrix.from_columns([c.shift(s) for c in self.columns()])
 
     def linear_map(self, matrix: Sequence[Sequence[Fraction]]) -> "PolyMatrix":
-        """Left multiplication by a constant matrix."""
-        if any(len(row) != self.nrows for row in matrix):
-            raise ValueError("dimension mismatch")
-        out = []
-        for lrow in matrix:
-            new_row = []
-            for j in range(self.ncols):
-                acc = Polynomial.zero()
-                for coef, prow in zip(lrow, self.rows):
-                    acc = acc + prow[j] * Fraction(coef)
-                new_row.append(acc)
-            out.append(new_row)
-        return PolyMatrix(out)
+        """Left multiplication by a constant matrix, column by column."""
+        return PolyMatrix.from_columns([c.linear_map(matrix) for c in self.columns()])
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -291,23 +278,15 @@ class PolyMatrix:
         d = self.determinant()
         if d.is_zero or not d.is_constant:
             raise ValueError("inverse requires a nonzero constant determinant")
-        n = self.nrows
-        if n == 1:
+        if self.nrows == 1:
             return PolyMatrix([[Polynomial.one() / d.coeff(0)]])
-        adj = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                minor = [
-                    [self.rows[r][c] for c in range(n) if c != i]
-                    for r in range(n) if r != j
-                ]
-                cof = _det_interpolate(minor)
-                if (i + j) % 2:
-                    cof = -cof
-                row.append(cof / d.coeff(0))
-            adj.append(row)
-        return PolyMatrix(adj)
+        # Row i of the adjugate is (-1)**i times the outer product of the
+        # other columns, by the Laplace identity on outer_product.
+        cols = self.columns()
+        return PolyMatrix(
+            outer_product(cols[:i] + cols[i + 1:]).scale((-1) ** i / d.coeff(0))
+            for i in range(self.nrows)
+        )
 
     def evaluate(self, x: Scalar) -> ratlin.Matrix:
         return tuple(

@@ -98,6 +98,15 @@ def test_degree_search_goldens():
     assert bezout_degree_search(vec((1,), (0, 1), (0, 0, 1))) == 0
 
 
+def test_degree_search_rejections():
+    """The oracle reads coprimality off its own eliminations."""
+    with pytest.raises(RegularityError, match="vector is zero"):
+        bezout_degree_search(vec((0,), (0,), (0,)))
+    # (t + 1) divides both components: e1 never enters the span of A.
+    with pytest.raises(RegularityError, match="share a nonconstant factor"):
+        bezout_degree_search(vec((-1, 0, 1), (1, 1), (2, 2)))
+
+
 def test_degree_search_matches_formula():
     rng = random.Random(41)
     for _ in range(30):

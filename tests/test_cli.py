@@ -395,6 +395,46 @@ def test_plot_refuses_a_drawing_beyond_floats(tmp_path, capsys, curve, params):
     }
 
 
+def test_plot_params_may_start_with_a_negative_value(tmp_path, capsys):
+    """``--params -1/2,0`` is a value, drawn as ``--params=-1/2,0`` is."""
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    frame_path = tmp_path / "frame.json"
+    assert main(["frame", "--in", infile, "--out", str(frame_path)]) == 0
+    capsys.readouterr()
+    svgs = set()
+    for argv in (
+        ["--params=-1/2,0", "--project", "0,1"],
+        ["--params", "-1/2,0", "--project", "0,1"],
+        ["--project", "0,1", "--params", "-1/2,0"],
+    ):
+        code, out, err = run(tmp_path, capsys, ["plot", "--in", str(frame_path), *argv])
+        assert code == 0, err
+        assert out.startswith("<svg ")
+        svgs.add(out)
+    assert len(svgs) == 1
+
+
+@pytest.mark.parametrize("command, curve", [("frame", QUINTIC), ("complete", QUARTIC)])
+def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curve):
+    """A result is built without a determinant; its verify takes exactly one."""
+    calls = []
+    original = vectors.PolyMatrix.determinant
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(vectors.PolyMatrix, "determinant", counting)
+    infile = write(tmp_path / "curve.json", curve)
+    result = tmp_path / "result.json"
+    assert main([command, "--in", infile, "--out", str(result)]) == 0
+    assert len(calls) == 0
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result)])
+    assert code == 0, err
+    assert json.loads(out)["metadata"]["ok"] is True
+    assert len(calls) == 1
+
+
 def test_plot_planar_defaults_axes(tmp_path, capsys):
     infile = write(tmp_path / "curve.json", PLANAR)
     frame_path = tmp_path / "frame.json"

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_frames import (
     Polynomial,
@@ -237,3 +239,29 @@ def test_one_sylvester_build_per_distinct_vector(monkeypatch):
     built.clear()
     nonminimal_completion(v)
     assert len(built) == 2 and built[0] == v and built[1] != v
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4)))
+def test_scale_normalized_completions_have_determinant_one(seed, n):
+    """No determinant is taken to build a completion; the interpolation agrees."""
+    v = random_regular_vector(random.Random(seed), n, max_degree=8)
+    maps = [minimal_completion] + [nonminimal_completion] * (not v[0].is_zero)
+    for complete in maps:
+        m = complete(v).matrix
+        assert m.determinant() == Polynomial.one()
+        assert m.column(0) == v
+        assert m @ m.inverse_unimodular() == PolyMatrix.identity(n)
+
+
+def test_non_bezout_vector_is_caught(monkeypatch):
+    """``v . b == 1`` is checked exactly where the determinant used to be."""
+    real = completion.minimal_bezout
+
+    def doubled(v):
+        bez = real(v)
+        return bezout.BezoutVector(bez.vector.scale(2), bez.degree)
+
+    monkeypatch.setattr(completion, "minimal_bezout", doubled)
+    with pytest.raises(RegularityError, match="assembled matrix is not unimodular"):
+        minimal_completion(SEXTIC)
