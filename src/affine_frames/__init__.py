@@ -25,6 +25,7 @@ from .equivariance import (
     linear_section,
     pivot_profile,
     section,
+    section_and_canonical,
     shift_section,
 )
 from .frames import (
@@ -82,6 +83,7 @@ __all__ = [
     "quillen_suslin",
     "require_regular",
     "section",
+    "section_and_canonical",
     "sharp",
     "shift_section",
     "validate_curve",

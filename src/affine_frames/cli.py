@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import io as docio
-from .bezout import bezout_degree_search, minimal_bezout, mu_basis
-from .completion import minimal_completion, verify_completion
-from .equivariance import canonical_form, canonical_shape_violations, section
-from .frames import CurveRejection, moving_frame, validate_curve
+from .bezout import BezoutVector, MuBasis, bezout_degree_search, minimal_bezout, mu_basis
+from .completion import Completion, minimal_completion, verify_completion
+from .equivariance import canonical_shape_violations, section, section_and_canonical
+from .frames import CurveRejection, FrameResult, moving_frame, validate_curve
 from .io import (
     CurveDocument,
     DocumentError,
     ResultDocument,
     curve_to_dict,
+    dict_to_group,
     dict_to_matrix,
     dict_to_vector,
     format_rational,
@@ -56,10 +57,11 @@ class Command:
     """A command that reads a curve document and writes one result kind.
 
     ``compute(doc, options)`` returns the result's payload, without the
-    embedded input, and its metadata.  ``verify(doc, payload)`` re-checks a
-    stored payload against its parsed input and yields ``(check name,
-    passed)``; it raises :class:`DocumentError` before any math when the
-    payload is malformed.  ``flags`` are the command's own on/off switches.
+    embedded input, and its metadata.  ``verify(doc, payload)`` re-checks
+    every stored payload field against its parsed input and yields
+    ``(check name, passed)``; it raises :class:`DocumentError` before any
+    math when the payload is malformed.  ``flags`` are the command's own
+    on/off switches.
     """
 
     kind: str
@@ -75,6 +77,13 @@ def _stored_matrix(payload: dict, doc: CurveDocument, kind: str) -> PolyMatrix:
     if matrix.nrows != doc.n or matrix.ncols != doc.n:
         raise DocumentError(f"{kind} matrix does not match the curve dimension")
     return matrix
+
+
+def _stored_int(payload: dict, key: str) -> int:
+    value = payload.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DocumentError(f"{key} must be an integer")
+    return value
 
 
 def _profile_dict(profile) -> dict:
@@ -109,12 +118,17 @@ def _verify_frame(doc: CurveDocument, payload: dict) -> Checks:
     if isinstance(tangent, CurveRejection):
         return
     stored = _stored_matrix(payload, doc, "frame")
-    recomputed = moving_frame(tangent)
-    yield "matrix_reproducible", stored == recomputed.matrix
-    yield "first_column_is_tangent", stored.column(0) == tangent
-    yield "determinant_is_one", stored.determinant() == Polynomial.one()
-    minimal = int(tangent.degree) + bezout_degree_search(tangent)
-    yield "degree_is_minimal", stored.degree == minimal
+    result = FrameResult(
+        stored,
+        dict_to_group(payload.get("section")),
+        dict_to_vector(payload.get("canonical_tangent")),
+        _stored_int(payload, "bezout_degree"),
+    )
+    yield "matrix_reproducible", result == moving_frame(tangent)
+    report = verify_completion(stored, tangent)
+    yield "first_column_is_tangent", report.first_column_matches
+    yield "determinant_is_one", report.determinant_one
+    yield "degree_is_minimal", report.minimal
 
 
 def _complete(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -129,11 +143,12 @@ def _complete(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
 
 def _verify_completion(doc: CurveDocument, payload: dict) -> Checks:
     stored = _stored_matrix(payload, doc, "completion")
+    result = Completion(stored, _stored_int(payload, "bezout_degree"))
     report = verify_completion(stored, doc.vector)
     yield "first_column_matches", report.first_column_matches
     yield "determinant_is_one", report.determinant_one
     yield "degree_is_minimal", report.minimal
-    yield "matrix_reproducible", stored == minimal_completion(doc.vector).matrix
+    yield "matrix_reproducible", result == minimal_completion(doc.vector)
 
 
 def _bezout(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -147,9 +162,10 @@ def _verify_bezout(doc: CurveDocument, payload: dict) -> Checks:
     stored = dict_to_vector(payload.get("vector"))
     if stored.dim != doc.n:
         raise DocumentError("bezout vector does not match the curve dimension")
+    result = BezoutVector(stored, _stored_int(payload, "degree"))
     yield "pairing_is_one", doc.vector.dot(stored) == Polynomial.one()
     yield "degree_is_minimal", stored.degree == bezout_degree_search(doc.vector)
-    yield "vector_reproducible", stored == minimal_bezout(doc.vector).vector
+    yield "vector_reproducible", result == minimal_bezout(doc.vector)
 
 
 def _mubasis(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -179,21 +195,12 @@ def _verify_mubasis(doc: CurveDocument, payload: dict) -> Checks:
         "outer_product_proportional",
         outer_product(elements) == doc.vector.scale(scale),
     )
-    recomputed = mu_basis(doc.vector)
-    yield (
-        "basis_reproducible",
-        tuple(elements) == recomputed.elements and scale == recomputed.scale,
-    )
+    yield "basis_reproducible", MuBasis(tuple(elements), scale) == mu_basis(doc.vector)
 
 
 def _section(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     v = require_regular(doc.vector)
-    g = section(v)
-    payload = {
-        "matrix": docio.rational_matrix_to_lists(g.matrix),
-        "shift": format_rational(g.shift),
-    }
-    return payload, {"profile": _profile_dict(v.profile)}
+    return group_to_dict(section(v)), {"profile": _profile_dict(v.profile)}
 
 
 def _verify_section(doc: CurveDocument, payload: dict) -> Checks:
@@ -205,17 +212,12 @@ def _verify_section(doc: CurveDocument, payload: dict) -> Checks:
         yield "matrix_is_unimodular", False
         return
     yield "matrix_is_unimodular", True
-    recomputed = section(doc.vector)
-    yield (
-        "section_reproducible",
-        stored.matrix == recomputed.matrix and stored.shift == recomputed.shift,
-    )
+    yield "section_reproducible", stored == section(doc.vector)
 
 
 def _canonical(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     v = require_regular(doc.vector)
-    g = section(v)
-    reduced = g.inverse().apply(v)
+    g, reduced = section_and_canonical(v)
     payload = {"vector": vector_to_dict(reduced), "section": group_to_dict(g)}
     # The group action keeps the pivot profile: the input's is the result's.
     return payload, {
@@ -228,7 +230,8 @@ def _verify_canonical(doc: CurveDocument, payload: dict) -> Checks:
     stored = dict_to_vector(payload.get("vector"))
     if stored.dim != doc.n:
         raise DocumentError("canonical vector does not match the curve dimension")
-    yield "vector_reproducible", stored == canonical_form(doc.vector)
+    result = (dict_to_group(payload.get("section")), stored)
+    yield "vector_reproducible", result == section_and_canonical(doc.vector)
     yield "shape_constraints_hold", not canonical_shape_violations(stored)
     yield "section_is_identity", section(stored).is_identity()
 
@@ -267,13 +270,16 @@ def _verify_sylvester(doc: CurveDocument, payload: dict) -> Checks:
         for key in ("pivot_cols", "nonpivot_cols", "basic_nonpivot")
     )
     stored = docio.lists_to_rational_matrix(payload.get("matrix"))
+    dumped = "reduced" in payload  # written by --dump-pivots only
+    reduced = docio.lists_to_rational_matrix(payload["reduced"]) if dumped else None
     system = build_sylvester(doc.vector)
     yield "matrix_reproducible", stored == system.matrix
     yield (
         "pivots_reproducible",
         pivot_cols == system.pivot_cols
         and nonpivot_cols == system.nonpivot_cols
-        and basic_nonpivot == system.basic_nonpivot,
+        and basic_nonpivot == system.basic_nonpivot
+        and (reduced is None or reduced == system.reduced),
     )
     nonpivot = set(system.nonpivot_cols)
     periodic = all(

@@ -5,14 +5,15 @@ The sections pick a distinguished group element for each regular vector:
 * ``linear_section`` reads a determinant-one matrix off the rightmost
   linearly independent columns of the coefficient matrix;
 * ``shift_section`` reads a parameter shift off the first coefficient column
-  excluded from that choice;
+  excluded from that choice, by one determinant;
 * ``section`` combines the two so that moving the vector by a group element
   moves the section by the same element.
 
 Conjugating the minimal completion by the section makes it equivariant
 without raising the degree.  ``canonical_form`` reduces a vector to the
 distinguished representative of its orbit, whose coefficient matrix has a
-rigid staircase shape checked by ``canonical_shape_violations``.
+rigid staircase shape checked by ``canonical_shape_violations``;
+``section_and_canonical`` returns the section and that vector from one pass.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import ratlin
 from .completion import Completion, minimal_completion
 from .groups import GroupElement
 from .vectors import PivotProfile, pivot_profile  # re-exported with the sections
-from .vectors import PolyVector, RegularityError, RegularVector, require_regular
+from .vectors import PolyVector, RegularVector, require_regular
 
 
 def linear_section(v: PolyVector) -> ratlin.Matrix:
@@ -42,37 +43,38 @@ def linear_section(v: PolyVector) -> ratlin.Matrix:
 
 
 def shift_section(v: PolyVector) -> Fraction:
-    """Parameter shift equalizing two coefficients around the gap column.
+    """Parameter shift equalizing two coefficients around the gap column k.
 
-    Requires a regular vector; the relevant denominator is structurally
-    nonzero once the vector is reduced by the linear section.
+    In ``linear_section(v)^-1 . v`` the row selecting column k + 1 holds 1
+    there (``det_vbar`` in the last row), so by Cramer's rule the shift is
+    one determinant over ``(k + 1) * det_vbar``, which never vanishes: the
+    selected columns are independent, and degree >= n gives k >= 0.
     """
     v = require_regular(v)
     k = v.profile.k
-    d = int(v.degree)
-    n = v.dim
-    reduced = v.linear_map(ratlin.inverse(linear_section(v)))
-    component = reduced[n - (d - k - 1) - 1]
-    denom = (k + 1) * component.coeff(k + 1)
-    if denom == 0:
-        raise RegularityError("degenerate shift denominator")
-    return component.coeff(k) / denom
+    columns = [k if c == k + 1 else c for c in v.profile.indices]
+    minor = ratlin.det([[row[c] for c in columns] for row in v.coefficient_matrix()])
+    return minor / ((k + 1) * v.profile.det_vbar)
+
+
+def section_and_canonical(v: PolyVector) -> tuple[GroupElement, RegularVector]:
+    """Section g of ``v`` and the canonical vector ``g^-1 . v``, shifting v once."""
+    v = require_regular(v)
+    s = shift_section(v)
+    recentered = RegularVector(v.shift(-s), v.profile)  # the action keeps the profile
+    matrix = linear_section(recentered)
+    canonical = recentered.linear_map(ratlin.inverse(matrix))
+    return GroupElement(matrix, s), RegularVector(canonical, v.profile)
 
 
 def section(v: PolyVector) -> GroupElement:
-    """Equivariant section: shift first, then the linear part of the result.
-
-    The recentered vector keeps the pivot profile of ``v``.
-    """
-    v = require_regular(v)
-    s = shift_section(v)
-    recentered = RegularVector(v.shift(-s), v.profile)
-    return GroupElement(linear_section(recentered), s)
+    """Equivariant section: shift first, then the linear part of the result."""
+    return section_and_canonical(v)[0]
 
 
 def canonical_form(v: PolyVector) -> PolyVector:
     """Distinguished orbit representative ``section(v)^-1 . v``."""
-    return section(v).inverse().apply(v)
+    return section_and_canonical(v)[1]
 
 
 def canonical_shape_violations(w: PolyVector) -> list[str]:
@@ -114,8 +116,7 @@ def equivariant_completion_with_section(
 
     The map defaults to :func:`minimal_completion`, looked up at call time.
     """
-    g = section(v)
-    reduced = g.inverse().apply(v)
+    g, reduced = section_and_canonical(v)
     base = (completion_map or minimal_completion)(reduced)
     return Completion(g.apply(base.matrix), base.bezout_degree), g, reduced
 

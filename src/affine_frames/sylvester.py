@@ -68,7 +68,6 @@ class SylvesterSystem:
     first access; nothing on the Bezout or syzygy path reads it.
     """
 
-    vector: PolyVector
     n: int
     d: int
     matrix: ratlin.Matrix
@@ -148,7 +147,6 @@ def build_sylvester(v: PolyVector) -> SylvesterSystem:
             basic.append(j)
     e1, *reduced_basic = echelon.columns([ncols, *(j - 1 for j in basic)])
     return SylvesterSystem(
-        vector=v,
         n=n,
         d=int(v.degree),
         matrix=matrix,

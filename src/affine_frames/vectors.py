@@ -145,14 +145,11 @@ class PolyVector:
             g = poly_gcd(g, c)
         return g.monic()
 
-    def coefficient_matrix(self, width: int | None = None) -> ratlin.Matrix:
+    def coefficient_matrix(self) -> ratlin.Matrix:
         """n x (d+1) matrix of coefficients, columns in ascending degree."""
-        if width is None:
-            if self.is_zero:
-                raise ValueError("zero vector has no coefficient matrix")
-            width = int(self.degree) + 1
-        elif self.degree != NEG_INF and width < self.degree + 1:
-            raise ValueError("width below the vector degree")
+        if self.is_zero:
+            raise ValueError("zero vector has no coefficient matrix")
+        width = int(self.degree) + 1
         return tuple(
             tuple(c.coeff(j) for j in range(width)) for c in self.components
         )
@@ -260,11 +257,6 @@ class PolyMatrix:
                 new_row.append(acc)
             out.append(new_row)
         return PolyMatrix(out)
-
-    def scale_column(self, j: int, factor) -> "PolyMatrix":
-        cols = self.columns()
-        cols[j] = cols[j].scale(factor)
-        return PolyMatrix.from_columns(cols)
 
     def determinant(self) -> Polynomial:
         """Exact determinant, evaluated at integer points by :func:`ratlin.det`

@@ -4,11 +4,13 @@ import copy
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from affine_frames import cli, equivariance, frames, ratlin, vectors
+from affine_frames import cli, completion, equivariance, frames, groups, ratlin, vectors
 from affine_frames.cli import main
+from affine_frames.io import format_rational
 
 QUINTIC = {
     "n": 3,
@@ -435,6 +437,109 @@ def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curv
     assert len(calls) == 1
 
 
+def test_frame_inverts_one_matrix(tmp_path, capsys, monkeypatch):
+    """The section and the canonical tangent come from one pass."""
+    calls = {"ratlin": 0, "group": 0}
+    ratlin_inverse, group_inverse = ratlin.inverse, groups.GroupElement.inverse
+
+    def counting_ratlin(rows):
+        calls["ratlin"] += 1
+        return ratlin_inverse(rows)
+
+    def counting_group(self):
+        calls["group"] += 1
+        return group_inverse(self)
+
+    monkeypatch.setattr(ratlin, "inverse", counting_ratlin)
+    monkeypatch.setattr(groups.GroupElement, "inverse", counting_group)
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    assert main(["frame", "--in", infile, "--out", str(tmp_path / "frame.json")]) == 0
+    assert calls == {"ratlin": 1, "group": 0}
+
+
+def _bump(value: str) -> str:
+    return format_rational(Fraction(value) + 1)
+
+
+def _bump_shift(doc):
+    section = doc["payload"]["section"]
+    section["shift"] = _bump(section["shift"])
+
+
+def _bump_canonical_tangent(doc):
+    row = doc["payload"]["canonical_tangent"]["coeffs"][0]
+    row[0] = _bump(row[0])
+
+
+def _bump_int(key):
+    def damage(doc):
+        doc["payload"][key] += 1
+
+    return damage
+
+
+def _bump_reduced(doc):
+    row = doc["payload"]["reduced"][0]
+    row[0] = _bump(row[0])
+
+
+@pytest.mark.parametrize(
+    "argv, source, damage, check",
+    [
+        (["frame"], QUINTIC, _bump_shift, "matrix_reproducible"),
+        (["frame"], QUINTIC, _bump_canonical_tangent, "matrix_reproducible"),
+        (["frame"], QUINTIC, _bump_int("bezout_degree"), "matrix_reproducible"),
+        (["canonical"], QUARTIC, _bump_shift, "vector_reproducible"),
+        (["complete"], QUARTIC, _bump_int("bezout_degree"), "matrix_reproducible"),
+        (["bezout"], QUARTIC, _bump_int("degree"), "vector_reproducible"),
+        (["sylvester", "--dump-pivots"], SEXTIC, _bump_reduced, "pivots_reproducible"),
+    ],
+    ids=[
+        "frame-section", "frame-canonical_tangent", "frame-bezout_degree",
+        "canonical-section", "completion-bezout_degree", "bezout-degree",
+        "sylvester-reduced",
+    ],
+)
+def test_verify_checks_every_stored_field(tmp_path, capsys, argv, source, damage, check):
+    """A changed field fails its kind's reproducibility check and nothing else."""
+    infile = write(tmp_path / "in.json", source)
+    result_path = tmp_path / "result.json"
+    assert main([*argv, "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    damage(doc)
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == 2, err
+    failed = [c["name"] for c in json.loads(out)["metadata"]["checks"] if not c["passed"]]
+    assert failed == [check]
+
+
+def test_verify_frame_with_a_doubled_column(tmp_path, capsys, monkeypatch):
+    """A determinant of two fails both checks; the degree oracle is not asked."""
+    asked = []
+    monkeypatch.setattr(completion, "bezout_degree_search", asked.append)
+    infile = write(tmp_path / "in.json", QUINTIC)
+    result_path = tmp_path / "frame.json"
+    assert main(["frame", "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    for row in doc["payload"]["matrix"]["entries"]:
+        row[1] = [format_rational(2 * Fraction(c)) for c in row[1]]
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == 2, err
+    checks = [(c["name"], c["passed"]) for c in json.loads(out)["metadata"]["checks"]]
+    assert checks == [
+        ("input_is_generic_curve", True),
+        ("matrix_reproducible", False),
+        ("first_column_is_tangent", True),
+        ("determinant_is_one", False),
+        ("degree_is_minimal", False),
+    ]
+    assert asked == []
+
+
 def test_plot_planar_defaults_axes(tmp_path, capsys):
     infile = write(tmp_path / "curve.json", PLANAR)
     frame_path = tmp_path / "frame.json"
@@ -557,6 +662,10 @@ def _zero_column(doc):
         row[1] = []
 
 
+def _boolean_degree(doc):
+    doc["payload"]["degree"] = True
+
+
 def _zero_input(doc):
     vector = doc["payload"]["input"]
     vector["coeffs"] = [["0"] for _ in vector["coeffs"]]
@@ -590,6 +699,8 @@ def _matrix_row(value):
             for command in ("section", "sylvester")
             for value in (True, None, -1, 1.5)
         ),
+        ("frame", QUINTIC, _zero_column, "has a zero column"),
+        ("bezout", QUARTIC, _boolean_degree, "degree must be an integer"),
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, command, source,

@@ -201,6 +201,18 @@ def test_shift_section_behavior_under_action():
         assert shift_section(v.linear_map(lmat)) == shift_section(v)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4)))
+def test_one_pass_matches_the_reduction(seed, n):
+    """The determinant gives the shift the reduced vector gives; one pass, one orbit."""
+    v = random_regular_vector(random.Random(seed), n, max_degree=8)
+    k = pivot_profile(v).k
+    reduced = v.linear_map(ratlin.inverse(linear_section(v)))
+    row = reduced[n - int(v.degree) + k]
+    assert shift_section(v) == row.coeff(k) / ((k + 1) * row.coeff(k + 1))
+    assert canonical_form(v) == section(v).inverse().apply(v)
+
+
 def test_section_goldens():
     g = section(quartic_tangent())
     assert g.shift == Fraction(1, 3)

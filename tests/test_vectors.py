@@ -110,10 +110,6 @@ def test_coefficient_matrix():
         (2, 0, 3, 1, 2),
         (3, 5, 4, 1, 3),
     )
-    wide = vec((0, 1), (1,)).coefficient_matrix(width=4)
-    assert wide == ((0, 1, 0, 0), (1, 0, 0, 0))
-    with pytest.raises(ValueError):
-        vec((0, 0, 1), (1,)).coefficient_matrix(width=2)
     with pytest.raises(ValueError):
         PolyVector([Polynomial.zero()]).coefficient_matrix()
 
@@ -131,14 +127,13 @@ def test_matrix_construction_and_access():
         PolyMatrix.from_columns([])
 
 
-def test_matmul_and_scale_column():
+def test_matmul():
     m = PolyMatrix([[p(0, 1), p(1)], [p(1), p(0)]])
     ident = PolyMatrix.identity(2)
     assert m @ ident == m
     assert ident @ m == m
     sq = m @ m
     assert sq.entry(0, 0) == p(1, 0, 1)
-    assert m.scale_column(1, Fraction(1, 2)).entry(0, 1) == p(Fraction(1, 2))
 
 
 def test_determinant_goldens():
