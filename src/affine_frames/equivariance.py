@@ -57,19 +57,24 @@ def shift_section(v: PolyVector) -> Fraction:
     return minor / ((k + 1) * v.profile.det_vbar)
 
 
-def section_and_canonical(v: PolyVector) -> tuple[GroupElement, RegularVector]:
-    """Section g of ``v`` and the canonical vector ``g^-1 . v``, shifting v once."""
+def _section_and_recentered(v: PolyVector) -> tuple[GroupElement, RegularVector]:
+    """Section g = (L, s) of ``v`` and ``v(t - s)``, shifting v once."""
     v = require_regular(v)
     s = shift_section(v)
     recentered = RegularVector(v.shift(-s), v.profile)  # the action keeps the profile
-    matrix = linear_section(recentered)
-    canonical = recentered.linear_map(ratlin.inverse(matrix))
-    return GroupElement(matrix, s), RegularVector(canonical, v.profile)
+    return GroupElement(linear_section(recentered), s), recentered
 
 
 def section(v: PolyVector) -> GroupElement:
     """Equivariant section: shift first, then the linear part of the result."""
-    return section_and_canonical(v)[0]
+    return _section_and_recentered(v)[0]
+
+
+def section_and_canonical(v: PolyVector) -> tuple[GroupElement, RegularVector]:
+    """Section g of ``v`` and the canonical vector ``g^-1 . v``, shifting v once."""
+    g, recentered = _section_and_recentered(v)
+    canonical = recentered.linear_map(ratlin.inverse(g.matrix))
+    return g, RegularVector(canonical, recentered.profile)
 
 
 def canonical_form(v: PolyVector) -> PolyVector:

@@ -47,6 +47,8 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise DocumentError(f"zero denominator: {text!r}") from None
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        raise DocumentError(f"rational too long: {len(text)} characters") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -168,7 +170,7 @@ def parse_curve_dict(obj) -> CurveDocument:
 def parse_curve(text: str) -> CurveDocument:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
     return parse_curve_dict(obj)
 
@@ -215,7 +217,7 @@ class ResultDocument:
     def from_json(cls, text: str) -> "ResultDocument":
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
             raise DocumentError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(obj)
 
@@ -233,7 +235,10 @@ def parse_projection(text: str, dim: int) -> tuple[int, int]:
         raise DocumentError("projection needs exactly two axes")
     if not all(_INTEGER_RE.fullmatch(p) for p in parts):
         raise DocumentError("projection axes must be integers")
-    axes = tuple(int(p) for p in parts)
+    try:
+        axes = tuple(int(p) for p in parts)
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        axes = (-1, -1)
     if axes[0] == axes[1] or any(not 0 <= a < dim for a in axes):
         raise DocumentError("projection axes must be distinct and in range")
     return axes  # type: ignore[return-value]

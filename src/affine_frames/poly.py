@@ -4,12 +4,18 @@ Coefficients are stored densely in ascending order of the power of ``t`` and
 trailing zeros are trimmed, so equal polynomials compare equal structurally.
 The zero polynomial has degree ``NEG_INF``, a sentinel that behaves
 absorbingly under ``max`` and addition, never an integer.
+
+The product of two polynomials and the Taylor shift run on integers: the
+coefficients are put over the lcm of their denominators
+(:func:`integer_coefficients`), the inner loops multiply and add integers,
+and each output coefficient becomes one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 NEG_INF = float("-inf")
 
@@ -123,12 +129,14 @@ class Polynomial:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
             return Polynomial()
-        prod = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        [left], l_scale = integer_coefficients([self])
+        [right], r_scale = integer_coefficients([other])
+        prod = [0] * (len(left) + len(right) - 1)
+        for i, a in enumerate(left):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(right):
                     prod[i + j] += a * b
-        return Polynomial(prod)
+        return from_integers(prod, l_scale * r_scale)
 
     __rmul__ = __mul__
 
@@ -177,18 +185,32 @@ class Polynomial:
         return quot
 
     def shift(self, s: Scalar) -> "Polynomial":
-        """Reparametrized polynomial ``p(t + s)``."""
+        """Reparametrized polynomial ``p(t + s)``.
+
+        With ``s = a/b``, ``L`` the lcm of the coefficient denominators and
+        ``d`` the degree, the integers ``L * c_i * b**(d - i)`` are the
+        coefficients of ``b**d * L * p(t / b)``.  Horner's Taylor shift by
+        the integer ``a`` turns them into those of ``b**d * L * p((t + a) / b)``,
+        ``e_k``, and coefficient k of ``p(t + s)`` is ``e_k / (b**(d - k) * L)``.
+        """
         s = Fraction(s)
         if s == 0 or not self.coeffs:
             return self
-        # Horner in (t + s): multiply-by-(t+s) is a shift plus scalar add.
-        acc: list[Fraction] = []
-        for c in reversed(self.coeffs):
-            acc = [Fraction(0)] + acc
-            for i in range(len(acc) - 1):
-                acc[i] += s * acc[i + 1]
-            acc[0] += c
-        return Polynomial(acc)
+        a, b = s.numerator, s.denominator
+        [work], scale = integer_coefficients([self])
+        d = len(work) - 1
+        power = 1
+        for i in range(d - 1, -1, -1):
+            power *= b
+            work[i] *= power
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                work[j] += a * work[j + 1]
+        out = [Fraction(work[d], scale)]
+        for k in range(d - 1, -1, -1):
+            scale *= b
+            out.append(Fraction(work[k], scale))
+        return _trusted(out[::-1])
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -227,6 +249,31 @@ class Polynomial:
                     parts.append(f"{c}*{base}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+def integer_coefficients(polys: Sequence[Polynomial]) -> tuple[list[list[int]], int]:
+    """Each polynomial's coefficients times ``L``, and ``L``: the lcm of all
+    their denominators."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    if scale == 1:
+        return [[c.numerator for c in p.coeffs] for p in polys], 1
+    return [
+        [c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys
+    ], scale
+
+
+def from_integers(nums: list[int], den: int) -> Polynomial:
+    """The polynomial with coefficients ``nums[i] / den`` (``den > 0``)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    return _trusted([Fraction(c, den) for c in nums])
+
+
+def _trusted(coeffs: list[Fraction]) -> Polynomial:
+    """Polynomial of Fractions whose last one is nonzero, without conversions."""
+    out = Polynomial.__new__(Polynomial)
+    object.__setattr__(out, "coeffs", tuple(coeffs))
+    return out
 
 
 def _coerce(value) -> Polynomial | None:

@@ -59,7 +59,7 @@ def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
     return tuple(sum(c * v for c, v in zip(row, x)) for row in a)
 
 
-def _integer_rows(
+def integer_rows(
     rows: Sequence[Sequence[Fraction]],
 ) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators, and those lcms."""
@@ -96,7 +96,7 @@ class Echelon:
     """
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        work, self.scales = _integer_rows(rows)
+        work, self.scales = integer_rows(rows)
         nrows = len(work)
         ncols = len(work[0]) if nrows else 0
         pivots: list[int] = []

@@ -7,6 +7,10 @@ matrix is the sum of its column degrees.  Both follow the absorbing
 ``NEG_INF`` convention for zero entries.  :func:`require_regular` checks a
 vector once and returns it as a :class:`RegularVector`, which carries the
 :class:`PivotProfile` found on the way.
+
+A constant linear map runs on integers, as the polynomial product and shift
+do: one ``Fraction`` per output coefficient.  ``PolyMatrix.shift`` and
+``PolyMatrix.linear_map`` act column by column through them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import ratlin
-from .poly import NEG_INF, Polynomial, Scalar, poly_gcd
+from .poly import (
+    NEG_INF, Polynomial, Scalar, from_integers, integer_coefficients, poly_gcd,
+)
 
 
 class RegularityError(ValueError):
@@ -124,15 +130,25 @@ class PolyVector:
         return PolyVector(c + Fraction(a) for c, a in zip(self, offset))
 
     def linear_map(self, matrix: Sequence[Sequence[Fraction]]) -> "PolyVector":
-        """Left multiplication by a constant matrix."""
+        """Left multiplication by a constant matrix.
+
+        The components go over one lcm ``L`` of their denominators and each
+        matrix row over the lcm ``R`` of its own, so each output coefficient
+        is an integer sum divided once by ``R * L``.
+        """
         if any(len(row) != self.dim for row in matrix):
             raise ValueError("dimension mismatch")
+        comps, scale = integer_coefficients(self.components)
+        width = max(map(len, comps))
+        rows, row_scales = ratlin.integer_rows(matrix)
         out = []
-        for row in matrix:
-            acc = Polynomial.zero()
-            for coef, comp in zip(row, self.components):
-                acc = acc + comp * Fraction(coef)
-            out.append(acc)
+        for row, row_scale in zip(rows, row_scales):
+            acc = [0] * width
+            for x, comp in zip(row, comps):
+                if x:
+                    for k, c in enumerate(comp):
+                        acc[k] += x * c
+            out.append(from_integers(acc, row_scale * scale))
         return PolyVector(out)
 
     def gcd(self) -> Polynomial:
@@ -307,11 +323,8 @@ def _det_interpolate(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         return Polynomial.zero()
     work, denominator = [], 1
     for row in rows:
-        scale = math.lcm(*(c.denominator for e in row for c in e.coeffs))
-        work.append([
-            [c.numerator * (scale // c.denominator) for c in reversed(e.coeffs)]
-            for e in row
-        ])
+        scaled, scale = integer_coefficients(row)
+        work.append([e[::-1] for e in scaled])
         denominator *= scale
     values = [
         ratlin.det([[_horner(e, x) for e in row] for row in work]).numerator

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from affine_frames import (
     AffineElement,
     CurveRejection,
@@ -14,6 +16,28 @@ from affine_frames import (
     RegularityError,
     require_regular,
     validate_curve,
+)
+
+
+_BIG = 2**200
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+# Integers, small rationals and 200-bit rationals.
+coefficients = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(-99, 99, max_denominator=12),
+    st.integers(-_BIG, _BIG),
+    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+)
+
+# The zero polynomial, arbitrary coefficients, and pairwise coprime
+# denominators (coefficient i over the i-th prime), whose lcm is largest.
+polynomials = st.one_of(
+    st.just(Polynomial()),
+    st.lists(coefficients, max_size=9).map(Polynomial),
+    st.lists(st.integers(-9, 9), max_size=9).map(
+        lambda nums: Polynomial(Fraction(a, q) for a, q in zip(nums, _PRIMES))
+    ),
 )
 
 

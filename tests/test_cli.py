@@ -3,8 +3,12 @@
 import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +174,85 @@ def test_unwritable_output_is_a_write_error(tmp_path, capsys):
         message = json.loads(err)["error"]
         assert message.startswith("cannot write output: ")
         assert missing in message
+
+
+def _fresh_interpreter(argv):
+    """Exit code and stderr of one command in a new Python process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "affine_frames.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done.returncode, done.stderr
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """A bad argument, a frame and its verify in one process exit and write to
+    stderr as fresh interpreters do, and all three use one parser object."""
+    infile = write(tmp_path / "curve.json", QUINTIC)
+
+    def calls(tag):
+        frame, report = tmp_path / f"frame-{tag}.json", tmp_path / f"verify-{tag}.json"
+        return [
+            ["frame", "--in", infile, "--bogus"],
+            ["frame", "--in", infile, "--out", str(frame)],
+            ["verify", "--in", str(frame), "--out", str(report)],
+        ]
+
+    fresh = [_fresh_interpreter(argv) for argv in calls("fresh")]
+    cached, parsers = cli.build_parser, []
+    cached.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", lambda: parsers.append(cached()) or parsers[-1])
+    shared = []
+    for argv in calls("shared"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument
+            code = exc.code
+        shared.append((code, capsys.readouterr().err))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [2, 0, 0]
+    assert "unrecognized arguments: --bogus" in shared[0][1]
+    assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
+    assert cached.cache_info().misses == 1
+    for name in ("frame", "verify"):
+        fresh_bytes = (tmp_path / f"{name}-fresh.json").read_bytes()
+        assert (tmp_path / f"{name}-shared.json").read_bytes() == fresh_bytes
+
+
+_DIGITS = "1" * 5001  # over the interpreter's 4300-digit int-string limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "coeffs": [["0", "%s"], ["0", "0", "1"]]}' % _DIGITS,
+        '{"n": 2, "coeffs": [["0", "1/%s"], ["0", "0", "1"]]}' % _DIGITS,
+        '{"n": %s, "coeffs": [["0", "1"], ["0", "0", "1"]]}' % _DIGITS,
+    ],
+    ids=["numerator", "denominator", "json-n"],
+)
+def test_oversize_integers_are_rejected(tmp_path, capsys, text):
+    infile = tmp_path / "curve.json"
+    infile.write_text(text, encoding="utf-8")
+    code, out, err = run(tmp_path, capsys, ["frame", "--in", str(infile)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "error" in json.loads(err)
+
+
+def test_oversize_projection_axis_is_rejected(tmp_path, capsys):
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    frame = str(tmp_path / "frame.json")
+    assert main(["frame", "--in", infile, "--out", frame]) == 0
+    code, out, err = run(
+        tmp_path, capsys,
+        ["plot", "--in", frame, "--params", "0", "--project", f"0,{_DIGITS}"],
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "projection axes must be distinct and in range"}
 
 
 def test_complete_golden(tmp_path, capsys):
@@ -455,6 +538,30 @@ def test_frame_inverts_one_matrix(tmp_path, capsys, monkeypatch):
     infile = write(tmp_path / "curve.json", QUINTIC)
     assert main(["frame", "--in", infile, "--out", str(tmp_path / "frame.json")]) == 0
     assert calls == {"ratlin": 1, "group": 0}
+
+
+def test_section_skips_the_canonical_vector(tmp_path, capsys, monkeypatch):
+    """`section` and its verify shift the vector once each and invert nothing."""
+    calls = {"inverse": 0, "shift": 0}
+    inverse, shift = ratlin.inverse, vectors.PolyVector.shift
+
+    def counting_inverse(rows):
+        calls["inverse"] += 1
+        return inverse(rows)
+
+    def counting_shift(self, s):
+        calls["shift"] += 1
+        return shift(self, s)
+
+    monkeypatch.setattr(ratlin, "inverse", counting_inverse)
+    monkeypatch.setattr(vectors.PolyVector, "shift", counting_shift)
+    infile = write(tmp_path / "vec.json", QUARTIC)
+    outfile = str(tmp_path / "section.json")
+    assert main(["section", "--in", infile, "--out", outfile]) == 0
+    assert calls == {"inverse": 0, "shift": 1}
+    assert main(["verify", "--in", outfile]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["ok"] is True
+    assert calls == {"inverse": 0, "shift": 2}
 
 
 def _bump(value: str) -> str:

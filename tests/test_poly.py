@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_frames import NEG_INF, Polynomial, poly_gcd
 
-from conftest import p
+from conftest import coefficients, p, polynomials
 
 
 def test_trailing_zeros_trimmed():
@@ -100,6 +102,42 @@ def test_shift_evaluation_identity():
     s = Fraction(3, 2)
     for t0 in (Fraction(0), Fraction(1), Fraction(-2, 3)):
         assert q.shift(s).evaluate(t0) == q.evaluate(t0 + s)
+
+
+# Fraction references for the integer kernels; the constructor trims zeros.
+def shift_reference(q: Polynomial, s: Fraction) -> Polynomial:
+    """Horner in (t + s): multiply by (t + s), then add the next coefficient."""
+    acc: list[Fraction] = []
+    for c in reversed(q.coeffs):
+        acc = [Fraction(0)] + acc
+        for i in range(len(acc) - 1):
+            acc[i] += s * acc[i + 1]
+        acc[0] += c
+    return Polynomial(acc)
+
+
+def product_reference(a: Polynomial, b: Polynomial) -> Polynomial:
+    prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            prod[i + j] += x * y
+    return Polynomial(prod)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, st.one_of(st.just(0), coefficients))
+def test_shift_matches_fraction_horner(q, s):
+    shifted = q.shift(s)
+    assert shifted.coeffs == shift_reference(q, Fraction(s)).coeffs
+    assert all(type(c) is Fraction for c in shifted.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials)
+def test_product_matches_fraction_convolution(a, b):
+    prod = a * b
+    assert prod.coeffs == product_reference(a, b).coeffs
+    assert all(type(c) is Fraction for c in prod.coeffs)
 
 
 def test_derivative():

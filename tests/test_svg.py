@@ -6,22 +6,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_frames.poly import Polynomial
 from affine_frames.svg import _floats
 
-_BIG = 2**200
-
-coefficients = st.one_of(
-    st.integers(-9, 9),
-    st.fractions(max_denominator=12).filter(lambda c: abs(c) < 100),
-    st.integers(-_BIG, _BIG),
-    st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
-)
-
-polynomials = st.one_of(
-    st.just(Polynomial()),
-    st.lists(coefficients, max_size=9).map(Polynomial),
-)
+from conftest import polynomials
 
 # A start and a step with unlike denominators, as render_plot's grid has,
 # plus a few arbitrary points.

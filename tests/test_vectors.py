@@ -19,7 +19,7 @@ from affine_frames import (
     require_regular,
 )
 
-from conftest import p, quartic_tangent, vec
+from conftest import coefficients, p, polynomials, quartic_tangent, vec
 
 
 def test_vector_degree():
@@ -93,6 +93,49 @@ def test_translate_and_linear_map():
     assert mapped == vec((0, 0, 1), (0, 1))
     with pytest.raises(ValueError):
         v.translate([Fraction(1)])
+
+
+def linear_map_reference(v: PolyVector, matrix) -> PolyVector:
+    width = max(len(c.coeffs) for c in v)
+    out = []
+    for row in matrix:
+        acc = [Fraction(0)] * width
+        for x, comp in zip(row, v):
+            for k, c in enumerate(comp.coeffs):
+                acc[k] += Fraction(x) * c
+        out.append(Polynomial(acc))
+    return PolyVector(out)
+
+
+def dot_reference(v: PolyVector, w: PolyVector) -> Polynomial:
+    acc = [Fraction(0)] * (max(len(c.coeffs) for c in v) + max(len(c.coeffs) for c in w))
+    for a, b in zip(v, w):
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                acc[i + j] += x * y
+    return Polynomial(acc)
+
+
+_ENTRY = st.one_of(st.just(0), coefficients)
+
+
+def _map_and_vectors(n: int):
+    """Matrices with zero rows and zero entries, and two vectors, for dimension n."""
+    vector = st.lists(polynomials, min_size=n, max_size=n).map(PolyVector)
+    row = st.one_of(st.just([0] * n), st.lists(_ENTRY, min_size=n, max_size=n))
+    return st.tuples(st.lists(row, min_size=1, max_size=5), vector, vector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of([_map_and_vectors(n) for n in range(1, 6)]))
+def test_linear_map_and_dot_match_fraction_loops(case):
+    matrix, v, w = case
+    mapped = v.linear_map(matrix)
+    assert mapped == linear_map_reference(v, matrix)
+    pairing = v.dot(w)
+    assert pairing == dot_reference(v, w)
+    for q in (*mapped, pairing):
+        assert all(type(c) is Fraction for c in q.coeffs)
 
 
 def test_gcd_examples():
