@@ -9,7 +9,6 @@ by parsing, schema, or a mathematical precondition.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -376,9 +375,7 @@ def run_command(command: str, document, **options):
     return ResultDocument(kind=entry.kind, payload=payload, metadata=metadata)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built by the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="affine-frames",
         description="Minimal-degree moving frames for polynomial curves.",

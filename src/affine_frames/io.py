@@ -238,7 +238,7 @@ def parse_projection(text: str, dim: int) -> tuple[int, int]:
     try:
         axes = tuple(int(p) for p in parts)
     except ValueError:  # beyond the interpreter's int-string digit limit
-        axes = (-1, -1)
+        raise DocumentError("projection axes must be distinct and in range") from None
     if axes[0] == axes[1] or any(not 0 <= a < dim for a in axes):
         raise DocumentError("projection axes must be distinct and in range")
     return axes  # type: ignore[return-value]

@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial
+from .poly import Polynomial, integer_coefficients
 from .vectors import PolyMatrix, PolyVector
 
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
@@ -36,15 +36,12 @@ def _floats(p: Polynomial, nums: Sequence[int], den: int) -> list[float]:
     ``den**d * L`` (``den > 0``) finishes each value; a value beyond the
     float range becomes an infinity of its sign.
     """
-    coeffs = p.coeffs
-    if not coeffs:
+    if not p.coeffs:
         return [0.0] * len(nums)
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    d = len(coeffs) - 1
-    scaled = [  # highest power first, times den ** (d - power)
-        c.numerator * (lcm // c.denominator) * den**i
-        for i, c in enumerate(reversed(coeffs))
-    ]
+    [ints], lcm = integer_coefficients([p])
+    d = len(ints) - 1
+    # highest power first, times den ** (d - power)
+    scaled = [c * den**i for i, c in enumerate(reversed(ints))]
     scale = lcm * den**d
     out = []
     for x in nums:

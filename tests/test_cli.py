@@ -3,12 +3,8 @@
 import copy
 import hashlib
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -174,50 +170,6 @@ def test_unwritable_output_is_a_write_error(tmp_path, capsys):
         message = json.loads(err)["error"]
         assert message.startswith("cannot write output: ")
         assert missing in message
-
-
-def _fresh_interpreter(argv):
-    """Exit code and stderr of one command in a new Python process."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "affine_frames.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    return done.returncode, done.stderr
-
-
-def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
-    """A bad argument, a frame and its verify in one process exit and write to
-    stderr as fresh interpreters do, and all three use one parser object."""
-    infile = write(tmp_path / "curve.json", QUINTIC)
-
-    def calls(tag):
-        frame, report = tmp_path / f"frame-{tag}.json", tmp_path / f"verify-{tag}.json"
-        return [
-            ["frame", "--in", infile, "--bogus"],
-            ["frame", "--in", infile, "--out", str(frame)],
-            ["verify", "--in", str(frame), "--out", str(report)],
-        ]
-
-    fresh = [_fresh_interpreter(argv) for argv in calls("fresh")]
-    cached, parsers = cli.build_parser, []
-    cached.cache_clear()
-    monkeypatch.setattr(cli, "build_parser", lambda: parsers.append(cached()) or parsers[-1])
-    shared = []
-    for argv in calls("shared"):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argument
-            code = exc.code
-        shared.append((code, capsys.readouterr().err))
-    assert shared == fresh
-    assert [code for code, _ in shared] == [2, 0, 0]
-    assert "unrecognized arguments: --bogus" in shared[0][1]
-    assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
-    assert cached.cache_info().misses == 1
-    for name in ("frame", "verify"):
-        fresh_bytes = (tmp_path / f"{name}-fresh.json").read_bytes()
-        assert (tmp_path / f"{name}-shared.json").read_bytes() == fresh_bytes
 
 
 _DIGITS = "1" * 5001  # over the interpreter's 4300-digit int-string limit
