@@ -3,7 +3,8 @@
 Every command reads one JSON document via ``--in`` and writes either a
 result document or (for ``plot``) an SVG drawing to ``--out`` or stdout.
 Exit codes: 0 on success, 1 on internal error, 2 when the input is rejected
-by parsing, schema, or a mathematical precondition.
+by parsing, schema, or a mathematical precondition, or when the result holds
+an integer too long to write.
 """
 
 from __future__ import annotations

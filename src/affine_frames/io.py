@@ -37,7 +37,7 @@ RESULT_KINDS = frozenset(
 
 
 class DocumentError(ValueError):
-    """A document fails to parse or violates its schema."""
+    """A document fails to parse, violates its schema, or cannot be written."""
 
 
 def parse_rational(text: str) -> Fraction:
@@ -51,11 +51,15 @@ def parse_rational(text: str) -> Fraction:
         raise DocumentError(f"rational too long: {len(text)} characters") from None
 
 
-def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Fraction | int) -> str:
+    numerator, denominator = value.numerator, value.denominator
+    try:
+        if denominator == 1:
+            return str(numerator)
+        return f"{numerator}/{denominator}"
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        bits = max(abs(numerator), denominator).bit_length()
+        raise DocumentError(f"result too long to write: a {bits}-bit integer") from None
 
 
 def poly_to_list(p: Polynomial) -> list[str]:

@@ -10,7 +10,9 @@ fraction-free integer kernel, :class:`Echelon`: a forward elimination to
 row-echelon form, then exact back-substitution of only those columns of the
 reduced form that are read.  ``rank``, ``det`` and pivot lookups stop after
 the forward pass; ``rref`` and ``inverse`` back-substitute every column.
-Integer results become Fractions once, at the end.
+Integer results become Fractions once, at the end.  A caller that stays on
+integers, like the polynomial outer product, reads the back-substituted
+columns scaled by the last pivot, as integers.
 """
 
 from __future__ import annotations
@@ -128,17 +130,18 @@ class Echelon:
         self.sign = sign
         self.last_pivot = prev
 
-    def columns(self, cols: Iterable[int]) -> tuple[Vector, ...]:
-        """Columns ``cols`` (0-based) of the reduced row-echelon form.
+    def integer_columns(self, cols: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+        """Columns ``cols`` (0-based) of ``D R``, as integers.
 
-        Row k of the forward form U is ``sum_{m >= k} U[k][c_m] R[m]`` over
-        the reduced rows R, so with the last pivot D and ``p_k = U[k][c_k]``
+        R is the reduced row-echelon form and D the last pivot.  Row k of
+        the forward form U is ``sum_{m >= k} U[k][c_m] R[m]``, so with
+        ``p_k = U[k][c_k]``
 
             D R[k] = (D U[k] - sum_{m > k} U[k][c_m] D R[m]) // p_k,
 
         exactly, since ``D R`` is integral (Cramer).  The recursion runs
-        from the last pivot row up (Nakos, Turner and Williams 1997); a
-        pivot column is a unit vector and needs none of it.
+        from the last pivot row up (Nakos, Turner and Williams 1997) over
+        the non-pivot columns only; a pivot column is D times a unit vector.
         """
         cols = tuple(cols)
         pivots, work, d = self.pivots, self._rows, self.last_pivot
@@ -155,16 +158,29 @@ class Echelon:
             p = row[pivots[k]]
             scaled[k] = [x // p for x in acc]
         nrows = len(work)
+        pad = (0,) * (nrows - len(pivots))
         out = {}
         for i, j in enumerate(free):
-            column = [_ZERO] * nrows
-            for k, values in enumerate(scaled):
-                if values[i]:
-                    column[k] = Fraction(values[i], d)
-            out[j] = tuple(column)
+            out[j] = tuple(values[i] for values in scaled) + pad
         for j, k in where.items():
-            out[j] = (_ZERO,) * k + (_ONE,) + (_ZERO,) * (nrows - k - 1)
+            out[j] = (0,) * k + (d,) + (0,) * (nrows - k - 1)
         return tuple(out[j] for j in cols)
+
+    def columns(self, cols: Iterable[int]) -> tuple[Vector, ...]:
+        """Columns ``cols`` (0-based) of the reduced row-echelon form R.
+
+        :meth:`integer_columns` divided by the last pivot, with the pivot
+        columns as unit vectors.
+        """
+        cols = tuple(cols)
+        pivots, d = set(self.pivots), self.last_pivot
+        return tuple(
+            tuple(
+                (_ONE if j in pivots else Fraction(x, d)) if x else _ZERO
+                for x in column
+            )
+            for j, column in zip(cols, self.integer_columns(cols))
+        )
 
 
 def _rows_of(columns: tuple[Vector, ...], nrows: int) -> Matrix:

@@ -11,6 +11,11 @@ vector once and returns it as a :class:`RegularVector`, which carries the
 A constant linear map runs on integers, as the polynomial product and shift
 do: one ``Fraction`` per output coefficient.  ``PolyMatrix.shift`` and
 ``PolyMatrix.linear_map`` act column by column through them.
+
+Polynomial determinants and outer products are evaluated at integer points
+and interpolated.  A determinant takes one elimination per point; so does
+an outer product, which reads all n of its signed minors off that one
+elimination by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -311,25 +316,52 @@ def _det_interpolate(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     whatever cancels, so the values at the D + 1 points ``0..D`` fix the
     determinant.  Each row is scaled by the lcm of its coefficient
     denominators; the values are then determinants of integer matrices,
-    taken by :func:`ratlin.det`, and Newton's forward differences with the
-    integer weights ``D!/k!`` interpolate them.  One division by ``D!``
-    times the product of the row scales gives the rational coefficients.
+    taken by :func:`ratlin.det`, and :func:`_interpolate` turns them into
+    the polynomial, divided by the product of the row scales.
     """
-    bound = min(
+    bound = _degree_bound(rows)
+    if bound == NEG_INF:
+        return Polynomial.zero()
+    work, denominator = _scaled_rows(rows)
+    values = [
+        ratlin.det([[_horner(e, x) for e in row] for row in work]).numerator
+        for x in range(bound + 1)
+    ]
+    return _interpolate(values, denominator)
+
+
+def _degree_bound(rows: Sequence[Sequence[Polynomial]]) -> int | float:
+    """The smaller of the row and the column max-degree sums of a square
+    polynomial matrix: a bound on the degree of its determinant."""
+    return min(
         sum(max(e.degree for e in row) for row in rows),
         sum(max(e.degree for e in col) for col in zip(*rows)),
     )
-    if bound == NEG_INF:
-        return Polynomial.zero()
+
+
+def _scaled_rows(
+    rows: Sequence[Sequence[Polynomial]],
+) -> tuple[list[list[list[int]]], int]:
+    """Each row over the lcm of its denominators, entries as descending
+    integer coefficient lists for :func:`_horner`, and the product of the
+    lcms."""
     work, denominator = [], 1
     for row in rows:
         scaled, scale = integer_coefficients(row)
         work.append([e[::-1] for e in scaled])
         denominator *= scale
-    values = [
-        ratlin.det([[_horner(e, x) for e in row] for row in work]).numerator
-        for x in range(bound + 1)
-    ]
+    return work, denominator
+
+
+def _interpolate(values: list[int], denominator: int) -> Polynomial:
+    """The polynomial of degree below ``len(values)`` through the points
+    ``(x, values[x] / denominator)``, x = 0, 1, ...
+
+    Newton's forward differences with the integer weights ``D!/k!``, D the
+    last point, keep the work on integers; one division by ``D!`` times
+    ``denominator`` per coefficient gives the rational coefficients.
+    """
+    values, bound = list(values), len(values) - 1
     for k in range(1, bound + 1):
         for i in range(bound, k - 1, -1):
             values[i] -= values[i - 1]
@@ -342,7 +374,7 @@ def _det_interpolate(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
         shifted[0] += values[k] * weight
         coeffs = shifted
     denominator *= weight
-    return Polynomial(Fraction(c, denominator) for c in coeffs)
+    return from_integers(coeffs, denominator)
 
 
 def _horner(descending: Sequence[int], x: int) -> int:
@@ -357,20 +389,45 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
 
     Component i carries the sign ``(-1)**i`` times the minor that omits row
     i, so ``w.dot(outer_product(us)) == det([w | us])`` columnwise.
+
+    All n minors come from one elimination per point.  Each vector is put
+    over the lcm of its denominators; at an integer point x these integer
+    vectors are the rows of an (n-1) x n matrix U, eliminated once by
+    :class:`ratlin.Echelon`.  Below rank n-1 every minor vanishes at x.
+    Otherwise one column f is not a pivot, and with the last pivot D and
+    the row sign ``sign``, Cramer's rule gives component f as
+    ``(-1)**f * sign * D`` and the component at the pivot column of row r
+    as ``-(-1)**f * sign * (D R)[r, f]``, R the reduced form.  Every
+    component is interpolated on the points ``0..B``, B the largest of the
+    minors' degree bounds.
     """
     if not vectors:
         raise ValueError("outer product needs at least one vector")
     n = vectors[0].dim
     if len(vectors) != n - 1 or any(v.dim != n for v in vectors):
         raise ValueError("outer product takes n-1 vectors of dimension n")
-    comps = []
-    for i in range(n):
-        minor = [
-            [vec[r] for vec in vectors] for r in range(n) if r != i
-        ]
-        d = _det_interpolate(minor)
-        comps.append(d if i % 2 == 0 else -d)
-    return PolyVector(comps)
+    rows = [vec.components for vec in vectors]
+    bound = max(
+        _degree_bound([row[:i] + row[i + 1:] for row in rows]) for i in range(n)
+    )
+    if bound == NEG_INF:
+        return PolyVector([Polynomial.zero()] * n)
+    work, denominator = _scaled_rows(rows)
+    values: list[list[int]] = [[] for _ in range(n)]
+    for x in range(bound + 1):
+        echelon = ratlin.Echelon([[_horner(e, x) for e in row] for row in work])
+        pivots = echelon.pivots
+        if len(pivots) < n - 1:
+            for column in values:
+                column.append(0)
+            continue
+        (free,) = set(range(n)).difference(pivots)
+        sign = echelon.sign if free % 2 == 0 else -echelon.sign
+        (scaled,) = echelon.integer_columns((free,))
+        values[free].append(sign * echelon.last_pivot)
+        for p, y in zip(pivots, scaled):
+            values[p].append(-sign * y)
+    return PolyVector(_interpolate(column, denominator) for column in values)
 
 
 @dataclass(frozen=True)

@@ -30,15 +30,21 @@ coefficients = st.one_of(
     st.builds(Fraction, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
 )
 
-# The zero polynomial, arbitrary coefficients, and pairwise coprime
-# denominators (coefficient i over the i-th prime), whose lcm is largest.
-polynomials = st.one_of(
-    st.just(Polynomial()),
-    st.lists(coefficients, max_size=9).map(Polynomial),
-    st.lists(st.integers(-9, 9), max_size=9).map(
-        lambda nums: Polynomial(Fraction(a, q) for a, q in zip(nums, _PRIMES))
-    ),
-)
+
+def polynomials_up_to(size: int):
+    """The zero polynomial, arbitrary coefficients, and pairwise coprime
+    denominators (coefficient i over the i-th prime), whose lcm is largest;
+    at most ``size`` coefficients."""
+    return st.one_of(
+        st.just(Polynomial()),
+        st.lists(coefficients, max_size=size).map(Polynomial),
+        st.lists(st.integers(-9, 9), max_size=size).map(
+            lambda nums: Polynomial(Fraction(a, q) for a, q in zip(nums, _PRIMES))
+        ),
+    )
+
+
+polynomials = polynomials_up_to(9)
 
 
 def p(*coeffs) -> Polynomial:

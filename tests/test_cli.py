@@ -207,6 +207,23 @@ def test_oversize_projection_axis_is_rejected(tmp_path, capsys):
     assert json.loads(err) == {"error": "projection axes must be distinct and in range"}
 
 
+@pytest.mark.parametrize("command", ["bezout", "complete"])
+def test_result_beyond_the_digit_limit_is_rejected(tmp_path, capsys, command):
+    # v = (1 + c t, t^2) has the Bezout vector (1 - c t, c^2): c has 2200
+    # digits, so the input parses and c^2 is past the 4300-digit limit.
+    c = "7" * 2200
+    infile = write(tmp_path / "vec.json", {"n": 2, "coeffs": [["1", c], ["0", "0", "1"]]})
+    outfile = tmp_path / "out.json"
+    code, out, err = run(
+        tmp_path, capsys, [command, "--in", infile, "--out", str(outfile)]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"].startswith("result too long to write")
+    assert not outfile.exists()
+
+
 def test_complete_golden(tmp_path, capsys):
     infile = write(tmp_path / "vec.json", SEXTIC)
     code, out, err = run(tmp_path, capsys, ["complete", "--in", infile])

@@ -4,9 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affine_frames import GroupElement, PolyMatrix
+from affine_frames import GroupElement, PolyMatrix, PolyVector
 from affine_frames.io import (
+    RESULT_KINDS,
     CurveDocument,
     DocumentError,
     ResultDocument,
@@ -19,6 +22,7 @@ from affine_frames.io import (
     lists_to_rational_matrix,
     matrix_to_dict,
     parse_curve,
+    parse_curve_dict,
     parse_param_list,
     parse_projection,
     parse_rational,
@@ -26,7 +30,7 @@ from affine_frames.io import (
     vector_to_dict,
 )
 
-from conftest import p, quintic_curve, vec
+from conftest import coefficients, p, polynomials_up_to, quintic_curve, vec
 
 
 def test_parse_rational():
@@ -181,3 +185,150 @@ def test_projection():
         parse_projection("1,1", 3)
     with pytest.raises(DocumentError, match="in range"):
         parse_projection("0,3", 3)
+
+
+# Round trips of every result kind, over large and negative rationals.
+
+_POLY = polynomials_up_to(4)
+
+
+def _vectors(n):
+    return st.lists(_POLY, min_size=n, max_size=n).map(PolyVector)
+
+
+def _poly_matrices(n):
+    return st.lists(
+        st.lists(_POLY, min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(PolyMatrix)
+
+
+def _rational_matrices(nrows, ncols):
+    row = st.lists(coefficients.map(Fraction), min_size=ncols, max_size=ncols).map(tuple)
+    return st.lists(row, min_size=nrows, max_size=nrows).map(tuple)
+
+
+@st.composite
+def _groups(draw, n):
+    """Determinant-one matrices: a diagonal (a, 1/a, 1, ...) times shears."""
+    rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = Fraction(draw(coefficients.filter(bool)))
+    rows[0][0], rows[1][1] = a, 1 / a
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        lam = Fraction(draw(coefficients))
+        rows[i] = [x + lam * y for x, y in zip(rows[i], rows[j])]
+    return GroupElement(rows, Fraction(draw(coefficients)))
+
+
+def _json(obj):
+    return json.loads(json.dumps(obj))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4).flatmap(_vectors))
+def test_vector_json_roundtrip(v):
+    assert dict_to_vector(_json(vector_to_dict(v))) == v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(_poly_matrices))
+def test_matrix_json_roundtrip(m):
+    assert dict_to_matrix(_json(matrix_to_dict(m))) == m
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4).flatmap(_groups))
+def test_group_json_roundtrip(g):
+    assert dict_to_group(_json(group_to_dict(g))) == g
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: _rational_matrices(*shape)
+))
+def test_rational_matrix_json_roundtrip(rows):
+    assert lists_to_rational_matrix(_json(rational_matrix_to_lists(rows))) == rows
+
+
+# Each kind's payload in the command line's layout, and how to read it back.
+_READERS = {
+    "frame": lambda q: (
+        dict_to_matrix(q["matrix"]), dict_to_group(q["section"]),
+        dict_to_vector(q["canonical_tangent"]), q["bezout_degree"],
+    ),
+    "completion": lambda q: (dict_to_matrix(q["matrix"]), q["bezout_degree"]),
+    "bezout": lambda q: (dict_to_vector(q["vector"]), q["degree"]),
+    "mubasis": lambda q: (
+        [dict_to_vector(e) for e in q["elements"]], parse_rational(q["scale"]),
+    ),
+    "section": lambda q: dict_to_group({"matrix": q["matrix"], "shift": q["shift"]}),
+    "canonical": lambda q: (dict_to_vector(q["vector"]), dict_to_group(q["section"])),
+    "sylvester": lambda q: (
+        lists_to_rational_matrix(q["matrix"]), q["pivot_cols"], q["nonpivot_cols"],
+        q["basic_nonpivot"], lists_to_rational_matrix(q["reduced"]),
+    ),
+}
+
+
+@st.composite
+def _results(draw):
+    """A result kind, its document, and the objects its payload holds."""
+    kind = draw(st.sampled_from(sorted(_READERS)))
+    n = draw(st.integers(2, 3))
+    degree = st.integers(0, 40)
+    indices = st.lists(st.integers(0, 60), max_size=6)
+    if kind == "frame":
+        objects = (draw(_poly_matrices(n)), draw(_groups(n)), draw(_vectors(n)), draw(degree))
+        payload = {
+            "matrix": matrix_to_dict(objects[0]), "section": group_to_dict(objects[1]),
+            "canonical_tangent": vector_to_dict(objects[2]), "bezout_degree": objects[3],
+        }
+    elif kind == "completion":
+        objects = (draw(_poly_matrices(n)), draw(degree))
+        payload = {"matrix": matrix_to_dict(objects[0]), "bezout_degree": objects[1]}
+    elif kind == "bezout":
+        objects = (draw(_vectors(n)), draw(degree))
+        payload = {"vector": vector_to_dict(objects[0]), "degree": objects[1]}
+    elif kind == "mubasis":
+        objects = ([draw(_vectors(n)) for _ in range(n - 1)], Fraction(draw(coefficients)))
+        payload = {
+            "elements": [vector_to_dict(u) for u in objects[0]],
+            "scale": format_rational(objects[1]),
+        }
+    elif kind == "section":
+        objects = draw(_groups(n))
+        payload = group_to_dict(objects)
+    elif kind == "canonical":
+        objects = (draw(_vectors(n)), draw(_groups(n)))
+        payload = {"vector": vector_to_dict(objects[0]), "section": group_to_dict(objects[1])}
+    else:
+        objects = (
+            draw(_rational_matrices(n, 2 * n)), draw(indices), draw(indices),
+            draw(indices), draw(_rational_matrices(n, 2 * n)),
+        )
+        payload = {
+            "matrix": rational_matrix_to_lists(objects[0]), "pivot_cols": objects[1],
+            "nonpivot_cols": objects[2], "basic_nonpivot": objects[3],
+            "reduced": rational_matrix_to_lists(objects[4]),
+        }
+    curve = CurveDocument(draw(_vectors(n)), draw(st.none() | st.text(max_size=8)))
+    payload["input"] = curve_to_dict(curve)
+    metadata = {"degree": draw(degree), "determinant": "1"}
+    return ResultDocument(kind, payload, metadata), objects, curve
+
+
+def test_every_result_kind_has_a_reader():
+    assert set(_READERS) == RESULT_KINDS - {"verify"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(_results())
+def test_result_document_json_roundtrip(case):
+    doc, objects, curve = case
+    text = doc.to_json()
+    again = ResultDocument.from_json(text)
+    assert again == doc
+    assert again.to_json() == text
+    assert _READERS[doc.kind](again.payload) == objects
+    assert parse_curve_dict(again.payload["input"]) == curve
+

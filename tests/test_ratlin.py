@@ -142,11 +142,18 @@ def _check_against_reference(rows):
 
 
 def _check_columns_against_reference(rows, cols):
-    """Back-substituting a subset of columns, in any order, with repeats."""
+    """Back-substituting a subset of columns, in any order, with repeats.
+
+    The integer columns are the same columns times the last pivot.
+    """
     expected, _ = _rref_reference(rows)
-    assert ratlin.Echelon(rows).columns(cols) == tuple(
-        tuple(row[j] for row in expected) for j in cols
-    )
+    columns = tuple(tuple(row[j] for row in expected) for j in cols)
+    echelon = ratlin.Echelon(rows)
+    assert echelon.columns(cols) == columns
+    scaled = echelon.integer_columns(cols)
+    d = echelon.last_pivot
+    assert scaled == tuple(tuple(d * x for x in column) for column in columns)
+    assert all(type(x) is int for column in scaled for x in column)
 
 
 def _check_square_against_reference(rows):

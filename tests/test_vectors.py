@@ -16,10 +16,13 @@ from affine_frames import (
     RegularVector,
     outer_product,
     pivot_profile,
+    ratlin,
     require_regular,
 )
 
-from conftest import coefficients, p, polynomials, quartic_tangent, vec
+from conftest import (
+    coefficients, p, polynomials, polynomials_up_to, quartic_tangent, vec,
+)
 
 
 def test_vector_degree():
@@ -378,6 +381,101 @@ def test_outer_product_laplace_identity():
             assert u.dot(cross).is_zero
     with pytest.raises(ValueError):
         outer_product([vec((1,), (2,), (3,))])
+
+
+def outer_product_reference(vectors):
+    """The definition, minor by minor: component i is ``(-1)**i`` times the
+    determinant of the vectors without row i, each interpolated alone."""
+    n = vectors[0].dim
+    comps = []
+    for i in range(n):
+        minor = PolyMatrix([[vec[r] for vec in vectors] for r in range(n) if r != i])
+        d = minor.determinant()
+        comps.append(d if i % 2 == 0 else -d)
+    return PolyVector(comps)
+
+
+def _grid_bound(vectors):
+    """The largest of the minors' degree bounds: the last point of the grid."""
+    n = vectors[0].dim
+    return max(
+        _degree_bound([[vec[r] for vec in vectors] for r in range(n) if r != i])
+        for i in range(n)
+    )
+
+
+_T_MINUS_2 = p(-2, 1)
+
+
+@st.composite
+def outer_product_cases(draw):
+    """n-1 vectors of dimension n = 2..8, plain or shaped so that minors vanish.
+
+    ``zero`` puts in a zero vector and ``equal`` repeats a vector, so every
+    minor is 0.  ``rank drop`` replaces the last vector by
+    ``(t - 2) * (u_1 + w)``, so the vectors lose rank at t = 2.  ``free
+    column`` multiplies one component of every vector by ``t - k``, so at
+    t = k that column has no pivot, and the free column is not the last.
+    """
+    n = draw(st.integers(2, 8))
+    poly = polynomials_up_to(4 if n <= 4 else 3)
+    vector = st.lists(poly, min_size=n, max_size=n).map(PolyVector)
+    us = draw(st.lists(vector, min_size=n - 1, max_size=n - 1))
+    shape = draw(st.sampled_from(("plain", "zero", "equal", "rank drop", "free column")))
+    if shape == "zero":
+        us[draw(st.integers(0, n - 2))] = PolyVector([Polynomial.zero()] * n)
+    elif shape == "equal" and n >= 3:
+        us[-1] = us[0]
+    elif shape == "rank drop":
+        us[-1] = (us[0] + draw(vector)).scale(_T_MINUS_2)
+    elif shape == "free column":
+        j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
+        factor = p(-k, 1)
+        us = [PolyVector(c * factor if r == j else c for r, c in enumerate(u)) for u in us]
+    return us, shape
+
+
+@settings(max_examples=80, deadline=None)
+@given(outer_product_cases())
+def test_outer_product_matches_minor_by_minor(case):
+    us, shape = case
+    cross = outer_product(us)
+    assert cross == outer_product_reference(us)
+    if shape == "zero" or (shape == "equal" and len(us) >= 2):
+        assert cross.is_zero
+    for c in cross:
+        assert all(type(x) is Fraction for x in c.coeffs)
+
+
+def test_outer_product_one_elimination_per_point(monkeypatch):
+    made = []
+
+    class Counted(ratlin.Echelon):
+        def __init__(self, rows):
+            super().__init__(rows)
+            made.append(self.pivots)
+
+    monkeypatch.setattr(ratlin, "Echelon", Counted)
+    # u2 = (t - 2)(u1 + w): rank 1 at t = 2; the first components both
+    # vanish at t = 0, so there the free column is the first.
+    u1 = vec((0, 1), (1,), (0, 0, 1))
+    w = vec((0, 1), (1, 1), (3,))
+    u2 = (u1 + w).scale(_T_MINUS_2)
+    cases = [
+        [u1, u2],
+        [u1, w],
+        [vec((1, 2, 3), (0, 3), (4,), (1, 0, 1))] * 3,
+        [vec((1, 2), (0, 3))],
+    ]
+    for us in cases:
+        made.clear()
+        cross = outer_product(us)
+        assert len(made) == _grid_bound(us) + 1
+        assert cross == outer_product_reference(us)
+    made.clear()
+    outer_product([u1, u2])
+    assert made[2] == (0,)
+    assert made[0] == (1, 2)
 
 
 def test_require_regular():
