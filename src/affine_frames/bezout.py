@@ -106,10 +106,11 @@ def bezout_degree_search(v: PolyVector) -> int:
     """
     if v.is_zero:
         raise RegularityError("vector is zero")
-    matrix = sylvester_matrix(v)
+    # Row scaling leaves pivots alone, so A is cleared once for every prefix.
+    work, _ = ratlin.integer_rows(sylvester_matrix(v))
     for e in range(int(v.degree) + 1):
         width = v.dim * (e + 1)
-        augmented = [row[:width] + (Fraction(i == 0),) for i, row in enumerate(matrix)]
+        augmented = [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
         if width not in ratlin.Echelon(augmented).pivots:
             return e
     raise RegularityError("components share a nonconstant factor")

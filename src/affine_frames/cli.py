@@ -382,12 +382,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Minimal-degree moving frames for polynomial curves.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # -h, --in and --out of every command, declared once; -h as argparse
+    # declares it, since the subparsers are made without their own.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "-h", "--help", action="help", default=argparse.SUPPRESS,
+        help="show this help message and exit",
+    )
+    common.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    common.add_argument("--out", dest="outfile", metavar="FILE")
 
     def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--in", dest="infile", required=True, metavar="FILE")
-        cmd.add_argument("--out", dest="outfile", metavar="FILE")
-        return cmd
+        return sub.add_parser(name, help=help_text, parents=[common], add_help=False)
 
     for name, command in COMMANDS.items():
         cmd = add(name, command.help)

@@ -7,7 +7,9 @@ Two actions are used throughout:
 * its affine extension with a translation part, acting on curves by
   ``(L, a, s) . c = L * c(t + s) + a``.
 
-Determinant-one is validated at construction; invalid matrices are rejected
+Determinant-one is validated at construction, in one place: an
+:class:`AffineElement` holds its linear part as a :class:`GroupElement`,
+acts through it and adds the translation.  Invalid matrices are rejected
 rather than normalized.
 """
 
@@ -23,14 +25,6 @@ from .vectors import PolyMatrix, PolyVector
 Actable = Union[PolyVector, PolyMatrix]
 
 
-def _check_unimodular(matrix: ratlin.Matrix) -> None:
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("group matrix must be square")
-    if ratlin.det(matrix) != 1:
-        raise ValueError("group matrix must have determinant 1")
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Determinant-one matrix paired with a parameter shift."""
@@ -40,7 +34,10 @@ class GroupElement:
 
     def __init__(self, matrix: Sequence[Sequence], shift=0):
         frozen = ratlin.freeze(matrix)
-        _check_unimodular(frozen)
+        if any(len(row) != len(frozen) for row in frozen):
+            raise ValueError("group matrix must be square")
+        if ratlin.det(frozen) != 1:
+            raise ValueError("group matrix must have determinant 1")
         object.__setattr__(self, "matrix", frozen)
         object.__setattr__(self, "shift", Fraction(shift))
 
@@ -75,32 +72,33 @@ class GroupElement:
 class AffineElement:
     """Special-affine map with a parameter shift, acting on curves."""
 
-    matrix: ratlin.Matrix
+    # The action induced on tangent vectors, which drops translations.
+    linear_part: GroupElement
     translation: tuple[Fraction, ...]
-    shift: Fraction
 
     def __init__(self, matrix: Sequence[Sequence], translation: Sequence, shift=0):
-        frozen = ratlin.freeze(matrix)
-        _check_unimodular(frozen)
+        linear = GroupElement(matrix, shift)
         offset = tuple(Fraction(a) for a in translation)
-        if len(offset) != len(frozen):
+        if len(offset) != linear.dim:
             raise ValueError("translation dimension mismatch")
-        object.__setattr__(self, "matrix", frozen)
+        object.__setattr__(self, "linear_part", linear)
         object.__setattr__(self, "translation", offset)
-        object.__setattr__(self, "shift", Fraction(shift))
 
     @classmethod
     def identity(cls, n: int) -> "AffineElement":
         return cls(ratlin.identity(n), (0,) * n, 0)
 
     @property
-    def dim(self) -> int:
-        return len(self.matrix)
+    def matrix(self) -> ratlin.Matrix:
+        return self.linear_part.matrix
 
     @property
-    def linear_part(self) -> GroupElement:
-        """The action induced on tangent vectors, which drops translations."""
-        return GroupElement(self.matrix, self.shift)
+    def shift(self) -> Fraction:
+        return self.linear_part.shift
+
+    @property
+    def dim(self) -> int:
+        return self.linear_part.dim
 
     def compose(self, other: "AffineElement") -> "AffineElement":
         return AffineElement(
@@ -126,6 +124,4 @@ class AffineElement:
     def apply(self, curve: PolyVector) -> PolyVector:
         if not isinstance(curve, PolyVector):
             raise TypeError(f"cannot act on {type(curve).__name__}")
-        return curve.shift(self.shift).linear_map(self.matrix).translate(
-            self.translation
-        )
+        return self.linear_part.apply(curve).translate(self.translation)

@@ -5,10 +5,12 @@ trailing zeros are trimmed, so equal polynomials compare equal structurally.
 The zero polynomial has degree ``NEG_INF``, a sentinel that behaves
 absorbingly under ``max`` and addition, never an integer.
 
-The product of two polynomials and the Taylor shift run on integers: the
-coefficients are put over the lcm of their denominators
-(:func:`integer_coefficients`), the inner loops multiply and add integers,
-and each output coefficient becomes one ``Fraction`` at the end.
+Products, pairings and the Taylor shift run on integers: coefficients go
+over the lcm of their denominators (:func:`clear_denominators`), the inner
+loops multiply and add integers, and each output coefficient becomes one
+``Fraction`` at the end.  :func:`sum_of_products` is the one kernel for
+``sum(a_i * b_i)``: ``*`` calls it with one pair, ``PolyVector.dot`` and
+``PolyMatrix.__matmul__`` with n.  :func:`horner` is the integer Horner.
 """
 
 from __future__ import annotations
@@ -127,16 +129,7 @@ class Polynomial:
             return Polynomial(c * other for c in self.coeffs)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return Polynomial()
-        [left], l_scale = integer_coefficients([self])
-        [right], r_scale = integer_coefficients([other])
-        prod = [0] * (len(left) + len(right) - 1)
-        for i, a in enumerate(left):
-            if a:
-                for j, b in enumerate(right):
-                    prod[i + j] += a * b
-        return from_integers(prod, l_scale * r_scale)
+        return sum_of_products([self], [other])
 
     __rmul__ = __mul__
 
@@ -251,15 +244,45 @@ class Polynomial:
         return out.replace("+ -", "- ")
 
 
+def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Each row times ``L``, and ``L``: the lcm of all their denominators."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    if scale == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [
+        [x.numerator * (scale // x.denominator) for x in row] for row in rows
+    ], scale
+
+
 def integer_coefficients(polys: Sequence[Polynomial]) -> tuple[list[list[int]], int]:
     """Each polynomial's coefficients times ``L``, and ``L``: the lcm of all
     their denominators."""
-    scale = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    if scale == 1:
-        return [[c.numerator for c in p.coeffs] for p in polys], 1
-    return [
-        [c.numerator * (scale // c.denominator) for c in p.coeffs] for p in polys
-    ], scale
+    return clear_denominators([p.coeffs for p in polys])
+
+
+def sum_of_products(
+    lefts: Sequence[Polynomial], rights: Sequence[Polynomial]
+) -> Polynomial:
+    """``sum(a * b for a, b in zip(lefts, rights))`` on integers: each side
+    over the lcm of its own denominators, one division per coefficient."""
+    left, l_scale = integer_coefficients(lefts)
+    right, r_scale = integer_coefficients(rights)
+    pairs = list(zip(left, right))
+    acc = [0] * max((len(a) + len(b) - 1 for a, b in pairs if a and b), default=0)
+    for a_coeffs, b_coeffs in pairs:
+        for i, a in enumerate(a_coeffs):
+            if a:
+                for j, b in enumerate(b_coeffs):
+                    acc[i + j] += a * b
+    return from_integers(acc, l_scale * r_scale)
+
+
+def horner(descending: Sequence[int], x: int) -> int:
+    """Value at ``x`` of integer coefficients given highest power first."""
+    acc = 0
+    for c in descending:
+        acc = acc * x + c
+    return acc
 
 
 def from_integers(nums: list[int], den: int) -> Polynomial:

@@ -5,14 +5,16 @@ is pure (inputs are never mutated) and deterministic: elimination always
 takes the leftmost column with a nonzero entry as the next pivot, so reduced
 forms and everything read off them are reproducible bit for bit.
 
-Fractions appear only at the boundary.  Every routine runs one
-fraction-free integer kernel, :class:`Echelon`: a forward elimination to
+Fractions appear only at the boundary.  A routine clears the denominators
+of each row once (:func:`integer_rows`) and runs the one fraction-free
+kernel, :class:`Echelon`, on the integer rows: a forward elimination to
 row-echelon form, then exact back-substitution of only those columns of the
 reduced form that are read.  ``rank``, ``det`` and pivot lookups stop after
 the forward pass; ``rref`` and ``inverse`` back-substitute every column.
 Integer results become Fractions once, at the end.  A caller that stays on
-integers, like the polynomial outer product, reads the back-substituted
-columns scaled by the last pivot, as integers.
+integers, like the polynomial determinant and outer product, builds its own
+:class:`Echelon` and reads the back-substituted columns scaled by the last
+pivot, as integers.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .poly import clear_denominators
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -50,9 +54,7 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(mat_vec(bt, row) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
@@ -64,25 +66,19 @@ def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
 def integer_rows(
     rows: Sequence[Sequence[Fraction]],
 ) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those lcms."""
+    """Each row times the lcm of its denominators, and those lcms: the
+    :func:`poly.clear_denominators` of each row."""
     width = len(rows[0]) if rows else 0
-    work, scales = [], []
-    for row in rows:
-        if len(row) != width:
-            raise ValueError("ragged matrix")
-        scale = math.lcm(*(x.denominator for x in row))
-        if scale == 1:
-            work.append([x.numerator for x in row])
-        else:
-            work.append([x.numerator * (scale // x.denominator) for x in row])
-        scales.append(scale)
-    return work, scales
+    if any(len(row) != width for row in rows):
+        raise ValueError("ragged matrix")
+    cleared = [clear_denominators([row]) for row in rows]
+    return [ints for [ints], _ in cleared], [scale for _, scale in cleared]
 
 
 class Echelon:
-    """One fraction-free forward elimination of a matrix of Fractions or ints.
+    """One fraction-free forward elimination of a matrix of ints.
 
-    Each row is first scaled to integers (``scales`` holds the factors).
+    A caller holding Fractions clears them first, with :func:`integer_rows`.
     The pivot is the first nonzero entry of the leftmost column that has
     one, as in textbook elimination.  A step with pivot ``p`` in column
     ``c`` replaces every row below the pivot row, from column ``c``
@@ -97,8 +93,8 @@ class Echelon:
     back-substitutes only the columns a caller reads.
     """
 
-    def __init__(self, rows: Sequence[Sequence[Fraction]]):
-        work, self.scales = integer_rows(rows)
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        work = [list(row) for row in rows]
         nrows = len(work)
         ncols = len(work[0]) if nrows else 0
         pivots: list[int] = []
@@ -189,7 +185,7 @@ def _rows_of(columns: tuple[Vector, ...], nrows: int) -> Matrix:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and 0-based pivot column indices."""
-    echelon = Echelon(rows)
+    echelon = Echelon(integer_rows(rows)[0])
     width = len(rows[0]) if rows else 0
     return _rows_of(echelon.columns(range(width)), len(rows)), echelon.pivots
 
@@ -205,9 +201,9 @@ def rref_with_transform(
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     unit = (_ZERO,) * nrows
-    echelon = Echelon([
+    echelon = Echelon(integer_rows([
         (*row, *unit[:i], _ONE, *unit[i + 1:]) for i, row in enumerate(rows)
-    ])
+    ])[0])
     columns = echelon.columns(range(ncols + nrows))
     return (
         _rows_of(columns[:ncols], nrows),
@@ -217,7 +213,7 @@ def rref_with_transform(
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(Echelon(rows).pivots)
+    return len(Echelon(integer_rows(rows)[0]).pivots)
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -225,10 +221,11 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    echelon = Echelon(rows)
+    work, scales = integer_rows(rows)
+    echelon = Echelon(work)
     if len(echelon.pivots) < n:
         return _ZERO
-    return Fraction(echelon.sign * echelon.last_pivot, math.prod(echelon.scales))
+    return Fraction(echelon.sign * echelon.last_pivot, math.prod(scales))
 
 
 def inverse(rows: Sequence[Sequence[Fraction]]) -> Matrix:

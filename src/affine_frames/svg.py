@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, integer_coefficients
+from .poly import Polynomial, clear_denominators, horner, integer_coefficients
 from .vectors import PolyMatrix, PolyVector
 
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")
@@ -45,9 +45,7 @@ def _floats(p: Polynomial, nums: Sequence[int], den: int) -> list[float]:
     scale = lcm * den**d
     out = []
     for x in nums:
-        acc = 0
-        for b in scaled:
-            acc = acc * x + b
+        acc = horner(scaled, x)
         try:
             out.append(acc / scale)
         except OverflowError:
@@ -81,8 +79,7 @@ def render_plot(
     curve_x = _floats(curve[ax], grid, den)
     curve_y = [-y for y in _floats(curve[ay], grid, den)]
 
-    pden = math.lcm(*(t.denominator for t in params))
-    pnums = [t.numerator * (pden // t.denominator) for t in params]
+    [pnums], pden = clear_denominators([params])
     base_x = _floats(curve[ax], pnums, pden)
     base_y = _floats(curve[ay], pnums, pden)
     cols_x = [_floats(e, pnums, pden) for e in frame.rows[ax]]

@@ -2,10 +2,11 @@
 
 For a vector v of dimension n and degree d, the matrix A has 2d+1 rows and
 n(d+1) columns: d+1 copies of the transposed coefficient matrix of v are
-laid out left to right, each shifted down by one more row.  Multiplying A
-against the stacked coefficients of a vector h of degree at most d produces
-the coefficients of the scalar product <v, h>, which turns questions about
-polynomial identities into exact linear algebra.
+laid out left to right, each shifted down by one more row; row r of a copy
+is the degree-r block of :func:`sharp`.  Multiplying A against the stacked
+coefficients of a vector h of degree at most d produces the coefficients
+of the scalar product <v, h>, which turns questions about polynomial
+identities into exact linear algebra.
 
 Column indices of A are 1-based throughout this module to match the usual
 pivot bookkeeping; coefficient-matrix columns elsewhere are 0-based.  The
@@ -109,33 +110,29 @@ def sylvester_matrix(v: PolyVector) -> ratlin.Matrix:
     """The matrix A of a nonzero vector, with no elimination."""
     if v.is_zero:
         raise RegularityError("vector is zero")
-    n = v.dim
-    d = int(v.degree)
-    coeff_rows = v.coefficient_matrix()
-    block = ratlin.transpose(coeff_rows)  # (d+1) x n, rows by degree
-    nrows, ncols = 2 * d + 1, n * (d + 1)
-    zero = Fraction(0)
-    rows = [[zero] * ncols for _ in range(nrows)]
+    n, d = v.dim, int(v.degree)
+    stacked = sharp(v, d)  # block r holds the degree-r coefficients
+    rows = [[Fraction(0)] * (n * (d + 1)) for _ in range(2 * d + 1)]
     for copy in range(d + 1):
         for r in range(d + 1):
-            for c in range(n):
-                rows[copy + r][copy * n + c] = block[r][c]
+            rows[copy + r][copy * n:(copy + 1) * n] = stacked[r * n:(r + 1) * n]
     return tuple(map(tuple, rows))  # coefficients are Fractions already
 
 
 def build_sylvester(v: PolyVector) -> SylvesterSystem:
     """Construct the Sylvester-type system of a nonzero vector.
 
-    One forward elimination of ``[A | e1]`` gives the pivots; only the e1
-    column and the basic non-pivotal columns are back-substituted.
+    One forward elimination of ``[A | e1]``, its denominators cleared once,
+    gives the pivots; only the e1 column and the basic non-pivotal columns
+    are back-substituted.
     """
     matrix = sylvester_matrix(v)
     n = v.dim
     ncols = len(matrix[0])
     # A pivot in the e1 column means e1 is not in the span of A.
-    echelon = ratlin.Echelon(
+    echelon = ratlin.Echelon(ratlin.integer_rows(
         [row + (Fraction(i == 0),) for i, row in enumerate(matrix)]
-    )
+    )[0])
     pivot_cols = tuple(p + 1 for p in echelon.pivots if p < ncols)
     nonpivot = tuple(j for j in range(1, ncols + 1) if j not in pivot_cols)
     seen: set[int] = set()

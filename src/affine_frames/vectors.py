@@ -8,14 +8,16 @@ matrix is the sum of its column degrees.  Both follow the absorbing
 vector once and returns it as a :class:`RegularVector`, which carries the
 :class:`PivotProfile` found on the way.
 
-A constant linear map runs on integers, as the polynomial product and shift
-do: one ``Fraction`` per output coefficient.  ``PolyMatrix.shift`` and
-``PolyMatrix.linear_map`` act column by column through them.
+The pairing ``dot`` and the matrix product ``@`` are sums of products,
+computed by :func:`poly.sum_of_products` (``@`` pairs rows with columns).  A
+constant linear map runs on integers too: one ``Fraction`` per output
+coefficient.  ``PolyMatrix.shift`` and ``PolyMatrix.linear_map`` act column
+by column.
 
 Polynomial determinants and outer products are evaluated at integer points
-and interpolated.  A determinant takes one elimination per point; so does
-an outer product, which reads all n of its signed minors off that one
-elimination by Cramer's rule.
+(by :func:`poly.horner`) and interpolated.  A determinant takes one integer
+:class:`ratlin.Echelon` per point; so does an outer product, which reads
+all n of its signed minors off that one elimination by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Iterable, Sequence
 
 from . import ratlin
 from .poly import (
-    NEG_INF, Polynomial, Scalar, from_integers, integer_coefficients, poly_gcd,
+    NEG_INF, Polynomial, Scalar, _coerce, from_integers, horner,
+    integer_coefficients, poly_gcd, sum_of_products,
 )
 
 
@@ -36,11 +39,8 @@ class RegularityError(ValueError):
 
 
 def _as_poly(entry) -> Polynomial:
-    if isinstance(entry, Polynomial):
-        return entry
-    if isinstance(entry, (int, Fraction)):
-        return Polynomial.constant(entry)
-    return Polynomial(entry)
+    coerced = _coerce(entry)
+    return Polynomial(entry) if coerced is None else coerced
 
 
 class PolyVector:
@@ -102,16 +102,14 @@ class PolyVector:
     def __sub__(self, other: "PolyVector") -> "PolyVector":
         if not isinstance(other, PolyVector):
             return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return PolyVector(a - b for a, b in zip(self, other))
+        return self + (-other)
 
     def __neg__(self) -> "PolyVector":
         return PolyVector(-c for c in self.components)
 
     def scale(self, factor) -> "PolyVector":
         """Multiply every component by a scalar or polynomial."""
-        factor = _as_poly(factor) if not isinstance(factor, Polynomial) else factor
+        factor = _as_poly(factor)
         return PolyVector(c * factor for c in self.components)
 
     def shift(self, s: Scalar) -> "PolyVector":
@@ -124,10 +122,7 @@ class PolyVector:
     def dot(self, other: "PolyVector") -> Polynomial:
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out = Polynomial.zero()
-        for a, b in zip(self, other):
-            out = out + a * b
-        return out
+        return sum_of_products(self.components, other.components)
 
     def translate(self, offset: Sequence[Fraction]) -> "PolyVector":
         if len(offset) != self.dim:
@@ -204,16 +199,11 @@ class PolyMatrix:
         n = columns[0].dim
         if any(col.dim != n for col in columns):
             raise ValueError("columns differ in dimension")
-        return cls(
-            tuple(col[i] for col in columns) for i in range(n)
-        )
+        return cls(zip(*columns))
 
     @classmethod
     def identity(cls, n: int) -> "PolyMatrix":
-        one, zero = Polynomial.one(), Polynomial.zero()
-        return cls(
-            tuple(one if i == j else zero for j in range(n)) for i in range(n)
-        )
+        return cls(ratlin.identity(n))
 
     @property
     def nrows(self) -> int:
@@ -268,20 +258,14 @@ class PolyMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.nrows):
-            new_row = []
-            for j in range(other.ncols):
-                acc = Polynomial.zero()
-                for k in range(self.ncols):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                new_row.append(acc)
-            out.append(new_row)
-        return PolyMatrix(out)
+        columns = other.columns()
+        return PolyMatrix(
+            [row.dot(col) for col in columns] for row in map(PolyVector, self.rows)
+        )
 
     def determinant(self) -> Polynomial:
-        """Exact determinant, evaluated at integer points by :func:`ratlin.det`
-        and interpolated."""
+        """Exact determinant, evaluated at integer points by one
+        :class:`ratlin.Echelon` each and interpolated."""
         if self.nrows != self.ncols:
             raise ValueError("determinant requires a square matrix")
         return _det_interpolate(self.rows)
@@ -316,17 +300,19 @@ def _det_interpolate(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     whatever cancels, so the values at the D + 1 points ``0..D`` fix the
     determinant.  Each row is scaled by the lcm of its coefficient
     denominators; the values are then determinants of integer matrices,
-    taken by :func:`ratlin.det`, and :func:`_interpolate` turns them into
-    the polynomial, divided by the product of the row scales.
+    ``sign * last_pivot`` of one :class:`ratlin.Echelon` each (0 below full
+    rank), and :func:`_interpolate` turns them into the polynomial, divided
+    by the product of the row scales.
     """
     bound = _degree_bound(rows)
     if bound == NEG_INF:
         return Polynomial.zero()
     work, denominator = _scaled_rows(rows)
-    values = [
-        ratlin.det([[_horner(e, x) for e in row] for row in work]).numerator
-        for x in range(bound + 1)
-    ]
+    values = []
+    for x in range(bound + 1):
+        echelon = ratlin.Echelon([[horner(e, x) for e in row] for row in work])
+        full = len(echelon.pivots) == len(work)
+        values.append(echelon.sign * echelon.last_pivot if full else 0)
     return _interpolate(values, denominator)
 
 
@@ -343,7 +329,7 @@ def _scaled_rows(
     rows: Sequence[Sequence[Polynomial]],
 ) -> tuple[list[list[list[int]]], int]:
     """Each row over the lcm of its denominators, entries as descending
-    integer coefficient lists for :func:`_horner`, and the product of the
+    integer coefficient lists for :func:`poly.horner`, and the product of the
     lcms."""
     work, denominator = [], 1
     for row in rows:
@@ -377,13 +363,6 @@ def _interpolate(values: list[int], denominator: int) -> Polynomial:
     return from_integers(coeffs, denominator)
 
 
-def _horner(descending: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in descending:
-        acc = acc * x + c
-    return acc
-
-
 def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     """Generalized cross product of n-1 vectors in dimension n.
 
@@ -415,7 +394,7 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     work, denominator = _scaled_rows(rows)
     values: list[list[int]] = [[] for _ in range(n)]
     for x in range(bound + 1):
-        echelon = ratlin.Echelon([[_horner(e, x) for e in row] for row in work])
+        echelon = ratlin.Echelon([[horner(e, x) for e in row] for row in work])
         pivots = echelon.pivots
         if len(pivots) < n - 1:
             for column in values:
@@ -462,13 +441,14 @@ def pivot_profile(v: PolyVector) -> PivotProfile:
     if v.is_zero:
         raise RegularityError("vector is zero")
     d, n = int(v.degree), v.dim
-    echelon = ratlin.Echelon([row[::-1] for row in v.coefficient_matrix()])
+    work, scales = ratlin.integer_rows([row[::-1] for row in v.coefficient_matrix()])
+    echelon = ratlin.Echelon(work)
     if len(echelon.pivots) < n:
         raise RegularityError("components are linearly dependent")
     indices = tuple(d - p for p in reversed(echelon.pivots))
     k = max(set(range(d + 1)) - set(indices), default=-1)
     sign = echelon.sign * (-1) ** (n * (n - 1) // 2)
-    det_vbar = Fraction(sign * echelon.last_pivot, math.prod(echelon.scales))
+    det_vbar = Fraction(sign * echelon.last_pivot, math.prod(scales))
     return PivotProfile(indices, k, det_vbar)
 
 

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -875,3 +876,29 @@ def test_damaged_documents_never_exit_one(tmp_path, capsys, command, source):
             capsys.readouterr()
             code, out, err = run(tmp_path, capsys, argv)
             assert code != 1, (argv[0], path, value, err)
+
+
+# Help and usage-error output, exit status and parsed options of the
+# argument parser on 18 command lines, recorded with COLUMNS=80: help of the
+# program and of commands, usage errors, and the abbreviated and joined
+# option forms argparse accepts.
+PARSER_CASES = json.loads(
+    (Path(__file__).parent / "data" / "parser_bytes.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize(
+    "case", PARSER_CASES, ids=lambda case: " ".join(case["argv"]) or "no-arguments"
+)
+def test_parser_output_is_pinned(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = namespace = None
+    try:
+        namespace = vars(cli.build_parser().parse_args(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == case["exit"]
+    assert captured.out == case["stdout"]
+    assert captured.err == case["stderr"]
+    assert namespace == case["namespace"]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from affine_frames import AffineElement, GroupElement, PolyMatrix
+from affine_frames import AffineElement, GroupElement, PolyMatrix, ratlin
 
 from conftest import (
     p,
@@ -104,3 +104,19 @@ def test_translation_only():
     assert a.linear_part.is_identity()
     with pytest.raises(ValueError, match="translation dimension"):
         AffineElement([[1, 0], [0, 1]], [1, 2, 3])
+
+
+def test_linear_part_is_stored_not_rebuilt(monkeypatch):
+    a = random_affine(random.Random(5), 3)
+    calls = []
+    det = ratlin.det
+    monkeypatch.setattr(ratlin, "det", lambda rows: calls.append(rows) or det(rows))
+    parts = [a.linear_part for _ in range(3)]
+    assert calls == []
+    assert all(part is parts[0] for part in parts)
+    assert (a.matrix, a.shift, a.dim) == (parts[0].matrix, parts[0].shift, 3)
+    twin = AffineElement(a.matrix, a.translation, a.shift)
+    assert len(calls) == 1  # the constructor checks the determinant once
+    assert twin == a and hash(twin) == hash(a)
+    assert AffineElement(a.matrix, a.translation, a.shift + 1) != a
+    assert AffineElement(a.matrix, [0, 0, 0], a.shift) != a

@@ -1,5 +1,6 @@
 """The fraction-free elimination kernel against Fraction Gauss-Jordan."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import ratlin
+from affine_frames.poly import clear_denominators
 
 
 def _eliminate_fractions(work):
@@ -131,6 +133,12 @@ _EDGE_CASES = [
 ]
 
 
+def _echelon(rows):
+    """The kernel takes integer rows: clear each row's denominators first."""
+    work, _ = ratlin.integer_rows(rows)
+    return ratlin.Echelon(work)
+
+
 def _check_against_reference(rows):
     expected, expected_pivots = _rref_reference(rows)
     assert ratlin.rref(rows) == (expected, expected_pivots)
@@ -138,7 +146,7 @@ def _check_against_reference(rows):
     assert (reduced, transform, pivots) == _rref_with_transform_reference(rows)
     assert ratlin.rank(rows) == len(pivots)
     assert ratlin.mat_mul(transform, rows) == reduced
-    assert ratlin.Echelon(rows).pivots == expected_pivots
+    assert _echelon(rows).pivots == expected_pivots
 
 
 def _check_columns_against_reference(rows, cols):
@@ -148,7 +156,7 @@ def _check_columns_against_reference(rows, cols):
     """
     expected, _ = _rref_reference(rows)
     columns = tuple(tuple(row[j] for row in expected) for j in cols)
-    echelon = ratlin.Echelon(rows)
+    echelon = _echelon(rows)
     assert echelon.columns(cols) == columns
     scaled = echelon.integer_columns(cols)
     d = echelon.last_pivot
@@ -213,3 +221,36 @@ def test_shape_errors():
         ratlin.inverse(ratlin.freeze([[1, 2]]))
     with pytest.raises(ValueError):
         ratlin.rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
+
+
+def integer_rows_reference(rows):
+    """Per row, the smallest positive integer that makes every entry an
+    integer, found entry by entry with Fractions, and the row times it."""
+    work, scales = [], []
+    for row in rows:
+        scale = 1
+        for x in row:
+            scale *= (Fraction(x) * scale).denominator
+        work.append([int(Fraction(x) * scale) for x in row])
+        scales.append(scale)
+    return work, scales
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_denominators_cleared_like_fraction_reference(rows):
+    work, scales = ratlin.integer_rows(rows)
+    assert (work, scales) == integer_rows_reference(rows)
+    assert all(type(x) is int for row in work for x in row)
+    # the common form puts every row over one lcm, the lcm of the row scales
+    common, scale = clear_denominators(rows)
+    assert scale == math.lcm(*scales)
+    assert common == [[x * (scale // s) for x in row] for row, s in zip(work, scales)]
+    assert all(type(x) is int for row in common for x in row)
+
+
+def test_clearing_denominators_rejects_a_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged"):
+        ratlin.integer_rows([[Fraction(1, 2)], [Fraction(1), Fraction(2, 3)]])
+    with pytest.raises(ValueError, match="ragged"):
+        ratlin.rank([[Fraction(1), Fraction(2)], [Fraction(1, 3)]])

@@ -16,8 +16,9 @@ from affine_frames import (
     ratlin,
     sharp,
 )
+from affine_frames.sylvester import sylvester_matrix
 
-from conftest import p, random_regular_vector, vec
+from conftest import p, polynomials_up_to, random_regular_vector, vec
 
 # quartic with a fully worked elimination; frozen below entry for entry
 QUARTIC = vec((2, 1, 0, 0, 1), (3, 0, 1, 0, 1), (6, 0, 0, 2, 1))
@@ -213,3 +214,29 @@ def test_column_accessor():
         sys.column(0)
     with pytest.raises(ValueError):
         sys.column(16)
+
+
+def sylvester_matrix_reference(v):
+    """A placed entry by entry: copy k of the transposed coefficient matrix
+    starts at row k and column k*n."""
+    n, d = v.dim, int(v.degree)
+    block = ratlin.transpose(v.coefficient_matrix())
+    rows = [[Fraction(0)] * (n * (d + 1)) for _ in range(2 * d + 1)]
+    for copy in range(d + 1):
+        for r in range(d + 1):
+            for c in range(n):
+                rows[copy + r][copy * n + c] = block[r][c]
+    return tuple(map(tuple, rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(polynomials_up_to(7), min_size=n, max_size=n)
+    ).map(PolyVector)
+)
+def test_sylvester_matrix_matches_entrywise_layout(v):
+    assume(not v.is_zero)
+    matrix = sylvester_matrix(v)
+    assert matrix == sylvester_matrix_reference(v)
+    assert all(type(x) is Fraction for row in matrix for x in row)

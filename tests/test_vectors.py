@@ -19,6 +19,7 @@ from affine_frames import (
     ratlin,
     require_regular,
 )
+from affine_frames.poly import sum_of_products
 
 from conftest import (
     coefficients, p, polynomials, polynomials_up_to, quartic_tangent, vec,
@@ -139,6 +140,50 @@ def test_linear_map_and_dot_match_fraction_loops(case):
     assert pairing == dot_reference(v, w)
     for q in (*mapped, pairing):
         assert all(type(c) is Fraction for c in q.coeffs)
+
+
+def matmul_reference(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    return PolyMatrix(
+        [dot_reference(PolyVector(row), col) for col in b.columns()] for row in a.rows
+    )
+
+
+def _poly_matrix(nrows: int, ncols: int):
+    return st.lists(
+        st.lists(polynomials_up_to(5), min_size=ncols, max_size=ncols),
+        min_size=nrows, max_size=nrows,
+    ).map(PolyMatrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_of_products_matches_fraction_loops(data):
+    """``*`` (one pair), ``dot`` (n pairs) and ``@`` (rows with columns)
+    are the one integer kernel; the reference sums Fraction products."""
+    n = data.draw(st.integers(1, 5), label="n")
+    pairs = st.lists(polynomials, min_size=n, max_size=n)
+    lefts, rights = data.draw(pairs, label="lefts"), data.draw(pairs, label="rights")
+    expected = dot_reference(PolyVector(lefts), PolyVector(rights))
+    assert sum_of_products(lefts, rights) == expected
+    assert PolyVector(lefts).dot(PolyVector(rights)) == expected
+    one = dot_reference(PolyVector(lefts[:1]), PolyVector(rights[:1]))
+    assert lefts[0] * rights[0] == one
+    shape = data.draw(st.tuples(*[st.integers(1, 3)] * 3), label="shape")
+    a = data.draw(_poly_matrix(shape[0], shape[1]), label="a")
+    b = data.draw(_poly_matrix(shape[1], shape[2]), label="b")
+    product = a @ b
+    assert product == matmul_reference(a, b)
+    for q in (expected, one, *(e for row in product.rows for e in row)):
+        assert all(type(c) is Fraction for c in q.coeffs)
+
+
+def test_sum_of_products_edge_cases():
+    zero = Polynomial.zero()
+    assert sum_of_products([], []).is_zero
+    assert sum_of_products([zero, zero], [p(1, 2), zero]).is_zero
+    # unequal lengths, and a sum that cancels down to a constant
+    assert sum_of_products([p(1, 1), p(-1)], [p(-1, 1), p(0, 0, 1)]) == p(-1)
+    assert sum_of_products([p(Fraction(1, 3))], [p(0, 0, 0, 6)]) == p(0, 0, 0, 2)
 
 
 def test_gcd_examples():
