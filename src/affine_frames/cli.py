@@ -238,8 +238,6 @@ def _verify_canonical(doc: CurveDocument, payload: dict) -> Checks:
 
 
 def _sylvester(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
-    if doc.vector.is_zero:
-        raise CommandRejection("zero vector has no Sylvester matrix")
     system = build_sylvester(doc.vector)
     payload = {
         "matrix": docio.rational_matrix_to_lists(system.matrix),

@@ -5,12 +5,14 @@ trailing zeros are trimmed, so equal polynomials compare equal structurally.
 The zero polynomial has degree ``NEG_INF``, a sentinel that behaves
 absorbingly under ``max`` and addition, never an integer.
 
-Products, pairings and the Taylor shift run on integers: coefficients go
-over the lcm of their denominators (:func:`clear_denominators`), the inner
-loops multiply and add integers, and each output coefficient becomes one
-``Fraction`` at the end.  :func:`sum_of_products` is the one kernel for
-``sum(a_i * b_i)``: ``*`` calls it with one pair, ``PolyVector.dot`` and
-``PolyMatrix.__matmul__`` with n.  :func:`horner` is the integer Horner.
+Sums, products, pairings and the Taylor shift run on integers: coefficients
+go over the lcm of their denominators (:func:`clear_denominators`), the
+inner loops multiply and add integers, and each output coefficient becomes
+one ``Fraction`` at the end.  :func:`sum_of_products` is the one kernel for
+``sum(a_i * b_i)``: ``*`` calls it with one pair, ``+`` and ``-`` with two
+and the unit weights, ``PolyVector.dot`` and ``PolyMatrix.__matmul__`` with
+n.  Multiplying by a number scales each coefficient.  :func:`horner` is the
+integer Horner.
 """
 
 from __future__ import annotations
@@ -99,30 +101,24 @@ class Polynomial:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return Polynomial(summed)
+        return sum_of_products((self, other), _PLUS)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
+        return self * -1
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return sum_of_products((self, other), _MINUS)
 
     def __rsub__(self, other) -> "Polynomial":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return sum_of_products((other, self), _MINUS)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -242,6 +238,10 @@ class Polynomial:
                     parts.append(f"{c}*{base}")
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
+
+
+_PLUS = (Polynomial.one(), Polynomial.one())
+_MINUS = (Polynomial.one(), Polynomial.constant(-1))
 
 
 def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:

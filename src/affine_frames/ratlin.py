@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices are tuples of rows of :class:`fractions.Fraction`.  Every routine
-is pure (inputs are never mutated) and deterministic: elimination always
-takes the leftmost column with a nonzero entry as the next pivot, so reduced
-forms and everything read off them are reproducible bit for bit.
+on them is pure (inputs are never mutated) and deterministic: elimination
+always takes the leftmost column with a nonzero entry as the next pivot, so
+reduced forms and everything read off them are reproducible bit for bit.
 
 Fractions appear only at the boundary.  A routine clears the denominators
 of each row once (:func:`integer_rows`) and runs the one fraction-free
@@ -76,42 +76,42 @@ def integer_rows(
 
 
 class Echelon:
-    """One fraction-free forward elimination of a matrix of ints.
+    """One fraction-free forward elimination, in place, of a list of int lists.
 
-    A caller holding Fractions clears them first, with :func:`integer_rows`.
-    The pivot is the first nonzero entry of the leftmost column that has
-    one, as in textbook elimination.  A step with pivot ``p`` in column
-    ``c`` replaces every row below the pivot row, from column ``c``
+    A caller holding Fractions clears them first, with :func:`integer_rows`,
+    and hands over lists it does not read again.  The pivot is the first
+    nonzero entry of the leftmost column that has one, as in textbook
+    elimination.  A step with pivot ``p`` in column ``c`` swaps the pivot
+    row into place and overwrites every row below it, from column ``c``
     rightwards, by ``(p * row - a * pivot_row) // prev``, where ``a`` is the
     row's entry in column ``c`` and ``prev`` the previous pivot; a row with
     ``a == 0`` is still scaled by ``p / prev``.  The division is exact
-    (Bareiss 1968): every entry is a minor of the scaled rows.  The rows
-    above are left as they are, so no step touches a pivot row again.
+    (Bareiss 1968): every entry is a minor of the scaled rows.  No step
+    touches a pivot row again.
 
     ``pivots``, ``sign`` (of the row permutation) and ``last_pivot``
     (1 when there is no pivot) come from this pass alone; :meth:`columns`
     back-substitutes only the columns a caller reads.
     """
 
-    def __init__(self, rows: Sequence[Sequence[int]]):
-        work = [list(row) for row in rows]
-        nrows = len(work)
-        ncols = len(work[0]) if nrows else 0
+    def __init__(self, rows: list[list[int]]):
+        nrows = len(rows)
+        ncols = len(rows[0]) if nrows else 0
         pivots: list[int] = []
         prev = sign = 1
         for col in range(ncols):
             row = len(pivots)
             if row == nrows:
                 break
-            src = next((i for i in range(row, nrows) if work[i][col]), None)
+            src = next((i for i in range(row, nrows) if rows[i][col]), None)
             if src is None:
                 continue
             if src != row:
-                work[row], work[src] = work[src], work[row]
+                rows[row], rows[src] = rows[src], rows[row]
                 sign = -sign
-            top = work[row][col:]
+            top = rows[row][col:]
             p = top[0]
-            for below in work[row + 1:]:
+            for below in rows[row + 1:]:
                 a = below[col]
                 if a:
                     below[col:] = [
@@ -121,7 +121,7 @@ class Echelon:
                     below[col:] = [p * x // prev for x in below[col:]]
             pivots.append(col)
             prev = p
-        self._rows = work
+        self._rows = rows
         self.pivots = tuple(pivots)
         self.sign = sign
         self.last_pivot = prev

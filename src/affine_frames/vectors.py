@@ -11,8 +11,8 @@ vector once and returns it as a :class:`RegularVector`, which carries the
 The pairing ``dot`` and the matrix product ``@`` are sums of products,
 computed by :func:`poly.sum_of_products` (``@`` pairs rows with columns).  A
 constant linear map runs on integers too: one ``Fraction`` per output
-coefficient.  ``PolyMatrix.shift`` and ``PolyMatrix.linear_map`` act column
-by column.
+coefficient; :meth:`PolyMatrix.linear_map` clears the constant matrix once
+and maps every column, a vector as a one-column matrix.
 
 Polynomial determinants and outer products are evaluated at integer points
 (by :func:`poly.horner`) and interpolated.  A determinant takes one integer
@@ -108,8 +108,7 @@ class PolyVector:
         return PolyVector(-c for c in self.components)
 
     def scale(self, factor) -> "PolyVector":
-        """Multiply every component by a scalar or polynomial."""
-        factor = _as_poly(factor)
+        """Multiply every component by a number or a polynomial."""
         return PolyVector(c * factor for c in self.components)
 
     def shift(self, s: Scalar) -> "PolyVector":
@@ -130,26 +129,9 @@ class PolyVector:
         return PolyVector(c + Fraction(a) for c, a in zip(self, offset))
 
     def linear_map(self, matrix: Sequence[Sequence[Fraction]]) -> "PolyVector":
-        """Left multiplication by a constant matrix.
-
-        The components go over one lcm ``L`` of their denominators and each
-        matrix row over the lcm ``R`` of its own, so each output coefficient
-        is an integer sum divided once by ``R * L``.
-        """
-        if any(len(row) != self.dim for row in matrix):
-            raise ValueError("dimension mismatch")
-        comps, scale = integer_coefficients(self.components)
-        width = max(map(len, comps))
-        rows, row_scales = ratlin.integer_rows(matrix)
-        out = []
-        for row, row_scale in zip(rows, row_scales):
-            acc = [0] * width
-            for x, comp in zip(row, comps):
-                if x:
-                    for k, c in enumerate(comp):
-                        acc[k] += x * c
-            out.append(from_integers(acc, row_scale * scale))
-        return PolyVector(out)
+        """Left multiplication by a constant matrix: the one-column case of
+        :meth:`PolyMatrix.linear_map`."""
+        return PolyMatrix(zip(self.components)).linear_map(matrix).column(0)
 
     def gcd(self) -> Polynomial:
         """Monic gcd of the nonzero components."""
@@ -247,11 +229,30 @@ class PolyMatrix:
         return total
 
     def shift(self, s: Scalar) -> "PolyMatrix":
-        return PolyMatrix.from_columns([c.shift(s) for c in self.columns()])
+        return PolyMatrix([e.shift(s) for e in row] for row in self.rows)
 
     def linear_map(self, matrix: Sequence[Sequence[Fraction]]) -> "PolyMatrix":
-        """Left multiplication by a constant matrix, column by column."""
-        return PolyMatrix.from_columns([c.linear_map(matrix) for c in self.columns()])
+        """Left multiplication by a constant matrix, cleared once per call:
+        each of its rows over the lcm ``R`` of its denominators, each column
+        of ``self`` over the lcm ``L`` of its own, and one division by
+        ``R * L`` per output coefficient."""
+        if any(len(row) != self.nrows for row in matrix):
+            raise ValueError("dimension mismatch")
+        rows, row_scales = ratlin.integer_rows(matrix)
+        columns = []
+        for column in zip(*self.rows):
+            comps, scale = integer_coefficients(column)
+            width = max(map(len, comps))
+            mapped = []
+            for row, row_scale in zip(rows, row_scales):
+                acc = [0] * width
+                for x, comp in zip(row, comps):
+                    if x:
+                        for k, c in enumerate(comp):
+                            acc[k] += x * c
+                mapped.append(from_integers(acc, row_scale * scale))
+            columns.append(mapped)
+        return PolyMatrix(zip(*columns))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):

@@ -352,6 +352,25 @@ def test_verify_sylvester_result(tmp_path, capsys):
     assert "nonpivot_indices_periodic" in names
 
 
+def test_sylvester_of_the_zero_vector_is_rejected(tmp_path, capsys):
+    """Computing and verifying refuse a zero vector with one message, the
+    one `build_sylvester` raises."""
+    zero = write(tmp_path / "zero.json", {"n": 3, "coeffs": [["0"], ["0"], ["0"]]})
+    code, out, err = run(tmp_path, capsys, ["sylvester", "--in", zero])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "vector is zero"}
+    result_path = tmp_path / "syl.json"
+    assert main(["sylvester", "--in", write(tmp_path / "in.json", QUARTIC),
+                 "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    _zero_input(doc)
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "vector is zero"}
+
+
 def test_verify_detects_tampering(tmp_path, capsys):
     infile = write(tmp_path / "vec.json", QUARTIC)
     result_path = tmp_path / "section.json"

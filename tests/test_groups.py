@@ -4,14 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affine_frames import AffineElement, GroupElement, PolyMatrix, ratlin
+from affine_frames import (
+    AffineElement, GroupElement, Polynomial, PolyMatrix, PolyVector, ratlin,
+)
 
 from conftest import (
     p,
+    polynomials_up_to,
     random_affine,
     random_group,
     random_regular_vector,
+    random_unimodular,
     vec,
 )
 
@@ -71,6 +77,64 @@ def test_action_on_matrix():
     acted = g.apply(m)
     assert acted.column(0) == g.apply(m.column(0))
     assert acted.column(1) == g.apply(m.column(1))
+
+
+def rational_unimodular(seed: int, q: Fraction, n: int) -> list[list[Fraction]]:
+    """Shears times diag(1/q, q, 1, ...): rational entries, determinant 1."""
+    if n == 1:
+        return [[Fraction(1)]]
+    diagonal = [1 / q, q] + [1] * (n - 2)
+    shears = random_unimodular(random.Random(seed), n)
+    return [[x * d for x, d in zip(row, diagonal)] for row in shears]
+
+
+def rational_groups(n: int):
+    q = st.fractions(-9, 9, max_denominator=7).filter(bool)
+    matrix = st.builds(rational_unimodular, st.integers(0, 2**32), q, st.just(n))
+    return st.builds(GroupElement, matrix, st.fractions(-6, 6, max_denominator=5))
+
+
+def _apply_reference(g: GroupElement, column: PolyVector) -> PolyVector:
+    """``L . v(t + s)`` as sums of number multiples."""
+    shifted = [c.shift(g.shift) for c in column]
+    return PolyVector(
+        sum((c * x for x, c in zip(row, shifted)), Polynomial.zero())
+        for row in g.matrix
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_action_on_matrix_is_columnwise(data):
+    n = data.draw(st.integers(1, 5), label="n")
+    m = data.draw(st.integers(1, 4), label="m")
+    g = data.draw(rational_groups(n), label="g")
+    target = data.draw(st.lists(
+        st.lists(polynomials_up_to(5), min_size=m, max_size=m),
+        min_size=n, max_size=n,
+    ).map(PolyMatrix), label="target")
+    acted = g.apply(target)
+    assert acted.columns() == [g.apply(col) for col in target.columns()]
+    assert acted.columns() == [_apply_reference(g, col) for col in target.columns()]
+
+
+def test_action_on_matrix_clears_the_group_matrix_once(monkeypatch):
+    rng = random.Random(19)
+    cases = []
+    for n in (2, 3, 4):
+        g = GroupElement(rational_unimodular(n, Fraction(2, 3), n), Fraction(1, 3))
+        frame = PolyMatrix.from_columns([random_regular_vector(rng, n, 5)] * n)
+        cases.append((g, frame))
+    cleared = []
+    integer_rows = ratlin.integer_rows
+    monkeypatch.setattr(
+        ratlin, "integer_rows", lambda rows: cleared.append(len(rows)) or integer_rows(rows)
+    )
+    for g, frame in cases:
+        cleared.clear()
+        acted = g.apply(frame)
+        assert cleared == [g.dim]
+        assert acted.columns() == [_apply_reference(g, c) for c in frame.columns()]
 
 
 def test_affine_compose_inverse():

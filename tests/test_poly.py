@@ -140,6 +140,47 @@ def test_product_matches_fraction_convolution(a, b):
     assert all(type(c) is Fraction for c in prod.coeffs)
 
 
+def sum_reference(a: Polynomial, b: Polynomial, sign: int = 1) -> Polynomial:
+    """``a + sign * b``, coefficient by coefficient."""
+    acc = [Fraction(0)] * max(len(a.coeffs), len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        acc[i] += x
+    for i, y in enumerate(b.coeffs):
+        acc[i] += sign * y
+    return Polynomial(acc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials, polynomials, coefficients)
+def test_sum_and_difference_match_fraction_loops(a, b, c):
+    """``+`` and ``-`` run on the product kernel with unit weights, also
+    with a number on either side."""
+    const = Polynomial.constant(c)
+    cases = [
+        (a + b, sum_reference(a, b)),
+        (a - b, sum_reference(a, b, -1)),
+        (b - a, sum_reference(b, a, -1)),
+        (a + c, sum_reference(a, const)),
+        (c + a, sum_reference(a, const)),
+        (a - c, sum_reference(a, const, -1)),
+        (c - a, sum_reference(const, a, -1)),
+        (a - a, Polynomial.zero()),
+    ]
+    for got, expected in cases:
+        assert got.coeffs == expected.coeffs
+        assert all(type(x) is Fraction for x in got.coeffs)
+
+
+def test_sum_edge_cases():
+    zero = Polynomial.zero()
+    assert (zero + zero).is_zero and (zero - zero).is_zero
+    assert zero - p(1, Fraction(2, 3)) == p(-1, Fraction(-2, 3))
+    # unequal lengths whose top coefficients cancel
+    assert p(1, 2, 3) + p(Fraction(1, 2), 0, -3) == p(Fraction(3, 2), 2)
+    assert p(Fraction(1, 6), Fraction(1, 4)) - p(Fraction(1, 6), Fraction(1, 4)) == zero
+    assert 1 - p(1) == zero and p(0, 1) + Fraction(1, 3) == p(Fraction(1, 3), 1)
+
+
 def test_derivative():
     assert p(1, 2, 3).derivative() == p(2, 6)
     assert p(7).derivative().is_zero

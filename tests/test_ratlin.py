@@ -254,3 +254,26 @@ def test_clearing_denominators_rejects_a_ragged_matrix():
         ratlin.integer_rows([[Fraction(1, 2)], [Fraction(1), Fraction(2, 3)]])
     with pytest.raises(ValueError, match="ragged"):
         ratlin.rank([[Fraction(1), Fraction(2)], [Fraction(1, 3)]])
+
+
+def test_echelon_eliminates_the_given_lists_in_place():
+    work = [[0, 2, 1], [3, 4, 5]]
+    echelon = ratlin.Echelon(work)
+    assert (echelon.pivots, echelon.sign, echelon.last_pivot) == ((0, 1), -1, 6)
+    # the rows were swapped, then the row below the pivot overwritten
+    assert work == [[3, 4, 5], [0, 6, 3]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices())
+def test_fraction_routines_leave_their_input_alone(rows):
+    """The routines on Fractions hand the kernel cleared copies."""
+    lists = [list(row) for row in rows]
+    ratlin.rref(lists)
+    ratlin.rref_with_transform(lists)
+    ratlin.rank(lists)
+    if all(len(row) == len(lists) for row in lists):
+        ratlin.det(lists)
+        if ratlin.det(lists):
+            ratlin.inverse(lists)
+    assert lists == [list(row) for row in rows]

@@ -16,6 +16,7 @@ from affine_frames import (
     RegularVector,
     outer_product,
     pivot_profile,
+    poly,
     ratlin,
     require_regular,
 )
@@ -123,11 +124,19 @@ def dot_reference(v: PolyVector, w: PolyVector) -> Polynomial:
 _ENTRY = st.one_of(st.just(0), coefficients)
 
 
+def _constant_matrix(nrows: int, ncols: int):
+    """Constant matrices with zero rows and zero entries."""
+    row = st.one_of(
+        st.just([0] * ncols), st.lists(_ENTRY, min_size=ncols, max_size=ncols)
+    )
+    return st.lists(row, min_size=nrows, max_size=nrows)
+
+
 def _map_and_vectors(n: int):
-    """Matrices with zero rows and zero entries, and two vectors, for dimension n."""
+    """Maps from dimension n with 1-5 rows, and two vectors of dimension n."""
     vector = st.lists(polynomials, min_size=n, max_size=n).map(PolyVector)
-    row = st.one_of(st.just([0] * n), st.lists(_ENTRY, min_size=n, max_size=n))
-    return st.tuples(st.lists(row, min_size=1, max_size=5), vector, vector)
+    matrix = st.integers(1, 5).flatmap(lambda k: _constant_matrix(k, n))
+    return st.tuples(matrix, vector, vector)
 
 
 @settings(max_examples=60, deadline=None)
@@ -140,6 +149,55 @@ def test_linear_map_and_dot_match_fraction_loops(case):
     assert pairing == dot_reference(v, w)
     for q in (*mapped, pairing):
         assert all(type(c) is Fraction for c in q.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_matrix_linear_map_matches_fraction_loops(data):
+    """A k x n constant map of an n x m polynomial matrix is the Fraction
+    loop on each column, and a vector maps as a one-column matrix."""
+    n, k, m = (data.draw(st.integers(1, 5), label=name) for name in "nkm")
+    matrix = data.draw(_constant_matrix(k, n), label="matrix")
+    target = data.draw(_poly_matrix(n, m), label="target")
+    mapped = target.linear_map(matrix)
+    assert (mapped.nrows, mapped.ncols) == (k, m)
+    assert mapped.columns() == [
+        linear_map_reference(col, matrix) for col in target.columns()
+    ]
+    assert target.column(0).linear_map(matrix) == mapped.column(0)
+    for row in mapped.rows:
+        assert all(type(c) is Fraction for e in row for c in e.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(polynomials, min_size=1, max_size=5).map(PolyVector),
+    st.one_of(st.integers(-9, 9), coefficients, polynomials),
+)
+def test_scale_matches_fraction_loops(v, factor):
+    as_poly = factor if isinstance(factor, Polynomial) else Polynomial.constant(factor)
+    scaled = v.scale(factor)
+    assert scaled == PolyVector(
+        dot_reference(PolyVector([c]), PolyVector([as_poly])) for c in v
+    )
+    for c in scaled:
+        assert all(type(x) is Fraction for x in c.coeffs)
+
+
+def test_scale_by_a_number_skips_the_product_kernel(monkeypatch):
+    calls = []
+
+    def counted(lefts, rights):
+        calls.append(len(lefts))
+        return sum_of_products(lefts, rights)
+
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    v = vec((1, Fraction(2, 3)), (0, 0, 5))
+    for factor in (3, Fraction(-4, 7), 0):
+        assert v.scale(factor) == PolyVector(c * factor for c in v)
+    assert calls == []
+    assert v.scale(p(0, 1)) == vec((0, 1, Fraction(2, 3)), (0, 0, 0, 5))
+    assert calls == [1, 1]
 
 
 def matmul_reference(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
