@@ -79,7 +79,7 @@ def test_action_on_matrix():
     assert acted.column(1) == g.apply(m.column(1))
 
 
-def rational_unimodular(seed: int, q: Fraction, n: int) -> list[list[Fraction]]:
+def _rational_unimodular(seed: int, q: Fraction, n: int) -> list[list[Fraction]]:
     """Shears times diag(1/q, q, 1, ...): rational entries, determinant 1."""
     if n == 1:
         return [[Fraction(1)]]
@@ -88,9 +88,9 @@ def rational_unimodular(seed: int, q: Fraction, n: int) -> list[list[Fraction]]:
     return [[x * d for x, d in zip(row, diagonal)] for row in shears]
 
 
-def rational_groups(n: int):
+def _rational_groups(n: int):
     q = st.fractions(-9, 9, max_denominator=7).filter(bool)
-    matrix = st.builds(rational_unimodular, st.integers(0, 2**32), q, st.just(n))
+    matrix = st.builds(_rational_unimodular, st.integers(0, 2**32), q, st.just(n))
     return st.builds(GroupElement, matrix, st.fractions(-6, 6, max_denominator=5))
 
 
@@ -108,7 +108,7 @@ def _apply_reference(g: GroupElement, column: PolyVector) -> PolyVector:
 def test_action_on_matrix_is_columnwise(data):
     n = data.draw(st.integers(1, 5), label="n")
     m = data.draw(st.integers(1, 4), label="m")
-    g = data.draw(rational_groups(n), label="g")
+    g = data.draw(_rational_groups(n), label="g")
     target = data.draw(st.lists(
         st.lists(polynomials_up_to(5), min_size=m, max_size=m),
         min_size=n, max_size=n,
@@ -122,7 +122,7 @@ def test_action_on_matrix_clears_the_group_matrix_once(monkeypatch):
     rng = random.Random(19)
     cases = []
     for n in (2, 3, 4):
-        g = GroupElement(rational_unimodular(n, Fraction(2, 3), n), Fraction(1, 3))
+        g = GroupElement(_rational_unimodular(n, Fraction(2, 3), n), Fraction(1, 3))
         frame = PolyMatrix.from_columns([random_regular_vector(rng, n, 5)] * n)
         cases.append((g, frame))
     cleared = []
