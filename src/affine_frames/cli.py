@@ -25,15 +25,8 @@ from .io import (
     DocumentError,
     ResultDocument,
     curve_to_dict,
-    dict_to_group,
-    dict_to_matrix,
-    dict_to_vector,
     format_rational,
-    group_to_dict,
-    matrix_to_dict,
     parse_curve_dict,
-    parse_rational,
-    vector_to_dict,
 )
 from .poly import Polynomial
 from .svg import render_plot
@@ -57,12 +50,13 @@ Checks = Iterator[tuple[str, bool]]
 class Command:
     """A command that reads a curve document and writes one result kind.
 
-    ``compute(doc, options)`` returns the result's payload, without the
-    embedded input, and its metadata.  ``verify(doc, payload)`` re-checks
-    every stored payload field against its parsed input and yields
-    ``(check name, passed)``; it raises :class:`DocumentError` before any
-    math when the payload is malformed.  ``flags`` are the command's own
-    on/off switches.
+    ``compute(doc, options)`` returns the result's fields, named as in
+    :data:`io.PAYLOADS`, and its metadata.  ``verify(doc, fields)`` gets
+    every stored payload field, read by that table before any math, so a
+    malformed payload is refused whatever the input; it checks the fields'
+    dimensions, re-checks each against the parsed input and yields
+    ``(check name, passed)``.  ``flags`` are the command's own on/off
+    switches.
     """
 
     kind: str
@@ -72,19 +66,9 @@ class Command:
     flags: tuple[str, ...] = ()
 
 
-def _stored_matrix(payload: dict, doc: CurveDocument, kind: str) -> PolyMatrix:
-    """The payload's matrix, rejected unless it is n x n for the curve."""
-    matrix = dict_to_matrix(payload.get("matrix"))
+def _require_n_by_n(matrix: PolyMatrix, doc: CurveDocument, kind: str) -> None:
     if matrix.nrows != doc.n or matrix.ncols != doc.n:
         raise DocumentError(f"{kind} matrix does not match the curve dimension")
-    return matrix
-
-
-def _stored_int(payload: dict, key: str) -> int:
-    value = payload.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DocumentError(f"{key} must be an integer")
-    return value
 
 
 def _profile_dict(profile) -> dict:
@@ -100,33 +84,22 @@ def _frame(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     if isinstance(tangent, CurveRejection):
         raise CommandRejection("curve rejected", tangent.failures)
     result = moving_frame(tangent)
-    payload = {
-        "matrix": matrix_to_dict(result.matrix),
-        "section": group_to_dict(result.section),
-        "canonical_tangent": vector_to_dict(result.canonical_tangent),
-        "bezout_degree": result.bezout_degree,
-    }
-    return payload, {
+    return vars(result), {
         "degree": int(result.matrix.degree),
         "determinant": "1",
         "tangent_degree": int(tangent.degree),
     }
 
 
-def _verify_frame(doc: CurveDocument, payload: dict) -> Checks:
+def _verify_frame(doc: CurveDocument, fields: dict) -> Checks:
     tangent = validate_curve(doc.vector)
     yield "input_is_generic_curve", not isinstance(tangent, CurveRejection)
     if isinstance(tangent, CurveRejection):
         return
-    stored = _stored_matrix(payload, doc, "frame")
-    result = FrameResult(
-        stored,
-        dict_to_group(payload.get("section")),
-        dict_to_vector(payload.get("canonical_tangent")),
-        _stored_int(payload, "bezout_degree"),
-    )
-    yield "matrix_reproducible", result == moving_frame(tangent)
-    report = verify_completion(stored, tangent)
+    stored = FrameResult(**fields)
+    _require_n_by_n(stored.matrix, doc, "frame")
+    yield "matrix_reproducible", stored == moving_frame(tangent)
+    report = verify_completion(stored.matrix, tangent)
     yield "first_column_is_tangent", report.first_column_matches
     yield "determinant_is_one", report.determinant_one
     yield "degree_is_minimal", report.minimal
@@ -135,57 +108,43 @@ def _verify_frame(doc: CurveDocument, payload: dict) -> Checks:
 def _complete(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     require_regular(doc.vector)
     result = minimal_completion(doc.vector)
-    payload = {
-        "matrix": matrix_to_dict(result.matrix),
-        "bezout_degree": result.bezout_degree,
-    }
-    return payload, {"degree": int(result.matrix.degree), "determinant": "1"}
+    return vars(result), {"degree": int(result.matrix.degree), "determinant": "1"}
 
 
-def _verify_completion(doc: CurveDocument, payload: dict) -> Checks:
-    stored = _stored_matrix(payload, doc, "completion")
-    result = Completion(stored, _stored_int(payload, "bezout_degree"))
-    report = verify_completion(stored, doc.vector)
+def _verify_completion(doc: CurveDocument, fields: dict) -> Checks:
+    stored = Completion(**fields)
+    _require_n_by_n(stored.matrix, doc, "completion")
+    report = verify_completion(stored.matrix, doc.vector)
     yield "first_column_matches", report.first_column_matches
     yield "determinant_is_one", report.determinant_one
     yield "degree_is_minimal", report.minimal
-    yield "matrix_reproducible", result == minimal_completion(doc.vector)
+    yield "matrix_reproducible", stored == minimal_completion(doc.vector)
 
 
 def _bezout(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     require_regular(doc.vector)
-    result = minimal_bezout(doc.vector)
-    payload = {"vector": vector_to_dict(result.vector), "degree": result.degree}
-    return payload, {"pairing": "1"}
+    return vars(minimal_bezout(doc.vector)), {"pairing": "1"}
 
 
-def _verify_bezout(doc: CurveDocument, payload: dict) -> Checks:
-    stored = dict_to_vector(payload.get("vector"))
-    if stored.dim != doc.n:
+def _verify_bezout(doc: CurveDocument, fields: dict) -> Checks:
+    stored = BezoutVector(**fields)
+    if stored.vector.dim != doc.n:
         raise DocumentError("bezout vector does not match the curve dimension")
-    result = BezoutVector(stored, _stored_int(payload, "degree"))
-    yield "pairing_is_one", doc.vector.dot(stored) == Polynomial.one()
-    yield "degree_is_minimal", stored.degree == bezout_degree_search(doc.vector)
-    yield "vector_reproducible", result == minimal_bezout(doc.vector)
+    yield "pairing_is_one", doc.vector.dot(stored.vector) == Polynomial.one()
+    yield "degree_is_minimal", stored.vector.degree == bezout_degree_search(doc.vector)
+    yield "vector_reproducible", stored == minimal_bezout(doc.vector)
 
 
 def _mubasis(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     require_regular(doc.vector)
     result = mu_basis(doc.vector)
     degrees = [int(u.degree) for u in result.elements]
-    payload = {
-        "elements": [vector_to_dict(u) for u in result.elements],
-        "scale": format_rational(result.scale),
-    }
-    return payload, {"degrees": degrees, "degree_sum": sum(degrees)}
+    return vars(result), {"degrees": degrees, "degree_sum": sum(degrees)}
 
 
-def _verify_mubasis(doc: CurveDocument, payload: dict) -> Checks:
-    raw = payload.get("elements", [])
-    if not isinstance(raw, list):
-        raise DocumentError("mubasis elements must be a list")
-    elements = [dict_to_vector(e) for e in raw]
-    scale = parse_rational(payload.get("scale"))
+def _verify_mubasis(doc: CurveDocument, fields: dict) -> Checks:
+    stored = MuBasis(**fields)
+    elements = stored.elements
     if len(elements) != doc.n - 1 or any(u.dim != doc.n for u in elements):
         raise DocumentError("mubasis elements do not match the curve dimension")
     yield "elements_are_syzygies", all(doc.vector.dot(u).is_zero for u in elements)
@@ -194,21 +153,19 @@ def _verify_mubasis(doc: CurveDocument, payload: dict) -> Checks:
     yield "degrees_sum_to_input", sum(degrees) == doc.vector.degree
     yield (
         "outer_product_proportional",
-        outer_product(elements) == doc.vector.scale(scale),
+        outer_product(elements) == doc.vector.scale(stored.scale),
     )
-    yield "basis_reproducible", MuBasis(tuple(elements), scale) == mu_basis(doc.vector)
+    yield "basis_reproducible", stored == mu_basis(doc.vector)
 
 
 def _section(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     v = require_regular(doc.vector)
-    return group_to_dict(section(v)), {"profile": _profile_dict(v.profile)}
+    return vars(section(v)), {"profile": _profile_dict(v.profile)}
 
 
-def _verify_section(doc: CurveDocument, payload: dict) -> Checks:
-    matrix = docio.lists_to_rational_matrix(payload.get("matrix"))
-    shift = parse_rational(payload.get("shift"))
+def _verify_section(doc: CurveDocument, fields: dict) -> Checks:
     try:
-        stored = GroupElement(matrix, shift)
+        stored = GroupElement(**fields)
     except ValueError:
         yield "matrix_is_unimodular", False
         return
@@ -219,67 +176,38 @@ def _verify_section(doc: CurveDocument, payload: dict) -> Checks:
 def _canonical(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     v = require_regular(doc.vector)
     g, reduced = section_and_canonical(v)
-    payload = {"vector": vector_to_dict(reduced), "section": group_to_dict(g)}
     # The group action keeps the pivot profile: the input's is the result's.
-    return payload, {
+    return dict(zip(docio.PAYLOADS["canonical"], (g, reduced))), {
         "degree": int(reduced.degree),
         "profile": _profile_dict(v.profile),
     }
 
 
-def _verify_canonical(doc: CurveDocument, payload: dict) -> Checks:
-    stored = dict_to_vector(payload.get("vector"))
+def _verify_canonical(doc: CurveDocument, fields: dict) -> Checks:
+    g, stored = fields.values()  # in table order, as section_and_canonical returns
     if stored.dim != doc.n:
         raise DocumentError("canonical vector does not match the curve dimension")
-    result = (dict_to_group(payload.get("section")), stored)
-    yield "vector_reproducible", result == section_and_canonical(doc.vector)
+    yield "vector_reproducible", (g, stored) == section_and_canonical(doc.vector)
     yield "shape_constraints_hold", not canonical_shape_violations(stored)
     yield "section_is_identity", section(stored).is_identity()
 
 
 def _sylvester(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     system = build_sylvester(doc.vector)
-    payload = {
-        "matrix": docio.rational_matrix_to_lists(system.matrix),
-        "pivot_cols": list(system.pivot_cols),
-        "nonpivot_cols": list(system.nonpivot_cols),
-        "basic_nonpivot": list(system.basic_nonpivot),
+    fields = {
+        name: getattr(system, name)
+        for name in docio.PAYLOADS["sylvester"]
+        if options.get("dump_pivots") or ("sylvester", name) not in docio.OPTIONAL
     }
-    if options.get("dump_pivots"):
-        payload["reduced"] = docio.rational_matrix_to_lists(system.reduced)
-    return payload, {
-        "rows": system.nrows,
-        "cols": system.ncols,
-        "rank": system.rank,
-    }
+    return fields, {"rows": system.nrows, "cols": system.ncols, "rank": system.rank}
 
 
-def _index_list(payload: dict, key: str) -> tuple[int, ...]:
-    value = payload.get(key)
-    if not isinstance(value, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
-        raise DocumentError(f"sylvester {key} must be a list of integers")
-    return tuple(value)
-
-
-def _verify_sylvester(doc: CurveDocument, payload: dict) -> Checks:
-    pivot_cols, nonpivot_cols, basic_nonpivot = (
-        _index_list(payload, key)
-        for key in ("pivot_cols", "nonpivot_cols", "basic_nonpivot")
-    )
-    stored = docio.lists_to_rational_matrix(payload.get("matrix"))
-    dumped = "reduced" in payload  # written by --dump-pivots only
-    reduced = docio.lists_to_rational_matrix(payload["reduced"]) if dumped else None
+def _verify_sylvester(doc: CurveDocument, fields: dict) -> Checks:
     system = build_sylvester(doc.vector)
-    yield "matrix_reproducible", stored == system.matrix
-    yield (
-        "pivots_reproducible",
-        pivot_cols == system.pivot_cols
-        and nonpivot_cols == system.nonpivot_cols
-        and basic_nonpivot == system.basic_nonpivot
-        and (reduced is None or reduced == system.reduced),
-    )
+    # Each stored field against the system's attribute; the matrix is first.
+    matrix, *pivots = (value == getattr(system, name) for name, value in fields.items())
+    yield "matrix_reproducible", matrix
+    yield "pivots_reproducible", all(pivots)
     nonpivot = set(system.nonpivot_cols)
     periodic = all(
         j + system.n > system.ncols or j + system.n in nonpivot
@@ -328,9 +256,10 @@ def _verify(stored: ResultDocument) -> ResultDocument:
     if command is None:
         raise DocumentError(f"cannot verify a document of kind {stored.kind!r}")
     doc = parse_curve_dict(stored.payload.get("input"))
+    fields = docio.read_payload(stored.kind, stored.payload)
     checks = [
         {"name": name, "passed": bool(passed)}
-        for name, passed in command.verify(doc, stored.payload)
+        for name, passed in command.verify(doc, fields)
     ]
     return ResultDocument(
         kind="verify",
@@ -346,7 +275,8 @@ def _plot(stored: ResultDocument, params_text: str, project_text: str | None) ->
     if stored.kind != "frame":
         raise DocumentError("plot expects a frame result document")
     doc = parse_curve_dict(stored.payload.get("input"))
-    frame = _stored_matrix(stored.payload, doc, "frame")
+    frame = docio.read_field("frame", stored.payload, "matrix")
+    _require_n_by_n(frame, doc, "frame")
     params = docio.parse_param_list(params_text)
     if project_text is not None:
         axes = docio.parse_projection(project_text, doc.n)
@@ -369,7 +299,8 @@ def run_command(command: str, document, **options):
     entry = COMMANDS.get(command)
     if entry is None:
         raise DocumentError(f"unknown command: {command}")
-    payload, metadata = entry.compute(document, options)
+    fields, metadata = entry.compute(document, options)
+    payload = docio.write_payload(entry.kind, fields)
     payload["input"] = curve_to_dict(document)
     return ResultDocument(kind=entry.kind, payload=payload, metadata=metadata)
 

@@ -12,7 +12,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .groups import GroupElement
 from .poly import Polynomial
@@ -21,19 +20,6 @@ from .vectors import PolyMatrix, PolyVector
 # ASCII digits only: ``\d`` would also read other scripts' digits.
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-
-RESULT_KINDS = frozenset(
-    {
-        "frame",
-        "completion",
-        "bezout",
-        "mubasis",
-        "section",
-        "canonical",
-        "sylvester",
-        "verify",
-    }
-)
 
 
 class DocumentError(ValueError):
@@ -131,23 +117,90 @@ def lists_to_rational_matrix(obj) -> tuple[tuple[Fraction, ...], ...]:
     return rows
 
 
+# A group element is laid out as the payload of a ``section`` result.
 def group_to_dict(g: GroupElement) -> dict:
-    return {
-        "matrix": rational_matrix_to_lists(g.matrix),
-        "shift": format_rational(g.shift),
-    }
+    return write_payload("section", vars(g))
 
 
 def dict_to_group(obj) -> GroupElement:
     if not isinstance(obj, dict):
         raise DocumentError("group element must be an object")
     try:
-        return GroupElement(
-            lists_to_rational_matrix(obj.get("matrix")),
-            parse_rational(obj.get("shift")),
-        )
+        return GroupElement(**read_payload("section", obj))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
+
+
+# JSON gives ``int`` and ``bool`` only, so ``type(x) is int`` refuses booleans.
+def _integer(value, kind: str, name: str) -> int:
+    if type(value) is not int:
+        raise DocumentError(f"{name} must be an integer")
+    return value
+
+
+def _index_list(value, kind: str, name: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise DocumentError(f"{kind} {name} must be a list of integers")
+    return tuple(value)
+
+
+def _vector_list(value, kind: str, name: str) -> tuple[PolyVector, ...]:
+    if not isinstance(value, list):
+        raise DocumentError(f"{kind} {name} must be a list")
+    return tuple(dict_to_vector(e) for e in value)
+
+
+# Each io type's writer and its reader of (stored value, kind, field name).
+# The lambdas look each function up when called, so a wrapper rebound over
+# a name of this module, as the benchmark's span recorder does, runs too.
+_IO_TYPES = {
+    "polynomial matrix": (lambda m: matrix_to_dict(m), lambda x, *_: dict_to_matrix(x)),
+    "vector": (lambda v: vector_to_dict(v), lambda x, *_: dict_to_vector(x)),
+    "list of vectors": (lambda vs: [vector_to_dict(v) for v in vs], _vector_list),
+    "group": (lambda g: group_to_dict(g), lambda x, *_: dict_to_group(x)),
+    "rational": (lambda q: format_rational(q), lambda x, *_: parse_rational(x)),
+    "rational matrix": (lambda m: rational_matrix_to_lists(m),
+                        lambda x, *_: lists_to_rational_matrix(x)),
+    "integer": (lambda i: i, _integer),
+    "index list": (list, _index_list),
+}
+
+# Each result kind's payload fields, in order, with their io types.  The
+# names are those of the kind's result type (``FrameResult``, ``Completion``,
+# ``BezoutVector``, ``MuBasis``, ``GroupElement``, ``SylvesterSystem``);
+# ``canonical``, with none, holds the pair ``section_and_canonical`` returns.
+PAYLOADS = {
+    "frame": {"matrix": "polynomial matrix", "section": "group",
+              "canonical_tangent": "vector", "bezout_degree": "integer"},
+    "completion": {"matrix": "polynomial matrix", "bezout_degree": "integer"},
+    "bezout": {"vector": "vector", "degree": "integer"},
+    "mubasis": {"elements": "list of vectors", "scale": "rational"},
+    "section": {"matrix": "rational matrix", "shift": "rational"},
+    "canonical": {"section": "group", "vector": "vector"},
+    "sylvester": {"matrix": "rational matrix", "pivot_cols": "index list",
+                  "nonpivot_cols": "index list", "basic_nonpivot": "index list",
+                  "reduced": "rational matrix"},
+}
+
+# Fields a payload may leave out: ``sylvester --dump-pivots`` alone writes ``reduced``.
+OPTIONAL = frozenset({("sylvester", "reduced")})
+RESULT_KINDS = frozenset({*PAYLOADS, "verify"})
+
+
+def write_payload(kind: str, fields: dict) -> dict:
+    """The payload of a result of ``kind``: each field by its io type's writer."""
+    return {name: _IO_TYPES[PAYLOADS[kind][name]][0](v) for name, v in fields.items()}
+
+
+def read_field(kind: str, payload: dict, name: str):
+    """One stored field, read by its io type; a missing field reads as null."""
+    return _IO_TYPES[PAYLOADS[kind][name]][1](payload.get(name), kind, name)
+
+
+def read_payload(kind: str, payload: dict) -> dict:
+    """Every stored field in table order; an optional one only if present."""
+    names = [n for n in PAYLOADS[kind] if n in payload or (kind, n) not in OPTIONAL]
+    return {name: read_field(kind, payload, name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -171,12 +224,15 @@ def parse_curve_dict(obj) -> CurveDocument:
     return CurveDocument(dict_to_vector(obj, minimum_dim=2), label)
 
 
-def parse_curve(text: str) -> CurveDocument:
+def _load_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
         raise DocumentError(f"invalid JSON: {exc}") from exc
-    return parse_curve_dict(obj)
+
+
+def parse_curve(text: str) -> CurveDocument:
+    return parse_curve_dict(_load_json(text))
 
 
 def curve_to_dict(doc: CurveDocument) -> dict:
@@ -219,11 +275,7 @@ class ResultDocument:
 
     @classmethod
     def from_json(cls, text: str) -> "ResultDocument":
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an int over the digit limit
-            raise DocumentError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(obj)
+        return cls.from_dict(_load_json(text))
 
 
 def parse_param_list(text: str) -> list[Fraction]:

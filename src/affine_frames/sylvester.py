@@ -10,8 +10,9 @@ identities into exact linear algebra.
 
 Column indices of A are 1-based throughout this module to match the usual
 pivot bookkeeping; coefficient-matrix columns elsewhere are 0-based.  The
-accessors on :class:`SylvesterSystem` are the only place both conventions
-meet.
+two conventions meet in :func:`build_sylvester`, in
+:meth:`SylvesterSystem.column`, and in :mod:`bezout`, which puts each
+pivot coordinate at index ``col - 1`` of the stacked coefficients.
 """
 
 from __future__ import annotations
@@ -46,10 +47,7 @@ def flat(values: Sequence[Fraction], n: int, bound: int) -> PolyVector:
         raise ValueError("dimension must be positive")
     if len(values) != n * (bound + 1):
         raise ValueError("stacked length does not match n*(bound+1)")
-    comps = []
-    for i in range(n):
-        comps.append(Polynomial(Fraction(values[j * n + i]) for j in range(bound + 1)))
-    return PolyVector(comps)
+    return PolyVector(Polynomial(values[i::n]) for i in range(n))
 
 
 @dataclass(frozen=True)

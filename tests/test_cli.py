@@ -11,7 +11,7 @@ import pytest
 
 from affine_frames import cli, completion, equivariance, frames, groups, ratlin, vectors
 from affine_frames.cli import main
-from affine_frames.io import format_rational
+from affine_frames.io import PAYLOADS, format_rational, parse_curve_dict
 
 QUINTIC = {
     "n": 3,
@@ -38,6 +38,9 @@ QUARTIC = {
 }
 
 PLANAR = {"n": 2, "coeffs": [["0", "1"], ["0", "0", "0", "1"]]}
+
+# A cubic in dimension 3: not generic, since its degree does not exceed n.
+LOW_DEGREE = {"n": 3, "coeffs": [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]}
 
 # The README's `plot --params 0,1,-1/2 --project 0,1` SVG of the quintic's frame.
 QUINTIC_PLOT_SHA256 = "fb25cc85ffe33f6c69df9e83dab5451102f834a307ddd99ff7e1915d75a77e7b"
@@ -116,10 +119,7 @@ def test_frame_to_stdout(tmp_path, capsys):
 
 
 def test_frame_rejects_low_degree(tmp_path, capsys):
-    infile = write(
-        tmp_path / "cubic.json",
-        {"n": 3, "coeffs": [["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]]},
-    )
+    infile = write(tmp_path / "cubic.json", LOW_DEGREE)
     code, out, err = run(tmp_path, capsys, ["frame", "--in", infile])
     assert code == 2
     body = json.loads(err)
@@ -706,6 +706,24 @@ def test_plot_rejects_bad_axes(tmp_path, capsys):
     assert "axes" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize(
+    "command, source, options",
+    [
+        ("frame", QUINTIC, {}),
+        *((command, QUARTIC, {}) for command in
+          ("complete", "bezout", "mubasis", "section", "canonical", "sylvester")),
+        ("sylvester", QUARTIC, {"dump_pivots": True}),
+    ],
+)
+def test_compute_returns_the_kinds_table_fields(command, source, options):
+    entry = cli.COMMANDS[command]
+    fields, _ = entry.compute(parse_curve_dict(source), options)
+    expected = list(PAYLOADS[entry.kind])
+    if command == "sylvester" and not options:
+        expected.remove("reduced")  # written by --dump-pivots only
+    assert sorted(fields) == sorted(expected)
+
+
 def test_command_kinds_match_result_kinds():
     from affine_frames.cli import COMMANDS
     from affine_frames.io import RESULT_KINDS
@@ -774,6 +792,12 @@ def _matrix_row(value):
     return damage
 
 
+def _low_degree_input_and_garbage_payload(doc):
+    """A non-generic curve: its payload must still be read, and refused."""
+    doc["payload"]["input"] = LOW_DEGREE
+    doc["payload"]["matrix"] = doc["payload"]["section"] = "x"
+
+
 @pytest.mark.parametrize(
     "command, source, damage, message",
     [
@@ -797,6 +821,8 @@ def _matrix_row(value):
         ),
         ("frame", QUINTIC, _zero_column, "has a zero column"),
         ("bezout", QUARTIC, _boolean_degree, "degree must be an integer"),
+        ("frame", QUINTIC, _low_degree_input_and_garbage_payload,
+         "matrix document must be an object"),
     ],
 )
 def test_verify_rejects_malformed_document(tmp_path, capsys, command, source,

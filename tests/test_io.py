@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from affine_frames import GroupElement, PolyMatrix, PolyVector
 from affine_frames.io import (
+    OPTIONAL,
+    PAYLOADS,
     RESULT_KINDS,
     CurveDocument,
     DocumentError,
@@ -27,7 +29,9 @@ from affine_frames.io import (
     parse_projection,
     parse_rational,
     rational_matrix_to_lists,
+    read_payload,
     vector_to_dict,
+    write_payload,
 )
 
 from conftest import coefficients, p, polynomials_up_to, quintic_curve, vec
@@ -332,3 +336,37 @@ def test_result_document_json_roundtrip(case):
     assert _READERS[doc.kind](again.payload) == objects
     assert parse_curve_dict(again.payload["input"]) == curve
 
+
+def _io_values(n):
+    """A strategy for each io type of the payload table, in dimension n."""
+    return {
+        "polynomial matrix": _poly_matrices(n),
+        "vector": _vectors(n),
+        "list of vectors": st.lists(_vectors(n), max_size=3).map(tuple),
+        "group": _groups(n),
+        "rational": coefficients.map(Fraction),
+        "rational matrix": _rational_matrices(n, 2 * n),
+        "integer": st.integers(-(2**80), 2**80),
+        "index list": st.lists(st.integers(0, 60), max_size=6).map(tuple),
+    }
+
+
+@st.composite
+def _payload_fields(draw):
+    """A result kind and objects for its table fields; an optional one or not."""
+    kind = draw(st.sampled_from(sorted(PAYLOADS)))
+    values = _io_values(draw(st.integers(2, 3)))
+    return kind, {
+        name: draw(values[io_type])
+        for name, io_type in PAYLOADS[kind].items()
+        if (kind, name) not in OPTIONAL or draw(st.booleans())
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(_payload_fields())
+def test_payload_fields_json_roundtrip(case):
+    kind, fields = case
+    read = read_payload(kind, _json(write_payload(kind, fields)))
+    assert read == fields
+    assert list(read) == list(fields)  # table order

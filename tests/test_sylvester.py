@@ -138,6 +138,11 @@ def test_flat_golden():
         (1, 4, 7, 10, 13), (2, 5, 8, 11, 14), (3, 6, 9, 12, 15)
     )
     assert flat([1, 0, 0, 0, 0, 0], 3, 1) == vec((1,), (0,), (0,))
+    # int and mixed int / Fraction coefficients give the same vector
+    assert flat(list(range(1, 16)), 3, 4) == flat(h, 3, 4)
+    mixed = flat([1, Fraction(1, 2), 0, -3, Fraction(-7, 5), 2], 2, 2)
+    assert mixed == vec((1, 0, Fraction(-7, 5)), (Fraction(1, 2), -3, 2))
+    assert all(type(c) is Fraction for comp in mixed for c in comp.coeffs)
     with pytest.raises(ValueError):
         flat([1, 2, 3], 2, 1)
 
