@@ -214,7 +214,7 @@ def _verify_sylvester(doc: CurveDocument, fields: dict) -> Checks:
         for j in system.nonpivot_cols
     )
     yield "nonpivot_indices_periodic", periodic
-    if doc.vector.gcd() == Polynomial.one():
+    if doc.vector.is_coprime():
         yield "rank_is_full", system.rank == system.nrows
         yield "basic_nonpivot_count", len(system.basic_nonpivot) == system.n - 1
 

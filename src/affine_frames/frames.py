@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .equivariance import equivariant_completion_with_section
 from .groups import GroupElement
-from .poly import Polynomial
 from .vectors import PolyMatrix, PolyVector, RegularityError, RegularVector, pivot_profile
 
 
@@ -45,7 +44,7 @@ def validate_curve(c: PolyVector) -> RegularVector | CurveRejection:
         failures.append("tangent vector is identically zero")
         failures.append("curve lies in a proper affine subspace")
     else:
-        if tangent.gcd() != Polynomial.one():
+        if not tangent.is_coprime():
             failures.append("tangent vanishes at a parameter value")
         try:
             profile = pivot_profile(tangent)

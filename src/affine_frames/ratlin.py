@@ -23,8 +23,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .poly import clear_denominators
-
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 
@@ -67,12 +65,17 @@ def integer_rows(
     rows: Sequence[Sequence[Fraction]],
 ) -> tuple[list[list[int]], list[int]]:
     """Each row times the lcm of its denominators, and those lcms: the
-    :func:`poly.clear_denominators` of each row."""
+    :func:`poly.clear_denominators` of each row, each entry read once."""
     width = len(rows[0]) if rows else 0
     if any(len(row) != width for row in rows):
         raise ValueError("ragged matrix")
-    cleared = [clear_denominators([row]) for row in rows]
-    return [ints for [ints], _ in cleared], [scale for _, scale in cleared]
+    work, scales = [], []
+    for row in rows:
+        ratios = [x.as_integer_ratio() for x in row]
+        scale = math.lcm(*[den for _, den in ratios])
+        work.append([num * (scale // den) for num, den in ratios])
+        scales.append(scale)
+    return work, scales
 
 
 class Echelon:

@@ -80,8 +80,9 @@ def test_frame_golden(tmp_path, capsys):
 
 
 def test_frame_checks_the_tangent_once(tmp_path, capsys, monkeypatch):
-    """One gcd and one pivot profile of the tangent, and no rank."""
-    calls = {"poly_gcd": 0, "pivot_profile": 0, "rank": 0}
+    """One coprimality check and one pivot profile of the tangent, no rank,
+    and no Euclid: the modular certificate decides the coprime tangent."""
+    calls = {"is_coprime": 0, "poly_gcd": 0, "pivot_profile": 0, "rank": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -89,8 +90,9 @@ def test_frame_checks_the_tangent_once(tmp_path, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    gcd = counting("poly_gcd", vectors.poly_gcd)
-    monkeypatch.setattr(vectors, "poly_gcd", gcd)
+    coprime = counting("is_coprime", vectors.PolyVector.is_coprime)
+    monkeypatch.setattr(vectors.PolyVector, "is_coprime", coprime)
+    monkeypatch.setattr(vectors, "poly_gcd", counting("poly_gcd", vectors.poly_gcd))
     profile = counting("pivot_profile", equivariance.pivot_profile)
     for module in (vectors, frames, equivariance, cli):
         if hasattr(module, "pivot_profile"):
@@ -99,7 +101,7 @@ def test_frame_checks_the_tangent_once(tmp_path, capsys, monkeypatch):
     infile = write(tmp_path / "curve.json", QUINTIC)
     code, out, err = run(tmp_path, capsys, ["frame", "--in", infile])
     assert code == 0, err
-    assert calls == {"poly_gcd": 2, "pivot_profile": 1, "rank": 0}
+    assert calls == {"is_coprime": 1, "poly_gcd": 0, "pivot_profile": 1, "rank": 0}
 
 
 def test_frame_deterministic(tmp_path, capsys):

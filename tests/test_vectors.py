@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
@@ -19,8 +19,10 @@ from affine_frames import (
     poly,
     ratlin,
     require_regular,
+    vectors,
 )
 from affine_frames.poly import sum_of_products
+from affine_frames.vectors import PRIME
 
 from conftest import (
     coefficients, p, polynomials, polynomials_up_to, quartic_tangent, vec,
@@ -250,6 +252,61 @@ def test_gcd_examples():
     assert quartic_tangent().gcd() == p(1)
     with pytest.raises(RegularityError):
         PolyVector([Polynomial.zero(), Polynomial.zero()]).gcd()
+    with pytest.raises(RegularityError):
+        PolyVector([Polynomial.zero(), Polynomial.zero()]).is_coprime()
+
+
+@st.composite
+def coprimality_cases(draw):
+    """1 to 5 rational components, zero ones included, times a planted
+    factor of degree 0-2; the leading coefficients of none, some or all of
+    them are multiples of ``PRIME``, so that the certificate's guard fails.
+    A factor whose own leading coefficient is a multiple of ``PRIME`` loses
+    degree modulo ``PRIME``, which only the guard catches."""
+    n = draw(st.integers(1, 5))
+    factor = Polynomial(
+        draw(st.lists(st.fractions(-9, 9, max_denominator=6), min_size=0, max_size=2))
+        + [draw(st.sampled_from([1, -1, 2, Fraction(1, 3), Fraction(-5, 2), -3 * PRIME]))]
+    )
+    components = []
+    for base in draw(st.lists(polynomials_up_to(5), min_size=n, max_size=n)):
+        if base and draw(st.booleans()):
+            base = Polynomial(base.coeffs[:-1] + (PRIME * draw(st.integers(1, 9)),))
+        components.append(base * factor)
+    return PolyVector(components)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coprimality_cases())
+def test_is_coprime_matches_the_euclid(v):
+    assume(not v.is_zero)
+    assert v.is_coprime() == (v.gcd() == Polynomial.one())
+
+
+def _counting_euclid(monkeypatch) -> list:
+    calls = []
+
+    def euclid(a, b):
+        calls.append(1)
+        return poly.poly_gcd(a, b)
+
+    monkeypatch.setattr(vectors, "poly_gcd", euclid)
+    return calls
+
+
+def test_is_coprime_beyond_the_certificate(monkeypatch):
+    """t and t + PRIME are coprime over Q but share t modulo PRIME."""
+    calls = _counting_euclid(monkeypatch)
+    t = Polynomial.monomial(1)
+    assert PolyVector([t, t + PRIME]).is_coprime()
+    assert calls
+
+
+def test_require_regular_rejects_a_planted_factor(monkeypatch):
+    calls = _counting_euclid(monkeypatch)
+    with pytest.raises(RegularityError, match="components share a nonconstant factor"):
+        require_regular(quartic_tangent().scale(p(-2, 1)))
+    assert calls
 
 
 def test_coefficient_matrix():
