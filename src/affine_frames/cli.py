@@ -305,12 +305,34 @@ def run_command(command: str, document, **options):
     return ResultDocument(kind=entry.kind, payload=payload, metadata=metadata)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Help of every subcommand, in ``--help`` order: the curve commands, then
+# the two that read a stored result.
+SUBCOMMANDS = {name: command.help for name, command in COMMANDS.items()} | {
+    "verify": "re-check all invariants of a stored result",
+    "plot": "SVG drawing of a curve with frame arrows",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; only ``command``'s subparser when it names one.
+
+    ``main`` passes its first argument: a request runs one command, and the
+    other eight subparsers would be most of a small request's fixed cost.
+    Any other ``command`` (``None``, ``-h``, ``--help``, an unknown word)
+    builds every subparser, as the top-level help and the ``invalid choice``
+    and ``required: command`` errors list them all.  A one-subparser parser
+    still prints the top-level usage on an ``unrecognized arguments`` error,
+    so its subparsers metavar spells out every name.  The full parser leaves
+    the metavar unset, since it would also rename ``argument command`` in
+    the ``invalid choice`` error.
+    """
     parser = argparse.ArgumentParser(
         prog="affine-frames",
         description="Minimal-degree moving frames for polynomial curves.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
+    metavar = "{%s}" % ",".join(SUBCOMMANDS) if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     # -h, --in and --out of every command, declared once; -h as argparse
     # declares it, since the subparsers are made without their own.
     common = argparse.ArgumentParser(add_help=False)
@@ -320,18 +342,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--in", dest="infile", required=True, metavar="FILE")
     common.add_argument("--out", dest="outfile", metavar="FILE")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[common], add_help=False)
-
-    for name, command in COMMANDS.items():
-        cmd = add(name, command.help)
-        for flag in command.flags:
+    for name in names:
+        cmd = sub.add_parser(
+            name, help=SUBCOMMANDS[name], parents=[common], add_help=False
+        )
+        for flag in COMMANDS[name].flags if name in COMMANDS else ():
             cmd.add_argument(flag, action="store_true")
-    add("verify", "re-check all invariants of a stored result")
-    plot = add("plot", "SVG drawing of a curve with frame arrows")
-    plot.add_argument("--params", required=True, metavar="LIST")
-    plot.add_argument("--project", metavar="I,J")
+        if name == "plot":
+            cmd.add_argument("--params", required=True, metavar="LIST")
+            cmd.add_argument("--project", metavar="I,J")
     return parser
 
 
@@ -351,7 +370,7 @@ def main(argv=None) -> int:
     if "--params" in argv[:-1]:  # one token, so a leading "-" reads as a value
         i = argv.index("--params")
         argv[i:i + 2] = ["=".join(argv[i:i + 2])]
-    options = vars(build_parser().parse_args(argv))
+    options = vars(build_parser(*argv[:1]).parse_args(argv))
     command = options.pop("command")
     infile, outfile = options.pop("infile"), options.pop("outfile")
     try:

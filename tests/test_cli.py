@@ -1,13 +1,18 @@
 """End-to-end command-line runs via main()."""
 
+import argparse
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from affine_frames import cli, completion, equivariance, frames, groups, ratlin, vectors
 from affine_frames.cli import main
@@ -928,24 +933,74 @@ def test_damaged_documents_never_exit_one(tmp_path, capsys, command, source):
 # Help and usage-error output, exit status and parsed options of the
 # argument parser on 18 command lines, recorded with COLUMNS=80: help of the
 # program and of commands, usage errors, and the abbreviated and joined
-# option forms argparse accepts.
+# option forms argparse accepts.  Each line is parsed as main parses it, by
+# the parser built for its first word.
 PARSER_CASES = json.loads(
     (Path(__file__).parent / "data" / "parser_bytes.json").read_text(encoding="utf-8")
 )
 
 
+def _parse(parser, argv):
+    """Exit status, stdout, stderr and options of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            namespace = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
 @pytest.mark.parametrize(
     "case", PARSER_CASES, ids=lambda case: " ".join(case["argv"]) or "no-arguments"
 )
-def test_parser_output_is_pinned(case, capsys, monkeypatch):
+def test_parser_output_is_pinned(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    code = namespace = None
-    try:
-        namespace = vars(cli.build_parser().parse_args(case["argv"]))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == case["exit"]
-    assert captured.out == case["stdout"]
-    assert captured.err == case["stderr"]
-    assert namespace == case["namespace"]
+    argv = case["argv"]
+    assert _parse(cli.build_parser(*argv[:1]), argv) == (
+        case["exit"], case["stdout"], case["stderr"], case["namespace"]
+    )
+
+
+PARSER_TOKENS = (
+    "-h", "--help", "--in", "--out", "--params", "--params=-1", "--project",
+    "--dump-pivots", "--dump", "--i", "--", "--bogus", "stray", "a",
+)
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.sampled_from(list(cli.SUBCOMMANDS)),
+    st.lists(st.sampled_from(PARSER_TOKENS), max_size=6),
+)
+# An unrecognized argument: the top-level usage, with every command name.
+@example("plot", ["--in", "a", "--params", "stray", "--bogus"])
+def test_one_subparser_parses_as_the_full_parser(monkeypatch, command, tokens):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, *tokens]
+    assert _parse(cli.build_parser(command), argv) == _parse(cli.build_parser(), argv)
+
+
+def test_a_request_builds_one_subparser(tmp_path, capsys, monkeypatch):
+    """A frame request adds only its own subparser; --help adds all nine."""
+    added = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    code, out, err = run(tmp_path, capsys, ["frame", "--in", infile])
+    assert code == 0, err
+    assert added == ["frame"]
+    added.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert added == list(cli.SUBCOMMANDS) and len(added) == 9
