@@ -12,7 +12,9 @@ one ``Fraction`` at the end.  :func:`sum_of_products` is the one kernel for
 ``sum(a_i * b_i)``: ``*`` calls it with one pair, ``+`` and ``-`` with two
 and the unit weights, ``PolyVector.dot`` and ``PolyMatrix.__matmul__`` with
 n.  Multiplying by a number scales each coefficient.  :func:`horner` is the
-integer Horner.
+integer Horner.  :func:`integer_gcd` is the one Euclid, by pseudo-remainders
+on integers, reduced mod a prime or divided by their content; a polynomial
+divides only by a number, and :func:`poly_gcd` is the exact run made monic.
 """
 
 from __future__ import annotations
@@ -135,43 +137,6 @@ class Polynomial:
         if scalar == 0:
             raise ZeroDivisionError("division of polynomial by zero")
         return Polynomial(c / scalar for c in self.coeffs)
-
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dlen = len(other.coeffs)
-        while len(rem) >= dlen:
-            factor = rem[-1] / dlead
-            shift = len(rem) - dlen
-            quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) < dlen:
-                break
-        return Polynomial(quot), Polynomial(rem)
-
-    def __floordiv__(self, other) -> "Polynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        """Division known to leave no remainder; raise if it does."""
-        if len(other.coeffs) == 1:
-            return self / other.coeffs[0]
-        quot, rem = divmod(self, other)
-        if not rem.is_zero:
-            raise ValueError("division is not exact")
-        return quot
 
     def shift(self, s: Scalar) -> "Polynomial":
         """Reparametrized polynomial ``p(t + s)``.
@@ -308,9 +273,53 @@ def _coerce(value) -> Polynomial | None:
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor via the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a % b
-    if a.is_zero:
+    """Monic greatest common divisor: :func:`integer_gcd` of the two
+    polynomials over the lcm of their denominators, divided by its lead."""
+    if a.is_zero and b.is_zero:
         raise ValueError("gcd of zero polynomials is undefined")
-    return a.monic()
+    g = integer_gcd(integer_coefficients([a, b])[0])
+    return from_integers(g, g[-1])
+
+
+def integer_gcd(polys: Sequence[Sequence[int]], modulus: int = 0) -> list[int]:
+    """Gcd of integer polynomials, coefficients lowest power first, by Euclid
+    on pseudo-remainders (Brown 1971); ``[]`` if all are zero.
+
+    Each remainder is reduced mod the prime ``modulus`` if one is given,
+    else divided by its content and given a positive lead, so that the
+    sequence is the primitive remainder sequence over Z and its last term
+    the primitive gcd.  ``[1]`` as soon as a remainder is constant.
+    """
+    g: list[int] = []
+    for f in polys:
+        f = _reduced(list(f), modulus)
+        while f:
+            if len(f) == 1:
+                return [1]
+            g, f = f, _reduced(_pseudo_remainder(g, f), modulus)
+    return g
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """``lead(b)**(deg a - deg b + 1) * a`` mod ``b`` (``a`` itself if its
+    degree is lower), untrimmed, for ``b`` of degree at least one."""
+    lead, tail = b[-1], b[:-1]
+    while len(a) >= len(b):
+        q, cut = a[-1], len(a) - len(b)
+        a = [lead * x for x in a[:cut]] + [
+            lead * x - q * y for x, y in zip(a[cut:-1], tail)
+        ]
+    return a
+
+
+def _reduced(a: list[int], modulus: int) -> list[int]:
+    """``a`` mod ``modulus`` if that is nonzero, else over its content with
+    a positive lead; trailing zeros trimmed."""
+    if modulus:
+        a = [x % modulus for x in a]
+    while a and not a[-1]:
+        a.pop()
+    if a and not modulus:
+        content = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+        a = [x // content for x in a]
+    return a

@@ -25,7 +25,8 @@ modulo the prime ``PRIME``, which does not divide the leading coefficient of
 some component f, proves them coprime over Q, since a primitive common
 factor h divides f in Z[t] (Gauss's lemma), so h mod ``PRIME`` keeps its
 degree and divides every reduced component.  When the certificate cannot
-decide, the exact Euclid of :meth:`PolyVector.gcd` does.
+decide, the exact gcd of :meth:`PolyVector.gcd` does.  Both run the one
+integer Euclid, :func:`poly.integer_gcd`: mod ``PRIME``, then over Z.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence
 from . import ratlin
 from .poly import (
     NEG_INF, Polynomial, Scalar, _coerce, from_integers, horner,
-    integer_coefficients, poly_gcd, sum_of_products,
+    integer_coefficients, integer_gcd, poly_gcd, sum_of_products,
 )
 
 
@@ -158,7 +159,7 @@ class PolyVector:
         """Whether :meth:`gcd` is one: by the certificate of the module
         docstring, else by :meth:`gcd` itself."""
         comps, _ = integer_coefficients([c for c in self.components if not c.is_zero])
-        if any(c[-1] % PRIME for c in comps) and _constant_gcd_mod_prime(comps):
+        if any(c[-1] % PRIME for c in comps) and integer_gcd(comps, PRIME) == [1]:
             return True
         return self.gcd() == Polynomial.one()
 
@@ -173,42 +174,6 @@ class PolyVector:
 
     def evaluate(self, x: Scalar) -> tuple[Fraction, ...]:
         return tuple(c.evaluate(x) for c in self.components)
-
-
-def _constant_gcd_mod_prime(comps: list[list[int]]) -> bool:
-    """Whether integer polynomials, coefficients lowest power first, have a
-    constant gcd modulo ``PRIME``: Euclid over F_p on monic polynomials,
-    highest power first, stopped at the first constant."""
-    g: list[int] = []
-    for comp in comps:
-        f = _monic_mod_prime(comp[::-1])
-        while f:
-            if len(f) == 1:
-                return True
-            g, f = f, _remainder_mod_prime(g, f)
-    return False
-
-
-def _remainder_mod_prime(a: list[int], b: list[int]) -> list[int]:
-    """``a mod b`` over F_p, monic (empty if zero), for monic b of degree at
-    least one; coefficients highest power first."""
-    a, tail, db = list(a), b[1:], len(b) - 1
-    for i in range(len(a) - db):
-        q = a[i] % PRIME
-        if q:
-            a[i + 1:i + 1 + db] = [x - q * y for x, y in zip(a[i + 1:i + 1 + db], tail)]
-    return _monic_mod_prime(a[-db:])
-
-
-def _monic_mod_prime(a: list[int]) -> list[int]:
-    """Integer coefficients, highest power first, reduced mod ``PRIME`` and
-    made monic (empty if all vanish)."""
-    for i, lead in enumerate(a):
-        lead %= PRIME
-        if lead:
-            inverse = pow(lead, -1, PRIME)
-            return [1] + [x * inverse % PRIME for x in a[i + 1:]]
-    return []
 
 
 class PolyMatrix:

@@ -8,8 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import NEG_INF, Polynomial, poly_gcd
+from affine_frames.poly import integer_gcd
 
-from conftest import coefficients, p, polynomials
+from conftest import coefficients, p, polynomials, polynomials_up_to
+
+
+def reference_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by Euclid with Fraction long division."""
+    while b:
+        a, b = b, _remainder(a, b)
+    return a.monic()
+
+
+def _remainder(a: Polynomial, b: Polynomial) -> Polynomial:
+    rem = list(a.coeffs)
+    lead, size = b.leading, len(b.coeffs)
+    while len(rem) >= size:
+        factor, shift = rem[-1] / lead, len(rem) - size
+        for i, c in enumerate(b.coeffs):
+            rem[shift + i] -= factor * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return Polynomial(rem)
 
 
 def test_trailing_zeros_trimmed():
@@ -59,25 +79,6 @@ def test_cancellation_in_sum():
     a = p(1, 0, 2)
     b = p(3, 0, -2)
     assert (a + b).degree == 0
-
-
-def test_divmod_property():
-    rng = random.Random(101)
-    for _ in range(60):
-        num = Polynomial(Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(1, 7)))
-        den = Polynomial(Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(1, 5)))
-        if den.is_zero:
-            continue
-        quo, rem = divmod(num, den)
-        assert quo * den + rem == num
-        assert rem.is_zero or rem.degree < den.degree
-
-
-def test_exact_division():
-    product = p(1, 1) * p(-2, 0, 3)
-    assert product.exact_div(p(1, 1)) == p(-2, 0, 3)
-    with pytest.raises(ValueError, match="not exact"):
-        p(1, 1, 1).exact_div(p(1, 1))
 
 
 def test_shift_golden():
@@ -223,3 +224,46 @@ def test_poly_gcd():
     g = poly_gcd(p(2, 2), p(4, 4))
     assert g == p(1, 1)
     assert g.leading == 1
+
+
+def test_integer_gcd_examples():
+    assert integer_gcd([]) == []
+    assert integer_gcd([[], []]) == []
+    assert integer_gcd([[0, 6, -4]]) == [0, -3, 2]
+    assert integer_gcd([[-2, 0, 2], [2, 4, 2]]) == [1, 1]
+    assert integer_gcd([[0, 0, -4], [0, 6]]) == [0, 1]
+    assert integer_gcd([[5], [0, 1]]) == [1]
+    # t and t + 7 share t modulo 7 only.
+    assert integer_gcd([[0, 1], [7, 1]]) == [1]
+    assert integer_gcd([[0, 1], [7, 1]], 7) == [0, 1]
+
+
+# Integer polynomials with a content of up to 12, and planted factors of
+# degree 0-3 with leading coefficients of either sign.
+integer_polynomials = st.builds(
+    lambda nums, content: Polynomial(content * x for x in nums),
+    st.lists(st.integers(-9, 9), max_size=6),
+    st.integers(-12, 12).filter(bool),
+)
+factors = st.builds(
+    lambda low, lead: Polynomial(low + [lead]),
+    st.lists(st.fractions(-9, 9, max_denominator=6), max_size=3),
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 3), Fraction(-5, 2)]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(polynomials_up_to(6), integer_polynomials),
+    st.one_of(polynomials_up_to(6), integer_polynomials),
+    factors,
+)
+def test_poly_gcd_matches_the_reference(a, b, factor):
+    a, b = a * factor, b * factor
+    if not a and not b:
+        with pytest.raises(ValueError, match="gcd of zero"):
+            poly_gcd(a, b)
+        return
+    g = poly_gcd(a, b)
+    assert g == reference_gcd(a, b)
+    assert not _remainder(g, factor)

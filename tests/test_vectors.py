@@ -1,7 +1,9 @@
 """Polynomial vectors, matrices, and the regularity predicate."""
 
+import math
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,12 +23,13 @@ from affine_frames import (
     require_regular,
     vectors,
 )
-from affine_frames.poly import sum_of_products
+from affine_frames.poly import integer_coefficients, integer_gcd, sum_of_products
 from affine_frames.vectors import PRIME
 
 from conftest import (
     coefficients, p, polynomials, polynomials_up_to, quartic_tangent, vec,
 )
+from test_poly import reference_gcd
 
 
 def test_vector_degree():
@@ -280,7 +283,26 @@ def coprimality_cases(draw):
 @given(coprimality_cases())
 def test_is_coprime_matches_the_euclid(v):
     assume(not v.is_zero)
-    assert v.is_coprime() == (v.gcd() == Polynomial.one())
+    assert v.is_coprime() == (_reference_gcd(v) == Polynomial.one())
+
+
+def _reference_gcd(v: PolyVector) -> Polynomial:
+    return reduce(reference_gcd, [c for c in v if c], Polynomial.zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(coprimality_cases())
+def test_integer_gcd_matches_the_euclid(v):
+    """Over Z the primitive gcd with a positive lead; modulo ``PRIME``, when
+    the guard holds, a gcd of at least its degree, so ``[1]`` proves the
+    components coprime."""
+    assume(not v.is_zero)
+    comps, _ = integer_coefficients([c for c in v if c])
+    exact = integer_gcd(comps)
+    assert exact[-1] > 0 and math.gcd(*exact) == 1
+    assert Polynomial(exact).monic() == _reference_gcd(v)
+    if any(c[-1] % PRIME for c in comps):
+        assert len(integer_gcd(comps, PRIME)) >= len(exact)
 
 
 def _counting_euclid(monkeypatch) -> list:
