@@ -97,20 +97,37 @@ def expected_bezout_degree(system: SylvesterSystem, b: PolyVector) -> int:
 def bezout_degree_search(v: PolyVector) -> int:
     """Smallest degree bound that makes ``v . b = 1`` solvable.
 
-    Brute-force oracle: for e = 0, 1, 2, ... check whether ``A b = e1`` has
-    a solution using only the columns that encode coefficients up to
-    degree e, that is, whether e1 is not a pivot column of ``[A_e | e1]``.
-    It reads only the plain matrix A and the pivots of its own forward
-    eliminations, never a :class:`SylvesterSystem`, so it stays independent
-    of the pivot-supported construction and can certify minimality.
+    Independent oracle: b of degree at most e exists exactly when e1 is in
+    the span of A_e, the columns of A that encode coefficients up to degree
+    e.  For a bound E it runs one forward elimination of ``[A_E | e1]``.  A
+    pivot in the e1 column means no e <= E works.  Otherwise let k be the
+    last row whose e1 entry is nonzero.  Eliminating the first w columns is
+    the same for every prefix, and later steps only combine rows below the
+    r_w pivot rows found by then, invertibly; so e1 is in the span of the
+    first w columns exactly when its column is zero below row r_w, that is
+    when ``pivots[k] < w``, and the minimal degree is ``pivots[k] // n``.
+    The bound runs 0, 1, 3, 7, ..., capped at d.  A pass costs more than
+    linearly in its width, so the passes together cost a small multiple of
+    the last, whose width is about twice the answer's at most; one pass
+    over all of A would cost the full width however small the answer is,
+    and one pass per degree, as many passes as the answer.  The oracle
+    reads only the plain matrix A and its own forward passes, never a
+    :class:`SylvesterSystem`, so it stays independent of the
+    pivot-supported construction and can certify minimality.
     """
     if v.is_zero:
         raise RegularityError("vector is zero")
+    n, d = v.dim, int(v.degree)
     # Row scaling leaves pivots alone, so A is cleared once for every prefix.
     work, _ = ratlin.integer_rows(sylvester_matrix(v))
-    for e in range(int(v.degree) + 1):
-        width = v.dim * (e + 1)
+    bound = 0
+    while True:
+        width = n * (bound + 1)
         augmented = [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
-        if width not in ratlin.Echelon(augmented).pivots:
-            return e
-    raise RegularityError("components share a nonconstant factor")
+        pivots = ratlin.Echelon(augmented).pivots  # eliminates ``augmented``
+        if width not in pivots:
+            k = max(i for i, row in enumerate(augmented) if row[width])
+            return pivots[k] // n
+        if bound == d:
+            raise RegularityError("components share a nonconstant factor")
+        bound = min(2 * bound + 1, d)

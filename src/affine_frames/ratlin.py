@@ -9,7 +9,10 @@ Fractions appear only at the boundary.  A routine clears the denominators
 of each row once (:func:`integer_rows`) and runs the one fraction-free
 kernel, :class:`Echelon`, on the integer rows: a forward elimination to
 row-echelon form, then exact back-substitution of only those columns of the
-reduced form that are read.  ``rank``, ``det`` and pivot lookups stop after
+reduced form that are read.  The forward pass is Bareiss's, except that a
+row with a 0 in the pivot column is not rescaled at that step but once,
+when it is next read; banded matrices such as the Sylvester matrix leave
+most rows idle at most steps.  ``rank``, ``det`` and pivot lookups stop after
 the forward pass; ``rref`` and ``inverse`` back-substitute every column.
 Integer results become Fractions once, at the end.  A caller that stays on
 integers, like the polynomial determinant and outer product, builds its own
@@ -82,15 +85,22 @@ class Echelon:
     """One fraction-free forward elimination, in place, of a list of int lists.
 
     A caller holding Fractions clears them first, with :func:`integer_rows`,
-    and hands over lists it does not read again.  The pivot is the first
-    nonzero entry of the leftmost column that has one, as in textbook
-    elimination.  A step with pivot ``p`` in column ``c`` swaps the pivot
-    row into place and overwrites every row below it, from column ``c``
-    rightwards, by ``(p * row - a * pivot_row) // prev``, where ``a`` is the
-    row's entry in column ``c`` and ``prev`` the previous pivot; a row with
-    ``a == 0`` is still scaled by ``p / prev``.  The division is exact
-    (Bareiss 1968): every entry is a minor of the scaled rows.  No step
-    touches a pivot row again.
+    and hands over lists it does not need again; afterwards they hold the
+    forward rows, the pivot rows in order and then zero rows.  The pivot is
+    the first nonzero entry of the leftmost column that has one, as in
+    textbook elimination.  A step with pivot ``p`` in column ``c`` swaps the pivot
+    row into place and overwrites every row below it whose entry ``a`` in
+    column ``c`` is nonzero, from column ``c`` rightwards, by
+    ``(p * row - a * pivot_row) // prev``, where ``prev`` is the previous
+    pivot.  A row with ``a == 0`` is left alone.  Textbook Bareiss would
+    scale it by ``p / prev``; over the steps that skip a row those factors
+    telescope to ``prev / level``, where ``level`` is the pivot it was last
+    scaled to, so when the row is next read (as the pivot row, or to be
+    eliminated) one ``x * prev // level`` brings it up to date first.  Both
+    divisions are exact (Bareiss 1968): every up-to-date entry is a minor of
+    the scaled rows.  Rows below the last pivot row end all zero, so none is
+    left behind, and the forward rows are the eager loop's, bit for bit.  No
+    step touches a pivot row again.
 
     ``pivots``, ``sign`` (of the row permutation) and ``last_pivot``
     (1 when there is no pivot) come from this pass alone; :meth:`columns`
@@ -101,6 +111,7 @@ class Echelon:
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         pivots: list[int] = []
+        levels = [1] * nrows  # the pivot each row is scaled to
         prev = sign = 1
         for col in range(ncols):
             row = len(pivots)
@@ -111,17 +122,21 @@ class Echelon:
                 continue
             if src != row:
                 rows[row], rows[src] = rows[src], rows[row]
+                levels[row], levels[src] = levels[src], levels[row]
                 sign = -sign
             top = rows[row][col:]
+            if levels[row] != prev:
+                top = rows[row][col:] = [x * prev // levels[row] for x in top]
             p = top[0]
-            for below in rows[row + 1:]:
-                a = below[col]
-                if a:
-                    below[col:] = [
-                        (p * x - a * y) // prev for x, y in zip(below[col:], top)
-                    ]
-                else:
-                    below[col:] = [p * x // prev for x in below[col:]]
+            for i in range(row + 1, nrows):
+                below = rows[i]
+                if below[col]:
+                    tail = below[col:]
+                    if levels[i] != prev:
+                        tail = [x * prev // levels[i] for x in tail]
+                    a = tail[0]
+                    below[col:] = [(p * x - a * y) // prev for x, y in zip(tail, top)]
+                    levels[i] = p
             pivots.append(col)
             prev = p
         self._rows = rows

@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_frames import (
     Polynomial,
+    PolyVector,
     RegularityError,
     bezout_degree_search,
     build_sylvester,
@@ -14,7 +17,9 @@ from affine_frames import (
     mu_basis,
     outer_product,
 )
+from affine_frames import ratlin
 from affine_frames.bezout import expected_bezout_degree
+from affine_frames.sylvester import sylvester_matrix
 
 from conftest import p, random_group, random_regular_vector, vec
 
@@ -155,3 +160,67 @@ def test_bezout_degree_below_last_mu_degree():
         mu = mu_basis(v)
         assert b.degree < mu.elements[-1].degree
     assert minimal_bezout(SEXTIC).degree < mu_basis(SEXTIC).elements[-1].degree
+
+
+def reference_degree_search(v):
+    """The prefix loop: one elimination of ``[A_e | e1]`` for each degree
+    e = 0, 1, 2, ..., stopping at the first whose e1 column is no pivot."""
+    if v.is_zero:
+        raise RegularityError("vector is zero")
+    work, _ = ratlin.integer_rows(sylvester_matrix(v))
+    for e in range(int(v.degree) + 1):
+        width = v.dim * (e + 1)
+        augmented = [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
+        if width not in ratlin.Echelon(augmented).pivots:
+            return e
+    raise RegularityError("components share a nonconstant factor")
+
+
+def _degree_search_outcome(search, v):
+    try:
+        return search(v)
+    except RegularityError as error:
+        return str(error)
+
+
+# (vector, minimal degree): 0, the doubling bounds 2^k - 1 and 2^k, and
+# d - 1, which a generic pair of degree d needs.
+_DEGREE_CASES = [
+    (vec((1,), (0, 1), (0, 0, 1)), 0),
+    (vec((2, 1), (1, 1, 1)), 1),
+    (vec((1, 0, 0, 1), (0, 1, 0, 1)), 2),
+    (SEXTIC, 3),
+    (vec((1, 2, 0, 0, 3), (0, 1, 1, 0, 0, 1)), 4),
+    (vec((0, 1, -1, 1, 2, -2, 2, -1, 1), (-2, -1, 1, 0, -1, 1, -1, -2, 1)), 7),
+    (vec((2, 0, 0, 0, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 0, 0, 0, 0, 1)), 8),
+    (vec((1, 0, 0, 0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 0, 0, 2), (0,)), 7),
+]
+
+
+@pytest.mark.parametrize("v, degree", _DEGREE_CASES)
+def test_degree_search_at_the_doubling_bounds(v, degree):
+    assert reference_degree_search(v) == degree
+    assert bezout_degree_search(v) == degree
+
+
+@st.composite
+def oracle_vectors(draw):
+    """n = 1-5 with rational coefficients and zero components, the zero
+    vector, and vectors times a planted common factor."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+    rows = [draw(st.lists(entry, min_size=d + 1, max_size=d + 1)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        rows[i] = [0]
+    v = PolyVector(Polynomial(row) for row in rows)
+    factor = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+    return v.scale(Polynomial(factor)) if draw(st.booleans()) else v
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle_vectors())
+def test_degree_search_matches_the_prefix_loop(v):
+    """The same degree, or the same message, as one elimination per degree."""
+    expected = _degree_search_outcome(reference_degree_search, v)
+    assert _degree_search_outcome(bezout_degree_search, v) == expected

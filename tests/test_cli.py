@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from affine_frames import cli, completion, equivariance, frames, groups, ratlin, vectors
 from affine_frames.cli import main
-from affine_frames.io import PAYLOADS, format_rational, parse_curve_dict
+from affine_frames.io import PAYLOADS, format_rational, parse_curve_dict, write_payload
 
 QUINTIC = {
     "n": 3,
@@ -641,6 +641,29 @@ def test_verify_frame_with_a_doubled_column(tmp_path, capsys, monkeypatch):
         ("degree_is_minimal", False),
     ]
     assert asked == []
+
+
+def test_verify_a_nonminimal_completion(tmp_path, capsys):
+    """A valid completion of more than the least degree: the frame checks
+    hold, and the degree oracle, which says the least degree, refuses it."""
+    infile = write(tmp_path / "in.json", QUARTIC)
+    result_path = tmp_path / "completion.json"
+    assert main(["complete", "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    inflated = completion.nonminimal_completion(parse_curve_dict(QUARTIC).vector)
+    assert inflated.bezout_degree > doc["payload"]["bezout_degree"]
+    doc["payload"].update(write_payload("completion", vars(inflated)))
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == 2, err
+    checks = [(c["name"], c["passed"]) for c in json.loads(out)["metadata"]["checks"]]
+    assert checks == [
+        ("first_column_matches", True),
+        ("determinant_is_one", True),
+        ("degree_is_minimal", False),
+        ("matrix_reproducible", False),
+    ]
 
 
 def test_plot_planar_defaults_axes(tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_frames import ratlin
+from affine_frames import Polynomial, PolyVector, ratlin
 from affine_frames.poly import clear_denominators
+from affine_frames.sylvester import sylvester_matrix
 
 
 def _eliminate_fractions(work):
@@ -275,3 +276,88 @@ def test_fraction_routines_leave_their_input_alone(rows):
     if all(len(row) == len(lists) for row in lists) and ratlin.det(lists):
         ratlin.inverse(lists)
     assert lists == [list(row) for row in rows]
+
+
+def eager_bareiss(rows):
+    """The textbook Bareiss loop, in place: every row below the pivot is
+    overwritten at every step, a row with a 0 in the pivot column scaled by
+    ``p / prev``.  The reference for the kernel's lazy rescaling."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    prev = sign = 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        src = next((i for i in range(row, nrows) if rows[i][col]), None)
+        if src is None:
+            continue
+        if src != row:
+            rows[row], rows[src] = rows[src], rows[row]
+            sign = -sign
+        top = rows[row][col:]
+        p = top[0]
+        for below in rows[row + 1:]:
+            a = below[col]
+            below[col:] = [(p * x - a * y) // prev for x, y in zip(below[col:], top)]
+        pivots.append(col)
+        prev = p
+    return tuple(pivots), sign, prev
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer rows: cleared random matrices (zero rows, dependent rows,
+    zeros below the diagonal), some negated so pivots take either sign, or
+    a prefix of the banded Sylvester matrix of a vector with e1 appended,
+    as the degree oracle eliminates it."""
+    if draw(st.booleans()):
+        work, _ = ratlin.integer_rows(draw(matrices()))
+        return [[-x for x in row] if draw(st.booleans()) else row for row in work]
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(0, 6))
+    rows = [draw(st.lists(_SMALL, min_size=d + 1, max_size=d + 1)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        rows[i] = [0] * (d + 1)
+    rows[draw(st.integers(0, n - 1))][d] = draw(st.sampled_from((1, 2, 3, -1, -2)))
+    v = PolyVector(Polynomial(row) for row in rows)
+    width = n * draw(st.integers(1, d + 1))
+    work, _ = ratlin.integer_rows(sylvester_matrix(v))
+    return [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
+
+
+def _check_against_eager(work):
+    expected_rows = [list(row) for row in work]
+    expected = eager_bareiss(expected_rows)
+    width = len(work[0]) if work else 0
+    original = ratlin.freeze(work)
+    echelon = ratlin.Echelon(work)
+    assert (echelon.pivots, echelon.sign, echelon.last_pivot) == expected
+    assert work == expected_rows  # the forward rows, bit for bit
+    reduced, _ = _rref_reference(original)
+    d = echelon.last_pivot
+    assert echelon.integer_columns(range(width)) == tuple(
+        tuple(d * row[j] for row in reduced) for j in range(width)
+    )
+
+
+@pytest.mark.parametrize("rows", [
+    # after the swap, the other row is skipped by the first pivot, then
+    # becomes the second pivot row
+    [[0, 2, 1], [3, 4, 5]],
+    # skipped twice, then eliminated at the third pivot
+    [[2, 1, 1, 4], [0, 3, 1, 5], [0, 0, -7, 6], [0, 0, 5, 1]],
+    # a negative pivot, a zero row and a dependent row
+    [[-3, 1, 2], [0, 0, 0], [0, -2, 5], [-6, 0, 9]],
+])
+def test_echelon_matches_eager_bareiss_examples(rows):
+    _check_against_eager(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_echelon_matches_eager_bareiss(work):
+    """Leaving idle rows alone and catching them up when next read gives
+    the eager loop's pivots, sign, last pivot and forward rows."""
+    _check_against_eager(work)
