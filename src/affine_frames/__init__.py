@@ -4,7 +4,6 @@ from .bezout import (
     BezoutVector,
     MuBasis,
     bezout_degree_search,
-    expected_bezout_degree,
     minimal_bezout,
     mu_basis,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "canonical_shape_violations",
     "equivariant_completion",
     "equivariantize",
-    "expected_bezout_degree",
     "flat",
     "linear_section",
     "minimal_bezout",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
 
 from . import ratlin
 from .sylvester import SylvesterSystem, build_sylvester, flat, sylvester_matrix
@@ -83,15 +82,6 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
     if scale == 0 or cross != v.scale(scale):
         raise RegularityError("syzygy basis is not proportional to input")
     return MuBasis(tuple(elements), scale)
-
-
-def expected_bezout_degree(system: SylvesterSystem, b: PolyVector) -> int:
-    """Degree predicted from the last pivotal column carrying a coefficient."""
-    from .sylvester import sharp
-
-    coords = sharp(b, system.d)
-    last = max(j + 1 for j, x in enumerate(coords) if x != 0)
-    return ceil(last / system.n) - 1
 
 
 def bezout_degree_search(v: PolyVector) -> int:

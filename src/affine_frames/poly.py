@@ -272,12 +272,12 @@ def _coerce(value) -> Polynomial | None:
     return None
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor: :func:`integer_gcd` of the two
+def poly_gcd(*polys: Polynomial) -> Polynomial:
+    """Monic greatest common divisor: one :func:`integer_gcd` of all the
     polynomials over the lcm of their denominators, divided by its lead."""
-    if a.is_zero and b.is_zero:
+    g = integer_gcd(integer_coefficients(polys)[0])
+    if not g:
         raise ValueError("gcd of zero polynomials is undefined")
-    g = integer_gcd(integer_coefficients([a, b])[0])
     return from_integers(g, g[-1])
 
 

@@ -59,15 +59,11 @@ def render_plot(
     params: Sequence[Fraction],
     axes: tuple[int, int] = (0, 1),
 ) -> str:
-    """Projected curve polyline with frame-vector arrows at each parameter."""
-    if not params:
-        raise ValueError("at least one parameter value is required")
-    if frame.nrows != curve.dim or frame.ncols != curve.dim:
-        raise ValueError("frame shape does not match the curve")
-    ax, ay = axes
-    if ax == ay or not (0 <= ax < curve.dim and 0 <= ay < curve.dim):
-        raise ValueError("projection axes must be distinct and in range")
+    """Projected curve polyline with frame-vector arrows at each parameter.
 
+    The caller has checked that ``params`` is nonempty, ``frame`` is n x n
+    and ``axes`` are distinct indices below n."""
+    ax, ay = axes
     # The grid lo + i * (hi - lo) / _SAMPLES over one denominator.
     lo = min(params) - 1
     hi = max(params) + 1

@@ -10,9 +10,9 @@ identities into exact linear algebra.
 
 Column indices of A are 1-based throughout this module to match the usual
 pivot bookkeeping; coefficient-matrix columns elsewhere are 0-based.  The
-two conventions meet in :func:`build_sylvester`, in
-:meth:`SylvesterSystem.column`, and in :mod:`bezout`, which puts each
-pivot coordinate at index ``col - 1`` of the stacked coefficients.
+two conventions meet in :func:`build_sylvester` and in :mod:`bezout`, which
+puts each pivot coordinate at index ``col - 1`` of the stacked
+coefficients.
 """
 
 from __future__ import annotations
@@ -96,12 +96,6 @@ class SylvesterSystem:
     def apply(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix-vector product A @ values."""
         return ratlin.mat_vec(self.matrix, [Fraction(x) for x in values])
-
-    def column(self, index: int) -> tuple[Fraction, ...]:
-        """Column by 1-based index."""
-        if not 1 <= index <= self.ncols:
-            raise ValueError("column index out of range")
-        return tuple(row[index - 1] for row in self.matrix)
 
 
 def sylvester_matrix(v: PolyVector) -> ratlin.Matrix:

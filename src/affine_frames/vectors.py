@@ -25,8 +25,9 @@ modulo the prime ``PRIME``, which does not divide the leading coefficient of
 some component f, proves them coprime over Q, since a primitive common
 factor h divides f in Z[t] (Gauss's lemma), so h mod ``PRIME`` keeps its
 degree and divides every reduced component.  When the certificate cannot
-decide, the exact gcd of :meth:`PolyVector.gcd` does.  Both run the one
-integer Euclid, :func:`poly.integer_gcd`: mod ``PRIME``, then over Z.
+decide, the exact gcd of :meth:`PolyVector.gcd`, one :func:`poly.poly_gcd`
+of all the components, does.  Both run the one integer Euclid,
+:func:`poly.integer_gcd`: mod ``PRIME``, then over Z.
 """
 
 from __future__ import annotations
@@ -147,13 +148,9 @@ class PolyVector:
 
     def gcd(self) -> Polynomial:
         """Monic gcd of the nonzero components."""
-        nonzero = [c for c in self.components if not c.is_zero]
-        if not nonzero:
+        if self.is_zero:
             raise RegularityError("gcd of the zero vector is undefined")
-        g = nonzero[0]
-        for c in nonzero[1:]:
-            g = poly_gcd(g, c)
-        return g.monic()
+        return poly_gcd(*self.components)
 
     def is_coprime(self) -> bool:
         """Whether :meth:`gcd` is one: by the certificate of the module

@@ -4,15 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affine_frames import (
     CurveRejection,
     PolyMatrix,
+    Polynomial,
+    PolyVector,
+    RegularityError,
     RegularVector,
     bezout_degree_search,
     moving_frame,
     pivot_profile,
     ratlin,
+    require_regular,
     validate_curve,
 )
 
@@ -58,6 +63,55 @@ def test_validate_rejects_constant_curve():
     assert isinstance(outcome, CurveRejection)
     assert "tangent vector is identically zero" in outcome.failures
     assert "degree does not exceed the dimension" in outcome.failures
+
+
+@st.composite
+def curves_at_the_regularity_boundary(draw):
+    """n from 2 to 4 and degree at most 6: the antiderivative of a random
+    tangent, of one of degree below n (a curve of degree at most n), of one
+    with a planted factor t + a, of one whose last component is a
+    combination of the others, or a constant curve (zero tangent).  A
+    tangent component whose drawn coefficients are all 0 is zero."""
+    n = draw(st.integers(2, 4))
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    kinds = ("random", "random", "short", "planted", "dependent", "zero")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return PolyVector(Polynomial((draw(small),)) for _ in range(n))
+    size = {"short": n, "planted": 5}.get(kind, 6)
+    tangent = [
+        Polynomial(draw(st.lists(small, min_size=1, max_size=size))) for _ in range(n)
+    ]
+    if kind == "planted":
+        factor = Polynomial((draw(small), 1))
+        tangent = [c * factor for c in tangent]
+    elif kind == "dependent":
+        weights = draw(st.lists(small, min_size=n - 1, max_size=n - 1))
+        tangent[-1] = sum((c * w for c, w in zip(tangent, weights)), Polynomial())
+    return PolyVector(
+        Polynomial([draw(small), *(a / (i + 1) for i, a in enumerate(c.coeffs))])
+        for c in tangent
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(curves_at_the_regularity_boundary())
+def test_validate_curve_is_require_regular_of_the_tangent(c):
+    """The curve rule of ``validate_curve`` and the vector rule of
+    ``require_regular`` are one rule: a curve passes exactly when its
+    tangent is regular and its degree exceeds n, with the same profile."""
+    outcome = validate_curve(c)
+    try:
+        regular = require_regular(c.derivative())
+    except RegularityError:
+        regular = None
+    accepted = regular is not None and c.degree > c.dim
+    assert isinstance(outcome, RegularVector) == accepted
+    if accepted:
+        assert outcome.components == regular.components
+        assert outcome.profile == regular.profile
+    else:
+        assert isinstance(outcome, CurveRejection) and outcome.failures
 
 
 def test_tangent_golden():

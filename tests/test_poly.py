@@ -224,6 +224,11 @@ def test_poly_gcd():
     g = poly_gcd(p(2, 2), p(4, 4))
     assert g == p(1, 1)
     assert g.leading == 1
+    # Any number of polynomials, in one run.
+    assert poly_gcd(a, Polynomial.zero(), b, p(3, 3)) == p(1, 1)
+    assert poly_gcd(p(0, 6, -4)) == p(0, Fraction(-3, 2), 1)
+    with pytest.raises(ValueError, match="gcd of zero"):
+        poly_gcd()
 
 
 def test_integer_gcd_examples():

@@ -211,16 +211,6 @@ def test_basic_nonpivot_count():
         assert len(residues) == v.dim - 1
 
 
-def test_column_accessor():
-    sys = build_sylvester(QUARTIC)
-    assert sys.column(1) == tuple(Fraction(r[0]) for r in QUARTIC_MATRIX)
-    assert sys.column(15) == tuple(Fraction(r[14]) for r in QUARTIC_MATRIX)
-    with pytest.raises(ValueError):
-        sys.column(0)
-    with pytest.raises(ValueError):
-        sys.column(16)
-
-
 def sylvester_matrix_reference(v):
     """A placed entry by entry: copy k of the transposed coefficient matrix
     starts at row k and column k*n."""

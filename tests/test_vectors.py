@@ -284,6 +284,7 @@ def coprimality_cases(draw):
 def test_is_coprime_matches_the_euclid(v):
     assume(not v.is_zero)
     assert v.is_coprime() == (_reference_gcd(v) == Polynomial.one())
+    assert v.gcd() == _reference_gcd(v)
 
 
 def _reference_gcd(v: PolyVector) -> Polynomial:
@@ -308,9 +309,9 @@ def test_integer_gcd_matches_the_euclid(v):
 def _counting_euclid(monkeypatch) -> list:
     calls = []
 
-    def euclid(a, b):
+    def euclid(*polys):
         calls.append(1)
-        return poly.poly_gcd(a, b)
+        return poly.poly_gcd(*polys)
 
     monkeypatch.setattr(vectors, "poly_gcd", euclid)
     return calls
