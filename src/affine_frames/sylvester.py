@@ -10,14 +10,14 @@ identities into exact linear algebra.
 
 Column indices of A are 1-based throughout this module to match the usual
 pivot bookkeeping; coefficient-matrix columns elsewhere are 0-based.  The
-two conventions meet in :func:`build_sylvester` and in :mod:`bezout`, which
-puts each pivot coordinate at index ``col - 1`` of the stacked
-coefficients.
+two conventions meet where :class:`SylvesterSystem` reads its forward
+pass and in :mod:`bezout`, which puts each pivot coordinate at index
+``col - 1`` of the stacked coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -52,34 +52,55 @@ def flat(values: Sequence[Fraction], n: int, bound: int) -> PolyVector:
 
 @dataclass(frozen=True)
 class SylvesterSystem:
-    """The matrix A of a vector with its pivot data and reduced columns.
+    """The matrix A of a vector and the forward pass of ``[A | e1]``.
 
-    ``pivot_cols`` are the 1-based indices of columns that are linearly
-    independent of all columns to their left; ``basic_nonpivot`` keeps the
-    first non-pivotal index of each residue class modulo n, and
-    ``reduced_basic`` holds, in the same order, those columns of the
-    reduced row-echelon form of A.  ``reduced_e1`` is the first unit vector
-    e1 carried through the row operations that take ``[A | e1]`` to reduced
-    form: when A has full rank, the vector that holds ``reduced_e1[i]`` at
-    ``pivot_cols[i]`` and zeros elsewhere solves ``A b = e1``.  The rank is
-    ``nrows - deg gcd(v)``, so it is full exactly when the components of v
-    are coprime.  The whole reduced matrix, ``reduced``, is computed on
-    first access; nothing on the Bezout or syzygy path reads it.
+    Every other attribute is read off ``echelon`` on first access, so each
+    reader back-substitutes only the columns it reads.  ``pivot_cols`` are
+    the 1-based indices of columns that are linearly independent of all
+    columns to their left; ``basic_nonpivot`` keeps the first non-pivotal
+    index of each residue class modulo n, and ``reduced_basic`` holds, in
+    the same order, those columns of the reduced row-echelon form of A.
+    ``reduced_e1`` is the first unit vector e1 carried through the row
+    operations that take ``[A | e1]`` to reduced form: when A has full
+    rank, the vector that holds ``reduced_e1[i]`` at ``pivot_cols[i]`` and
+    zeros elsewhere solves ``A b = e1``.  The rank is ``nrows - deg
+    gcd(v)``, so it is full exactly when the components of v are coprime.
+    ``reduced``, the reduced form of A, is the A block of that of
+    ``[A | e1]``: a pivot in the e1 column sits in a row that is zero on A.
     """
 
     n: int
     d: int
     matrix: ratlin.Matrix
-    reduced_e1: ratlin.Vector
-    reduced_basic: tuple[ratlin.Vector, ...]
-    pivot_cols: tuple[int, ...]
-    nonpivot_cols: tuple[int, ...]
-    basic_nonpivot: tuple[int, ...]
+    echelon: ratlin.Echelon = field(compare=False, repr=False)
+
+    @cached_property
+    def pivot_cols(self) -> tuple[int, ...]:
+        return tuple(p + 1 for p in self.echelon.pivots if p < self.ncols)
+
+    @cached_property
+    def nonpivot_cols(self) -> tuple[int, ...]:
+        return tuple(j for j in range(1, self.ncols + 1) if j not in self.pivot_cols)
+
+    @cached_property
+    def basic_nonpivot(self) -> tuple[int, ...]:
+        first: dict[int, int] = {}
+        for j in self.nonpivot_cols:
+            first.setdefault(j % self.n, j)
+        return tuple(first.values())
+
+    @cached_property
+    def reduced_e1(self) -> ratlin.Vector:
+        return self.echelon.columns([self.ncols])[0]
+
+    @cached_property
+    def reduced_basic(self) -> tuple[ratlin.Vector, ...]:
+        return self.echelon.columns(j - 1 for j in self.basic_nonpivot)
 
     @cached_property
     def reduced(self) -> ratlin.Matrix:
         """Reduced row-echelon form of A."""
-        return ratlin.rref(self.matrix)[0]
+        return ratlin.transpose(self.echelon.columns(range(self.ncols)))
 
     @property
     def nrows(self) -> int:
@@ -114,34 +135,12 @@ def sylvester_matrix(v: PolyVector) -> ratlin.Matrix:
 def build_sylvester(v: PolyVector) -> SylvesterSystem:
     """Construct the Sylvester-type system of a nonzero vector.
 
-    One forward elimination of ``[A | e1]``, its denominators cleared once,
-    gives the pivots; only the e1 column and the basic non-pivotal columns
-    are back-substituted.
+    The layout of A and one forward elimination of ``[A | e1]``, its
+    denominators cleared once; no column is back-substituted here.
     """
     matrix = sylvester_matrix(v)
-    n = v.dim
-    ncols = len(matrix[0])
     # A pivot in the e1 column means e1 is not in the span of A.
     echelon = ratlin.Echelon(ratlin.integer_rows(
         [row + (Fraction(i == 0),) for i, row in enumerate(matrix)]
     )[0])
-    pivot_cols = tuple(p + 1 for p in echelon.pivots if p < ncols)
-    nonpivot = tuple(j for j in range(1, ncols + 1) if j not in pivot_cols)
-    seen: set[int] = set()
-    basic = []
-    for j in nonpivot:
-        cls = j % n
-        if cls not in seen:
-            seen.add(cls)
-            basic.append(j)
-    e1, *reduced_basic = echelon.columns([ncols, *(j - 1 for j in basic)])
-    return SylvesterSystem(
-        n=n,
-        d=int(v.degree),
-        matrix=matrix,
-        reduced_e1=e1,
-        reduced_basic=tuple(reduced_basic),
-        pivot_cols=pivot_cols,
-        nonpivot_cols=nonpivot,
-        basic_nonpivot=tuple(basic),
-    )
+    return SylvesterSystem(n=v.dim, d=int(v.degree), matrix=matrix, echelon=echelon)

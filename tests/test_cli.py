@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from affine_frames import cli, completion, equivariance, frames, groups, ratlin, vectors
 from affine_frames.cli import main
-from affine_frames.io import PAYLOADS, format_rational, parse_curve_dict, write_payload
+from affine_frames.io import (
+    PAYLOADS, DocumentError, format_rational, parse_curve_dict, write_payload,
+)
 
 QUINTIC = {
     "n": 3,
@@ -328,6 +330,33 @@ def test_sylvester_dump(tmp_path, capsys):
     assert "reduced" not in json.loads(out)["payload"]
 
 
+def test_sylvester_dump_eliminates_once(tmp_path, capsys, monkeypatch):
+    """`sylvester --dump-pivots` and its verify each run one forward pass and
+    read every reduced column, `reduced` included, off it."""
+    calls = {"echelon": 0, "rref": 0}
+    rref = ratlin.rref
+
+    class CountingEchelon(ratlin.Echelon):
+        def __init__(self, rows):
+            calls["echelon"] += 1
+            super().__init__(rows)
+
+    def counting_rref(rows):
+        calls["rref"] += 1
+        return rref(rows)
+
+    monkeypatch.setattr(ratlin, "Echelon", CountingEchelon)
+    monkeypatch.setattr(ratlin, "rref", counting_rref)
+    infile = write(tmp_path / "vec.json", QUARTIC)
+    outfile = str(tmp_path / "sylvester.json")
+    assert main(["sylvester", "--dump-pivots", "--in", infile, "--out", outfile]) == 0
+    assert "reduced" in json.loads(Path(outfile).read_text(encoding="utf-8"))["payload"]
+    assert calls == {"echelon": 1, "rref": 0}
+    assert main(["verify", "--in", outfile]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["ok"] is True
+    assert calls == {"echelon": 2, "rref": 0}
+
+
 @pytest.mark.parametrize(
     "command", ["frame", "complete", "bezout", "mubasis", "section", "canonical"]
 )
@@ -394,6 +423,39 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert failed == ["section_reproducible"]
 
 
+def _double(value: str) -> str:
+    return format_rational(2 * Fraction(value))
+
+
+def _doubled_first_row(doc):
+    matrix = doc["payload"]["matrix"]
+    matrix[0] = [_double(x) for x in matrix[0]]
+
+
+def _dropped_last_column(doc):
+    doc["payload"]["matrix"] = [row[:-1] for row in doc["payload"]["matrix"]]
+
+
+@pytest.mark.parametrize(
+    "damage", [_doubled_first_row, _dropped_last_column], ids=["det-2", "non-square"]
+)
+def test_verify_section_refuses_a_matrix_outside_the_group(tmp_path, capsys, damage):
+    """A stored section matrix of determinant 2, or not square, is reported
+    as not unimodular, and nothing is compared with a recomputed section."""
+    infile = write(tmp_path / "vec.json", QUARTIC)
+    result_path = tmp_path / "section.json"
+    assert main(["section", "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    damage(doc)
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == 2, err
+    verdict = json.loads(out)["metadata"]
+    assert verdict["ok"] is False
+    assert verdict["checks"] == [{"name": "matrix_is_unimodular", "passed": False}]
+
+
 def test_verify_rejects_unknown_kind(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(
@@ -403,6 +465,19 @@ def test_verify_rejects_unknown_kind(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(bad)])
     assert code == 2
     assert "cannot verify" in json.loads(err)["error"]
+
+
+def test_verify_rejects_a_document_that_is_not_an_object(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]", encoding="utf-8")
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(bad)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "result document must be a JSON object"}
+
+
+def test_run_command_rejects_an_unknown_command():
+    with pytest.raises(DocumentError, match="unknown command: shear"):
+        cli.run_command("shear", parse_curve_dict(QUARTIC))
 
 
 def test_plot_three_dimensional(tmp_path, capsys):

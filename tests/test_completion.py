@@ -223,6 +223,13 @@ def test_nonminimal_completion_errors():
         nonminimal_completion(vec((0, 2), (0, 0, 4)))
 
 
+def test_one_dimensional_vectors_are_refused():
+    with pytest.raises(RegularityError, match="dimension at least 2 required"):
+        quillen_suslin(vec((1,)))
+    with pytest.raises(RegularityError, match="completion needs dimension at least 2"):
+        nonminimal_completion(vec((1,)))
+
+
 def test_one_sylvester_build_per_distinct_vector(monkeypatch):
     built = []
     original = bezout.build_sylvester

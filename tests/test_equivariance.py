@@ -74,6 +74,11 @@ def test_pivot_profile_rejects_dependent_components():
         pivot_profile(vec((0, 1), (0, 2), (1,)))
 
 
+def test_pivot_profile_rejects_the_zero_vector():
+    with pytest.raises(RegularityError, match="vector is zero"):
+        pivot_profile(vec((0,), (0,), (0,)))
+
+
 def _pivot_indices_reference(v):
     """Select columns right to left, keeping those that raise the rank.
 

@@ -13,12 +13,15 @@ from affine_frames import (
     RegularityError,
     build_sylvester,
     flat,
+    minimal_bezout,
+    mu_basis,
     ratlin,
     sharp,
 )
 from affine_frames.sylvester import sylvester_matrix
 
-from conftest import p, polynomials_up_to, random_regular_vector, vec
+from conftest import p, polynomials_up_to, quartic_tangent, random_regular_vector, vec
+from test_ratlin import _rref_with_transform_reference
 
 # quartic with a fully worked elimination; frozen below entry for entry
 QUARTIC = vec((2, 1, 0, 0, 1), (3, 0, 1, 0, 1), (6, 0, 0, 2, 1))
@@ -87,8 +90,9 @@ def shared_factor_vectors(draw):
 
 
 def _check_reduced_data(sys):
-    """The back-substituted columns match the reduced form of [A | I]."""
-    reduced, transform, pivots = ratlin.rref_with_transform(sys.matrix)
+    """The back-substituted columns match the reduced form of [A | I],
+    by Fraction Gauss-Jordan."""
+    reduced, transform, pivots = _rref_with_transform_reference(sys.matrix)
     assert tuple(c - 1 for c in sys.pivot_cols) == pivots
     assert sys.reduced_basic == tuple(
         tuple(row[j - 1] for row in reduced) for j in sys.basic_nonpivot
@@ -119,6 +123,30 @@ def test_reduced_data_of_coprime_vectors():
         sys = build_sylvester(random_regular_vector(rng, max_degree=6))
         assert sys.rank == sys.nrows
         _check_reduced_data(sys)
+
+
+def test_each_reader_back_substitutes_only_what_it_reads(monkeypatch):
+    """The build back-substitutes no column; ``minimal_bezout`` reads the e1
+    column and ``mu_basis`` the n - 1 basic non-pivot ones, each once."""
+    read = []
+    original = ratlin.Echelon.integer_columns
+
+    def counting(self, cols):
+        cols = tuple(cols)
+        read.append((self, cols))
+        return original(self, cols)
+
+    monkeypatch.setattr(ratlin.Echelon, "integer_columns", counting)
+    v = quartic_tangent()
+    sys = build_sylvester(v)
+    assert read == []
+    minimal_bezout(v)
+    assert [cols for _, cols in read] == [(sys.ncols,)]
+    read.clear()
+    mu_basis(v, sys)
+    mu_basis(v, sys)
+    assert sys.basic_nonpivot == (8, 9)
+    assert [cols for echelon, cols in read if echelon is sys.echelon] == [(7, 8)]
 
 
 def test_sharp_golden():
