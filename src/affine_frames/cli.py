@@ -386,11 +386,8 @@ def main(argv=None) -> int:
             return 0
         _emit(result.to_json(), outfile)
         return 0 if command != "verify" or result.metadata["ok"] else 2
-    except CommandRejection as exc:
-        _print_rejection(str(exc), exc.details)
-        return 2
-    except (DocumentError, RegularityError) as exc:
-        _print_rejection(str(exc), ())
+    except (CommandRejection, DocumentError, RegularityError) as exc:
+        _print_rejection(str(exc), getattr(exc, "details", ()))
         return 2
     except (OSError, UnicodeDecodeError) as exc:
         _print_rejection(f"cannot read input: {exc}", ())

@@ -8,9 +8,9 @@ Two actions are used throughout:
   ``(L, a, s) . c = L * c(t + s) + a``.
 
 Determinant-one is validated at construction, in one place: an
-:class:`AffineElement` holds its linear part as a :class:`GroupElement`,
-acts through it and adds the translation.  Invalid matrices are rejected
-rather than normalized.
+:class:`AffineElement` holds its linear part as a :class:`GroupElement`;
+it acts, composes and inverts through it and adds the translation algebra.
+Invalid matrices are rejected rather than normalized.
 """
 
 from __future__ import annotations
@@ -101,25 +101,15 @@ class AffineElement:
         return self.linear_part.dim
 
     def compose(self, other: "AffineElement") -> "AffineElement":
-        return AffineElement(
-            ratlin.mat_mul(self.matrix, other.matrix),
-            tuple(
-                x + y
-                for x, y in zip(
-                    ratlin.mat_vec(self.matrix, other.translation),
-                    self.translation,
-                )
-            ),
-            self.shift + other.shift,
-        )
+        linear = self.linear_part.compose(other.linear_part)
+        moved = ratlin.mat_vec(self.matrix, other.translation)
+        offset = tuple(x + y for x, y in zip(moved, self.translation))
+        return AffineElement(linear.matrix, offset, linear.shift)
 
     def inverse(self) -> "AffineElement":
-        inv = ratlin.inverse(self.matrix)
-        return AffineElement(
-            inv,
-            tuple(-x for x in ratlin.mat_vec(inv, self.translation)),
-            -self.shift,
-        )
+        linear = self.linear_part.inverse()
+        offset = ratlin.mat_vec(linear.matrix, self.translation)
+        return AffineElement(linear.matrix, tuple(-x for x in offset), linear.shift)
 
     def apply(self, curve: PolyVector) -> PolyVector:
         if not isinstance(curve, PolyVector):

@@ -57,7 +57,7 @@ def render_plot(
     curve: PolyVector,
     frame: PolyMatrix,
     params: Sequence[Fraction],
-    axes: tuple[int, int] = (0, 1),
+    axes: tuple[int, int],
 ) -> str:
     """Projected curve polyline with frame-vector arrows at each parameter.
 

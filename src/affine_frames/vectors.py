@@ -14,10 +14,10 @@ constant linear map runs on integers too: one ``Fraction`` per output
 coefficient; :meth:`PolyMatrix.linear_map` clears the constant matrix once
 and maps every column, a vector as a one-column matrix.
 
-Polynomial determinants and outer products are evaluated at integer points
-(by :func:`poly.horner`) and interpolated.  A determinant takes one integer
-:class:`ratlin.Echelon` per point; so does an outer product, which reads
-all n of its signed minors off that one elimination by Cramer's rule.
+Polynomial determinants and outer products share one evaluation loop,
+:func:`_interpolated_minors`: one integer :class:`ratlin.Echelon` per point,
+one interpolation per output.  A determinant reads one value off each
+elimination, an outer product all n signed minors by Cramer's rule.
 
 :meth:`PolyVector.is_coprime` decides unit gcd by a modular certificate
 (Brown 1971): with denominators cleared, a constant gcd of the components
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import ratlin
 from .poly import (
@@ -316,22 +316,18 @@ def _det_interpolate(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
     column, so its degree is at most D, the smaller of the sum of the row
     max-degrees and the sum of the column max-degrees.  That bound holds
     whatever cancels, so the values at the D + 1 points ``0..D`` fix the
-    determinant.  Each row is scaled by the lcm of its coefficient
-    denominators; the values are then determinants of integer matrices,
-    ``sign * last_pivot`` of one :class:`ratlin.Echelon` each (0 below full
-    rank), and :func:`_interpolate` turns them into the polynomial, divided
-    by the product of the row scales.
+    determinant.  :func:`_interpolated_minors` runs the loop; each value is
+    ``sign * last_pivot`` of the point's elimination (0 below full rank).
     """
     bound = _degree_bound(rows)
     if bound == NEG_INF:
         return Polynomial.zero()
-    work, denominator = _scaled_rows(rows)
-    values = []
-    for x in range(bound + 1):
-        echelon = ratlin.Echelon([[horner(e, x) for e in row] for row in work])
-        full = len(echelon.pivots) == len(work)
-        values.append(echelon.sign * echelon.last_pivot if full else 0)
-    return _interpolate(values, denominator)
+
+    def read(echelon: ratlin.Echelon) -> list[int]:
+        full = len(echelon.pivots) == len(rows)
+        return [echelon.sign * echelon.last_pivot if full else 0]
+
+    return _interpolated_minors(rows, bound, read)[0]
 
 
 def _degree_bound(rows: Sequence[Sequence[Polynomial]]) -> int | float:
@@ -343,18 +339,23 @@ def _degree_bound(rows: Sequence[Sequence[Polynomial]]) -> int | float:
     )
 
 
-def _scaled_rows(
-    rows: Sequence[Sequence[Polynomial]],
-) -> tuple[list[list[list[int]]], int]:
-    """Each row over the lcm of its denominators, entries as descending
-    integer coefficient lists for :func:`poly.horner`, and the product of the
-    lcms."""
+def _interpolated_minors(
+    rows: Sequence[Sequence[Polynomial]], bound: int, read: Callable
+) -> list[Polynomial]:
+    """Each row over the lcm of its denominators, one :class:`ratlin.Echelon`
+    of the integer values (by :func:`poly.horner`) at each point ``0..bound``,
+    read into that point's outputs by ``read``; each output is interpolated
+    once and divided by the product of the row scales."""
     work, denominator = [], 1
     for row in rows:
         scaled, scale = integer_coefficients(row)
         work.append([e[::-1] for e in scaled])
         denominator *= scale
-    return work, denominator
+    values = [
+        read(ratlin.Echelon([[horner(e, x) for e in row] for row in work]))
+        for x in range(bound + 1)
+    ]
+    return [_interpolate(column, denominator) for column in zip(*values)]
 
 
 def _interpolate(values: list[int], denominator: int) -> Polynomial:
@@ -387,16 +388,13 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     Component i carries the sign ``(-1)**i`` times the minor that omits row
     i, so ``w.dot(outer_product(us)) == det([w | us])`` columnwise.
 
-    All n minors come from one elimination per point.  Each vector is put
-    over the lcm of its denominators; at an integer point x these integer
-    vectors are the rows of an (n-1) x n matrix U, eliminated once by
-    :class:`ratlin.Echelon`.  Below rank n-1 every minor vanishes at x.
-    Otherwise one column f is not a pivot, and with the last pivot D and
-    the row sign ``sign``, Cramer's rule gives component f as
-    ``(-1)**f * sign * D`` and the component at the pivot column of row r
-    as ``-(-1)**f * sign * (D R)[r, f]``, R the reduced form.  Every
-    component is interpolated on the points ``0..B``, B the largest of the
-    minors' degree bounds.
+    All n minors come from one elimination per point of
+    :func:`_interpolated_minors`, whose rows are the vectors, on the points
+    ``0..B``, B the largest of the minors' degree bounds.  Below rank n-1
+    every minor vanishes.  Otherwise one column f is not a pivot, and with
+    the last pivot D and the row sign ``sign``, Cramer's rule gives
+    component f as ``(-1)**f * sign * D`` and the component at the pivot
+    column of row r as ``-(-1)**f * sign * (D R)[r, f]``, R the reduced form.
     """
     if not vectors:
         raise ValueError("outer product needs at least one vector")
@@ -409,22 +407,19 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     )
     if bound == NEG_INF:
         return PolyVector([Polynomial.zero()] * n)
-    work, denominator = _scaled_rows(rows)
-    values: list[list[int]] = [[] for _ in range(n)]
-    for x in range(bound + 1):
-        echelon = ratlin.Echelon([[horner(e, x) for e in row] for row in work])
-        pivots = echelon.pivots
-        if len(pivots) < n - 1:
-            for column in values:
-                column.append(0)
-            continue
-        (free,) = set(range(n)).difference(pivots)
-        sign = echelon.sign if free % 2 == 0 else -echelon.sign
-        (scaled,) = echelon.integer_columns((free,))
-        values[free].append(sign * echelon.last_pivot)
-        for p, y in zip(pivots, scaled):
-            values[p].append(-sign * y)
-    return PolyVector(_interpolate(column, denominator) for column in values)
+
+    def read(echelon: ratlin.Echelon) -> list[int]:
+        out, pivots = [0] * n, echelon.pivots
+        if len(pivots) == n - 1:
+            (free,) = set(range(n)).difference(pivots)
+            sign = echelon.sign if free % 2 == 0 else -echelon.sign
+            (scaled,) = echelon.integer_columns((free,))
+            out[free] = sign * echelon.last_pivot
+            for p, y in zip(pivots, scaled):
+                out[p] = -sign * y
+        return out
+
+    return PolyVector(_interpolated_minors(rows, bound, read))
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,57 @@ def test_missing_input_file(tmp_path, capsys):
     assert "cannot read input" in json.loads(err)["error"]
 
 
+def _os_error(path, mode):
+    try:
+        open(path, mode, encoding="utf-8").close()
+    except OSError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} opened")
+
+
+@pytest.mark.parametrize(
+    "kind", ["curve", "write", "document", "regularity", "read"]
+)
+def test_rejection_bytes(tmp_path, capsys, kind):
+    """Each kind of rejection writes exactly one JSON object to stderr and
+    exits 2; only a rejected curve carries ``failures``."""
+    quintic = write(tmp_path / "quintic.json", QUINTIC)
+    missing = str(tmp_path / "missing" / "out.json")
+    cases = {
+        "curve": (
+            ["frame", "--in", write(tmp_path / "cubic.json", LOW_DEGREE)],
+            {"error": "curve rejected",
+             "failures": ["degree does not exceed the dimension"]},
+        ),
+        "write": (
+            ["frame", "--in", quintic, "--out", missing],
+            {"error": "cannot write output: " + _os_error(missing, "w")},
+        ),
+        "document": (
+            ["frame", "--in", write(
+                tmp_path / "decimal.json", {"n": 2, "coeffs": [["1.5"], ["0", "1"]]}
+            )],
+            {"error": "not an exact rational: '1.5'"},
+        ),
+        "regularity": (
+            # (t - 1) * (1, t, t^3)
+            ["complete", "--in", write(tmp_path / "planted.json", {
+                "n": 3,
+                "coeffs": [["-1", "1"], ["0", "-1", "1"], ["0", "0", "0", "-1", "1"]],
+            })],
+            {"error": "components share a nonconstant factor"},
+        ),
+        "read": (
+            ["frame", "--in", missing],
+            {"error": "cannot read input: " + _os_error(missing, "r")},
+        ),
+    }
+    argv, body = cases[kind]
+    code, out, err = run(tmp_path, capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == json.dumps(body, sort_keys=True) + "\n"
+
+
 def test_rejects_non_utf8_input(tmp_path, capsys):
     infile = tmp_path / "curve.json"
     infile.write_bytes(b'{"n": 2, "coeffs": [["\xff"], ["1"]]}')

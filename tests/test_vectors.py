@@ -16,6 +16,7 @@ from affine_frames import (
     PolyVector,
     RegularityError,
     RegularVector,
+    frames,
     outer_product,
     pivot_profile,
     poly,
@@ -27,7 +28,8 @@ from affine_frames.poly import integer_coefficients, integer_gcd, sum_of_product
 from affine_frames.vectors import PRIME
 
 from conftest import (
-    coefficients, p, polynomials, polynomials_up_to, quartic_tangent, vec,
+    coefficients, p, polynomials, polynomials_up_to, quartic_tangent,
+    quintic_curve, vec,
 )
 from test_poly import reference_gcd
 
@@ -659,6 +661,32 @@ def test_outer_product_one_elimination_per_point(monkeypatch):
     outer_product([u1, u2])
     assert made[2] == (0,)
     assert made[0] == (1, 2)
+
+
+def test_minors_share_one_evaluation_loop(monkeypatch):
+    """The determinant and the outer product of the golden quintic's frame
+    run one elimination per point and interpolate each output once."""
+    calls = {"echelon": 0, "interpolate": 0}
+    interpolate = vectors._interpolate
+
+    class Counted(ratlin.Echelon):
+        def __init__(self, rows):
+            calls["echelon"] += 1
+            super().__init__(rows)
+
+    def counted_interpolate(values, denominator):
+        calls["interpolate"] += 1
+        return interpolate(values, denominator)
+
+    frame = frames.moving_frame(frames.validate_curve(quintic_curve())).matrix
+    monkeypatch.setattr(ratlin, "Echelon", Counted)
+    monkeypatch.setattr(vectors, "_interpolate", counted_interpolate)
+    assert frame.determinant() == Polynomial.one()
+    assert calls == {"echelon": _degree_bound(frame.rows) + 1, "interpolate": 1}
+    calls.update(echelon=0, interpolate=0)
+    us = frame.columns()[1:]
+    assert frame.column(0).dot(outer_product(us)) == Polynomial.one()
+    assert calls == {"echelon": _grid_bound(us) + 1, "interpolate": 3}
 
 
 def test_require_regular():
