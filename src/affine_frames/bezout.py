@@ -73,8 +73,7 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
         coords = [Fraction(0)] * sys.ncols
         coords[col - 1] = Fraction(1)
         for prow, pcol in enumerate(sys.pivot_cols):
-            if pcol < col:
-                coords[pcol - 1] = -reduced[prow]
+            coords[pcol - 1] = -reduced[prow]
         elements.append(flat(coords, sys.n, sys.d))
     cross = outer_product(elements)
     a, c = next((a, c) for a, c in zip(v, cross) if not a.is_zero)
@@ -108,8 +107,8 @@ def bezout_degree_search(v: PolyVector) -> int:
     if v.is_zero:
         raise RegularityError("vector is zero")
     n, d = v.dim, int(v.degree)
-    # Row scaling leaves pivots alone, so A is cleared once for every prefix.
-    work, _ = ratlin.integer_rows(sylvester_matrix(v))
+    # Scaling leaves pivots alone, so A is cleared once for every prefix.
+    work, _ = ratlin.clear_denominators(sylvester_matrix(v))
     bound = 0
     while True:
         width = n * (bound + 1)

@@ -55,15 +55,13 @@ class Command:
     every stored payload field, read by that table before any math, so a
     malformed payload is refused whatever the input; it checks the fields'
     dimensions, re-checks each against the parsed input and yields
-    ``(check name, passed)``.  ``flags`` are the command's own on/off
-    switches.
+    ``(check name, passed)``.
     """
 
     kind: str
     help: str
     compute: Callable[[CurveDocument, dict], tuple[dict, dict]]
     verify: Callable[[CurveDocument, dict], Checks]
-    flags: tuple[str, ...] = ()
 
 
 def _require_n_by_n(matrix: PolyMatrix, doc: CurveDocument, kind: str) -> None:
@@ -246,7 +244,7 @@ COMMANDS = {
     ),
     "sylvester": Command(
         "sylvester", "Sylvester-type matrix with pivot data",
-        _sylvester, _verify_sylvester, flags=("--dump-pivots",),
+        _sylvester, _verify_sylvester,
     ),
 }
 
@@ -346,8 +344,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         cmd = sub.add_parser(
             name, help=SUBCOMMANDS[name], parents=[common], add_help=False
         )
-        for flag in COMMANDS[name].flags if name in COMMANDS else ():
-            cmd.add_argument(flag, action="store_true")
+        if name == "sylvester":
+            cmd.add_argument("--dump-pivots", action="store_true")
         if name == "plot":
             cmd.add_argument("--params", required=True, metavar="LIST")
             cmd.add_argument("--project", metavar="I,J")

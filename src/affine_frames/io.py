@@ -69,7 +69,7 @@ def dict_to_vector(obj, minimum_dim: int = 1) -> PolyVector:
     if not isinstance(coeffs, list) or not coeffs:
         raise DocumentError("missing coefficient rows")
     n = obj.get("n", len(coeffs))
-    if not isinstance(n, int) or n != len(coeffs):
+    if type(n) is not int or n != len(coeffs):
         raise DocumentError("n does not match the number of rows")
     if n < minimum_dim:
         raise DocumentError(f"dimension must be at least {minimum_dim}")
@@ -90,9 +90,9 @@ def dict_to_matrix(obj) -> PolyMatrix:
     entries = obj.get("entries")
     if not isinstance(entries, list) or not entries:
         raise DocumentError("missing matrix entries")
-    if obj.get("rows") != len(entries) or any(
-        not isinstance(row, list) or len(row) != obj.get("cols")
-        for row in entries
+    rows, cols = obj.get("rows"), obj.get("cols")
+    if type(rows) is not int or type(cols) is not int or rows != len(entries) or any(
+        not isinstance(row, list) or len(row) != cols for row in entries
     ):
         raise DocumentError("matrix shape does not match entries")
     return PolyMatrix(

@@ -6,9 +6,10 @@ The zero polynomial has degree ``NEG_INF``, a sentinel that behaves
 absorbingly under ``max`` and addition, never an integer.
 
 Sums, products, pairings and the Taylor shift run on integers: coefficients
-go over the lcm of their denominators (:func:`clear_denominators`), the
-inner loops multiply and add integers, and each output coefficient becomes
-one ``Fraction`` at the end.  :func:`sum_of_products` is the one kernel for
+go over the lcm of their denominators (:func:`ratlin.clear_denominators`,
+the one clearing helper, which every elimination uses too), the inner loops
+multiply and add integers, and each output coefficient becomes one
+``Fraction`` at the end.  :func:`sum_of_products` is the one kernel for
 ``sum(a_i * b_i)``: ``*`` calls it with one pair, ``+`` and ``-`` with two
 and the unit weights, ``PolyVector.dot`` and ``PolyMatrix.__matmul__`` with
 n.  Multiplying by a number scales each coefficient.  :func:`horner` is the
@@ -22,6 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from .ratlin import clear_denominators
 
 NEG_INF = float("-inf")
 
@@ -207,16 +210,6 @@ class Polynomial:
 
 _PLUS = (Polynomial.one(), Polynomial.one())
 _MINUS = (Polynomial.one(), Polynomial.constant(-1))
-
-
-def clear_denominators(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """Each row times ``L``, and ``L``: the lcm of all their denominators."""
-    scale = math.lcm(*(x.denominator for row in rows for x in row))
-    if scale == 1:
-        return [[x.numerator for x in row] for row in rows], 1
-    return [
-        [x.numerator * (scale // x.denominator) for x in row] for row in rows
-    ], scale
 
 
 def integer_coefficients(polys: Sequence[Polynomial]) -> tuple[list[list[int]], int]:

@@ -5,19 +5,20 @@ on them is pure (inputs are never mutated) and deterministic: elimination
 always takes the leftmost column with a nonzero entry as the next pivot, so
 reduced forms and everything read off them are reproducible bit for bit.
 
-Fractions appear only at the boundary.  A routine clears the denominators
-of each row once (:func:`integer_rows`) and runs the one fraction-free
-kernel, :class:`Echelon`, on the integer rows: a forward elimination to
-row-echelon form, then exact back-substitution of only those columns of the
-reduced form that are read.  The forward pass is Bareiss's, except that a
-row with a 0 in the pivot column is not rescaled at that step but once,
-when it is next read; banded matrices such as the Sylvester matrix leave
-most rows idle at most steps.  ``rank``, ``det`` and pivot lookups stop after
-the forward pass; ``rref`` and ``inverse`` back-substitute every column.
-Integer results become Fractions once, at the end.  A caller that stays on
-integers, like the polynomial determinant and outer product, builds its own
-:class:`Echelon` and reads the back-substituted columns scaled by the last
-pivot, as integers.
+Fractions appear only at the boundary.  A routine puts its whole matrix
+over one lcm ``L`` of its denominators (:func:`clear_denominators`), which
+leaves pivots and the reduced form alone and scales an n x n determinant
+by ``L**n``, and runs the one fraction-free kernel, :class:`Echelon`, on
+the integer rows: a forward elimination to row-echelon form, then exact
+back-substitution of only those columns of the reduced form that are read.
+The forward pass is Bareiss's, except that a row with a 0 in the pivot
+column is not rescaled at that step but once, when it is next read; banded
+matrices such as the Sylvester matrix leave most rows idle at most steps.
+``rank``, ``det`` and pivot lookups stop after the forward pass; ``rref``
+and ``inverse`` back-substitute every column.  Integer results become
+Fractions once, at the end.  A caller that stays on integers, like the
+polynomial determinant and outer product, builds its own :class:`Echelon`
+and reads the back-substituted columns scaled by the last pivot, as integers.
 """
 
 from __future__ import annotations
@@ -64,33 +65,29 @@ def mat_vec(a: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
     return tuple(sum(c * v for c, v in zip(row, x)) for row in a)
 
 
-def integer_rows(
-    rows: Sequence[Sequence[Fraction]],
-) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, and those lcms: the
-    :func:`poly.clear_denominators` of each row, each entry read once."""
-    width = len(rows[0]) if rows else 0
-    if any(len(row) != width for row in rows):
-        raise ValueError("ragged matrix")
-    work, scales = [], []
-    for row in rows:
-        ratios = [x.as_integer_ratio() for x in row]
-        scale = math.lcm(*[den for _, den in ratios])
-        work.append([num * (scale // den) for num, den in ratios])
-        scales.append(scale)
-    return work, scales
+def clear_denominators(
+    rows: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[list[int]], int]:
+    """Each row times ``L``, and ``L``: the lcm of all their denominators."""
+    scale = math.lcm(*(x.denominator for row in rows for x in row))
+    if scale == 1:
+        return [[x.numerator for x in row] for row in rows], 1
+    return [
+        [x.numerator * (scale // x.denominator) for x in row] for row in rows
+    ], scale
 
 
 class Echelon:
     """One fraction-free forward elimination, in place, of a list of int lists.
 
-    A caller holding Fractions clears them first, with :func:`integer_rows`,
-    and hands over lists it does not need again; afterwards they hold the
-    forward rows, the pivot rows in order and then zero rows.  The pivot is
-    the first nonzero entry of the leftmost column that has one, as in
-    textbook elimination.  A step with pivot ``p`` in column ``c`` swaps the pivot
-    row into place and overwrites every row below it whose entry ``a`` in
-    column ``c`` is nonzero, from column ``c`` rightwards, by
+    A caller holding Fractions puts the whole matrix over one lcm first,
+    with :func:`clear_denominators`, and hands over lists it does not need
+    again (rows of unequal length raise ``ValueError``); afterwards they
+    hold the forward rows, the pivot rows in order and then zero rows.  The
+    pivot is the first nonzero entry of the leftmost column that has one, as
+    in textbook elimination.  A step with pivot ``p`` in column ``c`` swaps
+    the pivot row into place and overwrites every row below it whose entry
+    ``a`` in column ``c`` is nonzero, from column ``c`` rightwards, by
     ``(p * row - a * pivot_row) // prev``, where ``prev`` is the previous
     pivot.  A row with ``a == 0`` is left alone.  Textbook Bareiss would
     scale it by ``p / prev``; over the steps that skip a row those factors
@@ -110,6 +107,8 @@ class Echelon:
     def __init__(self, rows: list[list[int]]):
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged matrix")
         pivots: list[int] = []
         levels = [1] * nrows  # the pivot each row is scaled to
         prev = sign = 1
@@ -203,7 +202,7 @@ def _rows_of(columns: tuple[Vector, ...], nrows: int) -> Matrix:
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and 0-based pivot column indices."""
-    echelon = Echelon(integer_rows(rows)[0])
+    echelon = Echelon(clear_denominators(rows)[0])
     width = len(rows[0]) if rows else 0
     return _rows_of(echelon.columns(range(width)), len(rows)), echelon.pivots
 
@@ -219,7 +218,7 @@ def rref_with_transform(
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     unit = (_ZERO,) * nrows
-    echelon = Echelon(integer_rows([
+    echelon = Echelon(clear_denominators([
         (*row, *unit[:i], _ONE, *unit[i + 1:]) for i, row in enumerate(rows)
     ])[0])
     columns = echelon.columns(range(ncols + nrows))
@@ -231,7 +230,7 @@ def rref_with_transform(
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(Echelon(integer_rows(rows)[0]).pivots)
+    return len(Echelon(clear_denominators(rows)[0]).pivots)
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
@@ -239,11 +238,11 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
-    work, scales = integer_rows(rows)
+    work, scale = clear_denominators(rows)
     echelon = Echelon(work)
     if len(echelon.pivots) < n:
         return _ZERO
-    return Fraction(echelon.sign * echelon.last_pivot, math.prod(scales))
+    return Fraction(echelon.sign * echelon.last_pivot, scale**n)
 
 
 def inverse(rows: Sequence[Sequence[Fraction]]) -> Matrix:

@@ -16,7 +16,8 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, clear_denominators, horner, integer_coefficients
+from .poly import Polynomial, horner, integer_coefficients
+from .ratlin import clear_denominators
 from .vectors import PolyMatrix, PolyVector
 
 _PALETTE = ("#c0392b", "#2980b9", "#27ae60", "#8e44ad", "#d35400", "#16a085")

@@ -114,10 +114,6 @@ class SylvesterSystem:
     def rank(self) -> int:
         return len(self.pivot_cols)
 
-    def apply(self, values: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Matrix-vector product A @ values."""
-        return ratlin.mat_vec(self.matrix, [Fraction(x) for x in values])
-
 
 def sylvester_matrix(v: PolyVector) -> ratlin.Matrix:
     """The matrix A of a nonzero vector, with no elimination."""
@@ -140,7 +136,7 @@ def build_sylvester(v: PolyVector) -> SylvesterSystem:
     """
     matrix = sylvester_matrix(v)
     # A pivot in the e1 column means e1 is not in the span of A.
-    echelon = ratlin.Echelon(ratlin.integer_rows(
+    echelon = ratlin.Echelon(ratlin.clear_denominators(
         [row + (Fraction(i == 0),) for i, row in enumerate(matrix)]
     )[0])
     return SylvesterSystem(n=v.dim, d=int(v.degree), matrix=matrix, echelon=echelon)

@@ -32,7 +32,6 @@ of all the components, does.  Both run the one integer Euclid,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -250,24 +249,24 @@ class PolyMatrix:
 
     def linear_map(self, matrix: Sequence[Sequence[Fraction]]) -> "PolyMatrix":
         """Left multiplication by a constant matrix, cleared once per call:
-        each of its rows over the lcm ``R`` of its denominators, each column
-        of ``self`` over the lcm ``L`` of its own, and one division by
-        ``R * L`` per output coefficient."""
+        the matrix over the lcm ``R`` of its denominators, each column of
+        ``self`` over the lcm ``L`` of its own, and one division by ``R * L``
+        per output coefficient."""
         if any(len(row) != self.nrows for row in matrix):
             raise ValueError("dimension mismatch")
-        rows, row_scales = ratlin.integer_rows(matrix)
+        rows, matrix_scale = ratlin.clear_denominators(matrix)
         columns = []
         for column in zip(*self.rows):
             comps, scale = integer_coefficients(column)
             width = max(map(len, comps))
             mapped = []
-            for row, row_scale in zip(rows, row_scales):
+            for row in rows:
                 acc = [0] * width
                 for x, comp in zip(row, comps):
                     if x:
                         for k, c in enumerate(comp):
                             acc[k] += x * c
-                mapped.append(from_integers(acc, row_scale * scale))
+                mapped.append(from_integers(acc, matrix_scale * scale))
             columns.append(mapped)
         return PolyMatrix(zip(*columns))
 
@@ -454,14 +453,16 @@ def pivot_profile(v: PolyVector) -> PivotProfile:
     if v.is_zero:
         raise RegularityError("vector is zero")
     d, n = int(v.degree), v.dim
-    work, scales = ratlin.integer_rows([row[::-1] for row in v.coefficient_matrix()])
+    work, scale = ratlin.clear_denominators(
+        [row[::-1] for row in v.coefficient_matrix()]
+    )
     echelon = ratlin.Echelon(work)
     if len(echelon.pivots) < n:
         raise RegularityError("components are linearly dependent")
     indices = tuple(d - p for p in reversed(echelon.pivots))
     k = max(set(range(d + 1)) - set(indices), default=-1)
     sign = echelon.sign * (-1) ** (n * (n - 1) // 2)
-    det_vbar = Fraction(sign * echelon.last_pivot, math.prod(scales))
+    det_vbar = Fraction(sign * echelon.last_pivot, scale**n)
     return PivotProfile(indices, k, det_vbar)
 
 

@@ -165,7 +165,7 @@ def reference_degree_search(v):
     e = 0, 1, 2, ..., stopping at the first whose e1 column is no pivot."""
     if v.is_zero:
         raise RegularityError("vector is zero")
-    work, _ = ratlin.integer_rows(sylvester_matrix(v))
+    work, _ = ratlin.clear_denominators(sylvester_matrix(v))
     for e in range(int(v.degree) + 1):
         width = v.dim * (e + 1)
         augmented = [row[:width] + [int(i == 0)] for i, row in enumerate(work)]

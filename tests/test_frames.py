@@ -200,3 +200,37 @@ def test_pointwise_unit_volume():
     frame = moving_frame(validate_curve(quintic_curve()))
     for t0 in (Fraction(0), Fraction(1), Fraction(-2), Fraction(3, 7)):
         assert ratlin.det(frame.matrix.evaluate(t0)) == 1
+
+
+def _rational_curve(rng, n):
+    """Generic curve of degree n + 1 to n + 3 whose coefficients are p/q
+    with |p| and q below 2**8."""
+    while True:
+        degree = rng.randint(n + 1, n + 3)
+        curve = PolyVector(
+            Polynomial(
+                Fraction(rng.randint(-255, 255), rng.randint(1, 255))
+                for _ in range(degree + 1)
+            )
+            for _ in range(n)
+        )
+        if isinstance(validate_curve(curve), RegularVector):
+            return curve
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4, 5)), st.booleans())
+def test_frame_is_equivariant_and_minimal_in_dimensions_2_to_5(seed, n, rational):
+    rng = random.Random(seed)
+    if rational:
+        curve = _rational_curve(rng, n)
+    else:
+        curve = random_generic_curve(rng, n, max_degree=n + 3)
+    a = random_affine(rng, n)
+    tangent = validate_curve(curve)
+    frame = moving_frame(tangent)
+    moved = moving_frame(validate_curve(a.apply(curve)))
+    assert moved.matrix == a.linear_part.apply(frame.matrix)
+    assert frame.matrix.column(0) == tangent
+    assert frame.matrix.degree == tangent.degree + bezout_degree_search(tangent)
+    assert frame.matrix.determinant() == p(1)

@@ -126,9 +126,10 @@ def test_action_on_matrix_clears_the_group_matrix_once(monkeypatch):
         frame = PolyMatrix.from_columns([random_regular_vector(rng, n, 5)] * n)
         cases.append((g, frame))
     cleared = []
-    integer_rows = ratlin.integer_rows
+    clear = ratlin.clear_denominators
     monkeypatch.setattr(
-        ratlin, "integer_rows", lambda rows: cleared.append(len(rows)) or integer_rows(rows)
+        ratlin, "clear_denominators",
+        lambda rows: cleared.append(len(rows)) or clear(rows),
     )
     for g, frame in cases:
         cleared.clear()

@@ -87,6 +87,19 @@ def test_vector_errors():
         dict_to_vector({"n": 1, "coeffs": []})
     with pytest.raises(DocumentError):
         dict_to_vector(["1", "2"])
+    # JSON true and 1.0 equal 1 in Python, but neither is an integer
+    for n in (True, 1.0):
+        with pytest.raises(DocumentError, match="does not match"):
+            dict_to_vector({"n": n, "coeffs": [["1"]]})
+
+
+def test_matrix_errors():
+    doc = {"rows": 1, "cols": 1, "entries": [[["1"]]]}
+    assert dict_to_matrix(doc) == PolyMatrix([[p(1)]])
+    for key in ("rows", "cols"):
+        for value in (True, 1.0):
+            with pytest.raises(DocumentError, match="shape"):
+                dict_to_matrix(dict(doc, **{key: value}))
 
 
 def test_curve_document():

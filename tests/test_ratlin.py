@@ -1,6 +1,5 @@
 """The fraction-free elimination kernel against Fraction Gauss-Jordan."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import Polynomial, PolyVector, ratlin
-from affine_frames.poly import clear_denominators
 from affine_frames.sylvester import sylvester_matrix
 
 
@@ -135,8 +133,8 @@ _EDGE_CASES = [
 
 
 def _echelon(rows):
-    """The kernel takes integer rows: clear each row's denominators first."""
-    work, _ = ratlin.integer_rows(rows)
+    """The kernel takes integer rows: clear the matrix's denominators first."""
+    work, _ = ratlin.clear_denominators(rows)
     return ratlin.Echelon(work)
 
 
@@ -224,35 +222,27 @@ def test_shape_errors():
         ratlin.rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
 
 
-def integer_rows_reference(rows):
-    """Per row, the smallest positive integer that makes every entry an
-    integer, found entry by entry with Fractions, and the row times it."""
-    work, scales = [], []
+def clear_denominators_reference(rows):
+    """The smallest positive integer that makes every entry an integer,
+    found entry by entry with Fractions, and the rows times it."""
+    scale = 1
     for row in rows:
-        scale = 1
         for x in row:
             scale *= (Fraction(x) * scale).denominator
-        work.append([int(Fraction(x) * scale) for x in row])
-        scales.append(scale)
-    return work, scales
+    return [[int(Fraction(x) * scale) for x in row] for row in rows], scale
 
 
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_denominators_cleared_like_fraction_reference(rows):
-    work, scales = ratlin.integer_rows(rows)
-    assert (work, scales) == integer_rows_reference(rows)
+    work, scale = ratlin.clear_denominators(rows)
+    assert (work, scale) == clear_denominators_reference(rows)
     assert all(type(x) is int for row in work for x in row)
-    # the common form puts every row over one lcm, the lcm of the row scales
-    common, scale = clear_denominators(rows)
-    assert scale == math.lcm(*scales)
-    assert common == [[x * (scale // s) for x in row] for row, s in zip(work, scales)]
-    assert all(type(x) is int for row in common for x in row)
 
 
 def test_clearing_denominators_rejects_a_ragged_matrix():
     with pytest.raises(ValueError, match="ragged"):
-        ratlin.integer_rows([[Fraction(1, 2)], [Fraction(1), Fraction(2, 3)]])
+        ratlin.Echelon([[1], [1, 2]])
     with pytest.raises(ValueError, match="ragged"):
         ratlin.rank([[Fraction(1), Fraction(2)], [Fraction(1, 3)]])
 
@@ -313,7 +303,7 @@ def integer_matrices(draw):
     a prefix of the banded Sylvester matrix of a vector with e1 appended,
     as the degree oracle eliminates it."""
     if draw(st.booleans()):
-        work, _ = ratlin.integer_rows(draw(matrices()))
+        work, _ = ratlin.clear_denominators(draw(matrices()))
         return [[-x for x in row] if draw(st.booleans()) else row for row in work]
     n = draw(st.integers(1, 4))
     d = draw(st.integers(0, 6))
@@ -323,7 +313,7 @@ def integer_matrices(draw):
     rows[draw(st.integers(0, n - 1))][d] = draw(st.sampled_from((1, 2, 3, -1, -2)))
     v = PolyVector(Polynomial(row) for row in rows)
     width = n * draw(st.integers(1, d + 1))
-    work, _ = ratlin.integer_rows(sylvester_matrix(v))
+    work, _ = ratlin.clear_denominators(sylvester_matrix(v))
     return [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
 
 

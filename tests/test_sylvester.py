@@ -189,13 +189,13 @@ def test_sharp_flat_roundtrip():
 def test_apply_golden():
     sys = build_sylvester(QUARTIC)
     h = [Fraction(i) for i in range(1, 16)]
-    assert sys.apply(h) == tuple(
+    assert ratlin.mat_vec(sys.matrix, h) == tuple(
         Fraction(x) for x in (26, 60, 98, 143, 194, 57, 62, 63, 42)
     )
     zero = [Fraction(0)] * 15
-    assert sys.apply(zero) == (Fraction(0),) * 9
+    assert ratlin.mat_vec(sys.matrix, zero) == (Fraction(0),) * 9
     with pytest.raises(ValueError):
-        sys.apply([Fraction(1)] * 14)
+        ratlin.mat_vec(sys.matrix, [Fraction(1)] * 14)
 
 
 def test_apply_is_scalar_product():
@@ -204,7 +204,7 @@ def test_apply_is_scalar_product():
         v = random_regular_vector(rng, max_degree=6)
         sys = build_sylvester(v)
         h = [Fraction(rng.randint(-9, 9)) for _ in range(sys.ncols)]
-        image = flat(sys.apply(h), 1, 2 * sys.d)
+        image = flat(ratlin.mat_vec(sys.matrix, h), 1, 2 * sys.d)
         assert image[0] == v.dot(flat(h, sys.n, sys.d))
 
 
