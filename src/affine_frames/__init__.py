@@ -4,6 +4,8 @@ from .bezout import (
     BezoutVector,
     MuBasis,
     bezout_degree_search,
+    is_minimal_bezout,
+    is_mu_basis,
     minimal_bezout,
     mu_basis,
 )
@@ -69,6 +71,8 @@ __all__ = [
     "equivariant_completion",
     "equivariantize",
     "flat",
+    "is_minimal_bezout",
+    "is_mu_basis",
     "linear_section",
     "minimal_bezout",
     "minimal_completion",

@@ -5,6 +5,11 @@ vector, so they are deterministic: the minimal Bezout vector is the unique
 solution of ``A b = e1`` supported on pivotal columns, and each syzygy basis
 element expresses a basic non-pivotal column through the pivotal columns to
 its left.
+
+Being the one member of a normal form, each result can be checked without
+being built: :func:`is_minimal_bezout` and :func:`is_mu_basis` read the
+conditions that single it out (Hong, Hough and Kogan 2017), given the pivot
+columns that :func:`bezout_degree_search` finds on its own.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .sylvester import SylvesterSystem, build_sylvester, flat, sylvester_matrix
+from .poly import Polynomial
+from .sylvester import SylvesterSystem, build_sylvester, flat, sharp, sylvester_matrix
 from .vectors import PolyVector, RegularityError, outer_product
 
 
@@ -83,8 +89,8 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
     return MuBasis(tuple(elements), scale)
 
 
-def bezout_degree_search(v: PolyVector) -> int:
-    """Smallest degree bound that makes ``v . b = 1`` solvable.
+def bezout_degree_search(v: PolyVector) -> tuple[int, tuple[int, ...]]:
+    """Smallest degree e that makes ``v . b = 1`` solvable, and A's pivots.
 
     Independent oracle: b of degree at most e exists exactly when e1 is in
     the span of A_e, the columns of A that encode coefficients up to degree
@@ -103,6 +109,14 @@ def bezout_degree_search(v: PolyVector) -> int:
     reads only the plain matrix A and its own forward passes, never a
     :class:`SylvesterSystem`, so it stays independent of the
     pivot-supported construction and can certify minimality.
+
+    The second value holds the 0-based pivot columns of A among its first
+    ``n * (e + 1)``, read off the same last pass.  A column of A is a pivot
+    when it is independent of the columns to its left, which no column to
+    its right, the e1 column included, can change; and the leftmost-pivot
+    elimination finds exactly those columns.  So the prefix pivots of
+    ``[A_E | e1]`` are A's, and since ``E >= e`` they hold every pivot that
+    :func:`is_minimal_bezout` reads.
     """
     if v.is_zero:
         raise RegularityError("vector is zero")
@@ -116,7 +130,74 @@ def bezout_degree_search(v: PolyVector) -> int:
         pivots = ratlin.Echelon(augmented).pivots  # eliminates ``augmented``
         if width not in pivots:
             k = max(i for i, row in enumerate(augmented) if row[width])
-            return pivots[k] // n
+            degree = pivots[k] // n
+            return degree, tuple(p for p in pivots if p < n * (degree + 1))
         if bound == d:
             raise RegularityError("components share a nonconstant factor")
         bound = min(2 * bound + 1, d)
+
+
+def is_minimal_bezout(
+    v: PolyVector, b: PolyVector, degree: int, pivots: tuple[int, ...]
+) -> bool:
+    """Whether ``b`` is ``minimal_bezout(v).vector``, without building it.
+
+    ``degree`` and ``pivots`` are what :func:`bezout_degree_search` returns
+    for v (or the same pivots from another pass over A).  The minimal
+    Bezout vector has that degree, pairs with v to one, and is supported on
+    pivot columns of A; A's pivot columns are independent, so no other
+    vector does all three.
+    """
+    if b.degree != degree or v.dot(b) != Polynomial.one():
+        return False
+    support = set(pivots)
+    return all(j in support for j, x in enumerate(sharp(b, degree)) if x)
+
+
+def is_mu_basis(w: PolyVector, elements, scaled_last: bool = False) -> bool:
+    """Whether ``elements`` are ``mu_basis(w).elements``, without building them.
+
+    With ``scaled_last`` the last element may be any nonzero multiple of
+    that one, as in a completion.  Refuses w as :func:`mu_basis` does.
+
+    Let e be the degree of w and c_i the last nonzero index of the stacked
+    coefficients ``sharp(u_i, e)``.  When the c_i ascend, lie in distinct
+    classes mod n and have degrees ``c_i // n`` summing to e, each column
+    ``c_i + n k`` of A_w is a non-pivot column, since ``t**k u_i`` is a
+    syzygy that ends there.  There are ``(n-1)(e+1) - e`` of them, which is
+    ``n(e+1) - rank A_w`` for a coprime w, so they are all the non-pivot
+    columns, and the basic ones are the c_i.  A syzygy with a 1 at c_i and
+    every other nonzero at a pivot column is then element i of the basis,
+    since the pivot columns are independent.  No elimination is needed.
+    """
+    if w.is_zero:
+        raise RegularityError("vector is zero")
+    if not w.is_coprime():
+        raise RegularityError("components share a nonconstant factor")
+    n, e = w.dim, w.degree
+    if n < 2:
+        raise RegularityError("syzygies need dimension at least 2")
+    if len(elements) != n - 1 or any(
+        u.dim != n or u.is_zero or u.degree > e for u in elements
+    ):
+        return False
+    last = []
+    for u in elements:
+        top = int(u.degree)
+        last.append(n * top + max(i for i, c in enumerate(u) if c.degree == top))
+    classes = {c % n: c for c in last}
+    if (
+        last != sorted(set(last))
+        or len(classes) != len(last)
+        or sum(c // n for c in last) != e
+    ):
+        return False
+    for i, (u, c) in enumerate(zip(elements, last)):
+        free = scaled_last and i == n - 2
+        if not (free or u[c % n].leading == 1) or not w.dot(u).is_zero:
+            return False
+        # The non-pivot columns are the c_j + n k; u has no other one.
+        for j, x in enumerate(sharp(u, e)):
+            if x and j != c and j % n in classes and j >= classes[j % n]:
+                return False
+    return True

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from . import io as docio
-from .bezout import BezoutVector, MuBasis, bezout_degree_search, minimal_bezout, mu_basis
+from .bezout import (
+    BezoutVector, MuBasis, bezout_degree_search, is_minimal_bezout, is_mu_basis,
+    minimal_bezout, mu_basis,
+)
 from .completion import Completion, minimal_completion, verify_completion
 from .equivariance import canonical_shape_violations, section, section_and_canonical
 from .frames import CurveRejection, FrameResult, moving_frame, validate_curve
@@ -96,11 +99,23 @@ def _verify_frame(doc: CurveDocument, fields: dict) -> Checks:
         return
     stored = FrameResult(**fields)
     _require_n_by_n(stored.matrix, doc, "frame")
-    yield "matrix_reproducible", stored == moving_frame(tangent)
-    report = verify_completion(stored.matrix, tangent)
+    g, canonical = section_and_canonical(tangent)
+    report = verify_completion(stored.matrix, tangent, g)
+    yield "matrix_reproducible", (
+        (stored.section, stored.canonical_tangent) == (g, canonical)
+        and _is_minimal_completion(stored, report, tangent)
+    )
     yield "first_column_is_tangent", report.first_column_matches
     yield "determinant_is_one", report.determinant_one
     yield "degree_is_minimal", report.minimal
+
+
+def _is_minimal_completion(stored, report, v) -> bool:
+    """Whether a stored completion or frame, matrix and Bezout degree, is
+    what the library builds for v, by ``report``'s certificate."""
+    if not report.reproducible:
+        return False
+    return stored.bezout_degree == report.minimal_degree - int(v.degree)
 
 
 def _complete(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -116,7 +131,7 @@ def _verify_completion(doc: CurveDocument, fields: dict) -> Checks:
     yield "first_column_matches", report.first_column_matches
     yield "determinant_is_one", report.determinant_one
     yield "degree_is_minimal", report.minimal
-    yield "matrix_reproducible", stored == minimal_completion(doc.vector)
+    yield "matrix_reproducible", _is_minimal_completion(stored, report, doc.vector)
 
 
 def _bezout(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -128,9 +143,12 @@ def _verify_bezout(doc: CurveDocument, fields: dict) -> Checks:
     stored = BezoutVector(**fields)
     if stored.vector.dim != doc.n:
         raise DocumentError("bezout vector does not match the curve dimension")
+    degree, pivots = bezout_degree_search(doc.vector)
     yield "pairing_is_one", doc.vector.dot(stored.vector) == Polynomial.one()
-    yield "degree_is_minimal", stored.vector.degree == bezout_degree_search(doc.vector)
-    yield "vector_reproducible", stored == minimal_bezout(doc.vector)
+    yield "degree_is_minimal", stored.vector.degree == degree
+    yield "vector_reproducible", stored.degree == degree and is_minimal_bezout(
+        doc.vector, stored.vector, degree, pivots
+    )
 
 
 def _mubasis(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -149,11 +167,10 @@ def _verify_mubasis(doc: CurveDocument, fields: dict) -> Checks:
     degrees = [u.degree for u in elements]
     yield "degrees_ascending", degrees == sorted(degrees)
     yield "degrees_sum_to_input", sum(degrees) == doc.vector.degree
-    yield (
-        "outer_product_proportional",
-        outer_product(elements) == doc.vector.scale(stored.scale),
-    )
-    yield "basis_reproducible", stored == mu_basis(doc.vector)
+    proportional = outer_product(elements) == doc.vector.scale(stored.scale)
+    yield "outer_product_proportional", proportional
+    # The elements are mu_basis's; proportionality then pins its scale.
+    yield "basis_reproducible", is_mu_basis(doc.vector, elements) and proportional
 
 
 def _section(doc: CurveDocument, options: dict) -> tuple[dict, dict]:

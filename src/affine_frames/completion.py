@@ -13,16 +13,24 @@ same ingredients computed for v itself; its inverse transpose is a
 completion too, generally of larger degree.  ``nonminimal_completion`` is a
 deliberately wasteful variant used as a foil when studying how degree
 behaves under equivariance.
+
+``verify_completion`` checks a claimed completion, and whether it is the
+one ``minimal_completion`` builds, by the normal-form certificates of
+:mod:`bezout`; it never builds a completion itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bezout import bezout_degree_search, minimal_bezout, mu_basis
+from . import ratlin
+from .bezout import (
+    bezout_degree_search, is_minimal_bezout, is_mu_basis, minimal_bezout, mu_basis,
+)
+from .groups import GroupElement
 from .poly import NEG_INF, Polynomial
-from .sylvester import build_sylvester
-from .vectors import PolyMatrix, PolyVector, RegularityError
+from .sylvester import build_sylvester, sylvester_matrix
+from .vectors import PolyMatrix, PolyVector, RegularityError, outer_product
 
 
 @dataclass(frozen=True)
@@ -35,13 +43,19 @@ class Completion:
 
 @dataclass(frozen=True)
 class CompletionReport:
-    """Outcome of checking a claimed completion against its vector."""
+    """Outcome of checking a claimed completion against its vector.
+
+    ``reproducible`` says that the matrix is the one :func:`minimal_completion`
+    builds (for a frame, the section applied to the one it builds for the
+    canonical vector).
+    """
 
     first_column_matches: bool
     determinant_one: bool
     degree: int
     minimal_degree: int | None
     minimal: bool
+    reproducible: bool
 
     @property
     def is_completion(self) -> bool:
@@ -69,8 +83,30 @@ def minimal_completion(v: PolyVector) -> Completion:
     return Completion(_assemble(v, bez.vector), bez.degree)
 
 
-def verify_completion(m: PolyMatrix, v: PolyVector) -> CompletionReport:
-    """Check first-column equality, determinant one, and degree minimality."""
+def verify_completion(
+    m: PolyMatrix, v: PolyVector, section: GroupElement | None = None
+) -> CompletionReport:
+    """Check first-column equality, determinant one, degree minimality, and
+    whether ``m`` is the matrix :func:`minimal_completion` builds.
+
+    With a ``section`` g, ``m`` is checked as a frame: g applied to the
+    minimal completion of the canonical vector ``w = g^-1 . v``.  Acting by
+    g keeps the determinant and the column degrees, so the determinant and
+    the certificate are read off ``M = g^-1 . m``, whose first column is w
+    exactly when that of m is v.
+
+    The determinant is ``M[:, 0] . b`` for ``b = outer_product(M[:, 1:])``,
+    by Laplace expansion along the first column, and that b is also what
+    the certificate checks: M is the minimal completion exactly when b is
+    the minimal Bezout vector of w (:func:`is_minimal_bezout`) and the later
+    columns are the µ-basis of b with the last one scaled
+    (:func:`is_mu_basis`), since ``w . b = 1`` pins that scale.  The oracle
+    runs on v and gives the degree of b, which the group leaves alone, and
+    the pivots of A_v; for a frame those of A_w come from one forward pass
+    of its first ``n * (e + 1)`` columns.  Nothing is rebuilt.
+
+    Raises as :func:`minimal_completion` does when v has no completion.
+    """
     if m.nrows != m.ncols:
         raise ValueError("completion matrix must be square")
     if m.nrows != v.dim:
@@ -79,19 +115,41 @@ def verify_completion(m: PolyMatrix, v: PolyVector) -> CompletionReport:
     if degree == NEG_INF:
         raise RegularityError("completion matrix has a zero column")
     first = m.column(0) == v
-    det_one = m.determinant() == Polynomial.one()
+    columns = (m if section is None else section.inverse().apply(m)).columns()
+    # The outer product of no vectors, in dimension one, is the unit.
+    b = outer_product(columns[1:]) if v.dim > 1 else PolyVector([1])
+    det_one = columns[0].dot(b) == Polynomial.one()
     minimal_degree = None
     minimal = False
     if det_one:
         # The oracle rejects a zero or non-coprime v before its degree is read.
-        minimal_degree = bezout_degree_search(v) + int(v.degree)
+        e, pivots = bezout_degree_search(v)
+        minimal_degree = e + int(v.degree)
         minimal = degree == minimal_degree
+    # Where minimal_completion(v) would refuse v, so does its certificate.
+    if v.dim < 2:
+        raise RegularityError("completion needs dimension at least 2")
+    if v.is_zero:
+        raise RegularityError("vector is zero")
+    if not det_one and not v.is_coprime():
+        raise RegularityError("components share a nonconstant factor")
+    reproducible = False
+    if det_one and first:
+        w = columns[0]
+        if section is not None:
+            width = w.dim * (e + 1)
+            prefix = [row[:width] for row in sylvester_matrix(w)]
+            pivots = ratlin.Echelon(ratlin.clear_denominators(prefix)[0]).pivots
+        reproducible = is_minimal_bezout(w, b, e, pivots) and is_mu_basis(
+            b, columns[1:], scaled_last=True
+        )
     return CompletionReport(
         first_column_matches=first,
         determinant_one=det_one,
         degree=int(degree),
         minimal_degree=minimal_degree,
         minimal=minimal,
+        reproducible=reproducible,
     )
 
 

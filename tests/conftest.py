@@ -125,3 +125,19 @@ def random_generic_curve(
         curve = PolyVector(comps)
         if not isinstance(validate_curve(curve), CurveRejection):
             return curve
+
+
+def random_rational_curve(rng: random.Random, n: int) -> PolyVector:
+    """Generic curve of degree n + 1 to n + 3 whose coefficients are p/q
+    with |p| and q below 2**8."""
+    while True:
+        degree = rng.randint(n + 1, n + 3)
+        curve = PolyVector(
+            Polynomial(
+                Fraction(rng.randint(-255, 255), rng.randint(1, 255))
+                for _ in range(degree + 1)
+            )
+            for _ in range(n)
+        )
+        if not isinstance(validate_curve(curve), CurveRejection):
+            return curve

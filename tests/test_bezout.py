@@ -98,8 +98,8 @@ def test_mu_basis_rejects_common_factor():
 
 
 def test_degree_search_goldens():
-    assert bezout_degree_search(SEXTIC) == 3
-    assert bezout_degree_search(vec((1,), (0, 1), (0, 0, 1))) == 0
+    assert bezout_degree_search(SEXTIC) == (3, (0, 1, 2, 3, 4, 5, 6, 7, 9, 10))
+    assert bezout_degree_search(vec((1,), (0, 1), (0, 0, 1))) == (0, (0, 1, 2))
 
 
 def test_degree_search_rejections():
@@ -117,7 +117,9 @@ def test_degree_search_matches_formula():
         v = random_regular_vector(rng, max_degree=7)
         sys = build_sylvester(v)
         b = minimal_bezout(v, sys)
-        assert b.degree == bezout_degree_search(v)
+        degree, pivots = bezout_degree_search(v)
+        assert b.degree == degree
+        assert pivots == tuple(c - 1 for c in sys.pivot_cols if c <= v.dim * (degree + 1))
 
 
 def test_bezout_normalization_always():
@@ -162,16 +164,36 @@ def test_bezout_degree_below_last_mu_degree():
 
 def reference_degree_search(v):
     """The prefix loop: one elimination of ``[A_e | e1]`` for each degree
-    e = 0, 1, 2, ..., stopping at the first whose e1 column is no pivot."""
+    e = 0, 1, 2, ..., stopping at the first whose e1 column is no pivot;
+    with the pivot columns of A_e by Fraction elimination."""
     if v.is_zero:
         raise RegularityError("vector is zero")
-    work, _ = ratlin.clear_denominators(sylvester_matrix(v))
+    matrix = sylvester_matrix(v)
+    work, _ = ratlin.clear_denominators(matrix)
     for e in range(int(v.degree) + 1):
         width = v.dim * (e + 1)
         augmented = [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
         if width not in ratlin.Echelon(augmented).pivots:
-            return e
+            return e, _fraction_pivots([row[:width] for row in matrix])
     raise RegularityError("components share a nonconstant factor")
+
+
+def _fraction_pivots(rows):
+    """Columns independent of the columns to their left, by textbook
+    Gaussian elimination over Fractions."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(rows[0])):
+        top = len(pivots)
+        src = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if src is None:
+            continue
+        rows[top], rows[src] = rows[src], rows[top]
+        for i in range(top + 1, len(rows)):
+            factor = rows[i][col] / rows[top][col]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    return tuple(pivots)
 
 
 def _degree_search_outcome(search, v):
@@ -197,8 +219,8 @@ _DEGREE_CASES = [
 
 @pytest.mark.parametrize("v, degree", _DEGREE_CASES)
 def test_degree_search_at_the_doubling_bounds(v, degree):
-    assert reference_degree_search(v) == degree
-    assert bezout_degree_search(v) == degree
+    assert reference_degree_search(v)[0] == degree
+    assert bezout_degree_search(v) == reference_degree_search(v)
 
 
 @st.composite
@@ -219,6 +241,7 @@ def oracle_vectors(draw):
 @settings(max_examples=200, deadline=None)
 @given(oracle_vectors())
 def test_degree_search_matches_the_prefix_loop(v):
-    """The same degree, or the same message, as one elimination per degree."""
+    """The same degree and pivots, or the same message, as one elimination
+    per degree."""
     expected = _degree_search_outcome(reference_degree_search, v)
     assert _degree_search_outcome(bezout_degree_search, v) == expected

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from affine_frames import cli, completion, equivariance, frames, groups, ratlin, vectors
+from affine_frames import (
+    bezout, cli, completion, equivariance, frames, groups, ratlin, sylvester, vectors,
+)
 from affine_frames.cli import main
 from affine_frames.io import (
     PAYLOADS, DocumentError, format_rational, parse_curve_dict, write_payload,
@@ -623,23 +626,31 @@ def test_plot_params_may_start_with_a_negative_value(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, curve", [("frame", QUINTIC), ("complete", QUARTIC)])
 def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curve):
-    """A result is built without a determinant; its verify takes exactly one."""
-    calls = []
-    original = vectors.PolyMatrix.determinant
+    """A result is built without a determinant; its verify takes exactly one,
+    the first column against one outer product of the others, and no
+    polynomial determinant."""
+    calls = {"determinant": 0, "outer_product": 0}
+    determinant, outer_product = vectors.PolyMatrix.determinant, vectors.outer_product
 
-    def counting(self):
-        calls.append(self)
-        return original(self)
+    def counting_determinant(self):
+        calls["determinant"] += 1
+        return determinant(self)
 
-    monkeypatch.setattr(vectors.PolyMatrix, "determinant", counting)
+    def counting_outer_product(vectors_):
+        calls["outer_product"] += 1
+        return outer_product(vectors_)
+
+    monkeypatch.setattr(vectors.PolyMatrix, "determinant", counting_determinant)
+    for module in (vectors, bezout, completion, cli):
+        monkeypatch.setattr(module, "outer_product", counting_outer_product)
     infile = write(tmp_path / "curve.json", curve)
     result = tmp_path / "result.json"
     assert main([command, "--in", infile, "--out", str(result)]) == 0
-    assert len(calls) == 0
+    assert calls == {"determinant": 0, "outer_product": 1}  # the µ-basis scale
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result)])
     assert code == 0, err
     assert json.loads(out)["metadata"]["ok"] is True
-    assert len(calls) == 1
+    assert calls == {"determinant": 0, "outer_product": 2}
 
 
 def test_frame_inverts_one_matrix(tmp_path, capsys, monkeypatch):
@@ -744,29 +755,113 @@ def test_verify_checks_every_stored_field(tmp_path, capsys, argv, source, damage
     assert failed == [check]
 
 
-def test_verify_frame_with_a_doubled_column(tmp_path, capsys, monkeypatch):
-    """A determinant of two fails both checks; the degree oracle is not asked."""
-    asked = []
-    monkeypatch.setattr(completion, "bezout_degree_search", asked.append)
-    infile = write(tmp_path / "in.json", QUINTIC)
-    result_path = tmp_path / "frame.json"
-    assert main(["frame", "--in", infile, "--out", str(result_path)]) == 0
-    doc = json.loads(result_path.read_text(encoding="utf-8"))
+def _double_column_one(doc):
     for row in doc["payload"]["matrix"]["entries"]:
-        row[1] = [format_rational(2 * Fraction(c)) for c in row[1]]
+        row[1] = [_double(c) for c in row[1]]
+
+
+def _forbid_everywhere(monkeypatch, original):
+    """Rebind every name of ``original`` in the package to a function that raises."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"verify called {original.__name__}")
+
+    for name, module in list(sys.modules.items()):
+        if name == "affine_frames" or name.startswith("affine_frames."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, forbidden)
+
+
+# sha256 of each verify output, recorded when verify still rebuilt every
+# result; the certificates must give the same bytes.
+@pytest.mark.parametrize(
+    "command, source, damage, failed, asked, digest",
+    [
+        ("frame", QUINTIC, None, [], 1,
+         "300d0b1a8e527af6841b70fc8fd9a4250e2bdd6f05151c0dfce0449469182ff5"),
+        ("complete", QUARTIC, None, [], 1,
+         "969ad4b71cd432868c19983a3393eaf1a15bde06f8b0b0ed05f10fc7d8462405"),
+        ("bezout", QUARTIC, None, [], 1,
+         "75b9ad237dc1d4ddb668c0ea515aedac7ea52dffd2f6764d40e630f33b8781b8"),
+        ("mubasis", QUARTIC, None, [], 0,
+         "ce3a373c9522e24eae41c8d20633d389ce7e80c3a1e8f8234f8af0b38ee74196"),
+        # A determinant of two fails both checks; the degree oracle is not asked.
+        ("frame", QUINTIC, _double_column_one,
+         ["matrix_reproducible", "determinant_is_one", "degree_is_minimal"], 0,
+         "2d5f9ab87e66c8935260fcdad87d5badefb0b7fe6cff21796e7bfbd7791248c0"),
+    ],
+    ids=["frame", "completion", "bezout", "mubasis", "frame-doubled-column"],
+)
+def test_verify_runs_no_compute_path(tmp_path, capsys, monkeypatch, command, source,
+                                     damage, failed, asked, digest):
+    """``verify`` checks a stored result by its certificate: no command's
+    compute path runs, and the output bytes are those of rebuilding it."""
+    infile = write(tmp_path / "in.json", source)
+    result_path = tmp_path / "result.json"
+    assert main([command, "--in", infile, "--out", str(result_path)]) == 0
+    if damage is not None:
+        doc = json.loads(result_path.read_text(encoding="utf-8"))
+        damage(doc)
+        write(result_path, doc)
+    for original in (frames.moving_frame, completion.minimal_completion,
+                     bezout.minimal_bezout, bezout.mu_basis, sylvester.build_sylvester):
+        _forbid_everywhere(monkeypatch, original)
+    calls = []
+    oracle = bezout.bezout_degree_search
+
+    def counting_oracle(v):
+        calls.append(v)
+        return oracle(v)
+
+    for module in (bezout, completion, cli):
+        monkeypatch.setattr(module, "bezout_degree_search", counting_oracle)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == (2 if failed else 0), err
+    checks = json.loads(out)["metadata"]["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == failed
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    assert len(calls) == asked
+
+
+PLANTED = {"n": 3, "coeffs": [["-1", "1"], ["0", "-1", "1"], ["0", "0", "0", "-1", "1"]]}
+
+
+@pytest.mark.parametrize("command", ["complete", "bezout", "mubasis"])
+def test_verify_refuses_a_vector_with_a_common_factor(tmp_path, capsys, command):
+    """A stored result whose input is (t - 1) * (1, t, t^3): the certificate
+    refuses the input as rebuilding the result did, with the same message."""
+    infile = write(tmp_path / "in.json", QUARTIC)
+    result_path = tmp_path / "result.json"
+    assert main([command, "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    doc["payload"]["input"] = PLANTED
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert (code, out) == (2, "")
+    assert err == '{"error": "components share a nonconstant factor"}\n'
+
+
+def test_verify_a_mubasis_with_its_last_element_and_scale_doubled(tmp_path, capsys):
+    """Still syzygies of the right degrees with a proportional outer
+    product; only the normal form, a 1 at each leading column, fails."""
+    infile = write(tmp_path / "in.json", QUARTIC)
+    result_path = tmp_path / "result.json"
+    assert main(["mubasis", "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    payload = doc["payload"]
+    payload["elements"][-1]["coeffs"] = [
+        [_double(c) for c in row] for row in payload["elements"][-1]["coeffs"]
+    ]
+    payload["scale"] = _double(payload["scale"])
     write(result_path, doc)
     capsys.readouterr()
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
     assert code == 2, err
-    checks = [(c["name"], c["passed"]) for c in json.loads(out)["metadata"]["checks"]]
-    assert checks == [
-        ("input_is_generic_curve", True),
-        ("matrix_reproducible", False),
-        ("first_column_is_tangent", True),
-        ("determinant_is_one", False),
-        ("degree_is_minimal", False),
-    ]
-    assert asked == []
+    checks = json.loads(out)["metadata"]["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["basis_reproducible"]
 
 
 def test_verify_a_nonminimal_completion(tmp_path, capsys):
