@@ -89,31 +89,31 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
     return MuBasis(tuple(elements), scale)
 
 
-def bezout_degree_search(v: PolyVector) -> tuple[int, tuple[int, ...]]:
+def bezout_degree_search(
+    v: PolyVector, bound: int | None = None
+) -> tuple[int | None, tuple[int, ...]]:
     """Smallest degree e that makes ``v . b = 1`` solvable, and A's pivots.
 
-    Independent oracle: b of degree at most e exists exactly when e1 is in
-    the span of A_e, the columns of A that encode coefficients up to degree
-    e.  For a bound E it runs one forward elimination of ``[A_E | e1]``.  A
-    pivot in the e1 column means no e <= E works.  Otherwise let k be the
-    last row whose e1 entry is nonzero.  Eliminating the first w columns is
-    the same for every prefix, and later steps only combine rows below the
-    r_w pivot rows found by then, invertibly; so e1 is in the span of the
-    first w columns exactly when its column is zero below row r_w, that is
-    when ``pivots[k] < w``, and the minimal degree is ``pivots[k] // n``.
-    The bound runs 0, 1, 3, 7, ..., capped at d.  A pass costs more than
-    linearly in its width, so the passes together cost a small multiple of
-    the last, whose width is about twice the answer's at most; one pass
-    over all of A would cost the full width however small the answer is,
-    and one pass per degree, as many passes as the answer.  The oracle
-    reads only the plain matrix A and its own forward passes, never a
-    :class:`SylvesterSystem`, so it stays independent of the
+    Independent oracle: b of degree at most e exists exactly when e1 is in the
+    span of A_e, the columns of A that encode coefficients up to degree e.  It
+    runs one forward elimination of ``[A_E | e1]``, E being ``bound`` clamped
+    to [0, d] (``None`` for d).  If e1 is no pivot, let k be the last row whose
+    e1 entry is nonzero.  Eliminating the first w columns is the same for every
+    prefix, and later steps only combine rows below the r_w pivot rows found by
+    then, invertibly; so e1 is in the span of the first w columns exactly when
+    its column is zero below row r_w, that is when ``pivots[k] < w``, and the
+    minimal degree is ``pivots[k] // n``.  A pivot in the e1 column means
+    e > E: it raises for a shared factor, which :meth:`PolyVector.is_coprime`
+    tells below d, and otherwise returns ``(None, ())``.  A pass costs more
+    than linearly in its width, so a caller that knows a Bezout vector bounds
+    it by that vector's degree.  The oracle reads only A and its own pass,
+    never a :class:`SylvesterSystem`, so it stays independent of the
     pivot-supported construction and can certify minimality.
 
     The second value holds the 0-based pivot columns of A among its first
-    ``n * (e + 1)``, read off the same last pass.  A column of A is a pivot
-    when it is independent of the columns to its left, which no column to
-    its right, the e1 column included, can change; and the leftmost-pivot
+    ``n * (e + 1)``, read off the same pass.  A column of A is a pivot when
+    it is independent of the columns to its left, which no column to its
+    right, the e1 column included, can change; and the leftmost-pivot
     elimination finds exactly those columns.  So the prefix pivots of
     ``[A_E | e1]`` are A's, and since ``E >= e`` they hold every pivot that
     :func:`is_minimal_bezout` reads.
@@ -121,20 +121,20 @@ def bezout_degree_search(v: PolyVector) -> tuple[int, tuple[int, ...]]:
     if v.is_zero:
         raise RegularityError("vector is zero")
     n, d = v.dim, int(v.degree)
-    # Scaling leaves pivots alone, so A is cleared once for every prefix.
-    work, _ = ratlin.clear_denominators(sylvester_matrix(v))
-    bound = 0
-    while True:
-        width = n * (bound + 1)
-        augmented = [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
-        pivots = ratlin.Echelon(augmented).pivots  # eliminates ``augmented``
-        if width not in pivots:
-            k = max(i for i, row in enumerate(augmented) if row[width])
-            degree = pivots[k] // n
-            return degree, tuple(p for p in pivots if p < n * (degree + 1))
-        if bound == d:
+    top = d if bound is None else max(0, min(bound, d))
+    width = n * (top + 1)
+    # Scaling leaves pivots alone, so the prefix is cleared as one matrix.
+    augmented, _ = ratlin.clear_denominators(
+        [row[:width] + (Fraction(i == 0),) for i, row in enumerate(sylvester_matrix(v))]
+    )
+    pivots = ratlin.Echelon(augmented).pivots  # eliminates ``augmented``
+    if width in pivots:
+        if top == d or not v.is_coprime():
             raise RegularityError("components share a nonconstant factor")
-        bound = min(2 * bound + 1, d)
+        return None, ()
+    k = max(i for i, row in enumerate(augmented) if row[width])
+    degree = pivots[k] // n
+    return degree, tuple(p for p in pivots if p < n * (degree + 1))
 
 
 def is_minimal_bezout(

@@ -143,7 +143,7 @@ def _verify_bezout(doc: CurveDocument, fields: dict) -> Checks:
     stored = BezoutVector(**fields)
     if stored.vector.dim != doc.n:
         raise DocumentError("bezout vector does not match the curve dimension")
-    degree, pivots = bezout_degree_search(doc.vector)
+    degree, pivots = bezout_degree_search(doc.vector, stored.vector.degree)
     yield "pairing_is_one", doc.vector.dot(stored.vector) == Polynomial.one()
     yield "degree_is_minimal", stored.vector.degree == degree
     yield "vector_reproducible", stored.degree == degree and is_minimal_bezout(

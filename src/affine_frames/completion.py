@@ -23,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import ratlin
 from .bezout import (
     bezout_degree_search, is_minimal_bezout, is_mu_basis, minimal_bezout, mu_basis,
 )
 from .groups import GroupElement
 from .poly import NEG_INF, Polynomial
-from .sylvester import build_sylvester, sylvester_matrix
+from .sylvester import build_sylvester
 from .vectors import PolyMatrix, PolyVector, RegularityError, outer_product
 
 
@@ -100,10 +99,14 @@ def verify_completion(
     the certificate checks: M is the minimal completion exactly when b is
     the minimal Bezout vector of w (:func:`is_minimal_bezout`) and the later
     columns are the µ-basis of b with the last one scaled
-    (:func:`is_mu_basis`), since ``w . b = 1`` pins that scale.  The oracle
-    runs on v and gives the degree of b, which the group leaves alone, and
-    the pivots of A_v; for a frame those of A_w come from one forward pass
-    of its first ``n * (e + 1)`` columns.  Nothing is rebuilt.
+    (:func:`is_mu_basis`), since ``w . b = 1`` pins that scale.  It needs
+    e, which the group leaves alone, and A_w's pivots among its first
+    ``n * (e + 1)`` columns.  One :func:`bezout_degree_search` pass gives
+    both, run on ``u = L^-1 . v`` for ``g = (L, s)`` (on v without a
+    section): ``w(t) = u(t - s)``, so ``A_w = S A_u U`` with S invertible
+    and U unit upper triangular, and their column prefixes have equal
+    ranks.  With the first column v, b is a Bezout vector of w, so
+    ``deg b >= e`` bounds the pass.  Nothing is rebuilt.
 
     Raises as :func:`minimal_completion` does when v has no completion.
     """
@@ -115,15 +118,16 @@ def verify_completion(
     if degree == NEG_INF:
         raise RegularityError("completion matrix has a zero column")
     first = m.column(0) == v
-    columns = (m if section is None else section.inverse().apply(m)).columns()
+    inverse = None if section is None else section.inverse()
+    columns = (m if inverse is None else inverse.apply(m)).columns()
     # The outer product of no vectors, in dimension one, is the unit.
     b = outer_product(columns[1:]) if v.dim > 1 else PolyVector([1])
     det_one = columns[0].dot(b) == Polynomial.one()
-    minimal_degree = None
-    minimal = False
+    minimal_degree, minimal = None, False
     if det_one:
         # The oracle rejects a zero or non-coprime v before its degree is read.
-        e, pivots = bezout_degree_search(v)
+        u = v if inverse is None else v.linear_map(inverse.matrix)
+        e, pivots = bezout_degree_search(u, int(b.degree) if first else None)
         minimal_degree = e + int(v.degree)
         minimal = degree == minimal_degree
     # Where minimal_completion(v) would refuse v, so does its certificate.
@@ -133,16 +137,10 @@ def verify_completion(
         raise RegularityError("vector is zero")
     if not det_one and not v.is_coprime():
         raise RegularityError("components share a nonconstant factor")
-    reproducible = False
-    if det_one and first:
-        w = columns[0]
-        if section is not None:
-            width = w.dim * (e + 1)
-            prefix = [row[:width] for row in sylvester_matrix(w)]
-            pivots = ratlin.Echelon(ratlin.clear_denominators(prefix)[0]).pivots
-        reproducible = is_minimal_bezout(w, b, e, pivots) and is_mu_basis(
-            b, columns[1:], scaled_last=True
-        )
+    reproducible = det_one and first and (
+        is_minimal_bezout(columns[0], b, e, pivots)
+        and is_mu_basis(b, columns[1:], scaled_last=True)
+    )
     return CompletionReport(
         first_column_matches=first,
         determinant_one=det_one,

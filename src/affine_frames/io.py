@@ -18,7 +18,7 @@ from .poly import Polynomial
 from .vectors import PolyMatrix, PolyVector
 
 # ASCII digits only: ``\d`` would also read other scripts' digits.
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -27,10 +27,12 @@ class DocumentError(ValueError):
 
 
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text.strip()):
+    match = _RATIONAL_RE.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise DocumentError(f"not an exact rational: {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text.strip())
+        return Fraction(int(num), int(den)) if den else Fraction(int(num))
     except ZeroDivisionError:
         raise DocumentError(f"zero denominator: {text!r}") from None
     except ValueError:  # beyond the interpreter's int-string digit limit

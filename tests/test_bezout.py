@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
@@ -16,6 +16,7 @@ from affine_frames import (
     minimal_bezout,
     mu_basis,
     outer_product,
+    section,
 )
 from affine_frames import ratlin
 from affine_frames.sylvester import sylvester_matrix
@@ -203,8 +204,8 @@ def _degree_search_outcome(search, v):
         return str(error)
 
 
-# (vector, minimal degree): 0, the doubling bounds 2^k - 1 and 2^k, and
-# d - 1, which a generic pair of degree d needs.
+# (vector, minimal degree): 0, 2^k - 1 and 2^k, and d - 1, which a generic
+# pair of degree d needs.
 _DEGREE_CASES = [
     (vec((1,), (0, 1), (0, 0, 1)), 0),
     (vec((2, 1), (1, 1, 1)), 1),
@@ -245,3 +246,63 @@ def test_degree_search_matches_the_prefix_loop(v):
     per degree."""
     expected = _degree_search_outcome(reference_degree_search, v)
     assert _degree_search_outcome(bezout_degree_search, v) == expected
+
+
+def _outcomes_at_every_bound(v):
+    """The bounded pass at E = -1 .. d + 1, each clamped to [0, d], and
+    ``None``; a refusal as its message."""
+    bounds = [*range(-1, int(v.degree) + 2), None]
+    return [_degree_search_outcome(lambda x: bezout_degree_search(x, E), v)
+            for E in bounds], bounds
+
+
+@st.composite
+def regular_vectors(draw):
+    """Regular vectors, n = 2..5, with integer or p/q coefficients (|p| and
+    q below 2**8); half of them recentered, so that their section's shift
+    is 0."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(n, n + 3))
+    entry = st.one_of(
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-255, 255), st.integers(1, 255)),
+    )
+    v = PolyVector(Polynomial(draw(st.lists(entry, min_size=d + 1, max_size=d + 1)))
+                   for _ in range(n))
+    try:
+        g = section(v)
+    except RegularityError:
+        assume(False)
+    if draw(st.booleans()):
+        v = v.shift(-g.shift)
+    return v
+
+
+# Nonconstant integer factors of degree 1 or 2.
+_FACTORS = st.builds(
+    lambda low, lead: Polynomial([*low, lead]),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=2),
+    st.sampled_from((-2, -1, 1, 2)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(regular_vectors(), _FACTORS)
+def test_bounded_degree_search_against_the_prefix_loop(v, factor):
+    """One pass bounded by E gives the prefix loop's degree and pivots for
+    every E >= e and ``(None, ())`` below e; with a planted common factor it
+    raises the prefix loop's message at every E.  For the section g = (L, s)
+    of v, the pass on u = L^-1 . v gives the canonical vector's pivots."""
+    e, pivots = reference_degree_search(v)
+    outcomes, bounds = _outcomes_at_every_bound(v)
+    assert outcomes == [
+        (e, pivots) if E is None or max(E, 0) >= e else (None, ()) for E in bounds
+    ]
+    planted = v.scale(factor)
+    expected = _degree_search_outcome(reference_degree_search, planted)
+    outcomes, _ = _outcomes_at_every_bound(planted)
+    assert outcomes == [expected] * len(outcomes)
+    g = section(v)
+    u = v.linear_map(g.inverse().matrix)
+    assert bezout_degree_search(u) == reference_degree_search(g.inverse().apply(v))
+    assert bezout_degree_search(u)[0] == e

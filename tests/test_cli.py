@@ -810,9 +810,9 @@ def test_verify_runs_no_compute_path(tmp_path, capsys, monkeypatch, command, sou
     calls = []
     oracle = bezout.bezout_degree_search
 
-    def counting_oracle(v):
+    def counting_oracle(v, bound=None):
         calls.append(v)
-        return oracle(v)
+        return oracle(v, bound)
 
     for module in (bezout, completion, cli):
         monkeypatch.setattr(module, "bezout_degree_search", counting_oracle)
@@ -823,6 +823,40 @@ def test_verify_runs_no_compute_path(tmp_path, capsys, monkeypatch, command, sou
     assert [c["name"] for c in checks if not c["passed"]] == failed
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
     assert len(calls) == asked
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [("frame", QUINTIC), ("complete", QUARTIC), ("bezout", QUARTIC)],
+    ids=["frame", "completion", "bezout"],
+)
+def test_verify_eliminates_one_sylvester_matrix(tmp_path, capsys, monkeypatch,
+                                                command, source):
+    """One forward pass over a Sylvester matrix per ``verify``: the oracle,
+    bounded by the stored Bezout degree e, gives e and every pivot the
+    certificate reads, the frame's included, from the first n(e + 1)
+    columns and e1."""
+    infile = write(tmp_path / "in.json", source)
+    result_path = tmp_path / "result.json"
+    assert main([command, "--in", infile, "--out", str(result_path)]) == 0
+    payload = json.loads(result_path.read_text(encoding="utf-8"))["payload"]
+    e = payload.get("bezout_degree", payload.get("degree"))
+    shapes = []
+
+    class CountingEchelon(ratlin.Echelon):
+        def __init__(self, rows):
+            shapes.append((len(rows), len(rows[0])))
+            super().__init__(rows)
+
+    monkeypatch.setattr(ratlin, "Echelon", CountingEchelon)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == 0, err
+    # Both vectors have n = 3 and degree 4, so A has 2 * 4 + 1 rows; no
+    # other elimination in verify (profiles, determinants, inverses, minors
+    # at a point) has more than three.
+    assert [shape for shape in shapes if shape[0] == 9] == [(9, 3 * (e + 1) + 1)]
+    assert all(rows <= 3 for rows, _ in shapes if rows != 9)
 
 
 PLANTED = {"n": 3, "coeffs": [["-1", "1"], ["0", "-1", "1"], ["0", "0", "0", "-1", "1"]]}

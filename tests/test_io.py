@@ -1,10 +1,11 @@
 """Document parsing and serialization round trips."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import GroupElement, PolyMatrix, PolyVector
@@ -62,6 +63,59 @@ def test_parse_rational_rejections():
     for text in ("1/00", "-3/000", "0/0"):
         with pytest.raises(DocumentError, match="zero denominator"):
             parse_rational(text)
+
+
+def _guarded_fraction(text):
+    """An exact rational by the pattern, then ``Fraction`` of the stripped
+    text; the message of a refusal otherwise."""
+    pattern = r"[+-]?[0-9]+(?:/[0-9]+)?"
+    if not isinstance(text, str) or not re.fullmatch(pattern, text.strip()):
+        return f"not an exact rational: {text!r}"
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        return f"zero denominator: {text!r}"
+    except ValueError:
+        return f"rational too long: {len(text)} characters"
+
+
+def _parsed(text):
+    try:
+        return parse_rational(text)
+    except DocumentError as error:
+        return str(error)
+
+
+# Signs, whitespace (ASCII and not), underscores, decimal points, exponents,
+# other scripts' digits, and digit runs on both sides of the int-string limit.
+_PIECES = st.sampled_from([
+    "0", "7", "12", "+", "-", "/", " ", "\t", "\u00a0", "_", ".", "e", "\u0663",
+    "\uff11",
+])
+_DIGITS = st.builds(
+    lambda k, digit: digit * k, st.integers(4290, 5000), st.sampled_from("019")
+)
+_TEXTS = st.one_of(
+    st.lists(_PIECES, max_size=8).map("".join),
+    st.tuples(st.sampled_from(["", "-", "+", " "]), _DIGITS,
+              st.sampled_from(["", "/7", "/0", "/" + "3" * 5000, " "])).map("".join),
+    st.tuples(st.sampled_from(["1/", "-2/"]), _DIGITS).map("".join),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS)
+@example("1_0")
+@example(1.5)
+@example(" -12/0 ")
+@example("1" * 5000)
+@example("1/" + "0" * 5000)
+@example("0" * 5000 + "/0")
+def test_parse_rational_as_the_pattern_and_fraction(text):
+    """Each text is refused or accepted, with the same value or message, as
+    by the pattern followed by ``Fraction`` of the stripped text."""
+    assert _parsed(text) == _guarded_fraction(text)
 
 
 def test_format_rational():
