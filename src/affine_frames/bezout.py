@@ -4,7 +4,11 @@ Both constructions read coefficients off the reduced Sylvester system of a
 vector, so they are deterministic: the minimal Bezout vector is the unique
 solution of ``A b = e1`` supported on pivotal columns, and each syzygy basis
 element expresses a basic non-pivotal column through the pivotal columns to
-its left.
+its left.  A syzygy basis is checked as it is built, by the certificate of
+:func:`basis_scale` (Song and Goldman 2009): syzygies whose degrees sum to
+deg v and whose leading vectors are independent have an outer product
+proportional to v, and the constant is read off one small elimination, so
+the outer product itself is never interpolated.
 
 Being the one member of a normal form, each result can be checked without
 being built: :func:`is_minimal_bezout` and :func:`is_mu_basis` read the
@@ -18,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .poly import Polynomial
+from .poly import Polynomial, integer_coefficients, integer_sum_of_products
 from .sylvester import SylvesterSystem, build_sylvester, flat, sharp, sylvester_matrix
-from .vectors import PolyVector, RegularityError, outer_product
+from .vectors import PolyVector, RegularityError
 
 
 @dataclass(frozen=True)
@@ -36,7 +40,8 @@ class MuBasis:
     """Degree-ordered basis of the syzygy module of a vector.
 
     ``outer_product(elements)`` equals ``scale * v`` for the nonzero
-    rational ``scale``.
+    rational ``scale``, which :func:`basis_scale` certifies without
+    building that product.
     """
 
     elements: tuple[PolyVector, ...]
@@ -81,12 +86,49 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
         for prow, pcol in enumerate(sys.pivot_cols):
             coords[pcol - 1] = -reduced[prow]
         elements.append(flat(coords, sys.n, sys.d))
-    cross = outer_product(elements)
-    a, c = next((a, c) for a, c in zip(v, cross) if not a.is_zero)
-    scale = c.coeff(int(a.degree)) / a.leading
-    if scale == 0 or cross != v.scale(scale):
-        raise RegularityError("syzygy basis is not proportional to input")
-    return MuBasis(tuple(elements), scale)
+    return MuBasis(tuple(elements), basis_scale(v, elements))
+
+
+def basis_scale(v: PolyVector, elements) -> Fraction:
+    """The nonzero r with ``outer_product(elements) == r * v``, for a coprime v.
+
+    Certified, not computed from the product: with d the degree of v, the
+    elements must be n - 1 syzygies (``v . u_i == 0``, on integers with v
+    cleared once) whose degrees sum to d and whose leading vectors (the
+    coefficients of ``t**deg u_i``) have rank n - 1, by one elimination.
+    Otherwise it raises ``RegularityError``.
+
+    Those conditions prove ``w = outer_product(elements) = r v``.  Each
+    component of w is a signed (n-1)-minor of the elements, of degree at
+    most d; its ``t**d`` coefficient is the same minor of the leading
+    vectors, and their rank makes one of those nonzero, so w has degree d.
+    Both v and w are orthogonal to every u_i (``w . u_i`` is a determinant
+    with a repeated column), and the u_i span n - 1 dimensions over Q(t)
+    since w is nonzero, so ``w = (p / q) v`` for coprime polynomials p, q.
+    Then q divides every ``p v_i``, hence ``gcd(v) = 1``, and p has degree
+    ``deg w - deg v = 0``.  The constant is read off the ``t**d``
+    coefficients: with the leading vectors over one lcm L, f the column
+    their elimination leaves free, ``sign`` its row sign and D its last
+    pivot, component f of w has ``t**d`` coefficient
+    ``(-1)**f * sign * D / L**(n-1)`` by Cramer's rule, as in
+    :func:`vectors.outer_product`.  It is nonzero, so is ``v_f[d]``, and
+    r is their quotient.
+    """
+    n, d = v.dim, int(v.degree)
+    if len(elements) == n - 1 and sum(u.degree for u in elements) == d:
+        leading, scale = ratlin.clear_denominators(
+            [[c.coeff(int(u.degree)) for c in u] for u in elements]
+        )
+        echelon = ratlin.Echelon(leading)
+        left, _ = integer_coefficients(v.components)
+        if len(echelon.pivots) == n - 1 and not any(
+            any(integer_sum_of_products(left, integer_coefficients(u.components)[0]))
+            for u in elements
+        ):
+            (free,) = set(range(n)).difference(echelon.pivots)
+            minor = echelon.sign * echelon.last_pivot * (-1) ** free
+            return Fraction(minor, scale ** (n - 1)) / v[free].coeff(d)
+    raise RegularityError("syzygy basis is not proportional to input")
 
 
 def bezout_degree_search(
@@ -123,10 +165,9 @@ def bezout_degree_search(
     n, d = v.dim, int(v.degree)
     top = d if bound is None else max(0, min(bound, d))
     width = n * (top + 1)
-    # Scaling leaves pivots alone, so the prefix is cleared as one matrix.
-    augmented, _ = ratlin.clear_denominators(
-        [row[:width] + (Fraction(i == 0),) for i, row in enumerate(sylvester_matrix(v))]
-    )
+    # Scaling by L leaves pivots alone: L [A_E | e1] has those of [A_E | e1].
+    rows, scale = sylvester_matrix(v)
+    augmented = [row[:width] + [scale if i == 0 else 0] for i, row in enumerate(rows)]
     pivots = ratlin.Echelon(augmented).pivots  # eliminates ``augmented``
     if width in pivots:
         if top == d or not v.is_coprime():

@@ -99,11 +99,16 @@ def _verify_frame(doc: CurveDocument, fields: dict) -> Checks:
         return
     stored = FrameResult(**fields)
     _require_n_by_n(stored.matrix, doc, "frame")
-    g, canonical = section_and_canonical(tangent)
+    g = section(tangent)
     report = verify_completion(stored.matrix, tangent, g)
+    # The canonical tangent is g^-1 . tangent exactly when g maps it to the
+    # tangent, so only verify_completion inverts g.
+    canonical = stored.canonical_tangent
     yield "matrix_reproducible", (
-        (stored.section, stored.canonical_tangent) == (g, canonical)
+        stored.section == g
         and _is_minimal_completion(stored, report, tangent)
+        and canonical.dim == doc.n
+        and g.apply(canonical) == tangent
     )
     yield "first_column_is_tangent", report.first_column_matches
     yield "determinant_is_one", report.determinant_one

@@ -2,11 +2,14 @@
 
 ``minimal_completion`` realizes the minimal-degree construction: take a
 minimal Bezout vector b of v, then a µ-basis (syzygy basis) syz of b with
-``outer_product(syz) == scale * b``.  By the Laplace identity,
-``det [v | syz] = v . outer_product(syz) = scale * (v . b) = scale``, so
-dividing the last syzygy by the µ-basis scale gives determinant one at
-degree ``deg v + deg b``, which is the least possible.  No determinant is
-computed; the exact check ``v . b == 1`` stands in for it.
+``outer_product(syz) == scale * b``, which ``mu_basis`` has already
+certified without building that product (:func:`bezout.basis_scale`:
+syzygies of b, degrees summing to deg b, independent leading vectors).  By
+the Laplace identity, ``det [v | syz] = v . outer_product(syz) =
+scale * (v . b) = scale``, so dividing the last syzygy by the µ-basis
+scale gives determinant one at degree ``deg v + deg b``, which is the
+least possible.  No determinant or outer product is computed; the exact
+check ``v . b == 1`` stands in for them.
 
 ``quillen_suslin`` builds instead a matrix Q with ``v^T Q = e1^T`` from the
 same ingredients computed for v itself; its inverse transpose is a

@@ -12,10 +12,12 @@ multiply and add integers, and each output coefficient becomes one
 ``Fraction`` at the end.  :func:`sum_of_products` is the one kernel for
 ``sum(a_i * b_i)``: ``*`` calls it with one pair, ``+`` and ``-`` with two
 and the unit weights, ``PolyVector.dot`` and ``PolyMatrix.__matmul__`` with
-n.  Multiplying by a number scales each coefficient.  :func:`horner` is the
-integer Horner.  :func:`integer_gcd` is the one Euclid, by pseudo-remainders
-on integers, reduced mod a prime or divided by their content; a polynomial
-divides only by a number, and :func:`poly_gcd` is the exact run made monic.
+n.  Its integer loop, :func:`integer_sum_of_products`, also serves callers
+that hold cleared coefficients already.  Multiplying by a number scales
+each coefficient.  :func:`horner` is the integer Horner.
+:func:`integer_gcd` is the one Euclid, by pseudo-remainders on integers,
+reduced mod a prime or divided by their content; a polynomial divides only
+by a number, and :func:`poly_gcd` is the exact run made monic.
 """
 
 from __future__ import annotations
@@ -225,14 +227,22 @@ def sum_of_products(
     over the lcm of its own denominators, one division per coefficient."""
     left, l_scale = integer_coefficients(lefts)
     right, r_scale = integer_coefficients(rights)
-    pairs = list(zip(left, right))
+    return from_integers(integer_sum_of_products(left, right), l_scale * r_scale)
+
+
+def integer_sum_of_products(
+    lefts: Sequence[Sequence[int]], rights: Sequence[Sequence[int]]
+) -> list[int]:
+    """The coefficients, lowest power first and untrimmed, of
+    ``sum(a * b)`` over paired integer coefficient lists."""
+    pairs = list(zip(lefts, rights))
     acc = [0] * max((len(a) + len(b) - 1 for a, b in pairs if a and b), default=0)
     for a_coeffs, b_coeffs in pairs:
         for i, a in enumerate(a_coeffs):
             if a:
                 for j, b in enumerate(b_coeffs):
                     acc[i + j] += a * b
-    return from_integers(acc, l_scale * r_scale)
+    return acc
 
 
 def horner(descending: Sequence[int], x: int) -> int:

@@ -6,7 +6,10 @@ laid out left to right, each shifted down by one more row; row r of a copy
 is the degree-r block of :func:`sharp`.  Multiplying A against the stacked
 coefficients of a vector h of degree at most d produces the coefficients
 of the scalar product <v, h>, which turns questions about polynomial
-identities into exact linear algebra.
+identities into exact linear algebra.  :func:`sylvester_matrix` lays out
+``L A`` on integers, L the lcm of the coefficient denominators of v, and
+every elimination runs on those rows; A in Fractions is built only when
+read, which the ``sylvester`` command alone does.
 
 Column indices of A are 1-based throughout this module to match the usual
 pivot bookkeeping; coefficient-matrix columns elsewhere are 0-based.  The
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import ratlin
-from .poly import Polynomial
+from .poly import Polynomial, integer_coefficients
 from .vectors import PolyVector, RegularityError
 
 
@@ -67,12 +70,17 @@ class SylvesterSystem:
     gcd(v)``, so it is full exactly when the components of v are coprime.
     ``reduced``, the reduced form of A, is the A block of that of
     ``[A | e1]``: a pivot in the e1 column sits in a row that is zero on A.
+    ``matrix``, A itself in Fractions, is laid out again on first access;
+    the elimination never reads it.
     """
 
-    n: int
-    d: int
-    matrix: ratlin.Matrix
+    vector: PolyVector
     echelon: ratlin.Echelon = field(compare=False, repr=False)
+
+    @cached_property
+    def matrix(self) -> ratlin.Matrix:
+        rows, scale = sylvester_matrix(self.vector)
+        return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
 
     @cached_property
     def pivot_cols(self) -> tuple[int, ...]:
@@ -103,6 +111,14 @@ class SylvesterSystem:
         return ratlin.transpose(self.echelon.columns(range(self.ncols)))
 
     @property
+    def n(self) -> int:
+        return self.vector.dim
+
+    @cached_property
+    def d(self) -> int:
+        return int(self.vector.degree)
+
+    @property
     def nrows(self) -> int:
         return 2 * self.d + 1
 
@@ -115,28 +131,35 @@ class SylvesterSystem:
         return len(self.pivot_cols)
 
 
-def sylvester_matrix(v: PolyVector) -> ratlin.Matrix:
-    """The matrix A of a nonzero vector, with no elimination."""
+def sylvester_matrix(v: PolyVector) -> tuple[list[list[int]], int]:
+    """``L A`` as integer rows, and ``L``, for a nonzero vector's A.
+
+    L is the lcm of the coefficient denominators of v, so the rows are
+    those :func:`ratlin.clear_denominators` makes of A, laid out from
+    :func:`poly.integer_coefficients` of the components; no elimination.
+    """
     if v.is_zero:
         raise RegularityError("vector is zero")
     n, d = v.dim, int(v.degree)
-    stacked = sharp(v, d)  # block r holds the degree-r coefficients
-    rows = [[Fraction(0)] * (n * (d + 1)) for _ in range(2 * d + 1)]
-    for copy in range(d + 1):
-        for r in range(d + 1):
-            rows[copy + r][copy * n:(copy + 1) * n] = stacked[r * n:(r + 1) * n]
-    return tuple(map(tuple, rows))  # coefficients are Fractions already
+    coefficients, scale = integer_coefficients(v.components)
+    rows = [[0] * (n * (d + 1)) for _ in range(2 * d + 1)]
+    for c, coeffs in enumerate(coefficients):
+        for r, x in enumerate(coeffs):  # degree r sits in row r of copy 0
+            if x:
+                for copy in range(d + 1):
+                    rows[copy + r][copy * n + c] = x
+    return rows, scale
 
 
 def build_sylvester(v: PolyVector) -> SylvesterSystem:
     """Construct the Sylvester-type system of a nonzero vector.
 
-    The layout of A and one forward elimination of ``[A | e1]``, its
-    denominators cleared once; no column is back-substituted here.
+    One forward elimination of ``L [A | e1]`` on the integer rows of
+    :func:`sylvester_matrix`, which has the pivots and reduced form of
+    ``[A | e1]``; no column is back-substituted here.
     """
-    matrix = sylvester_matrix(v)
+    rows, scale = sylvester_matrix(v)
     # A pivot in the e1 column means e1 is not in the span of A.
-    echelon = ratlin.Echelon(ratlin.clear_denominators(
-        [row + (Fraction(i == 0),) for i, row in enumerate(matrix)]
-    )[0])
-    return SylvesterSystem(n=v.dim, d=int(v.degree), matrix=matrix, echelon=echelon)
+    for i, row in enumerate(rows):
+        row.append(scale if i == 0 else 0)
+    return SylvesterSystem(vector=v, echelon=ratlin.Echelon(rows))

@@ -19,6 +19,7 @@ from affine_frames import (
     section,
 )
 from affine_frames import ratlin
+from affine_frames.bezout import basis_scale
 from affine_frames.sylvester import sylvester_matrix
 
 from conftest import p, random_group, random_regular_vector, vec
@@ -169,8 +170,8 @@ def reference_degree_search(v):
     with the pivot columns of A_e by Fraction elimination."""
     if v.is_zero:
         raise RegularityError("vector is zero")
-    matrix = sylvester_matrix(v)
-    work, _ = ratlin.clear_denominators(matrix)
+    work, scale = sylvester_matrix(v)
+    matrix = [[Fraction(x, scale) for x in row] for row in work]
     for e in range(int(v.degree) + 1):
         width = v.dim * (e + 1)
         augmented = [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
@@ -306,3 +307,88 @@ def test_bounded_degree_search_against_the_prefix_loop(v, factor):
     u = v.linear_map(g.inverse().matrix)
     assert bezout_degree_search(u) == reference_degree_search(g.inverse().apply(v))
     assert bezout_degree_search(u)[0] == e
+
+
+def reference_scale(v, elements):
+    """The r with ``outer_product(elements) == r * v``, by building that
+    product: the check ``mu_basis`` ran before its certificate."""
+    cross = outer_product(elements)
+    a, c = next((a, c) for a, c in zip(v, cross) if not a.is_zero)
+    scale = c.coeff(int(a.degree)) / a.leading
+    if scale == 0 or cross != v.scale(scale):
+        raise RegularityError("syzygy basis is not proportional to input")
+    return scale
+
+
+def _scale_outcome(check, v, elements):
+    try:
+        return check(v, elements)
+    except RegularityError as error:
+        return str(error)
+
+
+def _altered_sets(elements, rng):
+    """Element sets near a µ-basis: one element times a number, times 0 and
+    times t; two swapped; a ``t**k`` multiple of one added to another (or
+    to itself), or put in place of a higher one of degree k more; one plus
+    a unit vector, which is no syzygy where v has a nonzero component."""
+    m, n = len(elements), elements[0].dim
+
+    def replaced(i, u):
+        out = list(elements)
+        out[i] = u
+        return out
+
+    i, j = rng.randrange(m), rng.randrange(m)
+    yield replaced(i, elements[i].scale(Fraction(rng.choice((-3, -1, 2)), rng.choice((1, 5)))))
+    yield replaced(i, elements[i].scale(0))
+    yield replaced(i, elements[i].scale(Polynomial.monomial(1)))
+    if m > 1:
+        k = (i + 1) % m
+        swapped = list(elements)
+        swapped[i], swapped[k] = swapped[k], swapped[i]
+        yield swapped
+    shifted = elements[j].scale(Polynomial.monomial(rng.randrange(3)))
+    yield replaced(i, elements[i] + shifted)
+    # Of the same degrees, but dependent.
+    low, high = sorted((i, j), key=lambda k: elements[k].degree)
+    if low != high:
+        gap = int(elements[high].degree - elements[low].degree)
+        yield replaced(high, elements[low].scale(Polynomial.monomial(gap)))
+    unit = PolyVector(Polynomial.one() if c == rng.randrange(n) else Polynomial()
+                      for c in range(n))
+    yield replaced(i, elements[i] + unit)
+
+
+@st.composite
+def coprime_vectors(draw):
+    """Coprime vectors, n = 2..8, degree n-2..n+1 (at least 1), with integer
+    or p/q coefficients (|p| and q below 2**8)."""
+    n = draw(st.integers(2, 8))
+    d = draw(st.integers(max(1, n - 2), n + 1))
+    entry = draw(st.sampled_from((
+        st.integers(-9, 9),
+        st.builds(Fraction, st.integers(-255, 255), st.integers(1, 255)),
+    )))
+    v = PolyVector(Polynomial(draw(st.lists(entry, min_size=d + 1, max_size=d + 1)))
+                   for _ in range(n))
+    assume(not v.is_zero and v.is_coprime())
+    return v
+
+
+@settings(max_examples=60, deadline=None)
+@given(coprime_vectors(), st.booleans(), st.integers(0, 2**32))
+def test_basis_scale_against_the_outer_product(v, of_bezout, seed):
+    """On the µ-basis of v or of its minimal Bezout vector b, the
+    certificate gives the scale that building the outer product gives.  On
+    altered element sets it refuses every set the outer product refuses,
+    and where it accepts, its scale is the outer product's."""
+    target = minimal_bezout(v).vector if of_bezout else v
+    mu = mu_basis(target)
+    assert basis_scale(target, mu.elements) == reference_scale(target, mu.elements)
+    assert mu.scale == reference_scale(target, mu.elements)
+    refused = "syzygy basis is not proportional to input"
+    for altered in _altered_sets(mu.elements, random.Random(seed)):
+        certified = _scale_outcome(basis_scale, target, altered)
+        expected = _scale_outcome(reference_scale, target, altered)
+        assert certified == expected or certified == refused

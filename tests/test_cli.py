@@ -47,6 +47,20 @@ QUARTIC = {
     ],
 }
 
+# n = 7, degree 8, with denominators: its µ-basis certificate clears them.
+WIDE_RATIONAL = {
+    "n": 7,
+    "coeffs": [
+        ["1/2", "-5", "3", "-8", "-7", "8", "-6", "2", "1"],
+        ["-8", "7/3", "-3", "-8", "-7", "4", "4", "-7", "-2"],
+        ["-7", "8", "4/5", "-8", "9", "-6", "-2", "9", "-8"],
+        ["9", "9", "3", "-8/7", "-2", "-8", "8", "-5", "0"],
+        ["4", "-5", "8", "-6", "9/2", "0", "8", "-4", "-6"],
+        ["9", "9", "-3", "2", "-6", "8/3", "-7", "9", "-8"],
+        ["-3", "6", "8", "4", "1", "5", "9/4", "5", "2"],
+    ],
+}
+
 PLANAR = {"n": 2, "coeffs": [["0", "1"], ["0", "0", "0", "1"]]}
 
 # A cubic in dimension 3: not generic, since its degree does not exceed n.
@@ -626,9 +640,10 @@ def test_plot_params_may_start_with_a_negative_value(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, curve", [("frame", QUINTIC), ("complete", QUARTIC)])
 def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curve):
-    """A result is built without a determinant; its verify takes exactly one,
-    the first column against one outer product of the others, and no
-    polynomial determinant."""
+    """A result is built without a determinant or an outer product (the
+    µ-basis scale comes from its leading-vector certificate); its verify
+    takes exactly one determinant, the first column against one outer
+    product of the others, and no polynomial determinant."""
     calls = {"determinant": 0, "outer_product": 0}
     determinant, outer_product = vectors.PolyMatrix.determinant, vectors.outer_product
 
@@ -641,16 +656,78 @@ def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curv
         return outer_product(vectors_)
 
     monkeypatch.setattr(vectors.PolyMatrix, "determinant", counting_determinant)
-    for module in (vectors, bezout, completion, cli):
+    # bezout, which builds the µ-basis, no longer imports outer_product.
+    assert not hasattr(bezout, "outer_product")
+    for module in (vectors, completion, cli):
         monkeypatch.setattr(module, "outer_product", counting_outer_product)
     infile = write(tmp_path / "curve.json", curve)
     result = tmp_path / "result.json"
     assert main([command, "--in", infile, "--out", str(result)]) == 0
-    assert calls == {"determinant": 0, "outer_product": 1}  # the µ-basis scale
+    assert calls == {"determinant": 0, "outer_product": 0}
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result)])
     assert code == 0, err
     assert json.loads(out)["metadata"]["ok"] is True
-    assert calls == {"determinant": 0, "outer_product": 2}
+    assert calls == {"determinant": 0, "outer_product": 1}
+
+
+@pytest.mark.parametrize("command, curve", [
+    ("complete", QUARTIC), ("bezout", QUARTIC), ("mubasis", QUARTIC),
+    ("complete", WIDE_RATIONAL), ("bezout", WIDE_RATIONAL), ("mubasis", WIDE_RATIONAL),
+])
+def test_compute_never_builds_the_fraction_sylvester_matrix(
+    tmp_path, monkeypatch, command, curve
+):
+    """``complete``, ``bezout`` and ``mubasis`` eliminate the integer rows
+    of L A and never lay A out in Fractions; ``sylvester`` does."""
+    built = []
+    matrix = sylvester.SylvesterSystem.matrix
+
+    def counting_matrix(system):
+        built.append(system.n)
+        return matrix.func(system)
+
+    monkeypatch.setattr(sylvester.SylvesterSystem, "matrix", property(counting_matrix))
+    infile = write(tmp_path / "curve.json", curve)
+    builds = []
+    build = sylvester.build_sylvester
+
+    def counting_build(v):
+        builds.append(v.dim)
+        return build(v)
+
+    for module in (sylvester, bezout, completion, cli):
+        monkeypatch.setattr(module, "build_sylvester", counting_build)
+    assert main([command, "--in", infile, "--out", str(tmp_path / "out.json")]) == 0
+    assert builds and built == []
+    assert main(["sylvester", "--in", infile, "--out", str(tmp_path / "s.json")]) == 0
+    assert built == [curve["n"]]
+
+
+def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
+    """A frame's verify inverts its section once, in ``verify_completion``,
+    with the inverse's determinant-one check; the stored canonical tangent
+    is checked by mapping it forward."""
+    calls = {"inverse": 0, "group": 0}
+    inverse, group_init = ratlin.inverse, groups.GroupElement.__init__
+
+    def counting_inverse(rows):
+        calls["inverse"] += 1
+        return inverse(rows)
+
+    def counting_init(self, matrix, shift=0):
+        calls["group"] += 1
+        group_init(self, matrix, shift)
+
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    frame_path = tmp_path / "frame.json"
+    assert main(["frame", "--in", infile, "--out", str(frame_path)]) == 0
+    monkeypatch.setattr(ratlin, "inverse", counting_inverse)
+    monkeypatch.setattr(groups.GroupElement, "__init__", counting_init)
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(frame_path)])
+    assert code == 0, err
+    assert json.loads(out)["metadata"]["ok"] is True
+    # One for the stored section, one for the section, one for its inverse.
+    assert calls == {"inverse": 1, "group": 3}
 
 
 def test_frame_inverts_one_matrix(tmp_path, capsys, monkeypatch):

@@ -313,7 +313,7 @@ def integer_matrices(draw):
     rows[draw(st.integers(0, n - 1))][d] = draw(st.sampled_from((1, 2, 3, -1, -2)))
     v = PolyVector(Polynomial(row) for row in rows)
     width = n * draw(st.integers(1, d + 1))
-    work, _ = ratlin.clear_denominators(sylvester_matrix(v))
+    work, _ = sylvester_matrix(v)
     return [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
 
 

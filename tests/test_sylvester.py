@@ -259,7 +259,19 @@ def sylvester_matrix_reference(v):
     ).map(PolyVector)
 )
 def test_sylvester_matrix_matches_entrywise_layout(v):
+    """The integer rows and their lcm are what clearing the denominators of
+    the entrywise Fraction layout gives, entry by entry; the system's
+    Fraction matrix is that layout."""
     assume(not v.is_zero)
-    matrix = sylvester_matrix(v)
-    assert matrix == sylvester_matrix_reference(v)
+    rows, scale = sylvester_matrix(v)
+    reference = sylvester_matrix_reference(v)
+    cleared, lcm = ratlin.clear_denominators(reference)
+    assert scale == lcm
+    assert len(rows) == len(cleared)
+    for row, expected in zip(rows, cleared):
+        assert len(row) == len(expected)
+        for x, y in zip(row, expected):
+            assert type(x) is int and x == y
+    matrix = build_sylvester(v).matrix
+    assert matrix == reference
     assert all(type(x) is Fraction for row in matrix for x in row)
