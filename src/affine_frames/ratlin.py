@@ -16,9 +16,9 @@ column is not rescaled at that step but once, when it is next read; banded
 matrices such as the Sylvester matrix leave most rows idle at most steps.
 ``rank``, ``det`` and pivot lookups stop after the forward pass; ``rref``
 and ``inverse`` back-substitute every column.  Integer results become
-Fractions once, at the end.  A caller that stays on integers, like the
-polynomial determinant and outer product, builds its own :class:`Echelon`
-and reads the back-substituted columns scaled by the last pivot, as integers.
+Fractions once, at the end.  The polynomial outer product, the source of
+every polynomial minor, stays on integers: it builds its own :class:`Echelon`
+and reads the back-substituted columns scaled by the last pivot.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ constant linear map runs on integers too: one ``Fraction`` per output
 coefficient; :meth:`PolyMatrix.linear_map` clears the constant matrix once
 and maps every column, a vector as a one-column matrix.
 
-Polynomial determinants and outer products share one evaluation loop,
-:func:`_interpolated_minors`: one integer :class:`ratlin.Echelon` per point,
-one interpolation per output.  A determinant reads one value off each
-elimination, an outer product all n signed minors by Cramer's rule.
+:func:`outer_product` is the one routine for polynomial minors: one integer
+:class:`ratlin.Echelon` per point reads all n signed minors by Cramer's
+rule, and each is interpolated once.  A determinant is the Laplace pairing
+of its first column with the outer product of the others.
 
 :meth:`PolyVector.is_coprime` decides unit gcd by a modular certificate
 (Brown 1971): with denominators cleared, a constant gcd of the components
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import ratlin
 from .poly import (
@@ -281,52 +281,39 @@ class PolyMatrix:
         )
 
     def determinant(self) -> Polynomial:
-        """Exact determinant, evaluated at integer points by one
-        :class:`ratlin.Echelon` each and interpolated."""
+        """Exact determinant by the Laplace identity: the first column paired
+        with the :func:`outer_product` of the others (the entry at n = 1)."""
         if self.nrows != self.ncols:
             raise ValueError("determinant requires a square matrix")
-        return _det_interpolate(self.rows)
+        if self.nrows == 1:
+            return self.rows[0][0]
+        cols = self.columns()
+        return cols[0].dot(outer_product(cols[1:]))
 
     def inverse_unimodular(self) -> "PolyMatrix":
-        """Inverse of a matrix with nonzero constant determinant."""
-        d = self.determinant()
+        """Inverse of a matrix with nonzero constant determinant.
+
+        Row i of the adjugate is ``(-1)**i`` times the outer product of the
+        columns other than i, by the Laplace identity, and the determinant
+        is row 0 paired with column 0."""
+        if self.nrows != self.ncols:
+            raise ValueError("determinant requires a square matrix")
+        n, cols = self.nrows, self.columns()
+        minors = [
+            outer_product(cols[:i] + cols[i + 1:]) if n > 1 else PolyVector([1])
+            for i in range(n)
+        ]
+        d = cols[0].dot(minors[0])
         if d.is_zero or not d.is_constant:
             raise ValueError("inverse requires a nonzero constant determinant")
-        if self.nrows == 1:
-            return PolyMatrix([[Polynomial.one() / d.coeff(0)]])
-        # Row i of the adjugate is (-1)**i times the outer product of the
-        # other columns, by the Laplace identity on outer_product.
-        cols = self.columns()
         return PolyMatrix(
-            outer_product(cols[:i] + cols[i + 1:]).scale((-1) ** i / d.coeff(0))
-            for i in range(self.nrows)
+            minor.scale((-1) ** i / d.coeff(0)) for i, minor in enumerate(minors)
         )
 
     def evaluate(self, x: Scalar) -> ratlin.Matrix:
         return tuple(
             tuple(e.evaluate(x) for e in row) for row in self.rows
         )
-
-
-def _det_interpolate(rows: Sequence[Sequence[Polynomial]]) -> Polynomial:
-    """Exact determinant by evaluation at integer points and interpolation.
-
-    Every term of the determinant takes one entry from each row and each
-    column, so its degree is at most D, the smaller of the sum of the row
-    max-degrees and the sum of the column max-degrees.  That bound holds
-    whatever cancels, so the values at the D + 1 points ``0..D`` fix the
-    determinant.  :func:`_interpolated_minors` runs the loop; each value is
-    ``sign * last_pivot`` of the point's elimination (0 below full rank).
-    """
-    bound = _degree_bound(rows)
-    if bound == NEG_INF:
-        return Polynomial.zero()
-
-    def read(echelon: ratlin.Echelon) -> list[int]:
-        full = len(echelon.pivots) == len(rows)
-        return [echelon.sign * echelon.last_pivot if full else 0]
-
-    return _interpolated_minors(rows, bound, read)[0]
 
 
 def _degree_bound(rows: Sequence[Sequence[Polynomial]]) -> int | float:
@@ -336,25 +323,6 @@ def _degree_bound(rows: Sequence[Sequence[Polynomial]]) -> int | float:
         sum(max(e.degree for e in row) for row in rows),
         sum(max(e.degree for e in col) for col in zip(*rows)),
     )
-
-
-def _interpolated_minors(
-    rows: Sequence[Sequence[Polynomial]], bound: int, read: Callable
-) -> list[Polynomial]:
-    """Each row over the lcm of its denominators, one :class:`ratlin.Echelon`
-    of the integer values (by :func:`poly.horner`) at each point ``0..bound``,
-    read into that point's outputs by ``read``; each output is interpolated
-    once and divided by the product of the row scales."""
-    work, denominator = [], 1
-    for row in rows:
-        scaled, scale = integer_coefficients(row)
-        work.append([e[::-1] for e in scaled])
-        denominator *= scale
-    values = [
-        read(ratlin.Echelon([[horner(e, x) for e in row] for row in work]))
-        for x in range(bound + 1)
-    ]
-    return [_interpolate(column, denominator) for column in zip(*values)]
 
 
 def _interpolate(values: list[int], denominator: int) -> Polynomial:
@@ -387,13 +355,16 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     Component i carries the sign ``(-1)**i`` times the minor that omits row
     i, so ``w.dot(outer_product(us)) == det([w | us])`` columnwise.
 
-    All n minors come from one elimination per point of
-    :func:`_interpolated_minors`, whose rows are the vectors, on the points
-    ``0..B``, B the largest of the minors' degree bounds.  Below rank n-1
-    every minor vanishes.  Otherwise one column f is not a pivot, and with
-    the last pivot D and the row sign ``sign``, Cramer's rule gives
-    component f as ``(-1)**f * sign * D`` and the component at the pivot
-    column of row r as ``-(-1)**f * sign * (D R)[r, f]``, R the reduced form.
+    A minor's degree is at most the smaller of its row and column
+    max-degree sums, whatever cancels, so its values at ``0..B``, B the
+    largest such bound, fix it.  Each vector goes over the lcm of its
+    denominators, and one :class:`ratlin.Echelon` of their integer values
+    (by :func:`poly.horner`) per point gives all n minors there.  Below rank
+    n-1 they vanish.  Otherwise one column f is not a pivot, and with the
+    last pivot D and the row sign ``sign``, Cramer's rule gives component f
+    as ``(-1)**f * sign * D`` and the component at the pivot column of row r
+    as ``-(-1)**f * sign * (D R)[r, f]``, R the reduced form.  Each component
+    is interpolated once and divided by the product of the vector scales.
     """
     if not vectors:
         raise ValueError("outer product needs at least one vector")
@@ -406,8 +377,14 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     )
     if bound == NEG_INF:
         return PolyVector([Polynomial.zero()] * n)
-
-    def read(echelon: ratlin.Echelon) -> list[int]:
+    work, denominator = [], 1
+    for row in rows:
+        comps, scale = integer_coefficients(row)
+        work.append([e[::-1] for e in comps])
+        denominator *= scale
+    values = []
+    for x in range(bound + 1):
+        echelon = ratlin.Echelon([[horner(e, x) for e in row] for row in work])
         out, pivots = [0] * n, echelon.pivots
         if len(pivots) == n - 1:
             (free,) = set(range(n)).difference(pivots)
@@ -416,9 +393,8 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
             out[free] = sign * echelon.last_pivot
             for p, y in zip(pivots, scaled):
                 out[p] = -sign * y
-        return out
-
-    return PolyVector(_interpolated_minors(rows, bound, read))
+        values.append(out)
+    return PolyVector(_interpolate(column, denominator) for column in zip(*values))
 
 
 @dataclass(frozen=True)

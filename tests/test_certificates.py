@@ -30,6 +30,7 @@ from affine_frames import (
     moving_frame,
     mu_basis,
     nonminimal_completion,
+    ratlin,
     validate_curve,
     verify_completion,
 )
@@ -184,8 +185,9 @@ def _outcome(call):
 
 def _rebuilt_completion_outcome(m, v):
     """What verify of a completion raised when it rebuilt the result: the
-    oracle ran when the determinant was one, then minimal_completion."""
-    if m.determinant() == p(1):
+    oracle ran when the determinant was one, then minimal_completion.  The
+    matrices here are constant, so their determinant is that of ``m(0)``."""
+    if ratlin.det(m.evaluate(0)) == 1:
         bezout_degree_search(v)
     minimal_completion(v)
 

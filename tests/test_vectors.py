@@ -413,8 +413,6 @@ def _det_cofactor(rows):
 
 
 def test_determinant_methods_agree():
-    from affine_frames.vectors import _det_interpolate
-
     rng = random.Random(57)
 
     def entry(degree):
@@ -438,7 +436,7 @@ def test_determinant_methods_agree():
         cases.append([list(row) for row in rows[:-1]] + [list(rows[0])])
         cases.append([[Polynomial.zero()] + list(row[1:]) for row in rows])
     for rows in cases:
-        assert _det_interpolate(rows) == _det_cofactor(rows)
+        assert PolyMatrix(rows).determinant() == _det_cofactor(rows)
     assert _det_cofactor(cases[-1]).is_zero
 
 
@@ -513,6 +511,21 @@ def test_determinant_matches_cofactor_expansion(case):
         assert expected.is_zero
 
 
+def _elementary(n, rng):
+    """A random elementary polynomial matrix and its inverse: row i plus a
+    polynomial times row j, or row i scaled by a nonzero constant."""
+    i, j = rng.sample(range(n), 2)
+    forward = [[p(int(r == c)) for c in range(n)] for r in range(n)]
+    backward = [list(row) for row in forward]
+    if rng.random() < 0.75:
+        f = p(*[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+        forward[i][j], backward[i][j] = f, -f
+    else:
+        c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+        forward[i][i], backward[i][i] = p(c), p(1 / c)
+    return PolyMatrix(forward), PolyMatrix(backward)
+
+
 def test_inverse_unimodular():
     m1 = PolyMatrix(
         [
@@ -524,8 +537,27 @@ def test_inverse_unimodular():
     inv = m1.inverse_unimodular()
     assert m1 @ inv == PolyMatrix.identity(3)
     assert inv @ m1 == PolyMatrix.identity(3)
-    with pytest.raises(ValueError):
+    refused = "inverse requires a nonzero constant determinant"
+    with pytest.raises(ValueError, match=refused):
         PolyMatrix([[p(0, 1), p(0)], [p(0), p(1)]]).inverse_unimodular()
+    assert PolyMatrix([[p(Fraction(-2, 5))]]).inverse_unimodular() == PolyMatrix(
+        [[p(Fraction(-5, 2))]]
+    )
+    with pytest.raises(ValueError, match=refused):
+        PolyMatrix([[p(1, 1)]]).inverse_unimodular()
+    with pytest.raises(ValueError, match="determinant requires a square matrix"):
+        PolyMatrix([[p(1), p(0)]]).inverse_unimodular()
+    # products of elementary matrices at n = 2..5: the inverse is the
+    # product of the elementary inverses in reverse order
+    rng = random.Random(28)
+    for n in range(2, 6):
+        for _ in range(4):
+            m = inv = PolyMatrix.identity(n)
+            for _ in range(2 * n):
+                e, e_inv = _elementary(n, rng)
+                m, inv = m @ e, e_inv @ inv
+            assert m.inverse_unimodular() == inv
+            assert m @ inv == PolyMatrix.identity(n) == inv @ m
 
 
 def test_outer_product_goldens():
@@ -559,7 +591,7 @@ def test_outer_product_laplace_identity():
         ]
         w = vec(*[[coeff() for _ in range(3)] for _ in range(n)])
         cross = outer_product(us)
-        det = PolyMatrix.from_columns([w] + us).determinant()
+        det = _det_cofactor(PolyMatrix.from_columns([w] + us).rows)
         assert w.dot(cross) == det
         # each factor is orthogonal to the product
         for u in us:
@@ -570,12 +602,11 @@ def test_outer_product_laplace_identity():
 
 def outer_product_reference(vectors):
     """The definition, minor by minor: component i is ``(-1)**i`` times the
-    determinant of the vectors without row i, each interpolated alone."""
+    cofactor expansion of the vectors without row i."""
     n = vectors[0].dim
     comps = []
     for i in range(n):
-        minor = PolyMatrix([[vec[r] for vec in vectors] for r in range(n) if r != i])
-        d = minor.determinant()
+        d = _det_cofactor([[vec[r] for vec in vectors] for r in range(n) if r != i])
         comps.append(d if i % 2 == 0 else -d)
     return PolyVector(comps)
 
@@ -664,8 +695,9 @@ def test_outer_product_one_elimination_per_point(monkeypatch):
 
 
 def test_minors_share_one_evaluation_loop(monkeypatch):
-    """The determinant and the outer product of the golden quintic's frame
-    run one elimination per point and interpolate each output once."""
+    """The determinant of the golden quintic's frame is one outer product of
+    its last columns, paired with the first: one elimination per point of
+    that outer product's grid, and one interpolation per component."""
     calls = {"echelon": 0, "interpolate": 0}
     interpolate = vectors._interpolate
 
@@ -681,12 +713,14 @@ def test_minors_share_one_evaluation_loop(monkeypatch):
     frame = frames.moving_frame(frames.validate_curve(quintic_curve())).matrix
     monkeypatch.setattr(ratlin, "Echelon", Counted)
     monkeypatch.setattr(vectors, "_interpolate", counted_interpolate)
-    assert frame.determinant() == Polynomial.one()
-    assert calls == {"echelon": _degree_bound(frame.rows) + 1, "interpolate": 1}
-    calls.update(echelon=0, interpolate=0)
     us = frame.columns()[1:]
+    one_outer_product = {"echelon": _grid_bound(us) + 1, "interpolate": frame.nrows}
+    assert one_outer_product == {"echelon": 2, "interpolate": 3}
+    assert frame.determinant() == Polynomial.one()
+    assert calls == one_outer_product
+    calls.update(echelon=0, interpolate=0)
     assert frame.column(0).dot(outer_product(us)) == Polynomial.one()
-    assert calls == {"echelon": _grid_bound(us) + 1, "interpolate": 3}
+    assert calls == one_outer_product
 
 
 def test_require_regular():
