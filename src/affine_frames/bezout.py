@@ -4,7 +4,9 @@ Both constructions read coefficients off the reduced Sylvester system of a
 vector, so they are deterministic: the minimal Bezout vector is the unique
 solution of ``A b = e1`` supported on pivotal columns, and each syzygy basis
 element expresses a basic non-pivotal column through the pivotal columns to
-its left.  A syzygy basis is checked as it is built, by the certificate of
+its left.  One reader lays out both, each from one integer column of the
+system's single forward pass, with one Fraction per nonzero coefficient.
+A syzygy basis is checked as it is built, by the certificate of
 :func:`basis_scale` (Song and Goldman 2009): syzygies whose degrees sum to
 deg v and whose leading vectors are independent have an outer product
 proportional to v, and the constant is read off one small elimination, so
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .poly import Polynomial, integer_coefficients, integer_sum_of_products
-from .sylvester import SylvesterSystem, build_sylvester, flat, sharp, sylvester_matrix
+from .poly import Polynomial, from_integers, integer_coefficients, integer_sum_of_products
+from .sylvester import SylvesterSystem, build_sylvester, sharp, sylvester_matrix
 from .vectors import PolyVector, RegularityError
 
 
@@ -62,10 +64,7 @@ def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> Bezo
     sys = system if system is not None else build_sylvester(v)
     if sys.rank != sys.nrows:  # rank A = nrows - deg gcd(v)
         raise RegularityError("components share a nonconstant factor")
-    coords = [Fraction(0)] * sys.ncols
-    for row, col in enumerate(sys.pivot_cols):
-        coords[col - 1] = sys.reduced_e1[row]
-    b = flat(coords, sys.n, sys.d)
+    (b,) = _pivot_solutions(sys, [sys.ncols])
     return BezoutVector(b, int(b.degree))
 
 
@@ -79,14 +78,24 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
         raise RegularityError("components share a nonconstant factor")
     if v.dim < 2:
         raise RegularityError("syzygies need dimension at least 2")
-    elements = []
-    for col, reduced in zip(sys.basic_nonpivot, sys.reduced_basic):
-        coords = [Fraction(0)] * sys.ncols
-        coords[col - 1] = Fraction(1)
-        for prow, pcol in enumerate(sys.pivot_cols):
-            coords[pcol - 1] = -reduced[prow]
-        elements.append(flat(coords, sys.n, sys.d))
+    elements = list(_pivot_solutions(sys, [col - 1 for col in sys.basic_nonpivot]))
     return MuBasis(tuple(elements), basis_scale(v, elements))
+
+
+def _pivot_solutions(sys: SylvesterSystem, cols: list[int]):
+    """Columns ``cols`` (0-based) of ``[A | e1]``'s reduced form R, each put
+    at the pivot columns, negated and with 1 at j for a column j of A.  One
+    back-substitution reads columns of ``D R`` (D the last pivot); -D goes at
+    j, and the sign of the denominator, D or -D, into the numerators."""
+    echelon, d = sys.echelon, sys.echelon.last_pivot
+    for j, column in zip(cols, echelon.integer_columns(cols)):
+        sign = (1 if d > 0 else -1) * (1 if j == sys.ncols else -1)
+        nums = [0] * sys.ncols
+        for col, x in zip(echelon.pivots, column):
+            nums[col] = sign * x
+        if j < sys.ncols:
+            nums[j] = abs(d)  # -D times the sign of -D
+        yield PolyVector(from_integers(nums[i::sys.n], abs(d)) for i in range(sys.n))
 
 
 def basis_scale(v: PolyVector, elements) -> Fraction:

@@ -353,19 +353,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
     metavar = "{%s}" % ",".join(SUBCOMMANDS) if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    # -h, --in and --out of every command, declared once; -h as argparse
-    # declares it, since the subparsers are made without their own.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "-h", "--help", action="help", default=argparse.SUPPRESS,
-        help="show this help message and exit",
-    )
-    common.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    common.add_argument("--out", dest="outfile", metavar="FILE")
     for name in names:
-        cmd = sub.add_parser(
-            name, help=SUBCOMMANDS[name], parents=[common], add_help=False
-        )
+        cmd = sub.add_parser(name, help=SUBCOMMANDS[name])
+        cmd.add_argument("--in", dest="infile", required=True, metavar="FILE")
+        cmd.add_argument("--out", dest="outfile", metavar="FILE")
         if name == "sylvester":
             cmd.add_argument("--dump-pivots", action="store_true")
         if name == "plot":

@@ -29,6 +29,7 @@ from typing import Iterable, Sequence, Union
 from .ratlin import clear_denominators
 
 NEG_INF = float("-inf")
+_ZERO = Fraction(0)
 
 Scalar = Union[int, Fraction]
 
@@ -257,7 +258,7 @@ def from_integers(nums: list[int], den: int) -> Polynomial:
     """The polynomial with coefficients ``nums[i] / den`` (``den > 0``)."""
     while nums and not nums[-1]:
         nums.pop()
-    return _trusted([Fraction(c, den) for c in nums])
+    return _trusted([Fraction(c, den) if c else _ZERO for c in nums])
 
 
 def _trusted(coeffs: list[Fraction]) -> Polynomial:

@@ -14,8 +14,8 @@ read, which the ``sylvester`` command alone does.
 Column indices of A are 1-based throughout this module to match the usual
 pivot bookkeeping; coefficient-matrix columns elsewhere are 0-based.  The
 two conventions meet where :class:`SylvesterSystem` reads its forward
-pass and in :mod:`bezout`, which puts each pivot coordinate at index
-``col - 1`` of the stacked coefficients.
+pass and in the one reader of :mod:`bezout`, which takes 0-based columns
+and puts each coordinate at its forward-pass pivot, 0-based too.
 """
 
 from __future__ import annotations
@@ -57,17 +57,14 @@ def flat(values: Sequence[Fraction], n: int, bound: int) -> PolyVector:
 class SylvesterSystem:
     """The matrix A of a vector and the forward pass of ``[A | e1]``.
 
-    Every other attribute is read off ``echelon`` on first access, so each
-    reader back-substitutes only the columns it reads.  ``pivot_cols`` are
-    the 1-based indices of columns that are linearly independent of all
+    Every other attribute is read off ``echelon`` on first access, and no
+    column is back-substituted until a reader asks for it.  ``pivot_cols``
+    are the 1-based indices of columns that are linearly independent of all
     columns to their left; ``basic_nonpivot`` keeps the first non-pivotal
-    index of each residue class modulo n, and ``reduced_basic`` holds, in
-    the same order, those columns of the reduced row-echelon form of A.
-    ``reduced_e1`` is the first unit vector e1 carried through the row
-    operations that take ``[A | e1]`` to reduced form: when A has full
-    rank, the vector that holds ``reduced_e1[i]`` at ``pivot_cols[i]`` and
-    zeros elsewhere solves ``A b = e1``.  The rank is ``nrows - deg
-    gcd(v)``, so it is full exactly when the components of v are coprime.
+    index of each residue class modulo n.  The rank is ``nrows - deg
+    gcd(v)``, so it is full exactly when the components of v are coprime;
+    then :mod:`bezout` reads the minimal Bezout vector off the e1 column of
+    ``echelon.integer_columns`` and each syzygy off a basic non-pivot one.
     ``reduced``, the reduced form of A, is the A block of that of
     ``[A | e1]``: a pivot in the e1 column sits in a row that is zero on A.
     ``matrix``, A itself in Fractions, is laid out again on first access;
@@ -96,14 +93,6 @@ class SylvesterSystem:
         for j in self.nonpivot_cols:
             first.setdefault(j % self.n, j)
         return tuple(first.values())
-
-    @cached_property
-    def reduced_e1(self) -> ratlin.Vector:
-        return self.echelon.columns([self.ncols])[0]
-
-    @cached_property
-    def reduced_basic(self) -> tuple[ratlin.Vector, ...]:
-        return self.echelon.columns(j - 1 for j in self.basic_nonpivot)
 
     @cached_property
     def reduced(self) -> ratlin.Matrix:

@@ -1341,21 +1341,30 @@ def test_one_subparser_parses_as_the_full_parser(monkeypatch, command, tokens):
 
 
 def test_a_request_builds_one_subparser(tmp_path, capsys, monkeypatch):
-    """A frame request adds only its own subparser; --help adds all nine."""
-    added = []
+    """A frame request adds only its own subparser, so it constructs two
+    parsers; --help adds all nine, ten parsers.  No parent parser is built."""
+    added, built = [], []
     add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
     def counting(self, name, **kwargs):
         added.append(name)
         return add_parser(self, name, **kwargs)
 
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     infile = write(tmp_path / "curve.json", QUINTIC)
     code, out, err = run(tmp_path, capsys, ["frame", "--in", infile])
     assert code == 0, err
-    assert added == ["frame"]
+    assert added == ["frame"] and len(built) == 2
     added.clear()
+    built.clear()
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
     assert added == list(cli.SUBCOMMANDS) and len(added) == 9
+    assert len(built) == 10

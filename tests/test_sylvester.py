@@ -89,45 +89,59 @@ def shared_factor_vectors(draw):
     return v
 
 
-def _check_reduced_data(sys):
-    """The back-substituted columns match the reduced form of [A | I],
-    by Fraction Gauss-Jordan."""
+def _check_reduced_data(v, sys):
+    """The readers' vectors match the reduced form of [A | I], by Fraction
+    Gauss-Jordan: the minimal Bezout vector is the transform's e1 column at
+    the pivot columns, and the syzygy of a basic non-pivot column j is
+    e_j - sum_k R[k, j] e_{p_k}.  A non-coprime v is refused by both."""
     reduced, transform, pivots = _rref_with_transform_reference(sys.matrix)
     assert tuple(c - 1 for c in sys.pivot_cols) == pivots
-    assert sys.reduced_basic == tuple(
-        tuple(row[j - 1] for row in reduced) for j in sys.basic_nonpivot
-    )
-    if sys.rank == sys.nrows:
-        assert sys.reduced_e1 == tuple(row[0] for row in transform)
-    else:
-        # e1 is outside the span of A, so it is the next pivot column
-        unit = [Fraction(0)] * sys.nrows
-        unit[sys.rank] = Fraction(1)
-        assert sys.reduced_e1 == tuple(unit)
     assert sys.reduced == reduced
+    if sys.rank != sys.nrows:
+        for reader in (minimal_bezout, mu_basis):
+            with pytest.raises(RegularityError, match="share a nonconstant factor"):
+                reader(v, sys)
+        return
+    coords = [Fraction(0)] * sys.ncols
+    for k, col in enumerate(pivots):
+        coords[col] = transform[k][0]
+    assert sharp(minimal_bezout(v, sys).vector, sys.d) == tuple(coords)
+    expected = []
+    for j in sys.basic_nonpivot:
+        coords = [Fraction(0)] * sys.ncols
+        coords[j - 1] = Fraction(1)
+        for k, col in enumerate(pivots):
+            coords[col] = -reduced[k][j - 1]
+        expected.append(tuple(coords))
+    assert [sharp(u, sys.d) for u in mu_basis(v, sys).elements] == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(shared_factor_vectors())
 @example(vec((-1, 0, 1), (0, -1, 0, 1), (1, 1)))  # (t + 1)(t - 1, t^2 - t, 1)
+@example(vec((-3, -1, 1), (3, 3, 2)))  # coprime, with a negative last pivot
 def test_rank_measures_common_factor(v):
-    """rank A = 2d+1 - deg gcd(v), and the reduced data match [A | I]."""
+    """rank A = 2d+1 - deg gcd(v), and the readers match [A | I]."""
     sys = build_sylvester(v)
     assert sys.rank == sys.nrows - int(v.gcd().degree)
-    _check_reduced_data(sys)
+    _check_reduced_data(v, sys)
 
 
 def test_reduced_data_of_coprime_vectors():
+    negative = build_sylvester(vec((-3, -1, 1), (3, 3, 2)))
+    assert negative.rank == negative.nrows and negative.echelon.last_pivot < 0
     rng = random.Random(96)
     for _ in range(20):
-        sys = build_sylvester(random_regular_vector(rng, max_degree=6))
+        v = random_regular_vector(rng, max_degree=6)
+        sys = build_sylvester(v)
         assert sys.rank == sys.nrows
-        _check_reduced_data(sys)
+        _check_reduced_data(v, sys)
 
 
 def test_each_reader_back_substitutes_only_what_it_reads(monkeypatch):
     """The build back-substitutes no column; ``minimal_bezout`` reads the e1
-    column and ``mu_basis`` the n - 1 basic non-pivot ones, each once."""
+    column once, and each ``mu_basis`` call the n - 1 basic non-pivot ones,
+    in one read."""
     read = []
     original = ratlin.Echelon.integer_columns
 
@@ -146,7 +160,7 @@ def test_each_reader_back_substitutes_only_what_it_reads(monkeypatch):
     mu_basis(v, sys)
     mu_basis(v, sys)
     assert sys.basic_nonpivot == (8, 9)
-    assert [cols for echelon, cols in read if echelon is sys.echelon] == [(7, 8)]
+    assert [cols for echelon, cols in read if echelon is sys.echelon] == [(7, 8)] * 2
 
 
 def test_sharp_golden():
