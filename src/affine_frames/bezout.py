@@ -167,15 +167,14 @@ def bezout_degree_search(
     right, the e1 column included, can change; and the leftmost-pivot
     elimination finds exactly those columns.  So the prefix pivots of
     ``[A_E | e1]`` are A's, and since ``E >= e`` they hold every pivot that
-    :func:`is_minimal_bezout` reads.
+    :func:`is_minimal_bezout` reads.  :func:`sylvester.sylvester_matrix`
+    refuses the zero vector before its degree is read.
     """
-    if v.is_zero:
-        raise RegularityError("vector is zero")
+    # Scaling by L leaves pivots alone: L [A_E | e1] has those of [A_E | e1].
+    rows, scale = sylvester_matrix(v)
     n, d = v.dim, int(v.degree)
     top = d if bound is None else max(0, min(bound, d))
     width = n * (top + 1)
-    # Scaling by L leaves pivots alone: L [A_E | e1] has those of [A_E | e1].
-    rows, scale = sylvester_matrix(v)
     augmented = [row[:width] + [scale if i == 0 else 0] for i, row in enumerate(rows)]
     pivots = ratlin.Echelon(augmented).pivots  # eliminates ``augmented``
     if width in pivots:
@@ -208,7 +207,8 @@ def is_mu_basis(w: PolyVector, elements, scaled_last: bool = False) -> bool:
     """Whether ``elements`` are ``mu_basis(w).elements``, without building them.
 
     With ``scaled_last`` the last element may be any nonzero multiple of
-    that one, as in a completion.  Refuses w as :func:`mu_basis` does.
+    that one, as in a completion.  Refuses w as :func:`mu_basis` does: the
+    zero vector by :meth:`PolyVector.is_coprime`, before its degree is read.
 
     Let e be the degree of w and c_i the last nonzero index of the stacked
     coefficients ``sharp(u_i, e)``.  When the c_i ascend, lie in distinct
@@ -220,8 +220,6 @@ def is_mu_basis(w: PolyVector, elements, scaled_last: bool = False) -> bool:
     every other nonzero at a pivot column is then element i of the basis,
     since the pivot columns are independent.  No elimination is needed.
     """
-    if w.is_zero:
-        raise RegularityError("vector is zero")
     if not w.is_coprime():
         raise RegularityError("components share a nonconstant factor")
     n, e = w.dim, w.degree

@@ -111,7 +111,8 @@ def verify_completion(
     ranks.  With the first column v, b is a Bezout vector of w, so
     ``deg b >= e`` bounds the pass.  Nothing is rebuilt.
 
-    Raises as :func:`minimal_completion` does when v has no completion.
+    Raises as :func:`minimal_completion` does when v has no completion: on
+    the zero vector, the oracle at determinant one, else ``v.is_coprime()``.
     """
     if m.nrows != m.ncols:
         raise ValueError("completion matrix must be square")
@@ -123,8 +124,7 @@ def verify_completion(
     first = m.column(0) == v
     inverse = None if section is None else section.inverse()
     columns = (m if inverse is None else inverse.apply(m)).columns()
-    # The outer product of no vectors, in dimension one, is the unit.
-    b = outer_product(columns[1:]) if v.dim > 1 else PolyVector([1])
+    b = outer_product(columns[1:])
     det_one = columns[0].dot(b) == Polynomial.one()
     minimal_degree, minimal = None, False
     if det_one:
@@ -136,8 +136,6 @@ def verify_completion(
     # Where minimal_completion(v) would refuse v, so does its certificate.
     if v.dim < 2:
         raise RegularityError("completion needs dimension at least 2")
-    if v.is_zero:
-        raise RegularityError("vector is zero")
     if not det_one and not v.is_coprime():
         raise RegularityError("components share a nonconstant factor")
     reproducible = det_one and first and (

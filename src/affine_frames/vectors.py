@@ -146,23 +146,24 @@ class PolyVector:
         return PolyMatrix(zip(self.components)).linear_map(matrix).column(0)
 
     def gcd(self) -> Polynomial:
-        """Monic gcd of the nonzero components."""
+        """Monic gcd of the components; ``RegularityError("vector is zero")``."""
         if self.is_zero:
-            raise RegularityError("gcd of the zero vector is undefined")
+            raise RegularityError("vector is zero")
         return poly_gcd(*self.components)
 
     def is_coprime(self) -> bool:
         """Whether :meth:`gcd` is one: by the certificate of the module
-        docstring, else by :meth:`gcd` itself."""
+        docstring, else by :meth:`gcd` itself, which refuses the zero vector."""
         comps, _ = integer_coefficients([c for c in self.components if not c.is_zero])
         if any(c[-1] % PRIME for c in comps) and integer_gcd(comps, PRIME) == [1]:
             return True
         return self.gcd() == Polynomial.one()
 
     def coefficient_matrix(self) -> ratlin.Matrix:
-        """n x (d+1) matrix of coefficients, columns in ascending degree."""
+        """n x (d+1) matrix of coefficients, columns in ascending degree;
+        ``RegularityError("vector is zero")`` for the zero vector."""
         if self.is_zero:
-            raise ValueError("zero vector has no coefficient matrix")
+            raise RegularityError("vector is zero")
         width = int(self.degree) + 1
         return tuple(
             tuple(c.coeff(j) for j in range(width)) for c in self.components
@@ -192,10 +193,8 @@ class PolyMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[PolyVector]) -> "PolyMatrix":
-        if not columns:
-            raise ValueError("matrix must be nonempty")
-        n = columns[0].dim
-        if any(col.dim != n for col in columns):
+        """The matrix of ``columns``, which the constructor refuses if empty."""
+        if any(col.dim != columns[0].dim for col in columns):
             raise ValueError("columns differ in dimension")
         return cls(zip(*columns))
 
@@ -282,11 +281,9 @@ class PolyMatrix:
 
     def determinant(self) -> Polynomial:
         """Exact determinant by the Laplace identity: the first column paired
-        with the :func:`outer_product` of the others (the entry at n = 1)."""
+        with the :func:`outer_product` of the others."""
         if self.nrows != self.ncols:
             raise ValueError("determinant requires a square matrix")
-        if self.nrows == 1:
-            return self.rows[0][0]
         cols = self.columns()
         return cols[0].dot(outer_product(cols[1:]))
 
@@ -299,10 +296,7 @@ class PolyMatrix:
         if self.nrows != self.ncols:
             raise ValueError("determinant requires a square matrix")
         n, cols = self.nrows, self.columns()
-        minors = [
-            outer_product(cols[:i] + cols[i + 1:]) if n > 1 else PolyVector([1])
-            for i in range(n)
-        ]
+        minors = [outer_product(cols[:i] + cols[i + 1:]) for i in range(n)]
         d = cols[0].dot(minors[0])
         if d.is_zero or not d.is_constant:
             raise ValueError("inverse requires a nonzero constant determinant")
@@ -353,7 +347,8 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     """Generalized cross product of n-1 vectors in dimension n.
 
     Component i carries the sign ``(-1)**i`` times the minor that omits row
-    i, so ``w.dot(outer_product(us)) == det([w | us])`` columnwise.
+    i, so ``w.dot(outer_product(us)) == det([w | us])`` columnwise.  At
+    n = 1 the minor is empty, and the outer product of no vectors is the unit.
 
     A minor's degree is at most the smaller of its row and column
     max-degree sums, whatever cancels, so its values at ``0..B``, B the
@@ -366,10 +361,8 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     as ``-(-1)**f * sign * (D R)[r, f]``, R the reduced form.  Each component
     is interpolated once and divided by the product of the vector scales.
     """
-    if not vectors:
-        raise ValueError("outer product needs at least one vector")
-    n = vectors[0].dim
-    if len(vectors) != n - 1 or any(v.dim != n for v in vectors):
+    n = len(vectors) + 1
+    if any(v.dim != n for v in vectors):
         raise ValueError("outer product takes n-1 vectors of dimension n")
     rows = [vec.components for vec in vectors]
     bound = max(
@@ -424,14 +417,13 @@ def pivot_profile(v: PolyVector) -> PivotProfile:
     left, found by one forward elimination of the column-reversed matrix.
     Its pivot columns are the selected submatrix with the n columns in
     reverse order, so ``det_vbar`` is their determinant, read off the same
-    pass, times ``(-1)**(n(n-1)/2)``.
+    pass, times ``(-1)**(n(n-1)/2)``.  :meth:`PolyVector.coefficient_matrix`
+    refuses the zero vector before its degree is read.
     """
-    if v.is_zero:
-        raise RegularityError("vector is zero")
-    d, n = int(v.degree), v.dim
     work, scale = ratlin.clear_denominators(
         [row[::-1] for row in v.coefficient_matrix()]
     )
+    d, n = int(v.degree), v.dim
     echelon = ratlin.Echelon(work)
     if len(echelon.pivots) < n:
         raise RegularityError("components are linearly dependent")
@@ -463,12 +455,11 @@ def require_regular(v: PolyVector) -> RegularVector:
     """``v`` as a :class:`RegularVector`; :class:`RegularityError` unless regular.
 
     Regular means: unit gcd, linearly independent components, and degree at
-    least the dimension.  A :class:`RegularVector` is returned unchanged.
+    least the dimension.  A :class:`RegularVector` is returned unchanged;
+    the zero vector is refused by :meth:`PolyVector.is_coprime`.
     """
     if isinstance(v, RegularVector):
         return v
-    if v.is_zero:
-        raise RegularityError("vector is zero")
     if not v.is_coprime():
         raise RegularityError("components share a nonconstant factor")
     profile = pivot_profile(v)

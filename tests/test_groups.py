@@ -167,6 +167,8 @@ def test_translation_only():
     c = vec((0, 1), (0, 0, 1))
     assert a.apply(c) == vec((3, 1), (Fraction(-1, 2), 0, 1))
     assert a.linear_part.is_identity()
+    with pytest.raises(TypeError, match="cannot act on PolyMatrix"):
+        a.apply(PolyMatrix.identity(2))
     with pytest.raises(ValueError, match="translation dimension"):
         AffineElement([[1, 0], [0, 1]], [1, 2, 3])
 

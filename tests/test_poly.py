@@ -52,6 +52,10 @@ def test_constructors():
     assert Polynomial.one() == p(1)
     assert Polynomial.constant(Fraction(3, 2)) == p(Fraction(3, 2))
     assert Polynomial.monomial(3, 2) == p(0, 0, 0, 2)
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        Polynomial.monomial(-1)
+    with pytest.raises(AttributeError):
+        Polynomial.one().coeffs = ()
 
 
 def test_coeff_accessor():
@@ -73,6 +77,16 @@ def test_arithmetic():
     assert a * Fraction(1, 2) == p(Fraction(1, 2), 1)
     assert Fraction(2) * a == p(2, 4)
     assert a / 2 == p(Fraction(1, 2), 1)
+    with pytest.raises(ZeroDivisionError):
+        a / 0
+    with pytest.raises(TypeError):
+        a + "1"
+    with pytest.raises(TypeError):
+        a * "1"
+    with pytest.raises(TypeError):
+        "1" - a
+    with pytest.raises(TypeError):
+        a / "1"
 
 
 def test_cancellation_in_sum():
@@ -196,6 +210,8 @@ def test_monic_and_leading():
     assert q.monic() == p(Fraction(1, 2), 0, 1)
     with pytest.raises(ValueError):
         Polynomial.zero().monic()
+    with pytest.raises(ValueError, match="no leading coefficient"):
+        Polynomial().leading
 
 
 def test_evaluate():

@@ -220,6 +220,10 @@ def test_shape_errors():
         ratlin.inverse(ratlin.freeze([[1, 2]]))
     with pytest.raises(ValueError):
         ratlin.rref([[Fraction(1)], [Fraction(1), Fraction(2)]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        ratlin.freeze([[1, 2], [3]])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        ratlin.mat_mul(ratlin.freeze([[1, 2]]), ratlin.freeze([[1, 2]]))
 
 
 def clear_denominators_reference(rows):

@@ -187,6 +187,8 @@ def test_flat_golden():
     assert all(type(c) is Fraction for comp in mixed for c in comp.coeffs)
     with pytest.raises(ValueError):
         flat([1, 2, 3], 2, 1)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        flat([], 0, 0)
 
 
 def test_sharp_flat_roundtrip():

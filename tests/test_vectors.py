@@ -16,13 +16,24 @@ from affine_frames import (
     PolyVector,
     RegularityError,
     RegularVector,
+    bezout_degree_search,
+    build_sylvester,
+    canonical_form,
+    canonical_shape_violations,
     frames,
+    is_mu_basis,
+    minimal_bezout,
+    minimal_completion,
+    mu_basis,
     outer_product,
     pivot_profile,
     poly,
+    quillen_suslin,
     ratlin,
     require_regular,
+    section,
     vectors,
+    verify_completion,
 )
 from affine_frames.poly import integer_coefficients, integer_gcd, sum_of_products
 from affine_frames.vectors import PRIME
@@ -76,8 +87,16 @@ def test_vector_ops():
     assert -a == vec((-1, -1), (0, -2))
     assert a.scale(2) == vec((2, 2), (0, 4))
     assert a.scale(p(0, 1)) == vec((0, 1, 1), (0, 0, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         a + vec((1,), (2,), (3,))
+    with pytest.raises(TypeError):
+        a + p(1)
+    with pytest.raises(TypeError):
+        a - 1
+    with pytest.raises(ValueError, match="vector needs at least one component"):
+        PolyVector([])
+    with pytest.raises(AttributeError):
+        a.components = ()
 
 
 def test_dot_golden():
@@ -85,6 +104,8 @@ def test_dot_golden():
     b = vec((1,), (0, 0, 0, -1), (0,))
     assert v.dot(b) == Polynomial.one()
     assert vec((0, 1), (1,)).dot(vec((1,), (0, -1))) == Polynomial.zero()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        v.dot(vec((1,), (0,)))
 
 
 def test_shift_golden():
@@ -105,6 +126,8 @@ def test_translate_and_linear_map():
     assert mapped == vec((0, 0, 1), (0, 1))
     with pytest.raises(ValueError):
         v.translate([Fraction(1)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        PolyMatrix.identity(2).linear_map([[1, 0, 0], [0, 1, 0]])
 
 
 def linear_map_reference(v: PolyVector, matrix) -> PolyVector:
@@ -255,9 +278,9 @@ def test_gcd_examples():
     assert vec((1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 1), (0, 1)).gcd() == p(1)
     assert vec((0, 2), (0, 0, 4)).gcd() == p(0, 1)
     assert quartic_tangent().gcd() == p(1)
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match="vector is zero"):
         PolyVector([Polynomial.zero(), Polynomial.zero()]).gcd()
-    with pytest.raises(RegularityError):
+    with pytest.raises(RegularityError, match="vector is zero"):
         PolyVector([Polynomial.zero(), Polynomial.zero()]).is_coprime()
 
 
@@ -341,7 +364,7 @@ def test_coefficient_matrix():
         (2, 0, 3, 1, 2),
         (3, 5, 4, 1, 3),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(RegularityError, match="vector is zero"):
         PolyVector([Polynomial.zero()]).coefficient_matrix()
 
 
@@ -354,8 +377,14 @@ def test_matrix_construction_and_access():
     assert m.transpose().transpose() == m
     with pytest.raises(ValueError):
         PolyMatrix([[p(1), p(2)], [p(3)]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix must be nonempty"):
+        PolyMatrix([])
+    with pytest.raises(ValueError, match="matrix must be nonempty"):
         PolyMatrix.from_columns([])
+    with pytest.raises(ValueError, match="columns differ in dimension"):
+        PolyMatrix.from_columns([cols[0], vec((1,), (2,), (3,))])
+    with pytest.raises(AttributeError):
+        m.rows = ()
 
 
 def test_matmul():
@@ -365,6 +394,10 @@ def test_matmul():
     assert ident @ m == m
     sq = m @ m
     assert sq.entry(0, 0) == p(1, 0, 1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        m @ PolyMatrix.identity(3)
+    with pytest.raises(TypeError):
+        m @ vec((1,), (0,))
 
 
 def test_determinant_goldens():
@@ -574,6 +607,15 @@ def test_outer_product_goldens():
     assert outer_product([vec((1, 2), (0, 3))]) == vec((0, 3), (-1, -2))
 
 
+def test_outer_product_of_no_vectors_is_the_unit():
+    """Dimension one: the one minor is empty, so the Laplace identity
+    ``w . outer_product([]) == det [w]`` reads ``w[0] == det [[w[0]]]``."""
+    assert outer_product([]) == PolyVector([1])
+    for entry in (p(0), p(1), p(-3, 0, 2), p(Fraction(1, 3), Fraction(-5, 7), 1)):
+        w = PolyVector([entry])
+        assert w.dot(outer_product([])) == PolyMatrix([[entry]]).determinant() == entry
+
+
 def test_outer_product_laplace_identity():
     rng = random.Random(88)
 
@@ -737,6 +779,36 @@ def test_require_regular():
         require_regular(vec((0, 1), (0, 1), (1, 0, 0, 1)))
     with pytest.raises(RegularityError, match="below the dimension"):
         require_regular(vec((1, 1), (0, 1)))
+
+
+ZERO_REFUSERS = {
+    "require_regular": require_regular,
+    "pivot_profile": pivot_profile,
+    "gcd": PolyVector.gcd,
+    "is_coprime": PolyVector.is_coprime,
+    "coefficient_matrix": PolyVector.coefficient_matrix,
+    "section": section,
+    "canonical_form": canonical_form,
+    "canonical_shape_violations": canonical_shape_violations,
+    "build_sylvester": build_sylvester,
+    "bezout_degree_search": bezout_degree_search,
+    "bezout_degree_search_bounded": lambda v: bezout_degree_search(v, 1),
+    "minimal_bezout": minimal_bezout,
+    "mu_basis": mu_basis,
+    "is_mu_basis": lambda v: is_mu_basis(v, ()),
+    "minimal_completion": minimal_completion,
+    "quillen_suslin": quillen_suslin,
+    "verify_completion": lambda v: verify_completion(PolyMatrix.identity(v.dim), v),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", list(ZERO_REFUSERS))
+def test_zero_vector_refused_with_one_message(name, n):
+    """Each entry point refuses the zero vector as the callee that cannot
+    run on it does: ``RegularityError("vector is zero")``."""
+    with pytest.raises(RegularityError, match="^vector is zero$"):
+        ZERO_REFUSERS[name](PolyVector([Polynomial.zero()] * n))
 
 
 def test_evaluate():
