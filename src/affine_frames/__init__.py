@@ -37,7 +37,7 @@ from .frames import (
 )
 from .groups import AffineElement, GroupElement
 from .poly import NEG_INF, Polynomial, poly_gcd
-from .sylvester import SylvesterSystem, build_sylvester, flat, sharp
+from .sylvester import SylvesterSystem, build_sylvester, sharp
 from .vectors import (
     PolyMatrix,
     PolyVector,
@@ -70,7 +70,6 @@ __all__ = [
     "canonical_shape_violations",
     "equivariant_completion",
     "equivariantize",
-    "flat",
     "is_minimal_bezout",
     "is_mu_basis",
     "linear_section",

@@ -58,12 +58,10 @@ class MuBasis:
 def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> BezoutVector:
     """Minimal-degree b with ``v . b = 1``, supported on pivotal columns.
 
-    Requires the components of ``v`` to be coprime; the result is unique
-    among Bezout vectors supported on the pivotal column set.
+    Requires the components of ``v`` to be coprime, as the reader checks;
+    the result is unique among Bezout vectors supported on pivotal columns.
     """
     sys = system if system is not None else build_sylvester(v)
-    if sys.rank != sys.nrows:  # rank A = nrows - deg gcd(v)
-        raise RegularityError("components share a nonconstant factor")
     (b,) = _pivot_solutions(sys, [sys.ncols])
     return BezoutVector(b, int(b.degree))
 
@@ -71,31 +69,32 @@ def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> Bezo
 def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
     """Syzygy basis with one element per basic non-pivotal column.
 
-    Element degrees are ascending and sum to the degree of ``v``.
+    Element degrees are ascending and sum to the degree of ``v``.  The
+    reader refuses a shared factor before the dimension is checked.
     """
     sys = system if system is not None else build_sylvester(v)
-    if sys.rank != sys.nrows:  # rank A = nrows - deg gcd(v)
-        raise RegularityError("components share a nonconstant factor")
+    elements = list(_pivot_solutions(sys, [col - 1 for col in sys.basic_nonpivot]))
     if v.dim < 2:
         raise RegularityError("syzygies need dimension at least 2")
-    elements = list(_pivot_solutions(sys, [col - 1 for col in sys.basic_nonpivot]))
     return MuBasis(tuple(elements), basis_scale(v, elements))
 
 
 def _pivot_solutions(sys: SylvesterSystem, cols: list[int]):
-    """Columns ``cols`` (0-based) of ``[A | e1]``'s reduced form R, each put
-    at the pivot columns, negated and with 1 at j for a column j of A.  One
-    back-substitution reads columns of ``D R`` (D the last pivot); -D goes at
-    j, and the sign of the denominator, D or -D, into the numerators."""
+    """Refuses a shared factor on first use, then yields columns ``cols``
+    (0-based) of ``[A | e1]``'s reduced form R put at the pivot columns, read
+    off ``D R`` (D the last pivot) as integers over D, and for a column j of
+    A negated, over -D, with -D at j."""
+    if sys.rank != sys.nrows:  # rank A = nrows - deg gcd(v)
+        raise RegularityError("components share a nonconstant factor")
     echelon, d = sys.echelon, sys.echelon.last_pivot
     for j, column in zip(cols, echelon.integer_columns(cols)):
-        sign = (1 if d > 0 else -1) * (1 if j == sys.ncols else -1)
+        den = d if j == sys.ncols else -d
         nums = [0] * sys.ncols
         for col, x in zip(echelon.pivots, column):
-            nums[col] = sign * x
+            nums[col] = x
         if j < sys.ncols:
-            nums[j] = abs(d)  # -D times the sign of -D
-        yield PolyVector(from_integers(nums[i::sys.n], abs(d)) for i in range(sys.n))
+            nums[j] = den
+        yield PolyVector(from_integers(nums[i::sys.n], den) for i in range(sys.n))
 
 
 def basis_scale(v: PolyVector, elements) -> Fraction:

@@ -255,7 +255,8 @@ def horner(descending: Sequence[int], x: int) -> int:
 
 
 def from_integers(nums: list[int], den: int) -> Polynomial:
-    """The polynomial with coefficients ``nums[i] / den`` (``den > 0``)."""
+    """The polynomial with coefficients ``nums[i] / den``, for any nonzero
+    ``den``: ``Fraction`` normalizes the sign."""
     while nums and not nums[-1]:
         nums.pop()
     return _trusted([Fraction(c, den) if c else _ZERO for c in nums])

@@ -14,11 +14,13 @@ back-substitution of only those columns of the reduced form that are read.
 The forward pass is Bareiss's, except that a row with a 0 in the pivot
 column is not rescaled at that step but once, when it is next read; banded
 matrices such as the Sylvester matrix leave most rows idle at most steps.
-``rank``, ``det`` and pivot lookups stop after the forward pass; ``rref``
-and ``inverse`` back-substitute every column.  Integer results become
-Fractions once, at the end.  The polynomial outer product, the source of
-every polynomial minor, stays on integers: it builds its own :class:`Echelon`
-and reads the back-substituted columns scaled by the last pivot.
+``rank``, ``det`` and pivot lookups stop after the forward pass.  ``rref``
+is the one routine that assembles a reduced form, back-substituting every
+column; ``rref_with_transform`` and ``inverse`` read theirs off ``rref`` of
+``[M | I]``.  Integer results become Fractions once, at the end.  The
+polynomial outer product, the source of every polynomial minor, stays on
+integers: it builds its own :class:`Echelon` and reads the back-substituted
+columns scaled by the last pivot.
 """
 
 from __future__ import annotations
@@ -196,15 +198,12 @@ class Echelon:
         )
 
 
-def _rows_of(columns: tuple[Vector, ...], nrows: int) -> Matrix:
-    return tuple(tuple(column[i] for column in columns) for i in range(nrows))
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and 0-based pivot column indices."""
     echelon = Echelon(clear_denominators(rows)[0])
-    width = len(rows[0]) if rows else 0
-    return _rows_of(echelon.columns(range(width)), len(rows)), echelon.pivots
+    columns = echelon.columns(range(len(rows[0]) if rows else 0))
+    reduced = tuple(tuple(column[i] for column in columns) for i in range(len(rows)))
+    return reduced, echelon.pivots
 
 
 def rref_with_transform(
@@ -212,21 +211,14 @@ def rref_with_transform(
 ) -> tuple[Matrix, Matrix, tuple[int, ...]]:
     """Like :func:`rref`, also returning E with ``E @ rows == reduced``.
 
-    E is the right block of the reduced form of ``[rows | I]``, so it is
-    unique also when ``rows`` is rank deficient.
+    Both are blocks of :func:`rref` of ``[rows | I]``: the reduced form is
+    the left block and E the right one, so E is unique also when ``rows``
+    is rank deficient, and the pivots are those left of the I block.
     """
-    nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    unit = (_ZERO,) * nrows
-    echelon = Echelon(clear_denominators([
-        (*row, *unit[:i], _ONE, *unit[i + 1:]) for i, row in enumerate(rows)
-    ])[0])
-    columns = echelon.columns(range(ncols + nrows))
-    return (
-        _rows_of(columns[:ncols], nrows),
-        _rows_of(columns[ncols:], nrows),
-        tuple(c for c in echelon.pivots if c < ncols),
-    )
+    both, pivots = rref([(*row, *e) for row, e in zip(rows, identity(len(rows)))])
+    left = tuple(c for c in pivots if c < ncols)
+    return tuple(r[:ncols] for r in both), tuple(r[ncols:] for r in both), left
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence
 
 from . import ratlin
-from .poly import Polynomial, integer_coefficients
+from .poly import integer_coefficients
 from .vectors import PolyVector, RegularityError
 
 
@@ -42,15 +41,6 @@ def sharp(v: PolyVector, bound: int) -> tuple[Fraction, ...]:
     for j in range(bound + 1):
         out.extend(c.coeff(j) for c in v.components)
     return tuple(out)
-
-
-def flat(values: Sequence[Fraction], n: int, bound: int) -> PolyVector:
-    """Inverse of :func:`sharp`: rebuild a vector from stacked coefficients."""
-    if n < 1:
-        raise ValueError("dimension must be positive")
-    if len(values) != n * (bound + 1):
-        raise ValueError("stacked length does not match n*(bound+1)")
-    return PolyVector(Polynomial(values[i::n]) for i in range(n))
 
 
 @dataclass(frozen=True)

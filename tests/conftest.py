@@ -55,6 +55,15 @@ def vec(*rows) -> PolyVector:
     return PolyVector(p(*row) for row in rows)
 
 
+def flat(values, n: int, bound: int) -> PolyVector:
+    """Inverse of ``sharp``: rebuild a vector from stacked coefficients."""
+    if n < 1:
+        raise ValueError("dimension must be positive")
+    if len(values) != n * (bound + 1):
+        raise ValueError("stacked length does not match n*(bound+1)")
+    return PolyVector(Polynomial(values[i::n]) for i in range(n))
+
+
 def quintic_curve() -> PolyVector:
     return vec(
         (0, 1, 0, Fraction(2, 3), Fraction(1, 4), Fraction(1, 5)),

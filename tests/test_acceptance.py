@@ -18,7 +18,6 @@ from affine_frames import (
     canonical_shape_violations,
     equivariant_completion,
     equivariantize,
-    flat,
     minimal_bezout,
     minimal_completion,
     moving_frame,
@@ -37,6 +36,7 @@ from affine_frames.cli import run_command
 from affine_frames.io import CurveDocument, dict_to_matrix
 
 from conftest import (
+    flat,
     p,
     quartic_tangent,
     quintic_curve,

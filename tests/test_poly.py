@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import NEG_INF, Polynomial, poly_gcd
-from affine_frames.poly import integer_gcd
+from affine_frames.poly import from_integers, integer_gcd
 
 from conftest import coefficients, p, polynomials, polynomials_up_to
 
@@ -36,6 +36,28 @@ def test_trailing_zeros_trimmed():
     assert p(1, 2, 0, 0) == p(1, 2)
     assert p(0, 0, 0) == Polynomial.zero()
     assert p(1, 2, 0).coeffs == (Fraction(1), Fraction(2))
+
+
+@pytest.mark.parametrize(
+    "nums, den",
+    [
+        ([3, 0, -4], 1),
+        ([0, 6, 0, -9, 0, 0], 6),
+        ([5, -10, 15, 0], 10),
+        ([0, 0], 7),
+    ],
+)
+def test_from_integers_takes_a_signed_denominator(nums, den):
+    """``nums`` over -den is ``-nums`` over den: ``Fraction`` normalizes the
+    sign, a zero numerator is the shared zero either way, and trailing zeros
+    are trimmed."""
+    flipped = from_integers(list(nums), -den)
+    negated = from_integers([-x for x in nums], den)
+    assert flipped == negated == Polynomial(Fraction(-x, den) for x in nums)
+    assert flipped.coeffs == negated.coeffs
+    assert all(
+        (x is y) == (x == 0) for x, y in zip(flipped.coeffs, negated.coeffs)
+    )
 
 
 def test_degree_and_zero_sentinel():

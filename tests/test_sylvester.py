@@ -12,7 +12,6 @@ from affine_frames import (
     PolyVector,
     RegularityError,
     build_sylvester,
-    flat,
     minimal_bezout,
     mu_basis,
     ratlin,
@@ -20,7 +19,7 @@ from affine_frames import (
 )
 from affine_frames.sylvester import sylvester_matrix
 
-from conftest import p, polynomials_up_to, quartic_tangent, random_regular_vector, vec
+from conftest import flat, p, polynomials_up_to, quartic_tangent, random_regular_vector, vec
 from test_ratlin import _rref_with_transform_reference
 
 # quartic with a fully worked elimination; frozen below entry for entry
@@ -131,11 +130,15 @@ def test_reduced_data_of_coprime_vectors():
     negative = build_sylvester(vec((-3, -1, 1), (3, 3, 2)))
     assert negative.rank == negative.nrows and negative.echelon.last_pivot < 0
     rng = random.Random(96)
+    positive = False
     for _ in range(20):
         v = random_regular_vector(rng, max_degree=6)
         sys = build_sylvester(v)
         assert sys.rank == sys.nrows
         _check_reduced_data(v, sys)
+        positive |= sys.echelon.last_pivot > 0
+    # With the vector above, both signs of the last pivot D reach the reader.
+    assert positive
 
 
 def test_each_reader_back_substitutes_only_what_it_reads(monkeypatch):
