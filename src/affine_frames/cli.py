@@ -57,8 +57,8 @@ class Command:
     :data:`io.PAYLOADS`, and its metadata.  ``verify(doc, fields)`` gets
     every stored payload field, read by that table before any math, so a
     malformed payload is refused whatever the input; it checks the fields'
-    dimensions, re-checks each against the parsed input and yields
-    ``(check name, passed)``.
+    dimensions, re-checks each against the parsed input by a normal form
+    (``sylvester`` alone rebuilds its result), and yields ``(check name, passed)``.
     """
 
     kind: str
@@ -99,17 +99,12 @@ def _verify_frame(doc: CurveDocument, fields: dict) -> Checks:
         return
     stored = FrameResult(**fields)
     _require_n_by_n(stored.matrix, doc, "frame")
-    g = section(tangent)
-    report = verify_completion(stored.matrix, tangent, g)
-    # The canonical tangent is g^-1 . tangent exactly when g maps it to the
-    # tangent, so only verify_completion inverts g.
-    canonical = stored.canonical_tangent
-    yield "matrix_reproducible", (
-        stored.section == g
-        and _is_minimal_completion(stored, report, tangent)
-        and canonical.dim == doc.n
-        and g.apply(canonical) == tangent
-    )
+    g = stored.section
+    is_section = _is_section(tangent, g, stored.canonical_tangent)
+    # Any det-1 g reads the same first column, determinant and least degree.
+    report = verify_completion(stored.matrix, tangent, g if is_section else None)
+    reproducible = is_section and _is_minimal_completion(stored, report, tangent)
+    yield "matrix_reproducible", reproducible
     yield "first_column_is_tangent", report.first_column_matches
     yield "determinant_is_one", report.determinant_one
     yield "degree_is_minimal", report.minimal
@@ -178,6 +173,14 @@ def _verify_mubasis(doc: CurveDocument, fields: dict) -> Checks:
     yield "basis_reproducible", is_mu_basis(doc.vector, elements) and proportional
 
 
+def _is_section(v, g, w=None) -> bool:
+    """Whether g = section(v) and w = g^-1 . v (the default): g maps w to v, and
+    w has the canonical shape, so section(w) = 1 and by equivariance section(v) = g."""
+    if g.dim != v.dim or w is not None and (w.dim != v.dim or g.apply(w) != v):
+        return False
+    return not canonical_shape_violations(g.inverse().apply(v) if w is None else w)
+
+
 def _section(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     v = require_regular(doc.vector)
     return vars(section(v)), {"profile": _profile_dict(v.profile)}
@@ -190,7 +193,7 @@ def _verify_section(doc: CurveDocument, fields: dict) -> Checks:
         yield "matrix_is_unimodular", False
         return
     yield "matrix_is_unimodular", True
-    yield "section_reproducible", stored == section(doc.vector)
+    yield "section_reproducible", _is_section(require_regular(doc.vector), stored)
 
 
 def _canonical(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -207,9 +210,11 @@ def _verify_canonical(doc: CurveDocument, fields: dict) -> Checks:
     g, stored = fields.values()  # in table order, as section_and_canonical returns
     if stored.dim != doc.n:
         raise DocumentError("canonical vector does not match the curve dimension")
-    yield "vector_reproducible", (g, stored) == section_and_canonical(doc.vector)
-    yield "shape_constraints_hold", not canonical_shape_violations(stored)
-    yield "section_is_identity", section(stored).is_identity()
+    yield "vector_reproducible", _is_section(require_regular(doc.vector), g, stored)
+    canonical = not canonical_shape_violations(stored)
+    yield "shape_constraints_hold", canonical
+    require_regular(stored)  # only a regular vector has a section
+    yield "section_is_identity", canonical
 
 
 def _sylvester(doc: CurveDocument, options: dict) -> tuple[dict, dict]:

@@ -64,9 +64,6 @@ class GroupElement:
             return target.shift(self.shift).linear_map(self.matrix)
         raise TypeError(f"cannot act on {type(target).__name__}")
 
-    def is_identity(self) -> bool:
-        return self.shift == 0 and self.matrix == ratlin.identity(self.dim)
-
 
 @dataclass(frozen=True)
 class AffineElement:

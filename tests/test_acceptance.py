@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from affine_frames import (
+    GroupElement,
     PolyMatrix,
     RegularVector,
     bezout_degree_search,
@@ -209,7 +210,7 @@ def test_criterion_6_canonical_shape():
             v = random_regular_vector(rng, max_degree=7)
             reduced = canonical_form(v)
             assert canonical_shape_violations(reduced) == []
-            assert section(reduced).is_identity()
+            assert section(reduced) == GroupElement.identity(v.dim)
         ok = True
     finally:
         report(6, "canonical-shape", ok)

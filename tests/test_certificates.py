@@ -1,9 +1,9 @@
 """The normal-form certificates of ``verify`` against rebuilding the result.
 
-``verify`` checks a stored frame, completion, Bezout vector or µ-basis by
-its certificate; the reference here rebuilds the result and compares, as
-``verify`` once did.  Both must give the same verdict, and refuse the same
-inputs with the same message.
+``verify`` checks a stored frame, completion, Bezout vector, µ-basis,
+section or canonical vector by its certificate; the reference here rebuilds
+the result and compares, as ``verify`` once did.  Both must give the same
+verdict, and refuse the same inputs with the same message.
 """
 
 import random
@@ -23,6 +23,7 @@ from affine_frames import (
     Polynomial,
     RegularityError,
     bezout_degree_search,
+    canonical_shape_violations,
     is_minimal_bezout,
     is_mu_basis,
     minimal_bezout,
@@ -31,13 +32,18 @@ from affine_frames import (
     mu_basis,
     nonminimal_completion,
     ratlin,
+    section,
+    section_and_canonical,
     validate_curve,
     verify_completion,
 )
 from affine_frames.cli import COMMANDS
-from affine_frames.io import CurveDocument
+from affine_frames.io import PAYLOADS, CurveDocument
 
-from conftest import p, random_generic_curve, random_rational_curve, vec
+from conftest import (
+    p, random_generic_curve, random_group, random_rational_curve,
+    random_regular_vector, vec,
+)
 
 # The command and the reproducibility check of each stored result type.
 CHECKS = {
@@ -45,13 +51,20 @@ CHECKS = {
     Completion: ("complete", "matrix_reproducible"),
     BezoutVector: ("bezout", "vector_reproducible"),
     MuBasis: ("mubasis", "basis_reproducible"),
+    GroupElement: ("section", "section_reproducible"),
+    # A canonical result is the pair that section_and_canonical returns.
+    tuple: ("canonical", "vector_reproducible"),
 }
 
 
 def certificate_verdict(source: PolyVector, stored) -> bool:
     """The reproducibility check of ``verify`` on ``stored``."""
     command, check = CHECKS[type(stored)]
-    return dict(COMMANDS[command].verify(CurveDocument(source), vars(stored)))[check]
+    if command == "canonical":
+        fields = dict(zip(PAYLOADS["canonical"], stored))
+    else:
+        fields = vars(stored)
+    return dict(COMMANDS[command].verify(CurveDocument(source), fields))[check]
 
 
 def _bump(u: PolyVector, rng) -> PolyVector:
@@ -215,6 +228,75 @@ def test_certificates_refuse_what_rebuilding_refused(v):
     expected = _outcome(lambda: mu_basis(v))
     assert expected is not None
     assert _outcome(lambda: is_mu_basis(v, ())) == expected
+
+
+def section_variants(g: GroupElement, rng):
+    """g and g altered: its shift moved, and composed on either side with
+    an elementary unimodular matrix and with diag(2, 1/2, 1, ...)."""
+    n = g.dim
+    shear = [list(row) for row in ratlin.identity(n)]
+    half = [list(row) for row in ratlin.identity(n)]
+    i, j = rng.sample(range(n), 2)
+    shear[i][j] = rng.choice((-2, -1, 1, 2))
+    half[0][0], half[1][1] = 2, Fraction(1, 2)
+    yield g
+    yield GroupElement(g.matrix, g.shift + Fraction(rng.randint(1, 4), rng.randint(1, 3)))
+    for matrix in (shear, half):
+        h = GroupElement(matrix)
+        yield g.compose(h)
+        yield h.compose(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4, 5)))
+def test_section_certificates_agree_with_rebuilding(seed, n):
+    """On p/q vectors in dimensions 2 to 5, the section and canonical
+    certificates accept the computed result and refuse every altered one
+    exactly when rebuilding it and comparing does.  Each altered section is
+    stored with the canonical vector and with its own ``h^-1 . v``, which h
+    maps to v, so that only the canonical shape can refuse it."""
+    rng = random.Random(seed)
+    v = random_group(rng, n).apply(random_regular_vector(rng, n, n + 3))
+    g, w = section_and_canonical(v)
+    verdicts = set()
+    for h in section_variants(g, rng):
+        for stored in (h, (h, w), (h, h.inverse().apply(v))):
+            expected = stored == (g if stored is h else (g, w))
+            assert certificate_verdict(v, stored) == expected, stored
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+# (1, t, t^3), which is canonical, and vectors that are not regular.
+CUBIC = vec((1,), (0, 1), (0, 0, 0, 1))
+IRREGULAR = {
+    "zero": vec((0,), (0,), (0,)),
+    "shared": PLANTED,
+    "dependent": vec((1, 1), (2, 2), (0, 0, 0, 1)),
+    "shared-dependent": vec((0, 1), (0, 2), (0, 0, 0, 1)),
+    "low-degree": vec((1,), (0, 1), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("irregular", IRREGULAR.values(), ids=IRREGULAR)
+def test_section_certificates_refuse_what_rebuilding_refused(irregular):
+    """An irregular input, and an irregular stored canonical vector, raise
+    the exception and message that rebuilding raised: the input's first,
+    then the stored vector's through its shape, then through its section."""
+    identity = GroupElement.identity(3)
+
+    def rebuilt_canonical(v, w):
+        section_and_canonical(v)
+        canonical_shape_violations(w)
+        section(w)
+
+    expected = _outcome(lambda: section(irregular))
+    assert expected is not None
+    assert _outcome(lambda: certificate_verdict(irregular, identity)) == expected
+    for v, w in ((irregular, CUBIC), (CUBIC, irregular), (irregular, irregular)):
+        expected = _outcome(lambda: rebuilt_canonical(v, w))
+        assert expected is not None
+        assert _outcome(lambda: certificate_verdict(v, (identity, w))) == expected
 
 
 # w = (1, t, t^2): its µ-basis is u1 = (t, -1, 0), u2 = (0, t, -1), and its

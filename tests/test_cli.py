@@ -726,8 +726,8 @@ def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(frame_path)])
     assert code == 0, err
     assert json.loads(out)["metadata"]["ok"] is True
-    # One for the stored section, one for the section, one for its inverse.
-    assert calls == {"inverse": 1, "group": 3}
+    # One for the stored section and one for its inverse; no section is built.
+    assert calls == {"inverse": 1, "group": 2}
 
 
 def test_frame_inverts_one_matrix(tmp_path, capsys, monkeypatch):
@@ -751,7 +751,8 @@ def test_frame_inverts_one_matrix(tmp_path, capsys, monkeypatch):
 
 
 def test_section_skips_the_canonical_vector(tmp_path, capsys, monkeypatch):
-    """`section` and its verify shift the vector once each and invert nothing."""
+    """`section` shifts the vector once and inverts nothing; its verify maps
+    the vector by the stored section's inverse, one inversion and one shift."""
     calls = {"inverse": 0, "shift": 0}
     inverse, shift = ratlin.inverse, vectors.PolyVector.shift
 
@@ -771,7 +772,63 @@ def test_section_skips_the_canonical_vector(tmp_path, capsys, monkeypatch):
     assert calls == {"inverse": 0, "shift": 1}
     assert main(["verify", "--in", outfile]) == 0
     assert json.loads(capsys.readouterr().out)["metadata"]["ok"] is True
-    assert calls == {"inverse": 0, "shift": 2}
+    assert calls == {"inverse": 1, "shift": 2}
+
+
+@pytest.mark.parametrize("command, source, key", [
+    ("section", QUARTIC, None),
+    ("canonical", QUARTIC, "section"),
+    ("frame", QUINTIC, "section"),
+])
+@pytest.mark.parametrize("altered", [False, True], ids=["stored", "shifted"])
+def test_verify_builds_no_section(tmp_path, capsys, monkeypatch, command, source,
+                                  key, altered):
+    """``verify`` checks a stored section by its normal form: none of the
+    section constructions runs, for the stored section or one shifted by 1."""
+    infile = write(tmp_path / "in.json", source)
+    result_path = tmp_path / "result.json"
+    assert main([command, "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    if altered:
+        section = doc["payload"][key] if key else doc["payload"]
+        section["shift"] = _bump(section["shift"])
+        write(result_path, doc)
+    originals = (equivariance.section, equivariance.section_and_canonical,
+                 equivariance.linear_section, equivariance.shift_section)
+    for original in originals:
+        _forbid_everywhere(monkeypatch, original)
+    # The compute paths' own bindings in cli are replaced too.
+    assert (cli.section, cli.section_and_canonical) != originals[:2]
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == (2 if altered else 0), err
+    assert json.loads(out)["metadata"]["ok"] is not altered
+
+
+@pytest.mark.parametrize("command, source, key, check", [
+    ("section", QUARTIC, None, "section_reproducible"),
+    ("canonical", QUARTIC, "section", "vector_reproducible"),
+    ("frame", QUINTIC, "section", "matrix_reproducible"),
+])
+@pytest.mark.parametrize("size", [2, 4])
+def test_verify_a_section_of_another_size(tmp_path, capsys, command, source, key,
+                                          check, size):
+    """A determinant-one section of size 2 or 4 stored for an n = 3 input:
+    only the reproducibility check fails, with no dimension error."""
+    infile = write(tmp_path / "in.json", source)
+    result_path = tmp_path / "result.json"
+    assert main([command, "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    shear = [[int(i == j or (i, j) == (0, 1)) for j in range(size)] for i in range(size)]
+    stored = write_payload("section", vars(groups.GroupElement(shear)))
+    (doc["payload"][key] if key else doc["payload"]).update(stored)
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == 2, err
+    metadata = json.loads(out)["metadata"]
+    assert metadata["ok"] is False
+    assert [c["name"] for c in metadata["checks"] if not c["passed"]] == [check]
 
 
 def _bump(value: str) -> str:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
+    GroupElement,
     PolyMatrix,
     RegularityError,
     ratlin,
@@ -266,7 +267,7 @@ def test_canonical_properties():
         reduced = canonical_form(v)
         assert canonical_form(reduced) == reduced
         assert canonical_shape_violations(reduced) == []
-        assert section(reduced).is_identity()
+        assert section(reduced) == GroupElement.identity(v.dim)
         g = random_group(rng, v.dim)
         assert canonical_form(g.apply(v)) == reduced
 

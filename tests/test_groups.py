@@ -32,13 +32,13 @@ def test_determinant_one_enforced():
     GroupElement([[0, -1], [1, 0]], Fraction(1, 2))
 
 
-def test_identity_and_is_identity():
+def test_identity_element():
     e = GroupElement.identity(3)
-    assert e.is_identity()
-    assert not GroupElement([[1, 1], [0, 1]]).is_identity()
-    assert not GroupElement.identity(2).compose(
+    assert e == GroupElement([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 0)
+    assert GroupElement([[1, 1], [0, 1]]) != GroupElement.identity(2)
+    assert GroupElement.identity(2).compose(
         GroupElement([[1, 0], [0, 1]], 1)
-    ).is_identity()
+    ) != GroupElement.identity(2)
 
 
 def test_action_golden():
@@ -60,7 +60,7 @@ def test_action_axioms():
         assert GroupElement.identity(n).apply(v) == v
         assert g1.apply(g2.apply(v)) == g1.compose(g2).apply(v)
         assert g1.inverse().apply(g1.apply(v)) == v
-        assert g1.compose(g1.inverse()).is_identity()
+        assert g1.compose(g1.inverse()) == GroupElement.identity(n)
 
 
 def test_action_preserves_degree():
@@ -166,7 +166,7 @@ def test_translation_only():
     a = AffineElement([[1, 0], [0, 1]], [Fraction(3), Fraction(-1, 2)])
     c = vec((0, 1), (0, 0, 1))
     assert a.apply(c) == vec((3, 1), (Fraction(-1, 2), 0, 1))
-    assert a.linear_part.is_identity()
+    assert a.linear_part == GroupElement.identity(2)
     with pytest.raises(TypeError, match="cannot act on PolyMatrix"):
         a.apply(PolyMatrix.identity(2))
     with pytest.raises(ValueError, match="translation dimension"):
