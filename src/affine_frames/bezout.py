@@ -4,8 +4,16 @@ Both constructions read coefficients off the reduced Sylvester system of a
 vector, so they are deterministic: the minimal Bezout vector is the unique
 solution of ``A b = e1`` supported on pivotal columns, and each syzygy basis
 element expresses a basic non-pivotal column through the pivotal columns to
-its left.  One reader lays out both, each from one integer column of the
-system's single forward pass, with one Fraction per nonzero coefficient.
+its left.  One reader lays out both, each from one integer column of a
+forward pass, with one Fraction per nonzero coefficient.  Each reads the
+system's window pass of ``[A_W | e1]`` (:mod:`sylvester`) when the vector
+lies in it: the pivots of a column prefix are A's, and both results are
+unique given the pivots, so they are what the full pass gives.  Otherwise
+it falls back to the full pass of ``[A | e1]``.  ``minimal_bezout`` needs
+e1 in the span of the pass's columns; ``mu_basis`` needs a non-pivot
+column in n - 1 classes mod n, and refuses a shared factor at once when
+their degrees sum to less than deg v, since the µ-degrees sum to
+``deg v - deg gcd(v)``.
 A syzygy basis is checked as it is built, by the certificate of
 :func:`basis_scale` (Song and Goldman 2009): syzygies whose degrees sum to
 deg v and whose leading vectors are independent have an outer product
@@ -25,7 +33,9 @@ from fractions import Fraction
 
 from . import ratlin
 from .poly import Polynomial, from_integers, integer_coefficients, integer_sum_of_products
-from .sylvester import SylvesterSystem, build_sylvester, sharp, sylvester_matrix
+from .sylvester import (
+    SylvesterSystem, augmented, basic_columns, build_sylvester, sharp, sylvester_matrix,
+)
 from .vectors import PolyVector, RegularityError
 
 
@@ -58,43 +68,57 @@ class MuBasis:
 def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> BezoutVector:
     """Minimal-degree b with ``v . b = 1``, supported on pivotal columns.
 
-    Requires the components of ``v`` to be coprime, as the reader checks;
-    the result is unique among Bezout vectors supported on pivotal columns.
+    Read off the first pass whose e1 column is no pivot, that is whose
+    columns of A span e1; if none does, the components of ``v`` share a
+    factor and it raises.  The result is unique among Bezout vectors
+    supported on pivotal columns.
     """
     sys = system if system is not None else build_sylvester(v)
-    (b,) = _pivot_solutions(sys, [sys.ncols])
-    return BezoutVector(b, int(b.degree))
+    for echelon, width in sys.passes():
+        if width not in echelon.pivots:
+            (b,) = _pivot_solutions(echelon, width, v.dim, [width])
+            return BezoutVector(b, int(b.degree))
+    raise RegularityError("components share a nonconstant factor")
 
 
 def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
     """Syzygy basis with one element per basic non-pivotal column.
 
-    Element degrees are ascending and sum to the degree of ``v``.  The
-    reader refuses a shared factor before the dimension is checked.
+    Read off the first pass with a non-pivot column in n - 1 classes mod n,
+    as the full pass always has: those are A's basic non-pivot columns, and
+    their degrees are the µ-degrees, which sum to ``d - deg gcd(v)``.
+    Element degrees are ascending and sum to the degree of ``v``.  A
+    shared factor is refused before the dimension is checked.
     """
     sys = system if system is not None else build_sylvester(v)
-    elements = list(_pivot_solutions(sys, [col - 1 for col in sys.basic_nonpivot]))
-    if v.dim < 2:
+    n = v.dim
+    for echelon, width in sys.passes():
+        basic = basic_columns(echelon.pivots, width, n)
+        if len(basic) == n - 1:  # always so on the full pass
+            break
+    if sum(j // n for j in basic) < sys.d:
+        raise RegularityError("components share a nonconstant factor")
+    elements = list(_pivot_solutions(echelon, width, n, basic))
+    if n < 2:
         raise RegularityError("syzygies need dimension at least 2")
     return MuBasis(tuple(elements), basis_scale(v, elements))
 
 
-def _pivot_solutions(sys: SylvesterSystem, cols: list[int]):
-    """Refuses a shared factor on first use, then yields columns ``cols``
-    (0-based) of ``[A | e1]``'s reduced form R put at the pivot columns, read
-    off ``D R`` (D the last pivot) as integers over D, and for a column j of
-    A negated, over -D, with -D at j."""
-    if sys.rank != sys.nrows:  # rank A = nrows - deg gcd(v)
-        raise RegularityError("components share a nonconstant factor")
-    echelon, d = sys.echelon, sys.echelon.last_pivot
+def _pivot_solutions(echelon: ratlin.Echelon, width: int, n: int, cols: list[int]):
+    """Columns ``cols`` (0-based) of the reduced form R of a pass over
+    ``[A_width | e1]``, put at the pivot columns, read off ``D R`` (D the
+    last pivot) as integers over D, and for a column j of A negated, over
+    -D, with -D at j.  The e1 column is ``width``; it is no pivot, since a
+    pass that holds the µ-basis holds a Bezout vector (:mod:`sylvester`)."""
+    d = echelon.last_pivot
     for j, column in zip(cols, echelon.integer_columns(cols)):
-        den = d if j == sys.ncols else -d
-        nums = [0] * sys.ncols
+        den = d if j == width else -d
+        nums = [0] * width
         for col, x in zip(echelon.pivots, column):
             nums[col] = x
-        if j < sys.ncols:
+        if j < width:
             nums[j] = den
-        yield PolyVector(from_integers(nums[i::sys.n], den) for i in range(sys.n))
+        yield PolyVector(from_integers(nums[i::n], den) for i in range(n))
 
 
 def basis_scale(v: PolyVector, elements) -> Fraction:
@@ -174,13 +198,13 @@ def bezout_degree_search(
     n, d = v.dim, int(v.degree)
     top = d if bound is None else max(0, min(bound, d))
     width = n * (top + 1)
-    augmented = [row[:width] + [scale if i == 0 else 0] for i, row in enumerate(rows)]
-    pivots = ratlin.Echelon(augmented).pivots  # eliminates ``augmented``
+    work = augmented(rows, scale, width)
+    pivots = ratlin.Echelon(work).pivots  # eliminates ``work``
     if width in pivots:
         if top == d or not v.is_coprime():
             raise RegularityError("components share a nonconstant factor")
         return None, ()
-    k = max(i for i, row in enumerate(augmented) if row[width])
+    k = max(i for i, row in enumerate(work) if row[width])
     degree = pivots[k] // n
     return degree, tuple(p for p in pivots if p < n * (degree + 1))
 

@@ -8,14 +8,35 @@ coefficients of a vector h of degree at most d produces the coefficients
 of the scalar product <v, h>, which turns questions about polynomial
 identities into exact linear algebra.  :func:`sylvester_matrix` lays out
 ``L A`` on integers, L the lcm of the coefficient denominators of v, and
-every elimination runs on those rows; A in Fractions is built only when
-read, which the ``sylvester`` command alone does.
+every elimination runs on a copy of those rows with e1 appended
+(:func:`augmented`); A in Fractions is built only when read, which the
+``sylvester`` command alone does.
 
-Column indices of A are 1-based throughout this module to match the usual
-pivot bookkeeping; coefficient-matrix columns elsewhere are 0-based.  The
-two conventions meet where :class:`SylvesterSystem` reads its forward
-pass and in the one reader of :mod:`bezout`, which takes 0-based columns
-and puts each coordinate at its forward-pass pivot, 0-based too.
+A :class:`SylvesterSystem` first eliminates only a window: the first
+``W = n (ceil(d / (n-1)) + 1)`` columns of A with e1, which are all of
+A when n <= 2 or d = 0.  That is exact, not a guess.  A column's
+pivot status depends only on the columns to its left, so leftmost-pivot
+elimination finds the same pivots on a column prefix as on all of A.  The
+solution of ``A x = e1`` supported on pivot columns is unique, and so is
+each basic non-pivot column's expression through the pivots to its left.
+So when e1 is no pivot of the window pass, the Bezout vector read off it
+is the full pass's; and when the window has a non-pivot column in n - 1
+classes mod n, those are A's basic non-pivot columns, whose degrees (the
+µ-degrees) sum to ``d - deg gcd(v)``.  The µ-degrees of a generic vector
+are balanced, at most ``ceil(d / (n-1))``.  For d > 0 a minimal Bezout
+vector has lower degree than the last of them: the leading vectors of the
+µ-basis span the hyperplane orthogonal to v's leading vector, where a
+Bezout vector's leading vector lies too, so the syzygies would reduce a
+Bezout vector of higher degree.  So both readers answer inside the
+window, and e1 is no pivot of a window that holds the µ-basis.  Any other vector falls back to the full pass of ``[A | e1]``,
+which also alone gives the pivot data and the reduced form; such a vector
+pays for both passes.
+
+The column indices of A that :class:`SylvesterSystem` reports are 1-based,
+to match the usual pivot bookkeeping; the passes, :func:`basic_columns`
+and the one reader of :mod:`bezout` count columns from 0, as
+coefficient-matrix columns are counted elsewhere, and a width is a number
+of columns.
 """
 
 from __future__ import annotations
@@ -45,29 +66,48 @@ def sharp(v: PolyVector, bound: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class SylvesterSystem:
-    """The matrix A of a vector and the forward pass of ``[A | e1]``.
+    """The matrix A of a vector, laid out once, and its two forward passes.
 
-    Every other attribute is read off ``echelon`` on first access, and no
-    column is back-substituted until a reader asks for it.  ``pivot_cols``
-    are the 1-based indices of columns that are linearly independent of all
-    columns to their left; ``basic_nonpivot`` keeps the first non-pivotal
-    index of each residue class modulo n.  The rank is ``nrows - deg
-    gcd(v)``, so it is full exactly when the components of v are coprime;
-    then :mod:`bezout` reads the minimal Bezout vector off the e1 column of
-    ``echelon.integer_columns`` and each syzygy off a basic non-pivot one.
-    ``reduced``, the reduced form of A, is the A block of that of
-    ``[A | e1]``: a pivot in the e1 column sits in a row that is zero on A.
-    ``matrix``, A itself in Fractions, is laid out again on first access;
-    the elimination never reads it.
+    ``rows`` and ``scale`` are ``L A`` and L from :func:`sylvester_matrix`;
+    each pass eliminates its own :func:`augmented` copy, on first access.
+    ``window`` is the pass of ``L [A_W | e1]``, W being ``window_cols``, and
+    ``echelon`` the full pass of ``L [A | e1]``; they are one pass when W
+    covers A.  :mod:`bezout` reads the first of :meth:`passes` that holds
+    what it reads, and no column is back-substituted until then.  The other
+    attributes are read off the full pass alone.  ``pivot_cols`` are the
+    1-based indices of columns that are linearly independent of all columns
+    to their left; ``basic_nonpivot`` keeps the first non-pivotal index of
+    each residue class modulo n.  The rank is ``nrows - deg gcd(v)``, so it
+    is full exactly when the components of v are coprime.  ``reduced``, the
+    reduced form of A, is the A block of that of ``[A | e1]``: a pivot in
+    the e1 column sits in a row that is zero on A.  ``matrix`` is A itself
+    in Fractions; no pass reads it.
     """
 
     vector: PolyVector
-    echelon: ratlin.Echelon = field(compare=False, repr=False)
+    rows: list[list[int]] = field(compare=False, repr=False)
+    scale: int = field(compare=False, repr=False)
+
+    @cached_property
+    def echelon(self) -> ratlin.Echelon:
+        return ratlin.Echelon(augmented(self.rows, self.scale, self.ncols))
+
+    @cached_property
+    def window(self) -> ratlin.Echelon:
+        if self.window_cols == self.ncols:
+            return self.echelon
+        return ratlin.Echelon(augmented(self.rows, self.scale, self.window_cols))
+
+    def passes(self):
+        """``(echelon, width)``: the window pass, then the full pass if the
+        window is not all of A; each is eliminated when first reached."""
+        yield self.window, self.window_cols
+        if self.window_cols < self.ncols:
+            yield self.echelon, self.ncols
 
     @cached_property
     def matrix(self) -> ratlin.Matrix:
-        rows, scale = sylvester_matrix(self.vector)
-        return tuple(tuple(Fraction(x, scale) for x in row) for row in rows)
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.rows)
 
     @cached_property
     def pivot_cols(self) -> tuple[int, ...]:
@@ -79,10 +119,7 @@ class SylvesterSystem:
 
     @cached_property
     def basic_nonpivot(self) -> tuple[int, ...]:
-        first: dict[int, int] = {}
-        for j in self.nonpivot_cols:
-            first.setdefault(j % self.n, j)
-        return tuple(first.values())
+        return tuple(j + 1 for j in basic_columns(self.echelon.pivots, self.ncols, self.n))
 
     @cached_property
     def reduced(self) -> ratlin.Matrix:
@@ -106,8 +143,23 @@ class SylvesterSystem:
         return self.n * (self.d + 1)
 
     @property
+    def window_cols(self) -> int:
+        """W = n (ceil(d / (n - 1)) + 1), at most ``ncols``; all of A for n <= 2."""
+        return self.n * (-(-self.d // max(1, self.n - 1)) + 1)
+
+    @property
     def rank(self) -> int:
         return len(self.pivot_cols)
+
+
+def basic_columns(pivots, width: int, n: int) -> tuple[int, ...]:
+    """The first non-pivot column of each residue class mod n among the
+    first ``width`` columns, ascending, 0-based like ``pivots``."""
+    taken, first = set(pivots), {}
+    for j in range(width):
+        if j not in taken:
+            first.setdefault(j % n, j)
+    return tuple(first.values())
 
 
 def sylvester_matrix(v: PolyVector) -> tuple[list[list[int]], int]:
@@ -130,15 +182,17 @@ def sylvester_matrix(v: PolyVector) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
+def augmented(rows: list[list[int]], scale: int, width: int) -> list[list[int]]:
+    """``L [A_E | e1]``, E = ``width``, as new integer rows, from the rows of
+    ``L A`` and L that :func:`sylvester_matrix` returns; ``rows`` stay as
+    they are, so one layout serves every pass."""
+    return [row[:width] + [scale if i == 0 else 0] for i, row in enumerate(rows)]
+
+
 def build_sylvester(v: PolyVector) -> SylvesterSystem:
     """Construct the Sylvester-type system of a nonzero vector.
 
-    One forward elimination of ``L [A | e1]`` on the integer rows of
-    :func:`sylvester_matrix`, which has the pivots and reduced form of
-    ``[A | e1]``; no column is back-substituted here.
+    Lays out ``L A`` once, by :func:`sylvester_matrix`, which refuses the
+    zero vector; no pass is eliminated until a reader asks for it.
     """
-    rows, scale = sylvester_matrix(v)
-    # A pivot in the e1 column means e1 is not in the span of A.
-    for i, row in enumerate(rows):
-        row.append(scale if i == 0 else 0)
-    return SylvesterSystem(vector=v, echelon=ratlin.Echelon(rows))
+    return SylvesterSystem(v, *sylvester_matrix(v))

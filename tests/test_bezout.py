@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
@@ -14,13 +14,14 @@ from affine_frames import (
     bezout_degree_search,
     build_sylvester,
     minimal_bezout,
+    minimal_completion,
     mu_basis,
     outer_product,
     section,
 )
 from affine_frames import ratlin
 from affine_frames.bezout import basis_scale
-from affine_frames.sylvester import sylvester_matrix
+from affine_frames.sylvester import SylvesterSystem, sylvester_matrix
 
 from conftest import p, random_group, random_regular_vector, vec
 
@@ -392,3 +393,93 @@ def test_basis_scale_against_the_outer_product(v, of_bezout, seed):
         certified = _scale_outcome(basis_scale, target, altered)
         expected = _scale_outcome(reference_scale, target, altered)
         assert certified == expected or certified == refused
+
+
+@st.composite
+def window_vectors(draw):
+    """n = 1..5 with rational coefficients: generic vectors, unbalanced ones
+    (a, b, a p + b q, ...) with p, q linear, whose µ-degrees or Bezout
+    degree may leave the window, either kind times a linear t - r, and
+    constants."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+    def poly(degree):
+        return Polynomial(draw(st.lists(entry, min_size=degree + 1, max_size=degree + 1)))
+
+    rows = [poly(d) for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        rows[2] = rows[0] * poly(1) + rows[1] * poly(1)
+    v = PolyVector(rows)
+    if draw(st.booleans()):
+        v = v.scale(Polynomial([-draw(st.integers(-3, 3)), 1]))
+    assume(not v.is_zero)
+    return v
+
+
+def _reader_outcomes(v):
+    """``minimal_bezout``, ``mu_basis`` and ``minimal_completion`` of v, each
+    its result or its refusal's message."""
+    outcomes = []
+    for reader in (minimal_bezout, mu_basis, minimal_completion):
+        try:
+            outcomes.append(reader(v))
+        except RegularityError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+# (1 + 2t + t^3 + t^4, 3 + t^2 + 2t^3 + t^4, 7 + 4t^2 + 4t^3 + 2t^4): µ-degrees
+# (1, 3) and Bezout degree 2, with a window of degree 2 (9 of A's 15 columns).
+UNBALANCED = vec((1, 2, 0, 1, 1), (3, 0, 1, 2, 1), (7, 0, 4, 4, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_vectors())
+@example(vec((0, 1)))  # (t): the shared factor before the dimension
+@example(vec((3,)))  # the dimension
+@example(vec((1,), (2,), (3,)))
+@example(UNBALANCED)
+def test_window_readers_match_the_full_pass(v):
+    """Each reader gives what it gives off the full pass alone (a window of
+    all of A): the same vector, the same basis and scale, the same
+    completion, or the same refusal message."""
+    outcomes = _reader_outcomes(v)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SylvesterSystem, "window_cols", property(lambda s: s.ncols))
+        assert _reader_outcomes(v) == outcomes
+
+
+def _answering_pass(reader, v):
+    """Which pass ``reader`` needed on a new system of v, and its outcome."""
+    system = build_sylvester(v)
+    try:
+        outcome = reader(v, system)
+    except RegularityError as exc:
+        outcome = str(exc)
+    return "full" if "echelon" in system.__dict__ else "window", outcome
+
+
+def test_readers_fall_back_only_past_the_window():
+    """A generic vector is answered inside the window; µ-degrees or a
+    Bezout degree past it take the full pass, and a shared factor is
+    refused inside the window by ``mu_basis`` and after the full pass by
+    ``minimal_bezout``, whose e1 column the window cannot tell apart."""
+    rng = random.Random(46)
+    generic = vec(*([rng.randint(-9, 9) for _ in range(8)] + [1] for _ in range(3)))
+    a, b = generic[0], generic[1]
+    unbalanced = PolyVector([a, b, a * p(1, 2) + b * p(-3, 1)])  # µ (1, 8), e = 7
+    factor = "components share a nonconstant factor"
+    assert [u.degree for u in mu_basis(unbalanced).elements] == [1, 8]
+    cases = [
+        (generic, ("window", "window"), (None, None)),
+        (UNBALANCED, ("window", "full"), (None, None)),
+        (unbalanced, ("full", "full"), (None, None)),
+        (generic.scale(p(-2, 1)), ("full", "window"), (factor, factor)),
+    ]
+    for v, passes, refusals in cases:
+        for reader, where, refusal in zip((minimal_bezout, mu_basis), passes, refusals):
+            got, outcome = _answering_pass(reader, v)
+            assert got == where, (v, reader)
+            assert (outcome if isinstance(outcome, str) else None) == refusal

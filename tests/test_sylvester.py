@@ -1,5 +1,6 @@
 """Stacked coefficient matrix of a vector and its pivot structure."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -17,9 +18,11 @@ from affine_frames import (
     ratlin,
     sharp,
 )
+from affine_frames.cli import main
+from affine_frames.io import vector_to_dict
 from affine_frames.sylvester import sylvester_matrix
 
-from conftest import flat, p, polynomials_up_to, quartic_tangent, random_regular_vector, vec
+from conftest import flat, p, polynomials_up_to, random_regular_vector, vec
 from test_ratlin import _rref_with_transform_reference
 
 # quartic with a fully worked elimination; frozen below entry for entry
@@ -141,29 +144,54 @@ def test_reduced_data_of_coprime_vectors():
     assert positive
 
 
-def test_each_reader_back_substitutes_only_what_it_reads(monkeypatch):
-    """The build back-substitutes no column; ``minimal_bezout`` reads the e1
-    column once, and each ``mu_basis`` call the n - 1 basic non-pivot ones,
-    in one read."""
-    read = []
-    original = ratlin.Echelon.integer_columns
+def _dense_16():
+    """A generic dense vector, n = 3 and d = 16: µ-degrees (8, 8), so both
+    readers answer inside the window of W = 3 * (8 + 1) = 27 of A's 51 columns."""
+    rng = random.Random(97)
+    return vec(*([rng.randint(-9, 9) for _ in range(16)] + [lead] for lead in (1, 2, -1)))
 
-    def counting(self, cols):
-        cols = tuple(cols)
-        read.append((self, cols))
-        return original(self, cols)
 
-    monkeypatch.setattr(ratlin.Echelon, "integer_columns", counting)
-    v = quartic_tangent()
+def test_readers_eliminate_only_the_window(tmp_path, monkeypatch):
+    """``minimal_bezout`` and ``mu_basis`` build one Sylvester pass, of the
+    window and e1 (28 columns), and none of all of A and e1 (52); each
+    reader back-substitutes only its e1 column or its n - 1 basic columns,
+    in one read.  ``sylvester --dump-pivots`` builds exactly one pass, the
+    full one."""
+    v = _dense_16()
+    passes, reads = [], []
+
+    class CountingEchelon(ratlin.Echelon):
+        def __init__(self, rows):
+            if len(rows) == 33:  # 2d + 1: a Sylvester pass
+                passes.append(len(rows[0]))
+            super().__init__(rows)
+
+        def integer_columns(self, cols):
+            cols = tuple(cols)
+            reads.append(cols)
+            return super().integer_columns(cols)
+
+    monkeypatch.setattr(ratlin, "Echelon", CountingEchelon)
     sys = build_sylvester(v)
-    assert read == []
+    assert (sys.window_cols, sys.ncols) == (27, 51) and passes == []
+    b = minimal_bezout(v, sys)
+    assert passes == [28] and reads == [(27,)]
+    mu = mu_basis(v, sys)
+    mu_basis(v, sys)
+    (basic,) = set(reads[1:])
+    assert passes == [28] and len(reads) == 3
+    assert len(basic) == 2 and sum(j // 3 for j in basic) == 16
+    assert [u.degree for u in mu.elements] == [8, 8] and b.degree == 7
+    passes.clear()
     minimal_bezout(v)
-    assert [cols for _, cols in read] == [(sys.ncols,)]
-    read.clear()
-    mu_basis(v, sys)
-    mu_basis(v, sys)
-    assert sys.basic_nonpivot == (8, 9)
-    assert [cols for echelon, cols in read if echelon is sys.echelon] == [(7, 8)] * 2
+    mu_basis(v)
+    assert passes == [28, 28]
+    passes.clear()
+    infile = tmp_path / "vec.json"
+    infile.write_text(json.dumps(vector_to_dict(v)), encoding="utf-8")
+    out = str(tmp_path / "sylvester.json")
+    assert main(["sylvester", "--dump-pivots", "--in", str(infile), "--out", out]) == 0
+    assert passes == [52]
 
 
 def test_sharp_golden():
