@@ -4,16 +4,14 @@ Both constructions read coefficients off the reduced Sylvester system of a
 vector, so they are deterministic: the minimal Bezout vector is the unique
 solution of ``A b = e1`` supported on pivotal columns, and each syzygy basis
 element expresses a basic non-pivotal column through the pivotal columns to
-its left.  One reader lays out both, each from one integer column of a
-forward pass, with one Fraction per nonzero coefficient.  Each reads the
-system's window pass of ``[A_W | e1]`` (:mod:`sylvester`) when the vector
-lies in it: the pivots of a column prefix are A's, and both results are
-unique given the pivots, so they are what the full pass gives.  Otherwise
-it falls back to the full pass of ``[A | e1]``.  ``minimal_bezout`` needs
-e1 in the span of the pass's columns; ``mu_basis`` needs a non-pivot
-column in n - 1 classes mod n, and refuses a shared factor at once when
-their degrees sum to less than deg v, since the µ-degrees sum to
-``deg v - deg gcd(v)``.
+its left.  One reader lays out both, each from one integer column of the
+one forward pass that :attr:`SylvesterSystem.reading` chooses: the window
+pass of ``[A_W | e1]`` (:mod:`sylvester`) when it holds the µ-basis, and
+the full pass of ``[A | e1]`` otherwise.  The pivots of a column prefix
+are A's, and both results are unique given the pivots, so they are what
+the full pass gives; a window that holds the µ-basis holds a Bezout
+vector too.  A shared factor is refused there, once, before either reader
+lays anything out.
 A syzygy basis is checked as it is built, by the certificate of
 :func:`basis_scale` (Song and Goldman 2009): syzygies whose degrees sum to
 deg v and whose leading vectors are independent have an outer product
@@ -33,9 +31,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .poly import Polynomial, from_integers, integer_coefficients, integer_sum_of_products
-from .sylvester import (
-    SylvesterSystem, augmented, basic_columns, build_sylvester, sharp, sylvester_matrix,
-)
+from .sylvester import SylvesterSystem, augmented, build_sylvester, sharp, sylvester_matrix
 from .vectors import PolyVector, RegularityError
 
 
@@ -68,49 +64,39 @@ class MuBasis:
 def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> BezoutVector:
     """Minimal-degree b with ``v . b = 1``, supported on pivotal columns.
 
-    Read off the first pass whose e1 column is no pivot, that is whose
-    columns of A span e1; if none does, the components of ``v`` share a
-    factor and it raises.  The result is unique among Bezout vectors
-    supported on pivotal columns.
+    Read off the e1 column of the system's ``reading`` pass, which refuses
+    a shared factor.  The result is unique among Bezout vectors supported
+    on pivotal columns.
     """
     sys = system if system is not None else build_sylvester(v)
-    for echelon, width in sys.passes():
-        if width not in echelon.pivots:
-            (b,) = _pivot_solutions(echelon, width, v.dim, [width])
-            return BezoutVector(b, int(b.degree))
-    raise RegularityError("components share a nonconstant factor")
+    (b,) = _pivot_solutions(sys, [sys.reading[1]])
+    return BezoutVector(b, int(b.degree))
 
 
 def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
     """Syzygy basis with one element per basic non-pivotal column.
 
-    Read off the first pass with a non-pivot column in n - 1 classes mod n,
-    as the full pass always has: those are A's basic non-pivot columns, and
-    their degrees are the µ-degrees, which sum to ``d - deg gcd(v)``.
-    Element degrees are ascending and sum to the degree of ``v``.  A
-    shared factor is refused before the dimension is checked.
+    Read off the basic columns of the system's ``reading`` pass, A's basic
+    non-pivot columns, whose degrees are the µ-degrees.  Element degrees
+    are ascending and sum to the degree of ``v``.  A shared factor is
+    refused, by ``reading``, before the dimension is checked.
     """
     sys = system if system is not None else build_sylvester(v)
-    n = v.dim
-    for echelon, width in sys.passes():
-        basic = basic_columns(echelon.pivots, width, n)
-        if len(basic) == n - 1:  # always so on the full pass
-            break
-    if sum(j // n for j in basic) < sys.d:
-        raise RegularityError("components share a nonconstant factor")
-    elements = list(_pivot_solutions(echelon, width, n, basic))
-    if n < 2:
+    elements = list(_pivot_solutions(sys, sys.reading[2]))
+    if v.dim < 2:
         raise RegularityError("syzygies need dimension at least 2")
     return MuBasis(tuple(elements), basis_scale(v, elements))
 
 
-def _pivot_solutions(echelon: ratlin.Echelon, width: int, n: int, cols: list[int]):
-    """Columns ``cols`` (0-based) of the reduced form R of a pass over
-    ``[A_width | e1]``, put at the pivot columns, read off ``D R`` (D the
-    last pivot) as integers over D, and for a column j of A negated, over
-    -D, with -D at j.  The e1 column is ``width``; it is no pivot, since a
-    pass that holds the µ-basis holds a Bezout vector (:mod:`sylvester`)."""
-    d = echelon.last_pivot
+def _pivot_solutions(sys: SylvesterSystem, cols):
+    """Columns ``cols`` (0-based) of the reduced form R of the ``reading``
+    pass over ``[A_width | e1]``, put at the pivot columns, read off ``D R``
+    (D the last pivot) as integers over D, and for a column j of A negated,
+    over -D, with -D at j.  The e1 column is ``width``; it is no pivot,
+    since a pass that holds the µ-basis of a coprime vector holds a Bezout
+    vector (:mod:`sylvester`)."""
+    echelon, width, _ = sys.reading
+    d, n = echelon.last_pivot, sys.n
     for j, column in zip(cols, echelon.integer_columns(cols)):
         den = d if j == width else -d
         nums = [0] * width

@@ -19,18 +19,19 @@ pivot status depends only on the columns to its left, so leftmost-pivot
 elimination finds the same pivots on a column prefix as on all of A.  The
 solution of ``A x = e1`` supported on pivot columns is unique, and so is
 each basic non-pivot column's expression through the pivots to its left.
-So when e1 is no pivot of the window pass, the Bezout vector read off it
-is the full pass's; and when the window has a non-pivot column in n - 1
-classes mod n, those are A's basic non-pivot columns, whose degrees (the
-µ-degrees) sum to ``d - deg gcd(v)``.  The µ-degrees of a generic vector
-are balanced, at most ``ceil(d / (n-1))``.  For d > 0 a minimal Bezout
-vector has lower degree than the last of them: the leading vectors of the
-µ-basis span the hyperplane orthogonal to v's leading vector, where a
-Bezout vector's leading vector lies too, so the syzygies would reduce a
-Bezout vector of higher degree.  So both readers answer inside the
-window, and e1 is no pivot of a window that holds the µ-basis.  Any other vector falls back to the full pass of ``[A | e1]``,
-which also alone gives the pivot data and the reduced form; such a vector
-pays for both passes.
+So when the window has a non-pivot column in n - 1 classes mod n, those
+are A's basic non-pivot columns, whose degrees (the µ-degrees) sum to
+``d - deg gcd(v)``; a smaller sum is a shared factor.  The µ-degrees of a
+generic vector are balanced, at most ``ceil(d / (n-1))``.  For d > 0 a
+minimal Bezout vector has lower degree than the last of them: the leading
+vectors of the µ-basis span the hyperplane orthogonal to v's leading
+vector, where a Bezout vector's leading vector lies too, so the syzygies
+would reduce a Bezout vector of higher degree.  So e1 is no pivot of a
+window that holds the µ-basis of a coprime vector, and both readers answer
+off the one pass that :attr:`SylvesterSystem.reading` chooses: the window
+when it holds the µ-basis, else the full pass of ``[A | e1]``, which also
+alone gives the pivot data and the reduced form.  A vector whose µ-basis
+leaves the window pays for both passes.
 
 The column indices of A that :class:`SylvesterSystem` reports are 1-based,
 to match the usual pivot bookkeeping; the passes, :func:`basic_columns`
@@ -66,22 +67,24 @@ def sharp(v: PolyVector, bound: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class SylvesterSystem:
-    """The matrix A of a vector, laid out once, and its two forward passes.
+    """The matrix A of a vector, laid out once, and its forward passes.
 
     ``rows`` and ``scale`` are ``L A`` and L from :func:`sylvester_matrix`;
     each pass eliminates its own :func:`augmented` copy, on first access.
-    ``window`` is the pass of ``L [A_W | e1]``, W being ``window_cols``, and
-    ``echelon`` the full pass of ``L [A | e1]``; they are one pass when W
-    covers A.  :mod:`bezout` reads the first of :meth:`passes` that holds
-    what it reads, and no column is back-substituted until then.  The other
-    attributes are read off the full pass alone.  ``pivot_cols`` are the
-    1-based indices of columns that are linearly independent of all columns
-    to their left; ``basic_nonpivot`` keeps the first non-pivotal index of
-    each residue class modulo n.  The rank is ``nrows - deg gcd(v)``, so it
-    is full exactly when the components of v are coprime.  ``reduced``, the
-    reduced form of A, is the A block of that of ``[A | e1]``: a pivot in
-    the e1 column sits in a row that is zero on A.  ``matrix`` is A itself
-    in Fractions; no pass reads it.
+    ``echelon`` is the full pass of ``L [A | e1]``.  ``reading`` is the one
+    pass that :mod:`bezout` reads, as ``(echelon, width, basic)``: the pass
+    of ``L [A_W | e1]``, W being ``window_cols``, when its non-pivot columns
+    reach n - 1 classes mod n, else the full pass; ``basic`` holds those
+    classes' first non-pivot columns, 0-based.  It refuses a shared factor
+    when their degrees sum below d, and no column is back-substituted until
+    a reader asks.  The other attributes are read off the full pass alone.
+    ``pivot_cols`` are the 1-based indices of columns that are linearly
+    independent of all columns to their left; ``basic_nonpivot`` keeps the
+    first non-pivotal index of each residue class modulo n.  The rank is
+    ``nrows - deg gcd(v)``, so it is full exactly when the components of v
+    are coprime.  ``reduced``, the reduced form of A, is the A block of that
+    of ``[A | e1]``: a pivot in the e1 column sits in a row that is zero on
+    A.  ``matrix`` is A itself in Fractions; no pass reads it.
     """
 
     vector: PolyVector
@@ -93,17 +96,18 @@ class SylvesterSystem:
         return ratlin.Echelon(augmented(self.rows, self.scale, self.ncols))
 
     @cached_property
-    def window(self) -> ratlin.Echelon:
-        if self.window_cols == self.ncols:
-            return self.echelon
-        return ratlin.Echelon(augmented(self.rows, self.scale, self.window_cols))
-
-    def passes(self):
-        """``(echelon, width)``: the window pass, then the full pass if the
-        window is not all of A; each is eliminated when first reached."""
-        yield self.window, self.window_cols
-        if self.window_cols < self.ncols:
-            yield self.echelon, self.ncols
+    def reading(self) -> tuple[ratlin.Echelon, int, tuple[int, ...]]:
+        width, n = self.window_cols, self.n
+        echelon = self.echelon if width == self.ncols else ratlin.Echelon(
+            augmented(self.rows, self.scale, width)
+        )
+        basic = basic_columns(echelon.pivots, width, n)
+        if len(basic) < n - 1:  # a µ-degree lies past the window
+            echelon, width = self.echelon, self.ncols
+            basic = basic_columns(echelon.pivots, width, n)
+        if sum(j // n for j in basic) < self.d:
+            raise RegularityError("components share a nonconstant factor")
+        return echelon, width, basic
 
     @cached_property
     def matrix(self) -> ratlin.Matrix:

@@ -155,14 +155,15 @@ def test_readers_eliminate_only_the_window(tmp_path, monkeypatch):
     """``minimal_bezout`` and ``mu_basis`` build one Sylvester pass, of the
     window and e1 (28 columns), and none of all of A and e1 (52); each
     reader back-substitutes only its e1 column or its n - 1 basic columns,
-    in one read.  ``sylvester --dump-pivots`` builds exactly one pass, the
-    full one."""
+    in one read.  ``minimal_bezout`` refuses v (t - 2) after its window
+    alone (31 of 55 columns).  ``sylvester --dump-pivots`` builds exactly
+    one pass, the full one."""
     v = _dense_16()
     passes, reads = [], []
 
     class CountingEchelon(ratlin.Echelon):
         def __init__(self, rows):
-            if len(rows) == 33:  # 2d + 1: a Sylvester pass
+            if len(rows) in (33, 35):  # 2d + 1, d = 16 or 17: a Sylvester pass
                 passes.append(len(rows[0]))
             super().__init__(rows)
 
@@ -186,6 +187,10 @@ def test_readers_eliminate_only_the_window(tmp_path, monkeypatch):
     minimal_bezout(v)
     mu_basis(v)
     assert passes == [28, 28]
+    passes.clear()
+    with pytest.raises(RegularityError, match="nonconstant factor"):
+        minimal_bezout(v.scale(p(-2, 1)))
+    assert passes == [31]
     passes.clear()
     infile = tmp_path / "vec.json"
     infile.write_text(json.dumps(vector_to_dict(v)), encoding="utf-8")
