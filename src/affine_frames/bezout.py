@@ -12,11 +12,16 @@ are A's, and both results are unique given the pivots, so they are what
 the full pass gives; a window that holds the µ-basis holds a Bezout
 vector too.  A shared factor is refused there, once, before either reader
 lays anything out.
-A syzygy basis is checked as it is built, by the certificate of
-:func:`basis_scale` (Song and Goldman 2009): syzygies whose degrees sum to
-deg v and whose leading vectors are independent have an outer product
-proportional to v, and the constant is read off one small elimination, so
-the outer product itself is never interpolated.
+A syzygy basis is checked as it is built, on the integer columns it is
+read off, by the certificate of :func:`basis_scale` (Song and Goldman
+2009): syzygies whose degrees sum to deg v and whose leading vectors are
+independent have an outer product proportional to v, and the constant is
+read off one small elimination, so the outer product itself is never
+interpolated.  Each element's degree and leading vector come from its
+integer layout, v's coefficients are the ones its system cleared, and each
+coefficient becomes a Fraction once, after the check
+(:func:`certified_basis`); :func:`basis_scale` runs the same check on
+given vectors, each cleared once.
 
 Being the one member of a normal form, each result can be checked without
 being built: :func:`is_minimal_bezout` and :func:`is_mu_basis` read the
@@ -26,6 +31,7 @@ columns that :func:`bezout_degree_search` finds on its own.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -69,7 +75,7 @@ def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> Bezo
     on pivotal columns.
     """
     sys = system if system is not None else build_sylvester(v)
-    (b,) = _pivot_solutions(sys, [sys.reading[1]])
+    b = _vector(*bezout_column(sys))
     return BezoutVector(b, int(b.degree))
 
 
@@ -82,19 +88,48 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
     refused, by ``reading``, before the dimension is checked.
     """
     sys = system if system is not None else build_sylvester(v)
-    elements = list(_pivot_solutions(sys, sys.reading[2]))
-    if v.dim < 2:
+    elements, scale = certified_basis(sys)
+    return MuBasis(tuple(_vector(*u) for u in elements), scale)
+
+
+def bezout_column(sys: SylvesterSystem) -> tuple[list[list[int]], int]:
+    """The minimal Bezout vector of the system's vector on integers: its
+    component coefficient lists, lowest power first, and their nonzero
+    denominator."""
+    ((coefficients, den),) = _pivot_solutions(sys, [sys.reading[1]])
+    return coefficients, den
+
+
+def certified_basis(sys: SylvesterSystem) -> tuple[list, Fraction]:
+    """The µ-basis of the system's vector on integers, each element as
+    ``(coefficient lists, denominator)`` like :func:`bezout_column`, and its
+    scale, certified on those integers as :func:`basis_scale` certifies it.
+
+    Element i, read off basic column c_i, has degree ``c_i // n`` and its
+    leading vector is block ``c_i // n`` of its layout; the vector's own
+    coefficients are the system's, cleared once when it was built.
+    """
+    _, _, basic = sys.reading
+    if sys.n < 2:
         raise RegularityError("syzygies need dimension at least 2")
-    return MuBasis(tuple(elements), basis_scale(v, elements))
+    elements = list(_pivot_solutions(sys, basic))
+    degrees = [j // sys.n for j in basic]
+    return elements, _scale(sys.coefficients, sys.scale, sys.d, degrees, elements)
+
+
+def _vector(coefficients: list[list[int]], den: int) -> PolyVector:
+    """The vector ``coefficients / den``, one Fraction per nonzero coefficient."""
+    return PolyVector(from_integers(nums, den) for nums in coefficients)
 
 
 def _pivot_solutions(sys: SylvesterSystem, cols):
     """Columns ``cols`` (0-based) of the reduced form R of the ``reading``
     pass over ``[A_width | e1]``, put at the pivot columns, read off ``D R``
     (D the last pivot) as integers over D, and for a column j of A negated,
-    over -D, with -D at j.  The e1 column is ``width``; it is no pivot,
-    since a pass that holds the µ-basis of a coprime vector holds a Bezout
-    vector (:mod:`sylvester`)."""
+    over -D, with -D at j; each as the component coefficient lists of the
+    stacked layout and that denominator.  The e1 column is ``width``; it is
+    no pivot, since a pass that holds the µ-basis of a coprime vector holds
+    a Bezout vector (:mod:`sylvester`)."""
     echelon, width, _ = sys.reading
     d, n = echelon.last_pivot, sys.n
     for j, column in zip(cols, echelon.integer_columns(cols)):
@@ -104,7 +139,7 @@ def _pivot_solutions(sys: SylvesterSystem, cols):
             nums[col] = x
         if j < width:
             nums[j] = den
-        yield PolyVector(from_integers(nums[i::n], den) for i in range(n))
+        yield [nums[i::n] for i in range(n)], den
 
 
 def basis_scale(v: PolyVector, elements) -> Fraction:
@@ -112,9 +147,9 @@ def basis_scale(v: PolyVector, elements) -> Fraction:
 
     Certified, not computed from the product: with d the degree of v, the
     elements must be n - 1 syzygies (``v . u_i == 0``, on integers with v
-    cleared once) whose degrees sum to d and whose leading vectors (the
-    coefficients of ``t**deg u_i``) have rank n - 1, by one elimination.
-    Otherwise it raises ``RegularityError``.
+    and each element cleared once) whose degrees sum to d and whose leading
+    vectors (the coefficients of ``t**deg u_i``) have rank n - 1, by one
+    elimination.  Otherwise it raises ``RegularityError``.
 
     Those conditions prove ``w = outer_product(elements) = r v``.  Each
     component of w is a signed (n-1)-minor of the elements, of degree at
@@ -125,27 +160,34 @@ def basis_scale(v: PolyVector, elements) -> Fraction:
     since w is nonzero, so ``w = (p / q) v`` for coprime polynomials p, q.
     Then q divides every ``p v_i``, hence ``gcd(v) = 1``, and p has degree
     ``deg w - deg v = 0``.  The constant is read off the ``t**d``
-    coefficients: with the leading vectors over one lcm L, f the column
-    their elimination leaves free, ``sign`` its row sign and D its last
-    pivot, component f of w has ``t**d`` coefficient
-    ``(-1)**f * sign * D / L**(n-1)`` by Cramer's rule, as in
+    coefficients: with each leading vector over its element's denominator
+    q_i, f the column their elimination leaves free, ``sign`` its row sign
+    and D its last pivot, component f of w has ``t**d`` coefficient
+    ``(-1)**f * sign * D / (q_1 ... q_{n-1})`` by Cramer's rule, as in
     :func:`vectors.outer_product`.  It is nonzero, so is ``v_f[d]``, and
     r is their quotient.
     """
-    n, d = v.dim, int(v.degree)
-    if len(elements) == n - 1 and sum(u.degree for u in elements) == d:
-        leading, scale = ratlin.clear_denominators(
-            [[c.coeff(int(u.degree)) for c in u] for u in elements]
-        )
-        echelon = ratlin.Echelon(leading)
-        left, _ = integer_coefficients(v.components)
+    left, scale = integer_coefficients(v.components)
+    cleared = [integer_coefficients(u.components) for u in elements]
+    return _scale(left, scale, int(v.degree), [u.degree for u in elements], cleared)
+
+
+def _scale(left, scale: int, d: int, degrees, elements) -> Fraction:
+    """:func:`basis_scale` for ``v = left / scale`` of degree d, and elements
+    given as ``(coefficient lists, denominator)`` with their degrees."""
+    n = len(left)
+    if len(elements) == n - 1 and sum(degrees) == d:
+        echelon = ratlin.Echelon([
+            [c[e] if e < len(c) else 0 for c in coefficients]
+            for e, (coefficients, _) in zip(degrees, elements)
+        ])
         if len(echelon.pivots) == n - 1 and not any(
-            any(integer_sum_of_products(left, integer_coefficients(u.components)[0]))
-            for u in elements
+            any(integer_sum_of_products(left, coefficients)) for coefficients, _ in elements
         ):
             (free,) = set(range(n)).difference(echelon.pivots)
             minor = echelon.sign * echelon.last_pivot * (-1) ** free
-            return Fraction(minor, scale ** (n - 1)) / v[free].coeff(d)
+            dens = math.prod(den for _, den in elements)
+            return Fraction(minor * scale, dens * left[free][d])
     raise RegularityError("syzygy basis is not proportional to input")
 
 
@@ -196,7 +238,8 @@ def bezout_degree_search(
 
 
 def is_minimal_bezout(
-    v: PolyVector, b: PolyVector, degree: int, pivots: tuple[int, ...]
+    v: PolyVector, b: PolyVector, degree: int, pivots: tuple[int, ...],
+    *, pairing: Polynomial | None = None,
 ) -> bool:
     """Whether ``b`` is ``minimal_bezout(v).vector``, without building it.
 
@@ -204,19 +247,25 @@ def is_minimal_bezout(
     for v (or the same pivots from another pass over A).  The minimal
     Bezout vector has that degree, pairs with v to one, and is supported on
     pivot columns of A; A's pivot columns are independent, so no other
-    vector does all three.
+    vector does all three.  A caller that has ``v . b`` already passes it
+    as ``pairing``.
     """
-    if b.degree != degree or v.dot(b) != Polynomial.one():
+    if b.degree != degree:
+        return False
+    if (v.dot(b) if pairing is None else pairing) != Polynomial.one():
         return False
     support = set(pivots)
     return all(j in support for j, x in enumerate(sharp(b, degree)) if x)
 
 
-def is_mu_basis(w: PolyVector, elements, scaled_last: bool = False) -> bool:
+def is_mu_basis(
+    w: PolyVector, elements, scaled_last: bool = False, *, pairings=None
+) -> bool:
     """Whether ``elements`` are ``mu_basis(w).elements``, without building them.
 
     With ``scaled_last`` the last element may be any nonzero multiple of
-    that one, as in a completion.  Refuses w as :func:`mu_basis` does: the
+    that one, as in a completion.  A caller that has each ``w . u_i``
+    already passes them, in order, as ``pairings``.  Refuses w as :func:`mu_basis` does: the
     zero vector by :meth:`PolyVector.is_coprime`, before its degree is read.
 
     Let e be the degree of w and c_i the last nonzero index of the stacked
@@ -251,7 +300,9 @@ def is_mu_basis(w: PolyVector, elements, scaled_last: bool = False) -> bool:
         return False
     for i, (u, c) in enumerate(zip(elements, last)):
         free = scaled_last and i == n - 2
-        if not (free or u[c % n].leading == 1) or not w.dot(u).is_zero:
+        if not (free or u[c % n].leading == 1):
+            return False
+        if not (w.dot(u) if pairings is None else pairings[i]).is_zero:
             return False
         # The non-pivot columns are the c_j + n k; u has no other one.
         for j, x in enumerate(sharp(u, e)):

@@ -34,7 +34,7 @@ from .io import (
 from .poly import Polynomial
 from .svg import render_plot
 from .sylvester import build_sylvester
-from .vectors import PolyMatrix, RegularityError, outer_product, require_regular
+from .vectors import PolyMatrix, RegularityError, outer_product, pivot_profile, require_regular
 from .groups import GroupElement
 
 
@@ -144,10 +144,11 @@ def _verify_bezout(doc: CurveDocument, fields: dict) -> Checks:
     if stored.vector.dim != doc.n:
         raise DocumentError("bezout vector does not match the curve dimension")
     degree, pivots = bezout_degree_search(doc.vector, stored.vector.degree)
-    yield "pairing_is_one", doc.vector.dot(stored.vector) == Polynomial.one()
+    pairing = doc.vector.dot(stored.vector)
+    yield "pairing_is_one", pairing == Polynomial.one()
     yield "degree_is_minimal", stored.vector.degree == degree
     yield "vector_reproducible", stored.degree == degree and is_minimal_bezout(
-        doc.vector, stored.vector, degree, pivots
+        doc.vector, stored.vector, degree, pivots, pairing=pairing
     )
 
 
@@ -163,14 +164,16 @@ def _verify_mubasis(doc: CurveDocument, fields: dict) -> Checks:
     elements = stored.elements
     if len(elements) != doc.n - 1 or any(u.dim != doc.n for u in elements):
         raise DocumentError("mubasis elements do not match the curve dimension")
-    yield "elements_are_syzygies", all(doc.vector.dot(u).is_zero for u in elements)
+    pairings = [doc.vector.dot(u) for u in elements]
+    yield "elements_are_syzygies", all(pairing.is_zero for pairing in pairings)
     degrees = [u.degree for u in elements]
     yield "degrees_ascending", degrees == sorted(degrees)
     yield "degrees_sum_to_input", sum(degrees) == doc.vector.degree
     proportional = outer_product(elements) == doc.vector.scale(stored.scale)
     yield "outer_product_proportional", proportional
     # The elements are mu_basis's; proportionality then pins its scale.
-    yield "basis_reproducible", is_mu_basis(doc.vector, elements) and proportional
+    reproducible = is_mu_basis(doc.vector, elements, pairings=pairings)
+    yield "basis_reproducible", reproducible and proportional
 
 
 def _is_section(v, g, w=None) -> bool:
@@ -210,10 +213,15 @@ def _verify_canonical(doc: CurveDocument, fields: dict) -> Checks:
     g, stored = fields.values()  # in table order, as section_and_canonical returns
     if stored.dim != doc.n:
         raise DocumentError("canonical vector does not match the curve dimension")
-    yield "vector_reproducible", _is_section(require_regular(doc.vector), g, stored)
-    canonical = not canonical_shape_violations(stored)
+    v = require_regular(doc.vector)
+    # Only a regular vector has a section.  Its one profile refuses a zero or
+    # dependent vector before the regularity checks do, as the shape check
+    # always has, and serves that check.
+    w = require_regular(stored, profile=pivot_profile(stored))
+    canonical = not canonical_shape_violations(w)
+    # As _is_section(v, g, w), with the shape checked once.
+    yield "vector_reproducible", canonical and g.dim == v.dim and g.apply(w) == v
     yield "shape_constraints_hold", canonical
-    require_regular(stored)  # only a regular vector has a section
     yield "section_is_identity", canonical
 
 

@@ -2,14 +2,19 @@
 
 ``minimal_completion`` realizes the minimal-degree construction: take a
 minimal Bezout vector b of v, then a µ-basis (syzygy basis) syz of b with
-``outer_product(syz) == scale * b``, which ``mu_basis`` has already
-certified without building that product (:func:`bezout.basis_scale`:
-syzygies of b, degrees summing to deg b, independent leading vectors).  By
-the Laplace identity, ``det [v | syz] = v . outer_product(syz) =
-scale * (v . b) = scale``, so dividing the last syzygy by the µ-basis
-scale gives determinant one at degree ``deg v + deg b``, which is the
-least possible.  No determinant or outer product is computed; the exact
-check ``v . b == 1`` stands in for them.
+``outer_product(syz) == scale * b``, certified without building that
+product (:func:`bezout.certified_basis`, the check of
+:func:`bezout.basis_scale`: syzygies of b, degrees summing to deg b,
+independent leading vectors).  By the Laplace identity, ``det [v | syz] =
+v . outer_product(syz) = scale * (v . b) = scale``, so dividing the last
+syzygy by the µ-basis scale gives determinant one at degree
+``deg v + deg b``, which is the least possible.  No determinant or outer
+product is computed; the exact check ``v . b == 1`` stands in for them.
+All of it runs on integers: b is the integer e1 column of v's Sylvester
+pass, paired with v's cleared coefficients and laid out as its own
+Sylvester system from its own integer coefficients; the certificate reads
+the µ-basis columns of that system's pass, and the last one is divided by
+the scale as it becomes Fractions.
 
 ``quillen_suslin`` builds instead a matrix Q with ``v^T Q = e1^T`` from the
 same ingredients computed for v itself; its inverse transpose is a
@@ -27,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bezout import (
-    bezout_degree_search, is_minimal_bezout, is_mu_basis, minimal_bezout, mu_basis,
+    _vector, bezout_column, bezout_degree_search, certified_basis, is_minimal_bezout,
+    is_mu_basis, minimal_bezout, mu_basis,
 )
 from .groups import GroupElement
-from .poly import NEG_INF, Polynomial
-from .sylvester import build_sylvester
+from .poly import NEG_INF, Polynomial, integer_coefficients, integer_sum_of_products
+from .sylvester import SylvesterSystem, build_sylvester, integer_system
 from .vectors import PolyMatrix, PolyVector, RegularityError, outer_product
 
 
@@ -64,25 +70,38 @@ class CompletionReport:
         return self.first_column_matches and self.determinant_one
 
 
-def _assemble(v: PolyVector, b: PolyVector) -> PolyMatrix:
-    """``[v | syz]`` for the µ-basis syz of ``b``, of determinant one.
+def _assemble(v: PolyVector, system: SylvesterSystem, coefficients, scale: int) -> Completion:
+    """``[v | syz]`` for the µ-basis syz of ``b = coefficients / scale``, of
+    determinant one; ``system`` is v's, whose cleared coefficients pair
+    with b's on integers.
 
     The determinant is ``v . b`` once the last syzygy is divided by the
     scale (module docstring), so a ``b`` that is no Bezout vector of ``v``
-    is caught here.  Only the last column is scaled, so the output is
-    deterministic and the column degrees are untouched.
+    is caught here.  Only the last column is scaled, each of its
+    coefficients one Fraction, so the output is deterministic and the
+    column degrees are untouched.
     """
-    if v.dot(b) != Polynomial.one():
+    pairing = integer_sum_of_products(system.coefficients, coefficients)
+    if pairing[:1] != [system.scale * scale] or any(pairing[1:]):
         raise RegularityError("assembled matrix is not unimodular")
-    return PolyMatrix.from_columns([v, *mu_basis(b).normalized()])
+    b = integer_system(coefficients, scale)
+    (*first, (last, den)), r = certified_basis(b)
+    last = [[x * r.denominator for x in nums] for nums in last]
+    columns = [v, *(_vector(*u) for u in first), _vector(last, den * r.numerator)]
+    return Completion(PolyMatrix.from_columns(columns), b.d)
 
 
 def minimal_completion(v: PolyVector) -> Completion:
-    """Complete ``v`` to a determinant-one matrix of least degree."""
+    """Complete ``v`` to a determinant-one matrix of least degree.
+
+    v is cleared once, by :func:`build_sylvester`; its minimal Bezout
+    vector stays an integer column from its Sylvester pass to the µ-basis
+    of that vector, and each output coefficient becomes a Fraction once.
+    """
     if v.dim < 2:
         raise RegularityError("completion needs dimension at least 2")
-    bez = minimal_bezout(v)
-    return Completion(_assemble(v, bez.vector), bez.degree)
+    system = build_sylvester(v)
+    return _assemble(v, system, *bezout_column(system))
 
 
 def verify_completion(
@@ -125,7 +144,8 @@ def verify_completion(
     inverse = None if section is None else section.inverse()
     columns = (m if inverse is None else inverse.apply(m)).columns()
     b = outer_product(columns[1:])
-    det_one = columns[0].dot(b) == Polynomial.one()
+    pairing = columns[0].dot(b)
+    det_one = pairing == Polynomial.one()
     minimal_degree, minimal = None, False
     if det_one:
         # The oracle rejects a zero or non-coprime v before its degree is read.
@@ -139,7 +159,7 @@ def verify_completion(
     if not det_one and not v.is_coprime():
         raise RegularityError("components share a nonconstant factor")
     reproducible = det_one and first and (
-        is_minimal_bezout(columns[0], b, e, pivots)
+        is_minimal_bezout(columns[0], b, e, pivots, pairing=pairing)
         and is_mu_basis(b, columns[1:], scaled_last=True)
     )
     return CompletionReport(
@@ -180,5 +200,4 @@ def nonminimal_completion(v: PolyVector) -> Completion:
     syz = mu_basis(v, system)
     bez = minimal_bezout(v, system)
     bump = syz.elements[-1].scale(Polynomial.monomial(int(v[0].degree)))
-    inflated = bez.vector + bump
-    return Completion(_assemble(v, inflated), int(inflated.degree))
+    return _assemble(v, system, *integer_coefficients((bez.vector + bump).components))

@@ -88,9 +88,10 @@ def canonical_shape_violations(w: PolyVector) -> list[str]:
     Selected column j must be the j-th standard basis vector, except the
     last, which is ``det_vbar`` times the final one; entries right of a
     row's selected column vanish; and the gap column has a zero in the row
-    used by the shift section.
+    used by the shift section.  A :class:`RegularVector` brings its own
+    profile.
     """
-    profile = pivot_profile(w)
+    profile = w.profile if isinstance(w, RegularVector) else pivot_profile(w)
     coeffs = w.coefficient_matrix()
     n = w.dim
     d = int(w.degree)

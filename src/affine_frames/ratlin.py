@@ -12,8 +12,11 @@ by ``L**n``, and runs the one fraction-free kernel, :class:`Echelon`, on
 the integer rows: a forward elimination to row-echelon form, then exact
 back-substitution of only those columns of the reduced form that are read.
 The forward pass is Bareiss's, except that a row with a 0 in the pivot
-column is not rescaled at that step but once, when it is next read; banded
-matrices such as the Sylvester matrix leave most rows idle at most steps.
+column is left idle at that step: the factors it skips telescope, so the
+step that next eliminates it takes them and its own division as one exact
+division, and only a row that becomes the pivot row is caught up on its
+own.  Banded matrices such as the Sylvester matrix leave most rows idle
+at most steps.
 ``rank``, ``det`` and pivot lookups stop after the forward pass.  ``rref``
 is the one routine that assembles a reduced form, back-substituting every
 column; ``rref_with_transform`` and ``inverse`` read theirs off ``rref`` of
@@ -87,19 +90,21 @@ class Echelon:
     again (rows of unequal length raise ``ValueError``); afterwards they
     hold the forward rows, the pivot rows in order and then zero rows.  The
     pivot is the first nonzero entry of the leftmost column that has one, as
-    in textbook elimination.  A step with pivot ``p`` in column ``c`` swaps
-    the pivot row into place and overwrites every row below it whose entry
-    ``a`` in column ``c`` is nonzero, from column ``c`` rightwards, by
-    ``(p * row - a * pivot_row) // prev``, where ``prev`` is the previous
-    pivot.  A row with ``a == 0`` is left alone.  Textbook Bareiss would
-    scale it by ``p / prev``; over the steps that skip a row those factors
-    telescope to ``prev / level``, where ``level`` is the pivot it was last
-    scaled to, so when the row is next read (as the pivot row, or to be
-    eliminated) one ``x * prev // level`` brings it up to date first.  Both
-    divisions are exact (Bareiss 1968): every up-to-date entry is a minor of
-    the scaled rows.  Rows below the last pivot row end all zero, so none is
-    left behind, and the forward rows are the eager loop's, bit for bit.  No
-    step touches a pivot row again.
+    in textbook elimination.  Textbook Bareiss overwrites every row below
+    the pivot row at every step, with pivot ``p`` in column ``c`` and
+    ``prev`` the previous pivot, by ``(p * row - a * pivot_row) // prev``,
+    ``a`` being the row's entry in column ``c``; a row with ``a == 0`` is
+    just scaled by ``p / prev``.  Here such a row is left alone and records
+    ``level``, the pivot it was last scaled to.  Over the steps that skip
+    it the factors telescope to ``prev / level``, so the textbook update of
+    a row with ``a != 0`` is ``(p * x - a * y) // level`` on its entries x
+    as they stand, y those of the pivot row: one division for the catch-up
+    and the step.  Column ``c`` becomes 0, and the row's level ``p``.  The
+    pivot row alone is brought up to date first, by ``x * prev // level``.
+    Every division is exact (Bareiss 1968): every up-to-date entry is a
+    minor of the scaled rows.  Rows below the last pivot row end all zero,
+    so none is left behind, and the forward rows are the eager loop's, bit
+    for bit.  No step touches a pivot row again.
 
     ``pivots``, ``sign`` (of the row permutation) and ``last_pivot``
     (1 when there is no pivot) come from this pass alone; :meth:`columns`
@@ -125,18 +130,19 @@ class Echelon:
                 rows[row], rows[src] = rows[src], rows[row]
                 levels[row], levels[src] = levels[src], levels[row]
                 sign = -sign
-            top = rows[row][col:]
+            top = rows[row]
             if levels[row] != prev:
-                top = rows[row][col:] = [x * prev // levels[row] for x in top]
-            p = top[0]
+                top[col:] = [x * prev // levels[row] for x in top[col:]]
+            p, right = top[col], top[col + 1:]
             for i in range(row + 1, nrows):
                 below = rows[i]
-                if below[col]:
-                    tail = below[col:]
-                    if levels[i] != prev:
-                        tail = [x * prev // levels[i] for x in tail]
-                    a = tail[0]
-                    below[col:] = [(p * x - a * y) // prev for x, y in zip(tail, top)]
+                a = below[col]
+                if a:
+                    level = levels[i]
+                    below[col + 1:] = [
+                        (p * x - a * y) // level for x, y in zip(below[col + 1:], right)
+                    ]
+                    below[col] = 0
                     levels[i] = p
             pivots.append(col)
             prev = p
@@ -155,30 +161,34 @@ class Echelon:
             D R[k] = (D U[k] - sum_{m > k} U[k][c_m] D R[m]) // p_k,
 
         exactly, since ``D R`` is integral (Cramer).  The recursion runs
-        from the last pivot row up (Nakos, Turner and Williams 1997) over
-        the non-pivot columns only; a pivot column is D times a unit vector.
+        from the last pivot row up (Nakos, Turner and Williams 1997), one
+        scalar at a time, for each requested non-pivot column; a pivot
+        column is D times a unit vector.
         """
         cols = tuple(cols)
         pivots, work, d = self.pivots, self._rows, self.last_pivot
+        nrows, rank = len(work), len(pivots)
         where = {col: k for k, col in enumerate(pivots)}
-        free = [j for j in cols if j not in where]
-        scaled: list[list[int]] = [[] for _ in pivots]
-        for k in reversed(range(len(pivots))):
-            row = work[k]
-            acc = [d * row[j] for j in free]
-            for m in range(k + 1, len(pivots)):
-                u = row[pivots[m]]
-                if u:
-                    acc = [x - u * y for x, y in zip(acc, scaled[m])]
-            p = row[pivots[k]]
-            scaled[k] = [x // p for x in acc]
-        nrows = len(work)
-        pad = (0,) * (nrows - len(pivots))
-        out = {}
-        for i, j in enumerate(free):
-            out[j] = tuple(values[i] for values in scaled) + pad
-        for j, k in where.items():
-            out[j] = (0,) * k + (d,) + (0,) * (nrows - k - 1)
+        # The nonzero U[k][c_m], m > k, of each pivot row, shared by every column.
+        links = [
+            [(m, work[k][pivots[m]]) for m in range(k + 1, rank) if work[k][pivots[m]]]
+            for k in range(rank)
+        ]
+        out: dict[int, tuple[int, ...]] = {}
+        for j in cols:
+            if j in out:
+                continue
+            scaled = [0] * nrows
+            if j in where:
+                scaled[where[j]] = d
+            else:
+                for k in reversed(range(rank)):
+                    row = work[k]
+                    acc = d * row[j]
+                    for m, u in links[k]:
+                        acc -= u * scaled[m]
+                    scaled[k] = acc // row[pivots[k]]
+            out[j] = tuple(scaled)
         return tuple(out[j] for j in cols)
 
     def columns(self, cols: Iterable[int]) -> tuple[Vector, ...]:

@@ -42,7 +42,8 @@ of columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -69,8 +70,11 @@ def sharp(v: PolyVector, bound: int) -> tuple[Fraction, ...]:
 class SylvesterSystem:
     """The matrix A of a vector, laid out once, and its forward passes.
 
-    ``rows`` and ``scale`` are ``L A`` and L from :func:`sylvester_matrix`;
-    each pass eliminates its own :func:`augmented` copy, on first access.
+    ``coefficients`` and ``scale`` are ``L v`` and L: the integer
+    coefficient lists of the components, lowest power first and without
+    trailing zeros, and the lcm of the coefficient denominators of v.
+    ``rows`` is ``L A``, laid out from them on first access, and each pass
+    eliminates its own :func:`augmented` copy, on first access.
     ``echelon`` is the full pass of ``L [A | e1]``.  ``reading`` is the one
     pass that :mod:`bezout` reads, as ``(echelon, width, basic)``: the pass
     of ``L [A_W | e1]``, W being ``window_cols``, when its non-pivot columns
@@ -87,9 +91,19 @@ class SylvesterSystem:
     A.  ``matrix`` is A itself in Fractions; no pass reads it.
     """
 
-    vector: PolyVector
-    rows: list[list[int]] = field(compare=False, repr=False)
-    scale: int = field(compare=False, repr=False)
+    coefficients: list[list[int]]
+    scale: int
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        n, d = self.n, self.d
+        rows = [[0] * (n * (d + 1)) for _ in range(2 * d + 1)]
+        for c, coeffs in enumerate(self.coefficients):
+            for r, x in enumerate(coeffs):  # degree r sits in row r of copy 0
+                if x:
+                    for copy in range(d + 1):
+                        rows[copy + r][copy * n + c] = x
+        return rows
 
     @cached_property
     def echelon(self) -> ratlin.Echelon:
@@ -132,11 +146,11 @@ class SylvesterSystem:
 
     @property
     def n(self) -> int:
-        return self.vector.dim
+        return len(self.coefficients)
 
     @cached_property
     def d(self) -> int:
-        return int(self.vector.degree)
+        return max(map(len, self.coefficients)) - 1
 
     @property
     def nrows(self) -> int:
@@ -173,17 +187,8 @@ def sylvester_matrix(v: PolyVector) -> tuple[list[list[int]], int]:
     those :func:`ratlin.clear_denominators` makes of A, laid out from
     :func:`poly.integer_coefficients` of the components; no elimination.
     """
-    if v.is_zero:
-        raise RegularityError("vector is zero")
-    n, d = v.dim, int(v.degree)
-    coefficients, scale = integer_coefficients(v.components)
-    rows = [[0] * (n * (d + 1)) for _ in range(2 * d + 1)]
-    for c, coeffs in enumerate(coefficients):
-        for r, x in enumerate(coeffs):  # degree r sits in row r of copy 0
-            if x:
-                for copy in range(d + 1):
-                    rows[copy + r][copy * n + c] = x
-    return rows, scale
+    system = _system(v)
+    return system.rows, system.scale
 
 
 def augmented(rows: list[list[int]], scale: int, width: int) -> list[list[int]]:
@@ -196,7 +201,30 @@ def augmented(rows: list[list[int]], scale: int, width: int) -> list[list[int]]:
 def build_sylvester(v: PolyVector) -> SylvesterSystem:
     """Construct the Sylvester-type system of a nonzero vector.
 
-    Lays out ``L A`` once, by :func:`sylvester_matrix`, which refuses the
-    zero vector; no pass is eliminated until a reader asks for it.
+    Clears v once, by :func:`poly.integer_coefficients`, and refuses the
+    zero vector; nothing is laid out or eliminated until a reader asks.
     """
-    return SylvesterSystem(v, *sylvester_matrix(v))
+    return _system(v)
+
+
+def integer_system(coefficients: list[list[int]], scale: int) -> SylvesterSystem:
+    """The system of the nonzero vector ``coefficients / scale``, given by
+    integer coefficient lists (lowest power first) over a nonzero integer.
+
+    Put in lowest terms over a positive scale and trimmed, those are ``L v``
+    and L, so the system is the one :func:`build_sylvester` makes of that
+    vector, with no Fraction built.
+    """
+    common = math.gcd(scale, *(x for coeffs in coefficients for x in coeffs))
+    common = -common if scale < 0 else common
+    lowest = [[x // common for x in coeffs] for coeffs in coefficients]
+    for coeffs in lowest:
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+    return SylvesterSystem(lowest, scale // common)
+
+
+def _system(v: PolyVector) -> SylvesterSystem:
+    if v.is_zero:
+        raise RegularityError("vector is zero")
+    return SylvesterSystem(*integer_coefficients(v.components))

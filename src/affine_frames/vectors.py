@@ -310,13 +310,11 @@ class PolyMatrix:
         )
 
 
-def _degree_bound(rows: Sequence[Sequence[Polynomial]]) -> int | float:
+def _degree_bound(degrees: Sequence[Sequence[int | float]]) -> int | float:
     """The smaller of the row and the column max-degree sums of a square
-    polynomial matrix: a bound on the degree of its determinant."""
-    return min(
-        sum(max(e.degree for e in row) for row in rows),
-        sum(max(e.degree for e in col) for col in zip(*rows)),
-    )
+    polynomial matrix, given its entries' degrees: a bound on the degree of
+    its determinant."""
+    return min(sum(map(max, degrees)), sum(map(max, zip(*degrees))))
 
 
 def _interpolate(values: list[int], denominator: int) -> Polynomial:
@@ -365,8 +363,9 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     if any(v.dim != n for v in vectors):
         raise ValueError("outer product takes n-1 vectors of dimension n")
     rows = [vec.components for vec in vectors]
+    degrees = [[e.degree for e in row] for row in rows]
     bound = max(
-        _degree_bound([row[:i] + row[i + 1:] for row in rows]) for i in range(n)
+        _degree_bound([row[:i] + row[i + 1:] for row in degrees]) for i in range(n)
     )
     if bound == NEG_INF:
         return PolyVector([Polynomial.zero()] * n)
@@ -451,18 +450,20 @@ class RegularVector(PolyVector):
         object.__setattr__(self, "profile", profile)
 
 
-def require_regular(v: PolyVector) -> RegularVector:
+def require_regular(v: PolyVector, *, profile: PivotProfile | None = None) -> RegularVector:
     """``v`` as a :class:`RegularVector`; :class:`RegularityError` unless regular.
 
     Regular means: unit gcd, linearly independent components, and degree at
     least the dimension.  A :class:`RegularVector` is returned unchanged;
-    the zero vector is refused by :meth:`PolyVector.is_coprime`.
+    the zero vector is refused by :meth:`PolyVector.is_coprime`.  A caller
+    that has ``pivot_profile(v)`` already passes it as ``profile``.
     """
     if isinstance(v, RegularVector):
         return v
     if not v.is_coprime():
         raise RegularityError("components share a nonconstant factor")
-    profile = pivot_profile(v)
+    if profile is None:
+        profile = pivot_profile(v)
     if v.degree < v.dim:
         raise RegularityError("degree is below the dimension")
     return RegularVector(v, profile)

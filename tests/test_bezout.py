@@ -19,11 +19,12 @@ from affine_frames import (
     outer_product,
     section,
 )
-from affine_frames import ratlin
-from affine_frames.bezout import basis_scale
-from affine_frames.sylvester import SylvesterSystem, sylvester_matrix
+from affine_frames import PolyMatrix, ratlin
+from affine_frames.bezout import MuBasis, basis_scale
+from affine_frames.completion import Completion
+from affine_frames.sylvester import SylvesterSystem, basic_columns, sylvester_matrix
 
-from conftest import p, random_group, random_regular_vector, vec
+from conftest import flat, p, random_group, random_regular_vector, vec
 
 SEXTIC = vec((1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 1), (0, 1))
 
@@ -488,3 +489,81 @@ def test_readers_fall_back_only_past_the_window():
             got, outcome = _answering_pass(reader, v)
             assert got == where, (v, reader)
             assert (outcome if isinstance(outcome, str) else None) == refusal
+
+
+def reference_mu_basis(v):
+    """The µ-basis by Fractions: each basic non-pivot column of A, one 1
+    there, expressed through the pivot columns by ``Echelon.columns`` of A's
+    own pass, and the scale of the outer product (``reference_scale``)."""
+    matrix = build_sylvester(v).matrix
+    n, d, width = v.dim, int(v.degree), len(matrix[0])
+    echelon = ratlin.Echelon(ratlin.clear_denominators(matrix)[0])
+    basic = basic_columns(echelon.pivots, width, n)
+    if sum(j // n for j in basic) < d:
+        raise RegularityError("components share a nonconstant factor")
+    if n < 2:
+        raise RegularityError("syzygies need dimension at least 2")
+    elements = []
+    for j, column in zip(basic, echelon.columns(basic)):
+        stacked = [Fraction(0)] * width
+        for col, x in zip(echelon.pivots, column):
+            stacked[col] = -x
+        stacked[j] = Fraction(1)
+        elements.append(flat(stacked, n, d))
+    return MuBasis(tuple(elements), reference_scale(v, elements))
+
+
+def reference_completion(v):
+    """``[v | syz]``, syz the Fraction µ-basis of the minimal Bezout vector
+    b of v with its last element divided by the scale."""
+    if v.dim < 2:
+        raise RegularityError("completion needs dimension at least 2")
+    b = minimal_bezout(v)
+    columns = [v, *reference_mu_basis(b.vector).normalized()]
+    return Completion(PolyMatrix.from_columns(columns), b.degree)
+
+
+def _outcome(build, v):
+    try:
+        return build(v)
+    except RegularityError as exc:
+        return str(exc)
+
+
+@st.composite
+def integer_path_vectors(draw):
+    """n = 1..5 with integer or rational coefficients, some components
+    zero, some draws times a linear t - r (a shared factor), and the zero
+    vector."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(0, 7))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7))
+    rows = [Polynomial(draw(st.lists(entry, min_size=d + 1, max_size=d + 1)))
+            for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=n - 1)):
+        rows[i] = Polynomial()
+    v = PolyVector(rows)
+    if draw(st.booleans()):
+        v = v.scale(Polynomial([-draw(st.integers(-3, 3)), 1]))
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_path_vectors())
+@example(vec((0,), (0,)))  # the zero vector
+@example(vec((3,)))  # the dimension
+@example(vec((0, 1), (0, 2, 1)))  # a shared factor t
+@example(UNBALANCED)
+@example(vec((-3, -1, 1), (3, 3, 2)))  # a negative last pivot
+def test_integer_readers_match_the_fraction_reference(v):
+    """``mu_basis`` and ``minimal_completion`` of v, and of its minimal
+    Bezout vector b, which both read integer columns and become Fractions
+    only at the output, equal the Fraction reference: the same elements and
+    scale, the same matrix and degree, or the same refusal message."""
+    targets = [v]
+    bezout_vector = _outcome(minimal_bezout, v)
+    if not isinstance(bezout_vector, str):
+        targets.append(bezout_vector.vector)
+    for w in targets:
+        assert _outcome(mu_basis, w) == _outcome(reference_mu_basis, w)
+        assert _outcome(minimal_completion, w) == _outcome(reference_completion, w)

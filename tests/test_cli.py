@@ -805,6 +805,75 @@ def test_verify_builds_no_section(tmp_path, capsys, monkeypatch, command, source
     assert json.loads(out)["metadata"]["ok"] is not altered
 
 
+@pytest.mark.parametrize("command, source", [
+    ("bezout", QUARTIC),
+    ("mubasis", QUARTIC),
+    ("complete", QUARTIC),
+    ("mubasis", WIDE_RATIONAL),
+    ("frame", QUINTIC),
+])
+def test_verify_computes_each_pairing_once(tmp_path, capsys, monkeypatch, command, source):
+    """No ``verify`` pairs the same two vectors twice: the pairing of the
+    input with a stored Bezout vector or syzygy, or of a completion's first
+    column with the outer product of the others, serves every check."""
+    infile = write(tmp_path / "in.json", source)
+    result = str(tmp_path / "result.json")
+    assert main([command, "--in", infile, "--out", result]) == 0
+    pairs = []
+    original = vectors.PolyVector.dot
+
+    def pairing(self, other):
+        pairs.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(vectors.PolyVector, "dot", pairing)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", result])
+    assert code == 0, err
+    assert pairs and len(set(pairs)) == len(pairs)
+
+
+@pytest.mark.parametrize("coeffs, error", [
+    (None, None),  # the stored canonical vector itself
+    ([["0"], ["0"], ["0"]], "vector is zero"),
+    # a shared factor and dependent components: the dependence is refused
+    ([["0", "1"], ["0", "2"], ["0", "3"]], "components are linearly dependent"),
+    ([["0", "1"], ["0", "0", "1"], ["0", "0", "0", "1"]],
+     "components share a nonconstant factor"),
+    ([["1", "1"], ["2", "2"], ["1", "0", "0", "1"]], "components are linearly dependent"),
+    ([["1"], ["0", "1"], ["0", "0", "1"]], "degree is below the dimension"),
+])
+def test_verify_canonical_profiles_the_stored_vector_once(tmp_path, capsys, monkeypatch,
+                                                          coeffs, error):
+    """A canonical ``verify`` reads the stored vector's pivot profile once,
+    for its regularity and its shape, and refuses an irregular stored vector
+    with the message rebuilding its section gave."""
+    infile = write(tmp_path / "in.json", QUARTIC)
+    result_path = tmp_path / "canonical.json"
+    assert main(["canonical", "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    if coeffs is not None:
+        doc["payload"]["vector"] = {"coeffs": coeffs}
+    write(result_path, doc)
+    stored = parse_curve_dict({"n": 3, "coeffs": doc["payload"]["vector"]["coeffs"]}).vector
+    profiled = []
+    original = vectors.pivot_profile
+
+    def profiling(v):
+        profiled.append(v)
+        return original(v)
+
+    for module in (vectors, equivariance, cli):
+        monkeypatch.setattr(module, "pivot_profile", profiling, raising=False)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert profiled.count(stored) == 1
+    if error is None:
+        assert code == 0 and json.loads(out)["metadata"]["ok"] is True
+    else:
+        assert (code, out, err) == (2, "", json.dumps({"error": error}) + "\n")
+
+
 @pytest.mark.parametrize("command, source, key, check", [
     ("section", QUARTIC, None, "section_reproducible"),
     ("canonical", QUARTIC, "section", "vector_reproducible"),

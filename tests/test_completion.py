@@ -12,13 +12,16 @@ from affine_frames import (
     PolyMatrix,
     PolyVector,
     RegularityError,
+    build_sylvester,
+    minimal_bezout,
     minimal_completion,
     mu_basis,
     nonminimal_completion,
     quillen_suslin,
     verify_completion,
 )
-from affine_frames import bezout, completion
+from affine_frames import bezout, completion, poly, sylvester
+from affine_frames.poly import from_integers, integer_coefficients
 
 from conftest import p, quartic_tangent, random_regular_vector, vec
 
@@ -231,21 +234,64 @@ def test_one_dimensional_vectors_are_refused():
 
 
 def test_one_sylvester_build_per_distinct_vector(monkeypatch):
-    built = []
-    original = bezout.build_sylvester
-
-    def counting(v):
-        built.append(v)
-        return original(v)
-
-    monkeypatch.setattr(bezout, "build_sylvester", counting)
-    monkeypatch.setattr(completion, "build_sylvester", counting)
+    """One system per distinct vector: v's from ``build_sylvester``, and a
+    Bezout vector's from its integer coefficients, by ``integer_system``."""
     v = quartic_tangent()
+    own, of_b = build_sylvester(v), build_sylvester(minimal_bezout(v).vector)
+    built = []
+
+    def counting(original):
+        def build(*args):
+            built.append(original(*args))
+            return built[-1]
+        return build
+
+    for module, name in (
+        (bezout, "build_sylvester"),
+        (completion, "build_sylvester"),
+        (completion, "integer_system"),
+    ):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
     quillen_suslin(v)
-    assert built == [v]
+    assert built == [own]
+    built.clear()
+    minimal_completion(v)
+    assert built == [own, of_b]
     built.clear()
     nonminimal_completion(v)
-    assert len(built) == 2 and built[0] == v and built[1] != v
+    assert len(built) == 2 and built[0] == own and built[1] != own
+
+
+def test_minimal_completion_stays_on_integers(monkeypatch):
+    """``minimal_completion`` clears v once, builds no Fraction Bezout
+    vector and clears no µ-basis element back to integers: the only
+    Fractions it makes are the coefficients of the n - 1 later columns."""
+    v = quartic_tangent()
+    expected = minimal_completion(v)
+    cleared, made = [], []
+
+    def clearing(polys):
+        cleared.append(tuple(polys))
+        return integer_coefficients(polys)
+
+    def making(nums, den):
+        made.append(len(nums))
+        return from_integers(nums, den)
+
+    def refused(*args):
+        raise AssertionError("minimal_completion took the Fraction path")
+
+    for module in (poly, sylvester, bezout, completion):
+        if hasattr(module, "integer_coefficients"):
+            monkeypatch.setattr(module, "integer_coefficients", clearing)
+    monkeypatch.setattr(bezout, "from_integers", making)
+    for name in ("minimal_bezout", "mu_basis", "basis_scale"):
+        for module in (bezout, completion):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    assert minimal_completion(v) == expected
+    assert cleared == [v.components]
+    assert len(made) == v.dim * (v.dim - 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -262,13 +308,14 @@ def test_scale_normalized_completions_have_determinant_one(seed, n):
 
 
 def test_non_bezout_vector_is_caught(monkeypatch):
-    """``v . b == 1`` is checked exactly where the determinant used to be."""
-    real = completion.minimal_bezout
+    """``v . b == 1`` is checked exactly where the determinant used to be,
+    on the integer coefficients of v and b."""
+    real = completion.bezout_column
 
-    def doubled(v):
-        bez = real(v)
-        return bezout.BezoutVector(bez.vector.scale(2), bez.degree)
+    def doubled(system):
+        coefficients, den = real(system)
+        return [[2 * x for x in nums] for nums in coefficients], den
 
-    monkeypatch.setattr(completion, "minimal_bezout", doubled)
+    monkeypatch.setattr(completion, "bezout_column", doubled)
     with pytest.raises(RegularityError, match="assembled matrix is not unimodular"):
         minimal_completion(SEXTIC)

@@ -321,19 +321,48 @@ def integer_matrices(draw):
     return [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
 
 
+def eager_gauss_jordan(rows):
+    """``D R`` by the textbook fraction-free Gauss-Jordan loop: at every
+    step every other row, those above the pivot row too, becomes
+    ``(p * row - a * pivot_row) // prev``, so every pivot row ends at the
+    last pivot D and the rows are D times the reduced form."""
+    rows = [list(row) for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    row = 0
+    prev = 1
+    for col in range(ncols):
+        if row == nrows:
+            break
+        src = next((i for i in range(row, nrows) if rows[i][col]), None)
+        if src is None:
+            continue
+        rows[row], rows[src] = rows[src], rows[row]
+        top = rows[row]
+        p = top[col]
+        for i in range(nrows):
+            if i != row:
+                a = rows[i][col]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        row += 1
+    return rows
+
+
 def _check_against_eager(work):
     expected_rows = [list(row) for row in work]
     expected = eager_bareiss(expected_rows)
     width = len(work[0]) if work else 0
     original = ratlin.freeze(work)
+    scaled = eager_gauss_jordan(work)
     echelon = ratlin.Echelon(work)
     assert (echelon.pivots, echelon.sign, echelon.last_pivot) == expected
     assert work == expected_rows  # the forward rows, bit for bit
     reduced, _ = _rref_reference(original)
     d = echelon.last_pivot
-    assert echelon.integer_columns(range(width)) == tuple(
-        tuple(d * row[j] for row in reduced) for j in range(width)
-    )
+    columns = echelon.integer_columns(range(width))
+    assert columns == tuple(tuple(d * row[j] for row in reduced) for j in range(width))
+    assert columns == tuple(tuple(row[j] for row in scaled) for j in range(width))
 
 
 @pytest.mark.parametrize("rows", [
@@ -352,6 +381,8 @@ def test_echelon_matches_eager_bareiss_examples(rows):
 @settings(max_examples=150, deadline=None)
 @given(integer_matrices())
 def test_echelon_matches_eager_bareiss(work):
-    """Leaving idle rows alone and catching them up when next read gives
-    the eager loop's pivots, sign, last pivot and forward rows."""
+    """Leaving idle rows alone and eliminating each with one division gives
+    the eager loop's pivots, sign, last pivot and forward rows, and the
+    scalar back-substitution every column of ``D R`` that the eager
+    fraction-free Gauss-Jordan loop gives."""
     _check_against_eager(work)

@@ -20,7 +20,8 @@ from affine_frames import (
 )
 from affine_frames.cli import main
 from affine_frames.io import vector_to_dict
-from affine_frames.sylvester import sylvester_matrix
+from affine_frames.bezout import bezout_column
+from affine_frames.sylvester import integer_system, sylvester_matrix
 
 from conftest import flat, p, polynomials_up_to, random_regular_vector, vec
 from test_ratlin import _rref_with_transform_reference
@@ -327,3 +328,22 @@ def test_sylvester_matrix_matches_entrywise_layout(v):
     matrix = build_sylvester(v).matrix
     assert matrix == reference
     assert all(type(x) is Fraction for row in matrix for x in row)
+
+
+@pytest.mark.parametrize("v", [
+    QUARTIC,
+    # the full pass ends at the negative pivot -51: b is read over -51
+    vec((-3, -1, 1), (3, 3, 2)),
+    # rational coefficients, so b's coefficients are far from lowest terms
+    vec((Fraction(1, 2), 0, 3), (0, Fraction(2, 3), 1), (5, 1, Fraction(-1, 4))),
+])
+def test_integer_system_is_the_built_system(v):
+    """The minimal Bezout vector's integer column, over the pass's own
+    denominator, gives the system ``build_sylvester`` makes of that vector
+    as Fractions: the same ``L b`` and L, so the same rows and passes."""
+    coefficients, den = bezout_column(build_sylvester(v))
+    system = integer_system(coefficients, den)
+    expected = build_sylvester(minimal_bezout(v).vector)
+    assert (system.coefficients, system.scale) == (expected.coefficients, expected.scale)
+    assert system.rows == expected.rows
+    assert system.reading[0].pivots == expected.reading[0].pivots
