@@ -4,14 +4,13 @@ Both constructions read coefficients off the reduced Sylvester system of a
 vector, so they are deterministic: the minimal Bezout vector is the unique
 solution of ``A b = e1`` supported on pivotal columns, and each syzygy basis
 element expresses a basic non-pivotal column through the pivotal columns to
-its left.  One reader lays out both, each from one integer column of the
-one forward pass that :attr:`SylvesterSystem.reading` chooses: the window
-pass of ``[A_W | e1]`` (:mod:`sylvester`) when it holds the µ-basis, and
-the full pass of ``[A | e1]`` otherwise.  The pivots of a column prefix
-are A's, and both results are unique given the pivots, so they are what
-the full pass gives; a window that holds the µ-basis holds a Bezout
-vector too.  A shared factor is refused there, once, before either reader
-lays anything out.
+its left.  Both are laid out from integer columns of the one forward pass
+that :attr:`SylvesterSystem.reading` grows up to the last basic block of
+A (:mod:`sylvester`): ``L e1`` solved on it, and the basic columns.  The
+pivots of a column prefix are A's, and both results are unique given the
+pivots, so they are what a pass of all of A gives; a pass that holds the
+µ-basis holds a Bezout vector too.  A shared factor is refused there,
+once, before either reader lays anything out.
 A syzygy basis is checked as it is built, on the integer columns it is
 read off, by the certificate of :func:`basis_scale` (Song and Goldman
 2009): syzygies whose degrees sum to deg v and whose leading vectors are
@@ -37,7 +36,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .poly import Polynomial, from_integers, integer_coefficients, integer_sum_of_products
-from .sylvester import SylvesterSystem, augmented, build_sylvester, sharp, sylvester_matrix
+from .sylvester import SylvesterSystem, build_sylvester, sharp, sylvester_matrix
 from .vectors import PolyVector, RegularityError
 
 
@@ -70,8 +69,8 @@ class MuBasis:
 def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> BezoutVector:
     """Minimal-degree b with ``v . b = 1``, supported on pivotal columns.
 
-    Read off the e1 column of the system's ``reading`` pass, which refuses
-    a shared factor.  The result is unique among Bezout vectors supported
+    ``L e1`` solved on the system's ``reading`` pass, which refuses a
+    shared factor.  The result is unique among Bezout vectors supported
     on pivotal columns.
     """
     sys = system if system is not None else build_sylvester(v)
@@ -93,11 +92,12 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
 
 
 def bezout_column(sys: SylvesterSystem) -> tuple[list[list[int]], int]:
-    """The minimal Bezout vector of the system's vector on integers: its
-    component coefficient lists, lowest power first, and their nonzero
-    denominator."""
-    ((coefficients, den),) = _pivot_solutions(sys, [sys.reading[1]])
-    return coefficients, den
+    """The minimal Bezout vector of the system's vector on integers, ``L e1``
+    solved on the ``reading`` pass (:mod:`sylvester`): its component
+    coefficient lists, lowest power first, and their nonzero denominator."""
+    echelon, _ = sys.reading
+    scaled = echelon.solve([sys.scale] + [0] * (sys.nrows - 1))
+    return _stacked(sys.n, echelon.pivots, scaled), echelon.last_pivot
 
 
 def certified_basis(sys: SylvesterSystem) -> tuple[list, Fraction]:
@@ -105,14 +105,19 @@ def certified_basis(sys: SylvesterSystem) -> tuple[list, Fraction]:
     ``(coefficient lists, denominator)`` like :func:`bezout_column`, and its
     scale, certified on those integers as :func:`basis_scale` certifies it.
 
-    Element i, read off basic column c_i, has degree ``c_i // n`` and its
-    leading vector is block ``c_i // n`` of its layout; the vector's own
-    coefficients are the system's, cleared once when it was built.
+    Element i is basic column c_i of ``D R`` with -D at c_i, over -D, off
+    the ``reading`` pass; it has degree ``c_i // n`` and its leading vector
+    is block ``c_i // n`` of its layout.  The vector's own coefficients are
+    the system's, cleared once when it was built.
     """
-    _, _, basic = sys.reading
+    echelon, basic = sys.reading
     if sys.n < 2:
         raise RegularityError("syzygies need dimension at least 2")
-    elements = list(_pivot_solutions(sys, basic))
+    den = -echelon.last_pivot
+    elements = [
+        (_stacked(sys.n, echelon.pivots, scaled, (j, den)), den)
+        for j, scaled in zip(basic, echelon.integer_columns(basic))
+    ]
     degrees = [j // sys.n for j in basic]
     return elements, _scale(sys.coefficients, sys.scale, sys.d, degrees, elements)
 
@@ -122,24 +127,16 @@ def _vector(coefficients: list[list[int]], den: int) -> PolyVector:
     return PolyVector(from_integers(nums, den) for nums in coefficients)
 
 
-def _pivot_solutions(sys: SylvesterSystem, cols):
-    """Columns ``cols`` (0-based) of the reduced form R of the ``reading``
-    pass over ``[A_width | e1]``, put at the pivot columns, read off ``D R``
-    (D the last pivot) as integers over D, and for a column j of A negated,
-    over -D, with -D at j; each as the component coefficient lists of the
-    stacked layout and that denominator.  The e1 column is ``width``; it is
-    no pivot, since a pass that holds the µ-basis of a coprime vector holds
-    a Bezout vector (:mod:`sylvester`)."""
-    echelon, width, _ = sys.reading
-    d, n = echelon.last_pivot, sys.n
-    for j, column in zip(cols, echelon.integer_columns(cols)):
-        den = d if j == width else -d
-        nums = [0] * width
-        for col, x in zip(echelon.pivots, column):
-            nums[col] = x
-        if j < width:
-            nums[j] = den
-        yield [nums[i::n] for i in range(n)], den
+def _stacked(n: int, pivots, scaled, *entries) -> list[list[int]]:
+    """The component coefficient lists, lowest power first, of a column of
+    ``D R`` (D the last pivot, R the reduced form) put at the pivot columns
+    and the ``(column, value)`` ``entries`` right of them, up to the last
+    block that holds a nonzero."""
+    entries = [*((col, x) for col, x in zip(pivots, scaled) if x), *entries]
+    nums = [0] * (entries[-1][0] + 1)
+    for col, x in entries:
+        nums[col] = x
+    return [nums[i::n] for i in range(n)]
 
 
 def basis_scale(v: PolyVector, elements) -> Fraction:
@@ -198,14 +195,15 @@ def bezout_degree_search(
 
     Independent oracle: b of degree at most e exists exactly when e1 is in the
     span of A_e, the columns of A that encode coefficients up to degree e.  It
-    runs one forward elimination of ``[A_E | e1]``, E being ``bound`` clamped
-    to [0, d] (``None`` for d).  If e1 is no pivot, let k be the last row whose
-    e1 entry is nonzero.  Eliminating the first w columns is the same for every
-    prefix, and later steps only combine rows below the r_w pivot rows found by
-    then, invertibly; so e1 is in the span of the first w columns exactly when
-    its column is zero below row r_w, that is when ``pivots[k] < w``, and the
-    minimal degree is ``pivots[k] // n``.  A pivot in the e1 column means
-    e > E: it raises for a shared factor, which :meth:`PolyVector.is_coprime`
+    runs one forward elimination of A_E, E being ``bound`` clamped to [0, d]
+    (``None`` for d), and reduces e1 through its steps.  If e1 is in the
+    span, let k be the last nonzero entry of the reduced e1.  Eliminating the
+    first w columns is the same for every prefix, and later steps only
+    combine rows below the r_w pivot rows found by then, invertibly; so e1 is
+    in the span of the first w columns exactly when the reduced e1 is zero
+    below row r_w, that is when ``pivots[k] < w``, and the minimal degree
+    is ``pivots[k] // n``.  A reduced e1 nonzero below the rank means e > E:
+    it raises for a shared factor, which :meth:`PolyVector.is_coprime`
     tells below d, and otherwise returns ``(None, ())``.  A pass costs more
     than linearly in its width, so a caller that knows a Bezout vector bounds
     it by that vector's degree.  The oracle reads only A and its own pass,
@@ -215,24 +213,25 @@ def bezout_degree_search(
     The second value holds the 0-based pivot columns of A among its first
     ``n * (e + 1)``, read off the same pass.  A column of A is a pivot when
     it is independent of the columns to its left, which no column to its
-    right, the e1 column included, can change; and the leftmost-pivot
-    elimination finds exactly those columns.  So the prefix pivots of
-    ``[A_E | e1]`` are A's, and since ``E >= e`` they hold every pivot that
-    :func:`is_minimal_bezout` reads.  :func:`sylvester.sylvester_matrix`
-    refuses the zero vector before its degree is read.
+    right can change; and the leftmost-pivot elimination finds exactly those
+    columns.  So the pivots of A_E are A's, and since ``E >= e`` they hold
+    every pivot that :func:`is_minimal_bezout` reads.
+    :func:`sylvester.sylvester_matrix` refuses the zero vector before its
+    degree is read.
     """
-    # Scaling by L leaves pivots alone: L [A_E | e1] has those of [A_E | e1].
+    # L A_E has the pivots of A_E, and L e1 lies in its span when e1 lies in A_E's.
     rows, scale = sylvester_matrix(v)
     n, d = v.dim, int(v.degree)
     top = d if bound is None else max(0, min(bound, d))
     width = n * (top + 1)
-    work = augmented(rows, scale, width)
-    pivots = ratlin.Echelon(work).pivots  # eliminates ``work``
-    if width in pivots:
+    echelon = ratlin.Echelon([row[:width] for row in rows])
+    pivots = echelon.pivots
+    e1 = echelon.reduce([scale] + [0] * (len(rows) - 1))
+    if any(e1[len(pivots):]):
         if top == d or not v.is_coprime():
             raise RegularityError("components share a nonconstant factor")
         return None, ()
-    k = max(i for i, row in enumerate(work) if row[width])
+    k = max(i for i, x in enumerate(e1) if x)
     degree = pivots[k] // n
     return degree, tuple(p for p in pivots if p < n * (degree + 1))
 

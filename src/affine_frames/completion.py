@@ -10,8 +10,8 @@ v . outer_product(syz) = scale * (v . b) = scale``, so dividing the last
 syzygy by the µ-basis scale gives determinant one at degree
 ``deg v + deg b``, which is the least possible.  No determinant or outer
 product is computed; the exact check ``v . b == 1`` stands in for them.
-All of it runs on integers: b is the integer e1 column of v's Sylvester
-pass, paired with v's cleared coefficients and laid out as its own
+All of it runs on integers: b is ``L e1`` solved on v's Sylvester pass,
+paired with v's cleared coefficients and laid out as its own
 Sylvester system from its own integer coefficients; the certificate reads
 the µ-basis columns of that system's pass, and the last one is divided by
 the scale as it becomes Fractions.
@@ -121,14 +121,16 @@ def verify_completion(
     the certificate checks: M is the minimal completion exactly when b is
     the minimal Bezout vector of w (:func:`is_minimal_bezout`) and the later
     columns are the µ-basis of b with the last one scaled
-    (:func:`is_mu_basis`), since ``w . b = 1`` pins that scale.  It needs
-    e, which the group leaves alone, and A_w's pivots among its first
-    ``n * (e + 1)`` columns.  One :func:`bezout_degree_search` pass gives
-    both, run on ``u = L^-1 . v`` for ``g = (L, s)`` (on v without a
-    section): ``w(t) = u(t - s)``, so ``A_w = S A_u U`` with S invertible
-    and U unit upper triangular, and their column prefixes have equal
-    ranks.  With the first column v, b is a Bezout vector of w, so
-    ``deg b >= e`` bounds the pass.  Nothing is rebuilt.
+    (:func:`is_mu_basis`), since ``w . b = 1`` pins that scale; each
+    ``b . M[:, i]``, i > 0, is a determinant with a repeated column, zero
+    without computing.  The certificate needs e, which the group leaves
+    alone, and A_w's pivots among its first ``n * (e + 1)`` columns.  One
+    :func:`bezout_degree_search` pass gives both, run on ``u = L^-1 . v``
+    for ``g = (L, s)`` (on v without a section): ``w(t) = u(t - s)``, so
+    ``A_w = S A_u U`` with S invertible and U unit upper triangular, and
+    their column prefixes have equal ranks.  With the first column v, b is
+    a Bezout vector of w, so ``deg b >= e`` bounds the pass.  Nothing is
+    rebuilt.
 
     Raises as :func:`minimal_completion` does when v has no completion: on
     the zero vector, the oracle at determinant one, else ``v.is_coprime()``.
@@ -160,7 +162,9 @@ def verify_completion(
         raise RegularityError("components share a nonconstant factor")
     reproducible = det_one and first and (
         is_minimal_bezout(columns[0], b, e, pivots, pairing=pairing)
-        and is_mu_basis(b, columns[1:], scaled_last=True)
+        and is_mu_basis(
+            b, columns[1:], scaled_last=True, pairings=[Polynomial.zero()] * (v.dim - 1)
+        )
     )
     return CompletionReport(
         first_column_matches=first,

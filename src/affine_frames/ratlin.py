@@ -11,12 +11,12 @@ leaves pivots and the reduced form alone and scales an n x n determinant
 by ``L**n``, and runs the one fraction-free kernel, :class:`Echelon`, on
 the integer rows: a forward elimination to row-echelon form, then exact
 back-substitution of only those columns of the reduced form that are read.
-The forward pass is Bareiss's, except that a row with a 0 in the pivot
-column is left idle at that step: the factors it skips telescope, so the
-step that next eliminates it takes them and its own division as one exact
-division, and only a row that becomes the pivot row is caught up on its
-own.  Banded matrices such as the Sylvester matrix leave most rows idle
-at most steps.
+The forward pass is Bareiss's, taken a column at a time so that it can
+grow, except that a row with a 0 in the pivot column is left idle at that
+step: the factors it skips telescope, so the step that next eliminates it
+takes them and its own division as one exact division, and only a row
+that becomes the pivot row is caught up on its own.  Banded matrices such
+as the Sylvester matrix leave most rows idle at most steps.
 ``rank``, ``det`` and pivot lookups stop after the forward pass.  ``rref``
 is the one routine that assembles a reduced form, back-substituting every
 column; ``rref_with_transform`` and ``inverse`` read theirs off ``rref`` of
@@ -83,128 +83,140 @@ def clear_denominators(
 
 
 class Echelon:
-    """One fraction-free forward elimination, in place, of a list of int lists.
+    """One fraction-free forward elimination, taken a column at a time.
 
-    A caller holding Fractions puts the whole matrix over one lcm first,
-    with :func:`clear_denominators`, and hands over lists it does not need
-    again (rows of unequal length raise ``ValueError``); afterwards they
-    hold the forward rows, the pivot rows in order and then zero rows.  The
-    pivot is the first nonzero entry of the leftmost column that has one, as
-    in textbook elimination.  Textbook Bareiss overwrites every row below
-    the pivot row at every step, with pivot ``p`` in column ``c`` and
-    ``prev`` the previous pivot, by ``(p * row - a * pivot_row) // prev``,
-    ``a`` being the row's entry in column ``c``; a row with ``a == 0`` is
-    just scaled by ``p / prev``.  Here such a row is left alone and records
-    ``level``, the pivot it was last scaled to.  Over the steps that skip
-    it the factors telescope to ``prev / level``, so the textbook update of
-    a row with ``a != 0`` is ``(p * x - a * y) // level`` on its entries x
-    as they stand, y those of the pivot row: one division for the catch-up
-    and the step.  Column ``c`` becomes 0, and the row's level ``p``.  The
-    pivot row alone is brought up to date first, by ``x * prev // level``.
-    Every division is exact (Bareiss 1968): every up-to-date entry is a
-    minor of the scaled rows.  Rows below the last pivot row end all zero,
-    so none is left behind, and the forward rows are the eager loop's, bit
-    for bit.  No step touches a pivot row again.
+    Takes integer rows, which it never changes; a caller holding Fractions
+    puts the whole matrix over one lcm first, with :func:`clear_denominators`
+    (rows of unequal length raise ``ValueError``).  The pass keeps its own
+    forward form U, column by column, in ``forward``.  The pivot is the
+    first nonzero entry of the leftmost column that has one, as in textbook
+    elimination.  Textbook Bareiss (1968) overwrites every row below the
+    pivot row at every step, with pivot ``p`` in column ``c`` and ``prev``
+    the previous pivot, by ``(p * row - a * pivot_row) // prev``, ``a``
+    being the row's entry in column ``c``; a row with ``a == 0`` is just
+    scaled by ``p / prev``.  Here such a row is left alone and records
+    ``level``, the pivot it was last scaled to.  Over the steps that skip it
+    the factors telescope to ``prev / level``, so the textbook update of a
+    row with ``a != 0`` is ``(p * x - a * y) // level`` on its entries x as
+    they stand, y those of the pivot row: one division for the catch-up and
+    the step.  The pivot row alone is brought up to date first, by
+    ``x * prev // level``.  Every division is exact: every up-to-date entry
+    is a minor of the scaled rows.
 
-    ``pivots``, ``sign`` (of the row permutation) and ``last_pivot``
-    (1 when there is no pivot) come from this pass alone; :meth:`columns`
-    back-substitutes only the columns a caller reads.
+    Each step is logged; a column is brought through the steps in order
+    (:meth:`reduce`), skipping each entry that is 0 with 0 in the pivot
+    row, and pivots if it is nonzero at or below the rank.  Each entry goes
+    through the textbook loop's operations in its order, so U, the pivots,
+    ``sign`` (of the row permutation) and ``last_pivot`` (1 when there is
+    no pivot) are that loop's, bit for bit, however :meth:`extend` splits
+    the columns.  :meth:`integer_columns` back-substitutes only the columns
+    a caller reads, and :meth:`solve` a column that does not join the pass.
     """
 
-    def __init__(self, rows: list[list[int]]):
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError("ragged matrix")
-        pivots: list[int] = []
-        levels = [1] * nrows  # the pivot each row is scaled to
-        prev = sign = 1
-        for col in range(ncols):
-            row = len(pivots)
-            if row == nrows:
-                break
-            src = next((i for i in range(row, nrows) if rows[i][col]), None)
-            if src is None:
-                continue
-            if src != row:
-                rows[row], rows[src] = rows[src], rows[row]
-                levels[row], levels[src] = levels[src], levels[row]
-                sign = -sign
-            top = rows[row]
-            if levels[row] != prev:
-                top[col:] = [x * prev // levels[row] for x in top[col:]]
-            p, right = top[col], top[col + 1:]
-            for i in range(row + 1, nrows):
-                below = rows[i]
-                a = below[col]
-                if a:
-                    level = levels[i]
-                    below[col + 1:] = [
-                        (p * x - a * y) // level for x, y in zip(below[col + 1:], right)
-                    ]
-                    below[col] = 0
-                    levels[i] = p
-            pivots.append(col)
-            prev = p
-        self._rows = rows
+        self.forward: list[list[int]] = []
+        self.pivots: tuple[int, ...] = ()
+        self.sign = self.last_pivot = 1
+        self._levels = [1] * len(rows)  # the pivot each row is scaled to
+        self._steps: list[tuple] = []  # (k, src, prev, level, p, eliminated) per step
+        self._links: list[list[tuple[int, int]]] = []  # nonzero U[k][c_m], m > k
+        self.extend(zip(*rows))
+
+    def extend(self, columns: Iterable[Sequence[int]]) -> None:
+        """Take ``columns`` into the pass, right of those it has."""
+        levels, pivots, reduce = self._levels, list(self.pivots), self.reduce
+        for column in columns:
+            col, row = reduce(column), len(pivots)
+            src = next(filter(col.__getitem__, range(row, len(col))), None)
+            if src is not None:
+                if src != row:
+                    col[row], col[src] = col[src], col[row]
+                    levels[row], levels[src] = levels[src], levels[row]
+                    self.sign = -self.sign
+                prev, level = self.last_pivot, levels[row]
+                p = col[row] = col[row] * prev // level
+                eliminated = [
+                    (i, col[i], levels[i]) for i in range(row + 1, len(col)) if col[i]
+                ]
+                for i, _, _ in eliminated:
+                    levels[i], col[i] = p, 0
+                self._steps.append((row, src, prev, level, p, eliminated))
+                for k, links in enumerate(self._links):
+                    if col[k]:
+                        links.append((row, col[k]))
+                self._links.append([])
+                pivots.append(len(self.forward))
+                self.last_pivot = p
+            self.forward.append(col)
         self.pivots = tuple(pivots)
-        self.sign = sign
-        self.last_pivot = prev
+
+    def reduce(self, column: Sequence[int]) -> list[int]:
+        """``column`` brought through every logged step, as a new list,
+        without becoming a pivot: its entries in the coordinates of U."""
+        col = list(column)
+        if len(col) != len(self._levels):
+            raise ValueError("column length differs from the number of rows")
+        for k, src, prev, level, p, eliminated in self._steps:
+            if src != k:
+                col[k], col[src] = col[src], col[k]
+            y = col[k]
+            if y:
+                if level != prev:
+                    y = col[k] = y * prev // level
+                for i, a, lev in eliminated:
+                    col[i] = (p * col[i] - a * y) // lev
+            else:
+                for i, a, lev in eliminated:
+                    if col[i]:
+                        col[i] = p * col[i] // lev
+        return col
+
+    def solve(self, column: Sequence[int]) -> tuple[int, ...] | None:
+        """``D x`` for the solution x of ``M x = column`` supported on the
+        pivot columns, entry k at pivot k as in :meth:`integer_columns`,
+        or None when ``column`` is outside the span of M's columns."""
+        reduced = self.reduce(column)
+        if any(reduced[len(self.pivots):]):
+            return None
+        return self._back_substitute(reduced)
 
     def integer_columns(self, cols: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-        """Columns ``cols`` (0-based) of ``D R``, as integers.
+        """Columns ``cols`` (0-based) of ``D R``, as integers."""
+        # A matrix of no rows keeps no columns, and its D R is empty.
+        return tuple(
+            self._back_substitute(self.forward[j] if self._levels else ()) for j in cols
+        )
+
+    def _back_substitute(self, reduced: Sequence[int]) -> tuple[int, ...]:
+        """The column of ``D R`` whose column of U is ``reduced``.
 
         R is the reduced row-echelon form and D the last pivot.  Row k of
-        the forward form U is ``sum_{m >= k} U[k][c_m] R[m]``, so with
-        ``p_k = U[k][c_k]``
+        U is ``sum_{m >= k} U[k][c_m] R[m]``, so with ``p_k = U[k][c_k]``
 
             D R[k] = (D U[k] - sum_{m > k} U[k][c_m] D R[m]) // p_k,
 
         exactly, since ``D R`` is integral (Cramer).  The recursion runs
         from the last pivot row up (Nakos, Turner and Williams 1997), one
-        scalar at a time, for each requested non-pivot column; a pivot
-        column is D times a unit vector.
+        scalar at a time; a pivot column comes out as D times a unit vector.
         """
-        cols = tuple(cols)
-        pivots, work, d = self.pivots, self._rows, self.last_pivot
-        nrows, rank = len(work), len(pivots)
-        where = {col: k for k, col in enumerate(pivots)}
-        # The nonzero U[k][c_m], m > k, of each pivot row, shared by every column.
-        links = [
-            [(m, work[k][pivots[m]]) for m in range(k + 1, rank) if work[k][pivots[m]]]
-            for k in range(rank)
-        ]
-        out: dict[int, tuple[int, ...]] = {}
-        for j in cols:
-            if j in out:
-                continue
-            scaled = [0] * nrows
-            if j in where:
-                scaled[where[j]] = d
-            else:
-                for k in reversed(range(rank)):
-                    row = work[k]
-                    acc = d * row[j]
-                    for m, u in links[k]:
-                        acc -= u * scaled[m]
-                    scaled[k] = acc // row[pivots[k]]
-            out[j] = tuple(scaled)
-        return tuple(out[j] for j in cols)
+        scaled = [0] * len(self._levels)
+        for k in reversed(range(len(self._steps))):
+            acc = self.last_pivot * reduced[k]
+            for m, u in self._links[k]:
+                acc -= u * scaled[m]
+            scaled[k] = acc // self._steps[k][4]
+        return tuple(scaled)
 
     def columns(self, cols: Iterable[int]) -> tuple[Vector, ...]:
-        """Columns ``cols`` (0-based) of the reduced row-echelon form R.
-
-        :meth:`integer_columns` divided by the last pivot, with the pivot
-        columns as unit vectors.
-        """
-        cols = tuple(cols)
-        pivots, d = set(self.pivots), self.last_pivot
+        """Columns ``cols`` (0-based) of the reduced row-echelon form R:
+        :meth:`integer_columns` divided by the last pivot."""
+        d = self.last_pivot
         return tuple(
-            tuple(
-                (_ONE if j in pivots else Fraction(x, d)) if x else _ZERO
-                for x in column
-            )
-            for j, column in zip(cols, self.integer_columns(cols))
+            tuple(Fraction(x, d) if x else _ZERO for x in column)
+            for column in self.integer_columns(cols)
         )
 
 

@@ -19,10 +19,10 @@ from affine_frames import (
     outer_product,
     section,
 )
-from affine_frames import PolyMatrix, ratlin
+from affine_frames import PolyMatrix, bezout, completion, ratlin
 from affine_frames.bezout import MuBasis, basis_scale
 from affine_frames.completion import Completion
-from affine_frames.sylvester import SylvesterSystem, basic_columns, sylvester_matrix
+from affine_frames.sylvester import basic_columns, integer_system, sylvester_matrix
 
 from conftest import flat, p, random_group, random_regular_vector, vec
 
@@ -400,8 +400,8 @@ def test_basis_scale_against_the_outer_product(v, of_bezout, seed):
 def window_vectors(draw):
     """n = 1..5 with rational coefficients: generic vectors, unbalanced ones
     (a, b, a p + b q, ...) with p, q linear, whose µ-degrees or Bezout
-    degree may leave the window, either kind times a linear t - r, and
-    constants."""
+    degree may lie far to the right in A, either kind times a linear
+    t - r, and constants."""
     n = draw(st.integers(1, 5))
     d = draw(st.integers(0, 8))
     entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
@@ -431,8 +431,21 @@ def _reader_outcomes(v):
     return outcomes
 
 
+def _grown_first(make):
+    """``make``, with the pass of each system it makes grown to all of A
+    (by reading its pivot data) before any reader reads it."""
+    def grown(*args):
+        system = make(*args)
+        system.pivot_cols
+        return system
+    return grown
+
+
+SYLVESTER_FIELDS = ("pivot_cols", "nonpivot_cols", "basic_nonpivot", "reduced", "matrix")
+
+
 # (1 + 2t + t^3 + t^4, 3 + t^2 + 2t^3 + t^4, 7 + 4t^2 + 4t^3 + 2t^4): µ-degrees
-# (1, 3) and Bezout degree 2, with a window of degree 2 (9 of A's 15 columns).
+# (1, 3) and Bezout degree 2: the readers take 12 of A's 15 columns.
 UNBALANCED = vec((1, 2, 0, 1, 1), (3, 0, 1, 2, 1), (7, 0, 4, 4, 2))
 
 
@@ -443,51 +456,68 @@ UNBALANCED = vec((1, 2, 0, 1, 1), (3, 0, 1, 2, 1), (7, 0, 4, 4, 2))
 @example(vec((1,), (2,), (3,)))
 @example(UNBALANCED)
 def test_window_readers_match_the_full_pass(v):
-    """Each reader gives what it gives off the full pass alone (a window of
-    all of A): the same vector, the same basis and scale, the same
-    completion, or the same refusal message.  On a coprime vector the e1
-    column of the ``reading`` pass is no pivot, which ``minimal_bezout``
-    reads unchecked."""
+    """A system read in either order gives the same answers.  Each reader
+    gives on a new system what it gives on one whose pass was grown to all
+    of A first: the same vector, the same basis and scale, the same
+    completion, or the same refusal message.  The pivot data read after
+    the readers are those read first.  On a coprime vector the readers'
+    pass ends at the last basic block, and L e1 lies in its span."""
     outcomes = _reader_outcomes(v)
+    system = build_sylvester(v)
+    for reader in (minimal_bezout, mu_basis):
+        try:
+            reader(v, system)
+        except RegularityError:
+            pass
     if v.is_coprime():
-        echelon, width, _ = build_sylvester(v).reading
-        assert width not in echelon.pivots
+        echelon, basic = system.reading
+        n = system.n
+        assert len(echelon.forward) == n * (1 + max((j // n for j in basic), default=0))
+        assert echelon.solve([system.scale] + [0] * (system.nrows - 1)) is not None
+    fresh = build_sylvester(v)
+    expected = [getattr(fresh, name) for name in SYLVESTER_FIELDS]
+    assert [getattr(system, name) for name in SYLVESTER_FIELDS] == expected
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(SylvesterSystem, "window_cols", property(lambda s: s.ncols))
+        patch.setattr(bezout, "build_sylvester", _grown_first(build_sylvester))
+        patch.setattr(completion, "build_sylvester", _grown_first(build_sylvester))
+        patch.setattr(completion, "integer_system", _grown_first(integer_system))
         assert _reader_outcomes(v) == outcomes
 
 
-def _answering_pass(reader, v):
-    """Which pass ``reader`` needed on a new system of v, and its outcome."""
+def _columns_taken(reader, v):
+    """How many of A's columns ``reader`` took on a new system of v, of
+    how many, and its outcome."""
     system = build_sylvester(v)
     try:
         outcome = reader(v, system)
     except RegularityError as exc:
         outcome = str(exc)
-    return "full" if "echelon" in system.__dict__ else "window", outcome
+    return (len(system.echelon.forward), system.ncols), outcome
 
 
-def test_readers_fall_back_only_past_the_window():
-    """Both readers of one system read one pass: a generic vector's window,
-    and the full pass when a µ-degree lies past the window, even where the
-    Bezout vector lies inside it (``UNBALANCED``).  A shared factor is
-    refused inside the window by both."""
+def test_readers_take_columns_to_the_last_basic_block():
+    """Each reader takes A's columns up to the block of the last basic
+    column and no further, wherever the Bezout vector lies: the µ (4, 4)
+    vector 15 of 27, ``UNBALANCED`` (µ (1, 3)) 12 of 15, the µ (1, 8) vector
+    27 of 30.  A shared factor is refused by both after as many columns as
+    the µ-basis takes."""
     rng = random.Random(46)
     generic = vec(*([rng.randint(-9, 9) for _ in range(8)] + [1] for _ in range(3)))
     a, b = generic[0], generic[1]
     unbalanced = PolyVector([a, b, a * p(1, 2) + b * p(-3, 1)])  # µ (1, 8), e = 7
     factor = "components share a nonconstant factor"
+    assert [u.degree for u in mu_basis(generic).elements] == [4, 4]
     assert [u.degree for u in mu_basis(unbalanced).elements] == [1, 8]
     cases = [
-        (generic, ("window", "window"), (None, None)),
-        (UNBALANCED, ("full", "full"), (None, None)),
-        (unbalanced, ("full", "full"), (None, None)),
-        (generic.scale(p(-2, 1)), ("window", "window"), (factor, factor)),
+        (generic, (15, 27), None),
+        (UNBALANCED, (12, 15), None),
+        (unbalanced, (27, 30), None),
+        (generic.scale(p(-2, 1)), (15, 30), factor),
     ]
-    for v, passes, refusals in cases:
-        for reader, where, refusal in zip((minimal_bezout, mu_basis), passes, refusals):
-            got, outcome = _answering_pass(reader, v)
-            assert got == where, (v, reader)
+    for v, taken, refusal in cases:
+        for reader in (minimal_bezout, mu_basis):
+            got, outcome = _columns_taken(reader, v)
+            assert got == taken, (v, reader)
             assert (outcome if isinstance(outcome, str) else None) == refusal
 
 

@@ -1037,19 +1037,23 @@ def test_verify_eliminates_one_sylvester_matrix(tmp_path, capsys, monkeypatch,
                                                 command, source):
     """One forward pass over a Sylvester matrix per ``verify``: the oracle,
     bounded by the stored Bezout degree e, gives e and every pivot the
-    certificate reads, the frame's included, from the first n(e + 1)
-    columns and e1."""
+    certificate reads, the frame's included, from a pass of the first
+    n(e + 1) columns and L e1 reduced through it."""
     infile = write(tmp_path / "in.json", source)
     result_path = tmp_path / "result.json"
     assert main([command, "--in", infile, "--out", str(result_path)]) == 0
     payload = json.loads(result_path.read_text(encoding="utf-8"))["payload"]
     e = payload.get("bezout_degree", payload.get("degree"))
-    shapes = []
+    shapes, reduced = [], []
 
     class CountingEchelon(ratlin.Echelon):
         def __init__(self, rows):
             shapes.append((len(rows), len(rows[0])))
             super().__init__(rows)
+
+        def reduce(self, column):
+            reduced.append(len(column))
+            return super().reduce(column)
 
     monkeypatch.setattr(ratlin, "Echelon", CountingEchelon)
     capsys.readouterr()
@@ -1058,7 +1062,8 @@ def test_verify_eliminates_one_sylvester_matrix(tmp_path, capsys, monkeypatch,
     # Both vectors have n = 3 and degree 4, so A has 2 * 4 + 1 rows; no
     # other elimination in verify (profiles, determinants, inverses, minors
     # at a point) has more than three.
-    assert [shape for shape in shapes if shape[0] == 9] == [(9, 3 * (e + 1) + 1)]
+    assert [shape for shape in shapes if shape[0] == 9] == [(9, 3 * (e + 1))]
+    assert reduced.count(9) == 3 * (e + 1) + 1
     assert all(rows <= 3 for rows, _ in shapes if rows != 9)
 
 

@@ -119,6 +119,27 @@ def test_verify_completion_known_witnesses():
     assert report.minimal_degree == 9
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_completion_pairs_only_the_first_column(monkeypatch, n):
+    """Verifying the minimal completion computes one pairing, the first
+    column with b, the outer product of the others: each of the n - 1
+    pairings of b with a later column is a determinant with a repeated
+    column, known to be zero, and none is computed."""
+    v = random_regular_vector(random.Random(40 + n), n=n, max_degree=6)
+    m = minimal_completion(v).matrix
+    pairs = []
+    original = PolyVector.dot
+
+    def pairing(self, other):
+        pairs.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(PolyVector, "dot", pairing)
+    report = verify_completion(m, v)
+    assert report.reproducible and report.minimal
+    assert len(pairs) == 1 and pairs[0][0] == v
+
+
 def test_verify_completion_trivial_and_failures():
     ident = PolyMatrix.identity(3)
     e1 = vec((1,), (0,), (0,))

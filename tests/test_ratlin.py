@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import Polynomial, PolyVector, ratlin
@@ -251,12 +251,14 @@ def test_clearing_denominators_rejects_a_ragged_matrix():
         ratlin.rank([[Fraction(1), Fraction(2)], [Fraction(1, 3)]])
 
 
-def test_echelon_eliminates_the_given_lists_in_place():
+def test_echelon_leaves_the_given_lists_alone():
     work = [[0, 2, 1], [3, 4, 5]]
     echelon = ratlin.Echelon(work)
     assert (echelon.pivots, echelon.sign, echelon.last_pivot) == ((0, 1), -1, 6)
-    # the rows were swapped, then the row below the pivot overwritten
-    assert work == [[3, 4, 5], [0, 6, 3]]
+    assert work == [[0, 2, 1], [3, 4, 5]]
+    # the forward form, column by column: the rows were swapped, then the
+    # row below the pivot eliminated
+    assert echelon.forward == [[3, 0], [4, 6], [5, 3]]
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,20 +351,39 @@ def eager_gauss_jordan(rows):
     return rows
 
 
-def _check_against_eager(work):
+def forward_rows(echelon, nrows):
+    """The forward form U of a pass, row by row."""
+    return [[column[i] for column in echelon.forward] for i in range(nrows)]
+
+
+def _grown(work, cuts):
+    """The pass of the columns of ``work`` left of the first cut, grown by
+    :meth:`Echelon.extend` one block of columns at a time, between cuts."""
+    width = len(work[0]) if work else 0
+    edges = [*cuts, width]
+    echelon = ratlin.Echelon([row[:edges[0]] for row in work])
+    for start, stop in zip(edges, edges[1:]):
+        echelon.extend([row[j] for row in work] for j in range(start, stop))
+    return echelon
+
+
+def _check_against_eager(work, cuts=()):
+    """The pass of ``work``, and the same pass grown over ``cuts``, against
+    the eager loop."""
     expected_rows = [list(row) for row in work]
     expected = eager_bareiss(expected_rows)
     width = len(work[0]) if work else 0
     original = ratlin.freeze(work)
     scaled = eager_gauss_jordan(work)
-    echelon = ratlin.Echelon(work)
-    assert (echelon.pivots, echelon.sign, echelon.last_pivot) == expected
-    assert work == expected_rows  # the forward rows, bit for bit
     reduced, _ = _rref_reference(original)
-    d = echelon.last_pivot
-    columns = echelon.integer_columns(range(width))
-    assert columns == tuple(tuple(d * row[j] for row in reduced) for j in range(width))
-    assert columns == tuple(tuple(row[j] for row in scaled) for j in range(width))
+    for echelon in (ratlin.Echelon(work), _grown(work, sorted(cuts))):
+        assert (echelon.pivots, echelon.sign, echelon.last_pivot) == expected
+        assert forward_rows(echelon, len(work)) == expected_rows  # bit for bit
+        d = echelon.last_pivot
+        columns = echelon.integer_columns(range(width))
+        assert columns == tuple(tuple(d * row[j] for row in reduced) for j in range(width))
+        assert columns == tuple(tuple(row[j] for row in scaled) for j in range(width))
+    assert work == [list(row) for row in original]  # the input lists are left alone
 
 
 @pytest.mark.parametrize("rows", [
@@ -375,14 +396,54 @@ def _check_against_eager(work):
     [[-3, 1, 2], [0, 0, 0], [0, -2, 5], [-6, 0, 9]],
 ])
 def test_echelon_matches_eager_bareiss_examples(rows):
-    _check_against_eager(rows)
+    _check_against_eager(rows, [1, 1])
 
 
 @settings(max_examples=150, deadline=None)
-@given(integer_matrices())
-def test_echelon_matches_eager_bareiss(work):
-    """Leaving idle rows alone and eliminating each with one division gives
-    the eager loop's pivots, sign, last pivot and forward rows, and the
-    scalar back-substitution every column of ``D R`` that the eager
-    fraction-free Gauss-Jordan loop gives."""
-    _check_against_eager(work)
+@given(st.data())
+def test_echelon_matches_eager_bareiss(data):
+    """Leaving idle rows alone and eliminating each with one division, one
+    column at a time, gives the eager loop's pivots, sign, last pivot and
+    forward rows, and the scalar back-substitution every column of ``D R``
+    that the eager fraction-free Gauss-Jordan loop gives; so does a pass
+    grown by ``extend`` over any split of its columns."""
+    work = data.draw(integer_matrices())
+    width = len(work[0]) if work else 0
+    _check_against_eager(work, data.draw(st.lists(st.integers(0, width), max_size=4)))
+
+
+@st.composite
+def solvable_columns(draw):
+    """Integer rows and a column: an integer combination of their columns,
+    or any integer column, which may lie outside their span."""
+    work = draw(integer_matrices())
+    width = len(work[0]) if work else 0
+    if draw(st.booleans()):
+        weights = draw(st.lists(_SMALL, min_size=width, max_size=width))
+        return work, [sum(w * x for w, x in zip(weights, row)) for row in work]
+    return work, draw(st.lists(_SMALL, min_size=len(work), max_size=len(work)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(solvable_columns())
+@example(([[1, 2], [2, 4]], [1, 2]))
+@example(([[1, 2], [2, 4]], [1, 3]))
+@example(([[0, 0], [0, 0]], [0, 0]))
+@example(([], []))
+def test_solve_matches_fraction_elimination(case):
+    """``solve(c)`` is D times the solution of ``M x = c`` supported on the
+    pivot columns, entry k at pivot k, by Fraction Gauss-Jordan of
+    ``[M | c]``, and None exactly when c is a pivot there: outside the span."""
+    work, column = case
+    width = len(work[0]) if work else 0
+    echelon = ratlin.Echelon(work)
+    reduced, pivots = _rref_reference(
+        ratlin.freeze([*row, x] for row, x in zip(work, column))
+    )
+    solved = echelon.solve(column)
+    if width in pivots:
+        assert solved is None
+    else:
+        d = echelon.last_pivot
+        assert solved == tuple(d * row[width] for row in reduced)
+        assert all(type(x) is int for x in solved)

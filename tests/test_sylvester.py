@@ -147,26 +147,33 @@ def test_reduced_data_of_coprime_vectors():
 
 def _dense_16():
     """A generic dense vector, n = 3 and d = 16: µ-degrees (8, 8), so both
-    readers answer inside the window of W = 3 * (8 + 1) = 27 of A's 51 columns."""
+    readers answer off the first 3 * (8 + 1) = 27 of A's 51 columns."""
     rng = random.Random(97)
     return vec(*([rng.randint(-9, 9) for _ in range(16)] + [lead] for lead in (1, 2, -1)))
 
 
-def test_readers_eliminate_only_the_window(tmp_path, monkeypatch):
-    """``minimal_bezout`` and ``mu_basis`` build one Sylvester pass, of the
-    window and e1 (28 columns), and none of all of A and e1 (52); each
-    reader back-substitutes only its e1 column or its n - 1 basic columns,
-    in one read.  ``minimal_bezout`` refuses v (t - 2) after its window
-    alone (31 of 55 columns).  ``sylvester --dump-pivots`` builds exactly
-    one pass, the full one."""
+def test_readers_grow_one_pass(tmp_path, monkeypatch):
+    """``minimal_bezout`` and ``mu_basis`` of one system read one Sylvester
+    pass, which takes A's columns a degree block at a time up to the last
+    basic block: 27 of 51.  ``minimal_bezout`` solves L e1 on it, and
+    ``mu_basis`` back-substitutes its n - 1 basic columns in one read.  The
+    pivot data that ``--dump-pivots`` writes grow the same pass by the
+    other 24 columns, and no column is taken twice.  ``minimal_bezout``
+    refuses v (t - 2) after 27 of its 54 columns.  ``sylvester
+    --dump-pivots`` takes all 51 columns in one pass."""
     v = _dense_16()
-    passes, reads = [], []
+    passes, reads, reduced = [], [], []
 
     class CountingEchelon(ratlin.Echelon):
         def __init__(self, rows):
             if len(rows) in (33, 35):  # 2d + 1, d = 16 or 17: a Sylvester pass
-                passes.append(len(rows[0]))
+                passes.append(self)
             super().__init__(rows)
+
+        def reduce(self, column):
+            if self in passes:
+                reduced.append(self)
+            return super().reduce(column)
 
         def integer_columns(self, cols):
             cols = tuple(cols)
@@ -175,29 +182,36 @@ def test_readers_eliminate_only_the_window(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ratlin, "Echelon", CountingEchelon)
     sys = build_sylvester(v)
-    assert (sys.window_cols, sys.ncols) == (27, 51) and passes == []
+    assert sys.ncols == 51 and passes == []
     b = minimal_bezout(v, sys)
-    assert passes == [28] and reads == [(27,)]
+    (echelon,) = passes
+    # 27 columns taken, then L e1 reduced without joining them
+    assert len(echelon.forward) == 27 and len(reduced) == 28 and reads == []
     mu = mu_basis(v, sys)
     mu_basis(v, sys)
-    (basic,) = set(reads[1:])
-    assert passes == [28] and len(reads) == 3
+    (basic,) = set(reads)
+    assert passes == [echelon] and len(reads) == 2 and len(echelon.forward) == 27
     assert len(basic) == 2 and sum(j // 3 for j in basic) == 16
     assert [u.degree for u in mu.elements] == [8, 8] and b.degree == 7
+    fields = (sys.pivot_cols, sys.nonpivot_cols, sys.basic_nonpivot, sys.reduced)
+    assert passes == [echelon] and len(echelon.forward) == 51
+    assert len(reduced) == 51 + 1
+    assert fields[2] == tuple(j + 1 for j in basic)
     passes.clear()
     minimal_bezout(v)
     mu_basis(v)
-    assert passes == [28, 28]
+    assert [len(e.forward) for e in passes] == [27, 27]
     passes.clear()
     with pytest.raises(RegularityError, match="nonconstant factor"):
         minimal_bezout(v.scale(p(-2, 1)))
-    assert passes == [31]
+    assert [len(e.forward) for e in passes] == [27]
     passes.clear()
+    reduced.clear()
     infile = tmp_path / "vec.json"
     infile.write_text(json.dumps(vector_to_dict(v)), encoding="utf-8")
     out = str(tmp_path / "sylvester.json")
     assert main(["sylvester", "--dump-pivots", "--in", str(infile), "--out", out]) == 0
-    assert passes == [52]
+    assert [len(e.forward) for e in passes] == [51] and len(reduced) == 51
 
 
 def test_sharp_golden():
