@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import ratlin
 from .poly import Polynomial, from_integers, integer_coefficients, integer_sum_of_products
-from .sylvester import SylvesterSystem, build_sylvester, sharp, sylvester_matrix
+from .sylvester import SylvesterSystem, build_sylvester, integer_system, sharp
 from .vectors import PolyVector, RegularityError
 
 
@@ -206,9 +206,10 @@ def bezout_degree_search(
     it raises for a shared factor, which :meth:`PolyVector.is_coprime`
     tells below d, and otherwise returns ``(None, ())``.  A pass costs more
     than linearly in its width, so a caller that knows a Bezout vector bounds
-    it by that vector's degree.  The oracle reads only A and its own pass,
-    never a :class:`SylvesterSystem`, so it stays independent of the
-    pivot-supported construction and can certify minimality.
+    it by that vector's degree.  The oracle reads only A's columns, laid
+    out by :meth:`SylvesterSystem.columns`, and its own pass, never a
+    system's pass, so it stays independent of the pivot-supported
+    construction and can certify minimality.
 
     The second value holds the 0-based pivot columns of A among its first
     ``n * (e + 1)``, read off the same pass.  A column of A is a pivot when
@@ -216,17 +217,17 @@ def bezout_degree_search(
     right can change; and the leftmost-pivot elimination finds exactly those
     columns.  So the pivots of A_E are A's, and since ``E >= e`` they hold
     every pivot that :func:`is_minimal_bezout` reads.
-    :func:`sylvester.sylvester_matrix` refuses the zero vector before its
+    :func:`sylvester.integer_system` refuses the zero vector before its
     degree is read.
     """
     # L A_E has the pivots of A_E, and L e1 lies in its span when e1 lies in A_E's.
-    rows, scale = sylvester_matrix(v)
-    n, d = v.dim, int(v.degree)
+    system = integer_system(*integer_coefficients(v.components))
+    n, d = system.n, system.d
     top = d if bound is None else max(0, min(bound, d))
-    width = n * (top + 1)
-    echelon = ratlin.Echelon([row[:width] for row in rows])
+    echelon = ratlin.Echelon([[]] * system.nrows)
+    echelon.extend(system.columns(range(top + 1)))
     pivots = echelon.pivots
-    e1 = echelon.reduce([scale] + [0] * (len(rows) - 1))
+    e1 = echelon.reduce([system.scale] + [0] * (system.nrows - 1))
     if any(e1[len(pivots):]):
         if top == d or not v.is_coprime():
             raise RegularityError("components share a nonconstant factor")

@@ -241,15 +241,13 @@ def _verify_sylvester(doc: CurveDocument, fields: dict) -> Checks:
     matrix, *pivots = (value == getattr(system, name) for name, value in fields.items())
     yield "matrix_reproducible", matrix
     yield "pivots_reproducible", all(pivots)
-    nonpivot = set(system.nonpivot_cols)
-    periodic = all(
-        j + system.n > system.ncols or j + system.n in nonpivot
-        for j in system.nonpivot_cols
-    )
+    # The structural checks read the stored pivot data, not the rebuilt.
+    nonpivot = set(fields["nonpivot_cols"])
+    periodic = all(j + system.n > system.ncols or j + system.n in nonpivot for j in nonpivot)
     yield "nonpivot_indices_periodic", periodic
     if doc.vector.is_coprime():
-        yield "rank_is_full", system.rank == system.nrows
-        yield "basic_nonpivot_count", len(system.basic_nonpivot) == system.n - 1
+        yield "rank_is_full", len(fields["pivot_cols"]) == system.nrows
+        yield "basic_nonpivot_count", len(fields["basic_nonpivot"]) == system.n - 1
 
 
 # Every command that reads a curve, in ``--help`` order.  ``verify`` and

@@ -6,10 +6,10 @@ laid out left to right, each shifted down by one more row; row r of a copy
 is the degree-r block of :func:`sharp`.  Multiplying A against the stacked
 coefficients of a vector h of degree at most d produces the coefficients
 of the scalar product <v, h>, which turns questions about polynomial
-identities into exact linear algebra.  :func:`sylvester_matrix` lays out
-``L A`` on integers, L the lcm of the coefficient denominators of v; A in
-Fractions is built only when read, which the ``sylvester`` command alone
-does.
+identities into exact linear algebra.  :meth:`SylvesterSystem.columns`
+lays out ``L A`` on integers, a degree block at a time, L the lcm of the
+coefficient denominators of v; it is the one layout of A.  A in Fractions
+is built only when read, which the ``sylvester`` command alone does.
 
 A :class:`SylvesterSystem` runs one forward pass of ``L A``, which takes
 A's columns a degree block (n columns) at a time, as far as a reader
@@ -78,17 +78,14 @@ class SylvesterSystem:
     of columns that are linearly independent of all columns to their left;
     ``basic_nonpivot`` keeps the first non-pivotal index of each residue
     class modulo n.  The rank is ``nrows - deg gcd(v)``, so it is full
-    exactly when the components of v are coprime.  ``rows`` is ``L A``
-    laid out as integer rows, and ``matrix`` A in Fractions; no pass reads
-    either.
+    exactly when the components of v are coprime.  ``columns`` lays out
+    ``L A``, the pass's and the degree oracle's one layout of it;
+    ``matrix`` is A in Fractions, transposed from those columns, and no
+    pass reads it.  :func:`integer_system` is the one constructor.
     """
 
     coefficients: list[list[int]]
     scale: int
-
-    @cached_property
-    def rows(self) -> list[list[int]]:
-        return [list(row) for row in zip(*self._columns(range(self.d + 1)))]
 
     @cached_property
     def echelon(self) -> ratlin.Echelon:
@@ -97,10 +94,10 @@ class SylvesterSystem:
     def _grown(self, blocks: int) -> ratlin.Echelon:
         """The pass, grown to A's first ``blocks`` degree blocks at least."""
         echelon = self.echelon
-        echelon.extend(self._columns(range(len(echelon.forward) // self.n, blocks)))
+        echelon.extend(self.columns(range(len(echelon.forward) // self.n, blocks)))
         return echelon
 
-    def _columns(self, blocks):
+    def columns(self, blocks):
         """Columns of ``L A`` by degree block: column c of block k is L v_c from row k."""
         for k in blocks:
             for coeffs in self.coefficients:
@@ -119,7 +116,8 @@ class SylvesterSystem:
 
     @cached_property
     def matrix(self) -> ratlin.Matrix:
-        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.rows)
+        columns = self.columns(range(self.d + 1))
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in zip(*columns))
 
     @cached_property
     def pivot_cols(self) -> tuple[int, ...]:
@@ -170,24 +168,13 @@ def basic_columns(pivots, width: int, n: int) -> tuple[int, ...]:
     return tuple(first.values())
 
 
-def sylvester_matrix(v: PolyVector) -> tuple[list[list[int]], int]:
-    """``L A`` as integer rows, and ``L``, for a nonzero vector's A.
-
-    L is the lcm of the coefficient denominators of v, so the rows are
-    those :func:`ratlin.clear_denominators` makes of A, laid out from
-    :func:`poly.integer_coefficients` of the components; no elimination.
-    """
-    system = _system(v)
-    return system.rows, system.scale
-
-
 def build_sylvester(v: PolyVector) -> SylvesterSystem:
     """Construct the Sylvester-type system of a nonzero vector.
 
-    Clears v once, by :func:`poly.integer_coefficients`, and refuses the
-    zero vector; nothing is laid out or eliminated until a reader asks.
+    Clears v once, by :func:`poly.integer_coefficients`; nothing is laid
+    out or eliminated until a reader asks.
     """
-    return _system(v)
+    return integer_system(*integer_coefficients(v.components))
 
 
 def integer_system(coefficients: list[list[int]], scale: int) -> SylvesterSystem:
@@ -196,7 +183,8 @@ def integer_system(coefficients: list[list[int]], scale: int) -> SylvesterSystem
 
     Put in lowest terms over a positive scale and trimmed, those are ``L v``
     and L, so the system is the one :func:`build_sylvester` makes of that
-    vector, with no Fraction built.
+    vector, with no Fraction built.  The one constructor of a system, and
+    so the one place that refuses the zero vector.
     """
     common = math.gcd(scale, *(x for coeffs in coefficients for x in coeffs))
     common = -common if scale < 0 else common
@@ -204,10 +192,6 @@ def integer_system(coefficients: list[list[int]], scale: int) -> SylvesterSystem
     for coeffs in lowest:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
-    return SylvesterSystem(lowest, scale // common)
-
-
-def _system(v: PolyVector) -> SylvesterSystem:
-    if v.is_zero:
+    if not any(lowest):
         raise RegularityError("vector is zero")
-    return SylvesterSystem(*integer_coefficients(v.components))
+    return SylvesterSystem(lowest, scale // common)

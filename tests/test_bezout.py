@@ -22,9 +22,10 @@ from affine_frames import (
 from affine_frames import PolyMatrix, bezout, completion, ratlin
 from affine_frames.bezout import MuBasis, basis_scale
 from affine_frames.completion import Completion
-from affine_frames.sylvester import basic_columns, integer_system, sylvester_matrix
+from affine_frames.sylvester import basic_columns, integer_system
 
 from conftest import flat, p, random_group, random_regular_vector, vec
+from test_sylvester import sylvester_matrix_reference
 
 SEXTIC = vec((1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 1), (0, 1))
 
@@ -169,11 +170,12 @@ def test_bezout_degree_below_last_mu_degree():
 def reference_degree_search(v):
     """The prefix loop: one elimination of ``[A_e | e1]`` for each degree
     e = 0, 1, 2, ..., stopping at the first whose e1 column is no pivot;
-    with the pivot columns of A_e by Fraction elimination."""
+    with the pivot columns of A_e by Fraction elimination.  A is laid out
+    entry by entry, and cleared of its denominators for the integer pass."""
     if v.is_zero:
         raise RegularityError("vector is zero")
-    work, scale = sylvester_matrix(v)
-    matrix = [[Fraction(x, scale) for x in row] for row in work]
+    matrix = sylvester_matrix_reference(v)
+    work, _ = ratlin.clear_denominators(matrix)
     for e in range(int(v.degree) + 1):
         width = v.dim * (e + 1)
         augmented = [row[:width] + [int(i == 0)] for i, row in enumerate(work)]

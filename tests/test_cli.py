@@ -456,9 +456,32 @@ def test_verify_sylvester_result(tmp_path, capsys):
     assert "nonpivot_indices_periodic" in names
 
 
+def test_verify_sylvester_reads_the_stored_pivot_data(tmp_path, capsys):
+    """The structural checks read the stored index lists: pivot data cut
+    short fail all three, not only the comparison with the rebuilt data."""
+    curve = {"n": 3, "coeffs": [["0", "1", "0", "1"], ["1", "0", "2"], ["0", "0", "1", "1"]]}
+    result_path = tmp_path / "syl.json"
+    assert main(["sylvester", "--in", write(tmp_path / "in.json", curve),
+                 "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    doc["payload"].update(pivot_cols=[1, 2], nonpivot_cols=[6], basic_nonpivot=[6])
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert code == 2, err
+    checks = {c["name"]: c["passed"] for c in json.loads(out)["metadata"]["checks"]}
+    assert checks == {
+        "matrix_reproducible": True,
+        "pivots_reproducible": False,
+        "nonpivot_indices_periodic": False,
+        "rank_is_full": False,
+        "basic_nonpivot_count": False,
+    }
+
+
 def test_sylvester_of_the_zero_vector_is_rejected(tmp_path, capsys):
     """Computing and verifying refuse a zero vector with one message, the
-    one `build_sylvester` raises."""
+    one ``sylvester.integer_system`` raises."""
     zero = write(tmp_path / "zero.json", {"n": 3, "coeffs": [["0"], ["0"], ["0"]]})
     code, out, err = run(tmp_path, capsys, ["sylvester", "--in", zero])
     assert (code, out) == (2, "")
@@ -1038,33 +1061,44 @@ def test_verify_eliminates_one_sylvester_matrix(tmp_path, capsys, monkeypatch,
     """One forward pass over a Sylvester matrix per ``verify``: the oracle,
     bounded by the stored Bezout degree e, gives e and every pivot the
     certificate reads, the frame's included, from a pass of the first
-    n(e + 1) columns and L e1 reduced through it."""
+    n(e + 1) columns and L e1 reduced through it.  Those columns are all
+    that the column generator lays out of A."""
     infile = write(tmp_path / "in.json", source)
     result_path = tmp_path / "result.json"
     assert main([command, "--in", infile, "--out", str(result_path)]) == 0
     payload = json.loads(result_path.read_text(encoding="utf-8"))["payload"]
     e = payload.get("bezout_degree", payload.get("degree"))
-    shapes, reduced = [], []
+    passes, reduced, laid_out = [], [], []
 
     class CountingEchelon(ratlin.Echelon):
         def __init__(self, rows):
-            shapes.append((len(rows), len(rows[0])))
             super().__init__(rows)
+            passes.append((len(rows), self))
 
         def reduce(self, column):
             reduced.append(len(column))
             return super().reduce(column)
 
+    columns = sylvester.SylvesterSystem.columns
+
+    def counting_columns(system, blocks):
+        for column in columns(system, blocks):
+            laid_out.append(len(column))
+            yield column
+
     monkeypatch.setattr(ratlin, "Echelon", CountingEchelon)
+    monkeypatch.setattr(sylvester.SylvesterSystem, "columns", counting_columns)
     capsys.readouterr()
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
     assert code == 0, err
-    # Both vectors have n = 3 and degree 4, so A has 2 * 4 + 1 rows; no
-    # other elimination in verify (profiles, determinants, inverses, minors
-    # at a point) has more than three.
+    # Both vectors have n = 3 and degree 4, so A has 2 * 4 + 1 rows and 15
+    # columns; no other elimination in verify (profiles, determinants,
+    # inverses, minors at a point) has more than three rows.
+    shapes = [(rows, len(echelon.forward)) for rows, echelon in passes]
     assert [shape for shape in shapes if shape[0] == 9] == [(9, 3 * (e + 1))]
     assert reduced.count(9) == 3 * (e + 1) + 1
     assert all(rows <= 3 for rows, _ in shapes if rows != 9)
+    assert laid_out == [9] * (3 * (e + 1)) and 3 * (e + 1) < 15
 
 
 PLANTED = {"n": 3, "coeffs": [["-1", "1"], ["0", "-1", "1"], ["0", "0", "0", "-1", "1"]]}

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affine_frames import Polynomial, PolyVector, ratlin
-from affine_frames.sylvester import sylvester_matrix
+from affine_frames import Polynomial, PolyVector, build_sylvester, ratlin
 
 
 def _eliminate_fractions(work):
@@ -307,7 +306,7 @@ def integer_matrices(draw):
     """Integer rows: cleared random matrices (zero rows, dependent rows,
     zeros below the diagonal), some negated so pivots take either sign, or
     a prefix of the banded Sylvester matrix of a vector with e1 appended,
-    as the degree oracle eliminates it."""
+    as the reference degree search eliminates it."""
     if draw(st.booleans()):
         work, _ = ratlin.clear_denominators(draw(matrices()))
         return [[-x for x in row] if draw(st.booleans()) else row for row in work]
@@ -319,7 +318,7 @@ def integer_matrices(draw):
     rows[draw(st.integers(0, n - 1))][d] = draw(st.sampled_from((1, 2, 3, -1, -2)))
     v = PolyVector(Polynomial(row) for row in rows)
     width = n * draw(st.integers(1, d + 1))
-    work, _ = sylvester_matrix(v)
+    work, _ = ratlin.clear_denominators(build_sylvester(v).matrix)
     return [row[:width] + [int(i == 0)] for i, row in enumerate(work)]
 
 

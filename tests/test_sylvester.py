@@ -21,7 +21,7 @@ from affine_frames import (
 from affine_frames.cli import main
 from affine_frames.io import vector_to_dict
 from affine_frames.bezout import bezout_column
-from affine_frames.sylvester import integer_system, sylvester_matrix
+from affine_frames.sylvester import integer_system
 
 from conftest import flat, p, polynomials_up_to, random_regular_vector, vec
 from test_ratlin import _rref_with_transform_reference
@@ -67,8 +67,11 @@ def test_small_system():
 
 
 def test_zero_vector_rejected():
+    """The one constructor refuses the zero vector, cleared or not."""
     with pytest.raises(RegularityError, match="vector is zero"):
         build_sylvester(PolyVector([Polynomial.zero(), Polynomial.zero()]))
+    with pytest.raises(RegularityError, match="vector is zero"):
+        integer_system([[0, 0], [], [0]], -3)
 
 
 @st.composite
@@ -326,20 +329,21 @@ def sylvester_matrix_reference(v):
     ).map(PolyVector)
 )
 def test_sylvester_matrix_matches_entrywise_layout(v):
-    """The integer rows and their lcm are what clearing the denominators of
-    the entrywise Fraction layout gives, entry by entry; the system's
-    Fraction matrix is that layout."""
+    """The column generator's integer columns and the system's scale are
+    what clearing the denominators of the entrywise Fraction layout gives,
+    entry by entry; the system's Fraction matrix is that layout."""
     assume(not v.is_zero)
-    rows, scale = sylvester_matrix(v)
+    system = build_sylvester(v)
+    columns = list(system.columns(range(system.d + 1)))
     reference = sylvester_matrix_reference(v)
     cleared, lcm = ratlin.clear_denominators(reference)
-    assert scale == lcm
-    assert len(rows) == len(cleared)
-    for row, expected in zip(rows, cleared):
-        assert len(row) == len(expected)
-        for x, y in zip(row, expected):
-            assert type(x) is int and x == y
-    matrix = build_sylvester(v).matrix
+    assert system.scale == lcm
+    assert len(columns) == system.ncols == len(cleared[0])
+    for j, column in enumerate(columns):
+        assert len(column) == len(cleared)
+        for x, row in zip(column, cleared):
+            assert type(x) is int and x == row[j]
+    matrix = system.matrix
     assert matrix == reference
     assert all(type(x) is Fraction for row in matrix for x in row)
 
@@ -354,10 +358,10 @@ def test_sylvester_matrix_matches_entrywise_layout(v):
 def test_integer_system_is_the_built_system(v):
     """The minimal Bezout vector's integer column, over the pass's own
     denominator, gives the system ``build_sylvester`` makes of that vector
-    as Fractions: the same ``L b`` and L, so the same rows and passes."""
+    as Fractions: the same ``L b`` and L, so the same A and passes."""
     coefficients, den = bezout_column(build_sylvester(v))
     system = integer_system(coefficients, den)
     expected = build_sylvester(minimal_bezout(v).vector)
     assert (system.coefficients, system.scale) == (expected.coefficients, expected.scale)
-    assert system.rows == expected.rows
+    assert system.matrix == expected.matrix
     assert system.reading[0].pivots == expected.reading[0].pivots
