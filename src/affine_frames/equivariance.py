@@ -14,6 +14,18 @@ without raising the degree.  ``canonical_form`` reduces a vector to the
 distinguished representative of its orbit, whose coefficient matrix has a
 rigid staircase shape checked by ``canonical_shape_violations``;
 ``section_and_canonical`` returns the section and that vector from one pass.
+
+That pass runs on integers from the cleared vector to the output.  The
+coefficient rows of v go over the lcm ``L_v`` of their denominators once.
+The shift s = a/b is one integer minor of the rows.  The rows are
+Taylor-shifted by -s on integers (:func:`poly.taylor_shift`), which puts
+column j of ``v(t - s)`` over ``b**(d - j) * L_v``; g's matrix is read off
+the selected shifted columns, and the canonical vector
+``w = L^-1 . v(t - s)`` off one :class:`ratlin.Echelon` of them, with one
+Fraction per coefficient.  ``linear_section`` and ``shift_section`` read
+the same formulas off the unshifted rows.  The equivariant completion acts
+by g (one integer pass, :mod:`groups`) on the later columns only: the first
+column of a completion of w is w, and ``g . w`` is v.
 """
 
 from __future__ import annotations
@@ -24,22 +36,54 @@ from typing import Callable
 from . import ratlin
 from .completion import Completion, minimal_completion
 from .groups import GroupElement
+from .poly import from_shifted, integer_coefficients, taylor_shift
 from .vectors import PivotProfile, pivot_profile  # re-exported with the sections
-from .vectors import PolyVector, RegularVector, require_regular
+from .vectors import PolyMatrix, PolyVector, RegularVector, require_regular
+
+
+def _cleared(v: RegularVector) -> tuple[list[list[int]], int]:
+    """The coefficient rows of ``v`` over the lcm ``L_v`` of their
+    denominators, each padded to d + 1 entries, d the degree, and ``L_v``."""
+    rows, scale = integer_coefficients(v.components)
+    width = int(v.degree) + 1
+    return [row + [0] * (width - len(row)) for row in rows], scale
+
+
+def _shift(profile: PivotProfile, rows: list[list[int]], scale: int) -> Fraction:
+    """The shift section off the cleared rows (:func:`shift_section`)."""
+    k, n = profile.k, len(rows)
+    columns = [k if c == k + 1 else c for c in profile.indices]
+    minor = ratlin.Echelon([[row[c] for c in columns] for row in rows])
+    if len(minor.pivots) < n:
+        return Fraction(0)
+    determinant = Fraction(minor.sign * minor.last_pivot, scale**n)
+    return determinant / ((k + 1) * profile.det_vbar)
+
+
+def _linear(
+    profile: PivotProfile, rows: list[list[int]], scale: int, b: int
+) -> ratlin.Matrix:
+    """The linear section off rows whose column j is over ``scale *
+    b**(d - j)`` (:func:`linear_section`): entry (i, m) of ``L`` is
+    ``rows[i][c_m] / f_m``, with ``f_m = scale * b**(d - c_m)`` below the
+    last selected column, the degree, and ``f = scale * det_vbar`` there."""
+    (*first, last), det = profile.indices, profile.det_vbar
+    return tuple(
+        (*(Fraction(row[c], scale * b ** (last - c)) for c in first),
+         Fraction(row[last] * det.denominator, scale * det.numerator))
+        for row in rows
+    )
 
 
 def linear_section(v: PolyVector) -> ratlin.Matrix:
     """Determinant-one matrix from the selected coefficient columns.
 
     The selected submatrix keeps its columns in ascending order and the last
-    one is divided by the determinant.  Requires a regular vector.
+    one, the degree column, is divided by the determinant.  Requires a
+    regular vector.
     """
     v = require_regular(v)
-    *first, last = v.profile.indices
-    return ratlin.freeze(
-        [row[c] for c in first] + [row[last] / v.profile.det_vbar]
-        for row in v.coefficient_matrix()
-    )
+    return _linear(v.profile, *_cleared(v), 1)
 
 
 def shift_section(v: PolyVector) -> Fraction:
@@ -48,33 +92,57 @@ def shift_section(v: PolyVector) -> Fraction:
     In ``linear_section(v)^-1 . v`` the row selecting column k + 1 holds 1
     there (``det_vbar`` in the last row), so by Cramer's rule the shift is
     one determinant over ``(k + 1) * det_vbar``, which never vanishes: the
-    selected columns are independent, and degree >= n gives k >= 0.
+    selected columns are independent, and degree >= n gives k >= 0.  The
+    determinant is that of the cleared rows, over ``L_v**n``.
     """
     v = require_regular(v)
-    k = v.profile.k
-    columns = [k if c == k + 1 else c for c in v.profile.indices]
-    minor = ratlin.det([[row[c] for c in columns] for row in v.coefficient_matrix()])
-    return minor / ((k + 1) * v.profile.det_vbar)
+    return _shift(v.profile, *_cleared(v))
 
 
-def _section_and_recentered(v: PolyVector) -> tuple[GroupElement, RegularVector]:
-    """Section g = (L, s) of ``v`` and ``v(t - s)``, shifting v once."""
+def _section_pass(
+    v: PolyVector,
+) -> tuple[GroupElement, RegularVector, list[list[int]], int]:
+    """``(g, v, rows, b)``: the section g = (L, s) of ``v``, s = a/b, and
+    ``v(t - s)`` as the integer rows that ``L`` is read off."""
     v = require_regular(v)
-    s = shift_section(v)
-    recentered = RegularVector(v.shift(-s), v.profile)  # the action keeps the profile
-    return GroupElement(linear_section(recentered), s), recentered
+    rows, scale = _cleared(v)
+    s = _shift(v.profile, rows, scale)
+    shifted = [taylor_shift(row, -s, len(row) - 1) for row in rows]
+    b = s.denominator
+    return GroupElement(_linear(v.profile, shifted, scale, b), s), v, shifted, b
 
 
 def section(v: PolyVector) -> GroupElement:
     """Equivariant section: shift first, then the linear part of the result."""
-    return _section_and_recentered(v)[0]
+    return _section_pass(v)[0]
 
 
 def section_and_canonical(v: PolyVector) -> tuple[GroupElement, RegularVector]:
-    """Section g of ``v`` and the canonical vector ``g^-1 . v``, shifting v once."""
-    g, recentered = _section_and_recentered(v)
-    canonical = recentered.linear_map(ratlin.inverse(g.matrix))
-    return g, RegularVector(canonical, recentered.profile)
+    """Section g of ``v`` and the canonical vector ``g^-1 . v``, from one pass.
+
+    With C the selected columns of the shifted rows, ``L = C diag(f)^-1``
+    (:func:`_linear`), so row m of ``w = L^-1 . v(t - s)`` at column j is
+    ``f_m (C^-1 E_j)_m / (scale * b**(d - j))``, E_j the shifted column j.
+    One :class:`ratlin.Echelon` of C gives ``D C^-1 E_j``, D its last pivot:
+    ``D e_m`` at the selected column c_m, and a :meth:`~ratlin.Echelon.solve`
+    elsewhere.  Each coefficient of w becomes one Fraction.
+    """
+    g, v, rows, b = _section_pass(v)
+    indices, det = v.profile.indices, v.profile.det_vbar
+    echelon = ratlin.Echelon([[row[c] for c in indices] for row in rows])
+    units = dict(zip(indices, echelon.integer_columns(range(len(indices)))))
+    solved = [
+        units[j] if j in units else echelon.solve(column)
+        for j, column in enumerate(zip(*rows))
+    ]
+    (*first, last), pivot = indices, echelon.last_pivot
+    factors = [(b ** (last - c), pivot) for c in first]
+    factors.append((det.numerator, pivot * det.denominator))
+    canonical = (
+        from_shifted([x[m] * num for x in solved], den, b)
+        for m, (num, den) in enumerate(factors)
+    )
+    return g, RegularVector(canonical, v.profile)
 
 
 def canonical_form(v: PolyVector) -> PolyVector:
@@ -121,10 +189,19 @@ def equivariant_completion_with_section(
     """``completion_map`` conjugated by the section, plus section and reduced vector.
 
     The map defaults to :func:`minimal_completion`, looked up at call time.
+    A :class:`Completion` has the completed vector w as its first column,
+    and ``g . w`` is v exactly, so only the later columns are acted on; a
+    map that breaks that contract has its whole matrix acted on.
     """
     g, reduced = section_and_canonical(v)
     base = (completion_map or minimal_completion)(reduced)
-    return Completion(g.apply(base.matrix), base.bezout_degree), g, reduced
+    first, *later = zip(*base.matrix.rows)
+    if first == reduced.components:
+        acted = g.apply(PolyMatrix(zip(*later))).rows
+        matrix = PolyMatrix((x, *row) for x, row in zip(v, acted))
+    else:
+        matrix = g.apply(base.matrix)
+    return Completion(matrix, base.bezout_degree), g, reduced
 
 
 def equivariantize(

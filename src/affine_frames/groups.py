@@ -11,6 +11,11 @@ Determinant-one is validated at construction, in one place: an
 :class:`AffineElement` holds its linear part as a :class:`GroupElement`;
 it acts, composes and inverts through it and adds the translation algebra.
 Invalid matrices are rejected rather than normalized.
+
+The action on vectors and matrices is one integer pass,
+:func:`vectors.map_columns`: the group matrix is cleared once per call,
+each cleared column is Taylor-shifted by s on integers and mapped by the
+integer matrix, and each output coefficient is one Fraction.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from . import ratlin
-from .vectors import PolyMatrix, PolyVector
+from .vectors import PolyMatrix, PolyVector, map_columns
 
 Actable = Union[PolyVector, PolyMatrix]
 
@@ -60,8 +65,14 @@ class GroupElement:
         return GroupElement(ratlin.inverse(self.matrix), -self.shift)
 
     def apply(self, target: Actable) -> Actable:
-        if isinstance(target, (PolyVector, PolyMatrix)):
-            return target.shift(self.shift).linear_map(self.matrix)
+        """``L * target(t + s)``, column by column, in one integer pass
+        (:func:`vectors.map_columns`); a vector is acted on as one column."""
+        if isinstance(target, PolyVector):
+            (column,) = map_columns(self.matrix, [target.components], self.shift)
+            return PolyVector(column)
+        if isinstance(target, PolyMatrix):
+            columns = map_columns(self.matrix, zip(*target.rows), self.shift)
+            return PolyMatrix(zip(*columns))
         raise TypeError(f"cannot act on {type(target).__name__}")
 
 

@@ -9,12 +9,17 @@ Sums, products, pairings and the Taylor shift run on integers: coefficients
 go over the lcm of their denominators (:func:`ratlin.clear_denominators`,
 the one clearing helper, which every elimination uses too), the inner loops
 multiply and add integers, and each output coefficient becomes one
-``Fraction`` at the end.  :func:`sum_of_products` is the one kernel for
-``sum(a_i * b_i)``: ``*`` calls it with one pair, ``+`` and ``-`` with two
-and the unit weights, ``PolyVector.dot`` and ``PolyMatrix.__matmul__`` with
-n.  Its integer loop, :func:`integer_sum_of_products`, also serves callers
-that hold cleared coefficients already.  Multiplying by a number scales
-each coefficient.  :func:`horner` is the integer Horner.
+``Fraction`` at the end.  :func:`taylor_shift` is the one integer Taylor
+shift (Horner's, by the numerator of s, on coefficients scaled by powers of
+its denominator); :meth:`Polynomial.shift`, the group action and the
+section pass all run it on cleared coefficients, and :func:`from_shifted`
+divides its output once per coefficient.  :func:`sum_of_products` is the
+one kernel for ``sum(a_i * b_i)``: ``*`` calls it with one pair, ``+`` and
+``-`` with two and the unit weights, ``PolyVector.dot`` and
+``PolyMatrix.__matmul__`` with n.  Its integer loop,
+:func:`integer_sum_of_products`, also serves callers that hold cleared
+coefficients already.  Multiplying by a number scales each coefficient.
+:func:`horner` is the integer Horner.
 :func:`integer_gcd` is the one Euclid, by pseudo-remainders on integers,
 reduced mod a prime or divided by their content; a polynomial divides only
 by a number, and :func:`poly_gcd` is the exact run made monic.
@@ -145,32 +150,14 @@ class Polynomial:
         return Polynomial(c / scalar for c in self.coeffs)
 
     def shift(self, s: Scalar) -> "Polynomial":
-        """Reparametrized polynomial ``p(t + s)``.
-
-        With ``s = a/b``, ``L`` the lcm of the coefficient denominators and
-        ``d`` the degree, the integers ``L * c_i * b**(d - i)`` are the
-        coefficients of ``b**d * L * p(t / b)``.  Horner's Taylor shift by
-        the integer ``a`` turns them into those of ``b**d * L * p((t + a) / b)``,
-        ``e_k``, and coefficient k of ``p(t + s)`` is ``e_k / (b**(d - k) * L)``.
-        """
+        """Reparametrized polynomial ``p(t + s)``: :func:`taylor_shift` of
+        the coefficients over the lcm ``L`` of their denominators, and one
+        Fraction per coefficient (:func:`from_shifted`)."""
         s = Fraction(s)
         if s == 0 or not self.coeffs:
             return self
-        a, b = s.numerator, s.denominator
         [work], scale = integer_coefficients([self])
-        d = len(work) - 1
-        power = 1
-        for i in range(d - 1, -1, -1):
-            power *= b
-            work[i] *= power
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                work[j] += a * work[j + 1]
-        out = [Fraction(work[d], scale)]
-        for k in range(d - 1, -1, -1):
-            scale *= b
-            out.append(Fraction(work[k], scale))
-        return _trusted(out[::-1])
+        return from_shifted(taylor_shift(work, s, len(work) - 1), scale, s.denominator)
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -252,6 +239,46 @@ def horner(descending: Sequence[int], x: int) -> int:
     for c in descending:
         acc = acc * x + c
     return acc
+
+
+def taylor_shift(coeffs: Sequence[int], s: Fraction, degree: int) -> list[int]:
+    """Integers ``e`` such that coefficient k of ``p(t + s)`` is
+    ``e[k] / b**(degree - k)``, for ``s = a/b`` in lowest terms and p the
+    polynomial of the integer coefficients ``coeffs`` (lowest power first),
+    of degree at most ``degree``.
+
+    With m the degree of p, ``c_i * b**(degree - i)`` are the coefficients
+    of ``q(t) = b**degree * p(t / b)``, and Horner's Taylor shift by the
+    integer a (von zur Gathen and Gerhard 1997) turns them into those of
+    ``q(t + a) = b**degree * p((t + a) / b)``; substituting ``b t`` for t
+    gives the claim.  The shift runs over the m + 1 coefficients of p and
+    pads the rest with zeros, so every component of a vector shifted to the
+    vector's degree comes out over the same power of b per coefficient.
+    """
+    a, b = s.numerator, s.denominator
+    work, top = list(coeffs), len(coeffs) - 1
+    if b != 1:
+        power = b ** (degree - top)
+        for i in range(top, -1, -1):
+            work[i] *= power
+            power *= b
+    if a:
+        for i in range(top):
+            for j in range(top - 1, i - 1, -1):
+                work[j] += a * work[j + 1]
+    return work + [0] * (degree - top)
+
+
+def from_shifted(nums: Sequence[int], scale: int, b: int) -> Polynomial:
+    """The polynomial with coefficients ``nums[k] / (scale * b**(D - k))``,
+    ``D = len(nums) - 1``: a :func:`taylor_shift` of coefficients that were
+    over ``scale``, one Fraction per nonzero coefficient."""
+    out, den = [], scale
+    for x in reversed(nums):
+        if x or out:
+            out.append(Fraction(x, den) if x else _ZERO)
+        den *= b
+    return _trusted(out[::-1])
 
 
 def from_integers(nums: list[int], den: int) -> Polynomial:

@@ -10,7 +10,8 @@ over one lcm ``L`` of its denominators (:func:`clear_denominators`), which
 leaves pivots and the reduced form alone and scales an n x n determinant
 by ``L**n``, and runs the one fraction-free kernel, :class:`Echelon`, on
 the integer rows: a forward elimination to row-echelon form, then exact
-back-substitution of only those columns of the reduced form that are read.
+back-substitution of only those non-pivot columns of the reduced form that
+are read; a pivot column is a unit vector without work.
 The forward pass is Bareiss's, taken a column at a time so that it can
 grow, except that a row with a 0 in the pivot column is left idle at that
 step: the factors it skips telescope, so the step that next eliminates it
@@ -19,8 +20,8 @@ that becomes the pivot row is caught up on its own.  Banded matrices such
 as the Sylvester matrix leave most rows idle at most steps.
 ``rank``, ``det`` and pivot lookups stop after the forward pass.  ``rref``
 is the one routine that assembles a reduced form, back-substituting every
-column; ``rref_with_transform`` and ``inverse`` read theirs off ``rref`` of
-``[M | I]``.  Integer results become Fractions once, at the end.  The
+non-pivot column; ``rref_with_transform`` and ``inverse`` read theirs off
+``rref`` of ``[M | I]``.  Integer results become Fractions once, at the end.  The
 polynomial outer product, the source of every polynomial minor, stays on
 integers: it builds its own :class:`Echelon` and reads the back-substituted
 columns scaled by the last pivot.
@@ -41,7 +42,9 @@ _ONE = Fraction(1)
 
 def freeze(rows: Iterable[Iterable]) -> Matrix:
     """Copy ``rows`` into an immutable matrix of Fractions."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(
+        tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows
+    )
     if out and any(len(row) != len(out[0]) for row in out):
         raise ValueError("ragged matrix")
     return out
@@ -109,8 +112,9 @@ class Echelon:
     through the textbook loop's operations in its order, so U, the pivots,
     ``sign`` (of the row permutation) and ``last_pivot`` (1 when there is
     no pivot) are that loop's, bit for bit, however :meth:`extend` splits
-    the columns.  :meth:`integer_columns` back-substitutes only the columns
-    a caller reads, and :meth:`solve` a column that does not join the pass.
+    the columns.  :meth:`integer_columns` back-substitutes only the
+    non-pivot columns a caller reads, and :meth:`solve` a column that does
+    not join the pass.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]]):
@@ -184,11 +188,19 @@ class Echelon:
         return self._back_substitute(reduced)
 
     def integer_columns(self, cols: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-        """Columns ``cols`` (0-based) of ``D R``, as integers."""
-        # A matrix of no rows keeps no columns, and its D R is empty.
-        return tuple(
-            self._back_substitute(self.forward[j] if self._levels else ()) for j in cols
-        )
+        """Columns ``cols`` (0-based) of ``D R``, as integers: pivot column k
+        is ``D e_k`` without work, any other is back-substituted."""
+        at = {c: k for k, c in enumerate(self.pivots)}
+        out = []
+        for j in cols:
+            k = at.get(j)
+            if k is None:
+                out.append(self._back_substitute(self.forward[j]))
+            else:
+                unit = [0] * len(self._levels)
+                unit[k] = self.last_pivot
+                out.append(tuple(unit))
+        return tuple(out)
 
     def _back_substitute(self, reduced: Sequence[int]) -> tuple[int, ...]:
         """The column of ``D R`` whose column of U is ``reduced``.
@@ -200,7 +212,7 @@ class Echelon:
 
         exactly, since ``D R`` is integral (Cramer).  The recursion runs
         from the last pivot row up (Nakos, Turner and Williams 1997), one
-        scalar at a time; a pivot column comes out as D times a unit vector.
+        scalar at a time.
         """
         scaled = [0] * len(self._levels)
         for k in reversed(range(len(self._steps))):
@@ -212,10 +224,11 @@ class Echelon:
 
     def columns(self, cols: Iterable[int]) -> tuple[Vector, ...]:
         """Columns ``cols`` (0-based) of the reduced row-echelon form R:
-        :meth:`integer_columns` divided by the last pivot."""
+        :meth:`integer_columns` divided by the last pivot, an entry equal to
+        it being 1."""
         d = self.last_pivot
         return tuple(
-            tuple(Fraction(x, d) if x else _ZERO for x in column)
+            tuple(_ONE if x == d else Fraction(x, d) if x else _ZERO for x in column)
             for column in self.integer_columns(cols)
         )
 

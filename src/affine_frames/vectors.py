@@ -10,9 +10,12 @@ vector once and returns it as a :class:`RegularVector`, which carries the
 
 The pairing ``dot`` and the matrix product ``@`` are sums of products,
 computed by :func:`poly.sum_of_products` (``@`` pairs rows with columns).  A
-constant linear map runs on integers too: one ``Fraction`` per output
-coefficient; :meth:`PolyMatrix.linear_map` clears the constant matrix once
-and maps every column, a vector as a one-column matrix.
+constant linear map, after a parameter shift or not, runs on integers too:
+:func:`map_columns` clears the constant matrix once, shifts each cleared
+column by the one integer Taylor shift, maps it, and makes one ``Fraction``
+per output coefficient.  :meth:`PolyMatrix.linear_map` is its unshifted
+case, a vector mapped as a one-column matrix, and the group action its
+shifted one.
 
 :func:`outer_product` is the one routine for polynomial minors: one integer
 :class:`ratlin.Echelon` per point reads all n signed minors by Cramer's
@@ -38,8 +41,8 @@ from typing import Iterable, Sequence
 
 from . import ratlin
 from .poly import (
-    NEG_INF, Polynomial, Scalar, _coerce, from_integers, horner,
-    integer_coefficients, integer_gcd, poly_gcd, sum_of_products,
+    NEG_INF, Polynomial, Scalar, _coerce, from_integers, from_shifted, horner,
+    integer_coefficients, integer_gcd, poly_gcd, sum_of_products, taylor_shift,
 )
 
 
@@ -243,31 +246,9 @@ class PolyMatrix:
             total += max(row[j].degree for row in self.rows)
         return total
 
-    def shift(self, s: Scalar) -> "PolyMatrix":
-        return PolyMatrix([e.shift(s) for e in row] for row in self.rows)
-
     def linear_map(self, matrix: Sequence[Sequence[Fraction]]) -> "PolyMatrix":
-        """Left multiplication by a constant matrix, cleared once per call:
-        the matrix over the lcm ``R`` of its denominators, each column of
-        ``self`` over the lcm ``L`` of its own, and one division by ``R * L``
-        per output coefficient."""
-        if any(len(row) != self.nrows for row in matrix):
-            raise ValueError("dimension mismatch")
-        rows, matrix_scale = ratlin.clear_denominators(matrix)
-        columns = []
-        for column in zip(*self.rows):
-            comps, scale = integer_coefficients(column)
-            width = max(map(len, comps))
-            mapped = []
-            for row in rows:
-                acc = [0] * width
-                for x, comp in zip(row, comps):
-                    if x:
-                        for k, c in enumerate(comp):
-                            acc[k] += x * c
-                mapped.append(from_integers(acc, matrix_scale * scale))
-            columns.append(mapped)
-        return PolyMatrix(zip(*columns))
+        """Left multiplication by a constant matrix (:func:`map_columns`)."""
+        return PolyMatrix(zip(*map_columns(matrix, zip(*self.rows))))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
@@ -308,6 +289,42 @@ class PolyMatrix:
         return tuple(
             tuple(e.evaluate(x) for e in row) for row in self.rows
         )
+
+
+def map_columns(
+    matrix: Sequence[Sequence[Fraction]],
+    columns: Iterable[Sequence[Polynomial]],
+    shift: Fraction = Fraction(0),
+) -> list[list[Polynomial]]:
+    """``matrix * column(t + shift)`` for each column, in one integer pass.
+
+    The matrix goes over the lcm ``R`` of its denominators once per call.
+    Each column goes over the lcm ``L`` of its own and is Taylor-shifted by
+    ``shift = a/b`` to its degree D (:func:`poly.taylor_shift`), which puts
+    coefficient k of every component over ``L * b**(D - k)``.  The integer
+    matrix maps it, and each output coefficient is one division by
+    ``R * L * b**(D - k)`` (:func:`poly.from_shifted`).
+    """
+    rows, matrix_scale = ratlin.clear_denominators(matrix)
+    b = shift.denominator
+    out = []
+    for column in columns:
+        if any(len(row) != len(column) for row in rows):
+            raise ValueError("dimension mismatch")
+        comps, scale = integer_coefficients(column)
+        degree = max(map(len, comps)) - 1
+        shifted = [taylor_shift(comp, shift, degree) for comp in comps]
+        scale *= matrix_scale
+        mapped = []
+        for row in rows:
+            acc = [0] * (degree + 1)
+            for x, comp in zip(row, shifted):
+                if x:
+                    for k, c in enumerate(comp):
+                        acc[k] += x * c
+            mapped.append(from_shifted(acc, scale, b))
+        out.append(mapped)
+    return out
 
 
 def _degree_bound(degrees: Sequence[Sequence[int | float]]) -> int | float:
@@ -359,6 +376,8 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     as ``-(-1)**f * sign * (D R)[r, f]``, R the reduced form.  Each component
     is interpolated once and divided by the product of the vector scales.
     """
+    if not vectors:
+        return PolyVector([Polynomial.one()])
     n = len(vectors) + 1
     if any(v.dim != n for v in vectors):
         raise ValueError("outer product takes n-1 vectors of dimension n")

@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
-    bezout, cli, completion, equivariance, frames, groups, ratlin, sylvester, vectors,
+    bezout, cli, completion, equivariance, frames, groups, poly, ratlin, sylvester,
+    vectors,
 )
 from affine_frames.cli import main
 from affine_frames.io import (
@@ -753,8 +754,9 @@ def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
     assert calls == {"inverse": 1, "group": 2}
 
 
-def test_frame_inverts_one_matrix(tmp_path, capsys, monkeypatch):
-    """The section and the canonical tangent come from one pass."""
+def test_frame_inverts_no_matrix(tmp_path, capsys, monkeypatch):
+    """The section and the canonical tangent come from one integer pass,
+    which solves on the selected columns and inverts no matrix."""
     calls = {"ratlin": 0, "group": 0}
     ratlin_inverse, group_inverse = ratlin.inverse, groups.GroupElement.inverse
 
@@ -770,32 +772,40 @@ def test_frame_inverts_one_matrix(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(groups.GroupElement, "inverse", counting_group)
     infile = write(tmp_path / "curve.json", QUINTIC)
     assert main(["frame", "--in", infile, "--out", str(tmp_path / "frame.json")]) == 0
-    assert calls == {"ratlin": 1, "group": 0}
+    assert calls == {"ratlin": 0, "group": 0}
 
 
 def test_section_skips_the_canonical_vector(tmp_path, capsys, monkeypatch):
-    """`section` shifts the vector once and inverts nothing; its verify maps
-    the vector by the stored section's inverse, one inversion and one shift."""
-    calls = {"inverse": 0, "shift": 0}
-    inverse, shift = ratlin.inverse, vectors.PolyVector.shift
+    """`section` shifts the vector once, row by row, and solves and inverts
+    nothing; its verify maps the vector by the stored section's inverse, one
+    inversion and one more shift of each component."""
+    calls = {"inverse": 0, "shift": 0, "solve": 0}
+    inverse, shift, solve = ratlin.inverse, poly.taylor_shift, ratlin.Echelon.solve
 
     def counting_inverse(rows):
         calls["inverse"] += 1
         return inverse(rows)
 
-    def counting_shift(self, s):
+    def counting_shift(*args):
         calls["shift"] += 1
-        return shift(self, s)
+        return shift(*args)
+
+    def counting_solve(self, column):
+        calls["solve"] += 1
+        return solve(self, column)
 
     monkeypatch.setattr(ratlin, "inverse", counting_inverse)
-    monkeypatch.setattr(vectors.PolyVector, "shift", counting_shift)
+    monkeypatch.setattr(ratlin.Echelon, "solve", counting_solve)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("affine_frames.") and vars(module).get("taylor_shift") is shift:
+            monkeypatch.setattr(module, "taylor_shift", counting_shift)
     infile = write(tmp_path / "vec.json", QUARTIC)
     outfile = str(tmp_path / "section.json")
     assert main(["section", "--in", infile, "--out", outfile]) == 0
-    assert calls == {"inverse": 0, "shift": 1}
+    assert calls == {"inverse": 0, "shift": 3, "solve": 0}
     assert main(["verify", "--in", outfile]) == 0
     assert json.loads(capsys.readouterr().out)["metadata"]["ok"] is True
-    assert calls == {"inverse": 1, "shift": 2}
+    assert calls == {"inverse": 1, "shift": 6, "solve": 0}
 
 
 @pytest.mark.parametrize("command, source, key", [

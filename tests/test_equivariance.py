@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
+    Completion,
     GroupElement,
     PolyMatrix,
+    Polynomial,
+    PolyVector,
     RegularityError,
     ratlin,
     canonical_form,
@@ -20,7 +23,9 @@ from affine_frames import (
     minimal_completion,
     nonminimal_completion,
     pivot_profile,
+    require_regular,
     section,
+    section_and_canonical,
     shift_section,
 )
 
@@ -219,6 +224,68 @@ def test_one_pass_matches_the_reduction(seed, n):
     assert canonical_form(v) == section(v).inverse().apply(v)
 
 
+def _shift_section_reference(v):
+    """The shift section by ``ratlin.det`` on the Fraction coefficient matrix."""
+    profile = pivot_profile(v)
+    k = profile.k
+    columns = [k if c == k + 1 else c for c in profile.indices]
+    minor = ratlin.det([[row[c] for c in columns] for row in v.coefficient_matrix()])
+    return minor / ((k + 1) * profile.det_vbar)
+
+
+def _linear_section_reference(v):
+    """The selected Fraction columns, the last one over ``det_vbar``."""
+    profile = pivot_profile(v)
+    *first, last = profile.indices
+    return tuple(
+        (*(row[c] for c in first), row[last] / profile.det_vbar)
+        for row in v.coefficient_matrix()
+    )
+
+
+@st.composite
+def rational_regular_vectors(draw):
+    """Regular vectors with n = 2-5 and p/q coefficients."""
+    n = draw(st.integers(2, 5), label="n")
+    d = draw(st.integers(n, n + 4), label="d")
+    q = st.fractions(-9, 9, max_denominator=6)
+    rows = draw(st.lists(st.lists(q, min_size=d + 1, max_size=d + 1),
+                         min_size=n, max_size=n))
+    rows[draw(st.integers(0, n - 1))][d] = draw(q.filter(bool))
+    v = PolyVector(Polynomial(row) for row in rows)
+    try:
+        return require_regular(v)
+    except RegularityError:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rational_regular_vectors(),
+    st.one_of(
+        st.just(Fraction(0)),
+        st.integers(-5, 5).map(Fraction),
+        st.fractions(-5, 5, max_denominator=7).filter(lambda s: s.denominator > 1),
+    ),
+)
+def test_section_pass_matches_the_fraction_references(u, s):
+    """The integer section pass against the Fraction path it replaced, at a
+    shift that is 0, an integer or a fraction over b > 1."""
+    v = require_regular(u.shift(s - _shift_section_reference(u)))
+    assert _shift_section_reference(v) == s
+    recentered = v.shift(-s)
+    g_ref = GroupElement(_linear_section_reference(recentered), s)
+    w_ref = recentered.linear_map(ratlin.inverse(g_ref.matrix))
+    g, w = section_and_canonical(v)
+    assert g == g_ref == GroupElement(linear_section(recentered), s)
+    assert w == w_ref
+    assert w.profile == pivot_profile(w_ref) == v.profile
+    assert all(type(c) is Fraction for comp in w for c in comp.coeffs)
+    assert section(v) == g and canonical_form(v) == w
+    assert shift_section(v) == s
+    assert linear_section(v) == _linear_section_reference(v)
+
+
 def test_section_goldens():
     g = section(quartic_tangent())
     assert g.shift == Fraction(1, 3)
@@ -346,6 +413,23 @@ def test_equivariantize_nonminimal_golden():
     assert nonminimal_completion(v).matrix.degree == 8
     # conjugation changes the degree: this map is not degree-preserving
     assert result.matrix.degree != nonminimal_completion(v).matrix.degree
+
+
+def test_equivariantize_acts_in_full_when_the_first_column_is_not_w():
+    """A completion map that breaks the contract (its first column is not
+    the vector it completes) is acted on in full, first column included."""
+    v = quartic_tangent()
+    g, w = section_and_canonical(v)
+
+    def negated_first(u):
+        base = minimal_completion(u)
+        first, *later = base.matrix.columns()
+        return Completion(PolyMatrix.from_columns([-first, *later]), base.bezout_degree)
+
+    result = equivariantize(negated_first)(v)
+    assert result.matrix == g.apply(negated_first(w).matrix)
+    assert result.matrix.column(0) == -v
+    assert result.matrix.columns()[1:] == equivariant_completion(v).matrix.columns()[1:]
 
 
 def test_equivariantize_wraps_minimal_to_same_map():

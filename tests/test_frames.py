@@ -148,6 +148,33 @@ def test_moving_frame_quintic_golden():
     )
 
 
+def test_moving_frame_inverts_shifts_and_maps_nothing(monkeypatch):
+    """One frame runs the section, the canonical tangent and the action on
+    integers: no matrix inverse, no Fraction Taylor shift, no constant
+    linear map, and one determinant, the section's determinant-one check."""
+    rng = random.Random(63)
+    tangents = [validate_curve(quintic_curve())]
+    tangents += [validate_curve(random_rational_curve(rng, n)) for n in (2, 3, 4)]
+    calls = dict.fromkeys(("inverse", "det", "shift", "linear_map"), 0)
+
+    def counting(name, original):
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    monkeypatch.setattr(ratlin, "inverse", counting("inverse", ratlin.inverse))
+    monkeypatch.setattr(ratlin, "det", counting("det", ratlin.det))
+    monkeypatch.setattr(Polynomial, "shift", counting("shift", Polynomial.shift))
+    monkeypatch.setattr(
+        PolyMatrix, "linear_map", counting("linear_map", PolyMatrix.linear_map)
+    )
+    for tangent in tangents:
+        frame = moving_frame(tangent)
+        assert frame.matrix.column(0) == tangent
+    assert calls == {"inverse": 0, "det": len(tangents), "shift": 0, "linear_map": 0}
+
+
 def test_moving_frame_monomial_curve():
     tangent = validate_curve(vec((0, 1), (0, 0, 1), (1, 0, 0, 0, 1)))
     frame = moving_frame(tangent)

@@ -88,10 +88,19 @@ def _rational_unimodular(seed: int, q: Fraction, n: int) -> list[list[Fraction]]
     return [[x * d for x, d in zip(row, diagonal)] for row in shears]
 
 
+# Shifts of every kind the integer Taylor shift treats apart: zero, an
+# integer (b = 1) and a fraction whose denominator exceeds 1.
+shifts = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(-6, 6, max_denominator=5).filter(lambda s: s.denominator > 1),
+)
+
+
 def _rational_groups(n: int):
     q = st.fractions(-9, 9, max_denominator=7).filter(bool)
     matrix = st.builds(_rational_unimodular, st.integers(0, 2**32), q, st.just(n))
-    return st.builds(GroupElement, matrix, st.fractions(-6, 6, max_denominator=5))
+    return st.builds(GroupElement, matrix, shifts)
 
 
 def _apply_reference(g: GroupElement, column: PolyVector) -> PolyVector:
@@ -116,6 +125,12 @@ def test_action_on_matrix_is_columnwise(data):
     acted = g.apply(target)
     assert acted.columns() == [g.apply(col) for col in target.columns()]
     assert acted.columns() == [_apply_reference(g, col) for col in target.columns()]
+    vector = data.draw(st.lists(polynomials_up_to(7), min_size=n, max_size=n).map(
+        PolyVector), label="vector")
+    moved = g.apply(vector)
+    assert type(moved) is PolyVector
+    assert moved == _apply_reference(g, vector)
+    assert all(type(c) is Fraction for comp in moved for c in comp.coeffs)
 
 
 def test_action_on_matrix_clears_the_group_matrix_once(monkeypatch):

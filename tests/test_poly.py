@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import NEG_INF, Polynomial, poly_gcd
-from affine_frames.poly import from_integers, integer_gcd
+from affine_frames.poly import from_integers, from_shifted, integer_gcd, taylor_shift
 
 from conftest import coefficients, p, polynomials, polynomials_up_to
 
@@ -167,6 +167,25 @@ def test_shift_matches_fraction_horner(q, s):
     shifted = q.shift(s)
     assert shifted.coeffs == shift_reference(q, Fraction(s)).coeffs
     assert all(type(c) is Fraction for c in shifted.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)), max_size=8),
+    st.one_of(st.just(0), coefficients),
+    st.integers(0, 4),
+)
+def test_taylor_shift_to_any_degree_matches_fraction_horner(nums, s, extra):
+    """Shifted to a degree above its own, as a vector's components are,
+    coefficient k of ``p(t + s)`` is ``e[k] / b**(degree - k)``."""
+    s = Fraction(s)
+    degree = len(nums) - 1 + extra
+    shifted = taylor_shift(nums, s, degree)
+    assert len(shifted) == degree + 1
+    assert all(type(x) is int for x in shifted)
+    expected = shift_reference(Polynomial(nums), s)
+    assert from_shifted(shifted, 1, s.denominator) == expected
+    assert from_shifted([3 * x for x in shifted], 3, s.denominator) == expected
 
 
 @settings(max_examples=100, deadline=None)

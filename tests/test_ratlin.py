@@ -172,6 +172,25 @@ def _check_square_against_reference(rows):
             ratlin.inverse(rows)
 
 
+def test_pivot_columns_are_read_without_back_substitution(monkeypatch):
+    """A pivot column of ``D R`` is ``D e_k`` as it stands, and of R the unit
+    vector; only the other columns are back-substituted."""
+    echelon = ratlin.Echelon([[2, 1, 4], [6, 3, 1]])
+    assert (echelon.pivots, echelon.last_pivot) == ((0, 2), -22)
+    calls = []
+    back = ratlin.Echelon._back_substitute
+    monkeypatch.setattr(
+        ratlin.Echelon, "_back_substitute",
+        lambda self, reduced: calls.append(reduced) or back(self, reduced),
+    )
+    assert echelon.integer_columns((2, 0)) == ((0, -22), (-22, 0))
+    assert echelon.columns((0, 2)) == ((1, 0), (0, 1))
+    assert calls == []
+    assert echelon.integer_columns((1,)) == ((-11, 0),)
+    assert echelon.columns((1,)) == ((Fraction(1, 2), 0),)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("rows", _EDGE_CASES)
 def test_kernel_edge_cases(rows):
     _check_against_reference(rows)
