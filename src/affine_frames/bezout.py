@@ -145,8 +145,9 @@ def basis_scale(v: PolyVector, elements) -> Fraction:
     Certified, not computed from the product: with d the degree of v, the
     elements must be n - 1 syzygies (``v . u_i == 0``, on integers with v
     and each element cleared once) whose degrees sum to d and whose leading
-    vectors (the coefficients of ``t**deg u_i``) have rank n - 1, by one
-    elimination.  Otherwise it raises ``RegularityError``.
+    vectors (the coefficients of ``t**deg u_i``) have a nonzero maximal
+    minor, by one elimination.  Otherwise it raises ``RegularityError``
+    (``ValueError`` for elements of another dimension).
 
     Those conditions prove ``w = outer_product(elements) = r v``.  Each
     component of w is a signed (n-1)-minor of the elements, of degree at
@@ -156,13 +157,10 @@ def basis_scale(v: PolyVector, elements) -> Fraction:
     with a repeated column), and the u_i span n - 1 dimensions over Q(t)
     since w is nonzero, so ``w = (p / q) v`` for coprime polynomials p, q.
     Then q divides every ``p v_i``, hence ``gcd(v) = 1``, and p has degree
-    ``deg w - deg v = 0``.  The constant is read off the ``t**d``
-    coefficients: with each leading vector over its element's denominator
-    q_i, f the column their elimination leaves free, ``sign`` its row sign
-    and D its last pivot, component f of w has ``t**d`` coefficient
-    ``(-1)**f * sign * D / (q_1 ... q_{n-1})`` by Cramer's rule, as in
-    :func:`vectors.outer_product`.  It is nonzero, so is ``v_f[d]``, and
-    r is their quotient.
+    ``deg w - deg v = 0``.  With the leading vectors over the elements'
+    denominators q_i, w_i has ``t**d`` coefficient ``c_i / (q_1 ...
+    q_{n-1})``, c their :meth:`ratlin.Echelon.cofactors`; r is its
+    quotient by ``v_i[d]`` at any i with c_i nonzero.
     """
     left, scale = integer_coefficients(v.components)
     cleared = [integer_coefficients(u.components) for u in elements]
@@ -174,17 +172,16 @@ def _scale(left, scale: int, d: int, degrees, elements) -> Fraction:
     given as ``(coefficient lists, denominator)`` with their degrees."""
     n = len(left)
     if len(elements) == n - 1 and sum(degrees) == d:
-        echelon = ratlin.Echelon([
+        minors = ratlin.Echelon([
             [c[e] if e < len(c) else 0 for c in coefficients]
             for e, (coefficients, _) in zip(degrees, elements)
-        ])
-        if len(echelon.pivots) == n - 1 and not any(
+        ]).cofactors()
+        if any(minors) and not any(
             any(integer_sum_of_products(left, coefficients)) for coefficients, _ in elements
         ):
-            (free,) = set(range(n)).difference(echelon.pivots)
-            minor = echelon.sign * echelon.last_pivot * (-1) ** free
+            i = next(i for i, c in enumerate(minors) if c)
             dens = math.prod(den for _, den in elements)
-            return Fraction(minor * scale, dens * left[free][d])
+            return Fraction(minors[i] * scale, dens * left[i][d])
     raise RegularityError("syzygy basis is not proportional to input")
 
 

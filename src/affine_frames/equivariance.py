@@ -53,11 +53,8 @@ def _shift(profile: PivotProfile, rows: list[list[int]], scale: int) -> Fraction
     """The shift section off the cleared rows (:func:`shift_section`)."""
     k, n = profile.k, len(rows)
     columns = [k if c == k + 1 else c for c in profile.indices]
-    minor = ratlin.Echelon([[row[c] for c in columns] for row in rows])
-    if len(minor.pivots) < n:
-        return Fraction(0)
-    determinant = Fraction(minor.sign * minor.last_pivot, scale**n)
-    return determinant / ((k + 1) * profile.det_vbar)
+    minor = ratlin.Echelon([[row[c] for c in columns] for row in rows]).determinant
+    return Fraction(minor, scale**n) / ((k + 1) * profile.det_vbar)
 
 
 def _linear(

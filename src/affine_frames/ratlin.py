@@ -9,22 +9,13 @@ Fractions appear only at the boundary.  A routine puts its whole matrix
 over one lcm ``L`` of its denominators (:func:`clear_denominators`), which
 leaves pivots and the reduced form alone and scales an n x n determinant
 by ``L**n``, and runs the one fraction-free kernel, :class:`Echelon`, on
-the integer rows: a forward elimination to row-echelon form, then exact
-back-substitution of only those non-pivot columns of the reduced form that
-are read; a pivot column is a unit vector without work.
-The forward pass is Bareiss's, taken a column at a time so that it can
-grow, except that a row with a 0 in the pivot column is left idle at that
-step: the factors it skips telescope, so the step that next eliminates it
-takes them and its own division as one exact division, and only a row
-that becomes the pivot row is caught up on its own.  Banded matrices such
-as the Sylvester matrix leave most rows idle at most steps.
-``rank``, ``det`` and pivot lookups stop after the forward pass.  ``rref``
-is the one routine that assembles a reduced form, back-substituting every
-non-pivot column; ``rref_with_transform`` and ``inverse`` read theirs off
-``rref`` of ``[M | I]``.  Integer results become Fractions once, at the end.  The
-polynomial outer product, the source of every polynomial minor, stays on
-integers: it builds its own :class:`Echelon` and reads the back-substituted
-columns scaled by the last pivot.
+the integer rows: a forward elimination (Bareiss's), then exact
+back-substitution of only the non-pivot columns of the reduced form that
+are read.  Every determinant and signed maximal minor is read off a pass
+in one place, :attr:`Echelon.determinant` and :meth:`Echelon.cofactors`
+(one back-substituted column).  ``rref`` back-substitutes every column;
+``rref_with_transform`` and ``inverse`` read theirs off ``rref`` of
+``[M | I]``.  Integer results become Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -222,6 +213,34 @@ class Echelon:
             scaled[k] = acc // self._steps[k][4]
         return tuple(scaled)
 
+    @property
+    def determinant(self) -> int:
+        """At full row rank ``sign * last_pivot``, the pivot block's determinant; else 0."""
+        return self.sign * self.last_pivot if len(self.pivots) == len(self._levels) else 0
+
+    def cofactors(self) -> tuple[int, ...]:
+        """The n signed maximal minors c of a pass of n - 1 rows and n
+        columns: ``c_i`` is ``(-1)**i`` times the minor that omits column i,
+        so ``x . c = det [x ; M]``.  With no rows (n = 1) c is (1,).
+
+        All are 0 below rank n - 1.  Otherwise one column f is not a pivot,
+        ``c_f = (-1)**f * sign * D`` (D the last pivot), and c spans M's
+        kernel, since each row of M pairs with it to a determinant with a
+        repeated row.  So does ``e_f - sum_r R[r, f] e_{p_r}`` (R the reduced
+        form, p_r row r's pivot), hence ``c_{p_r} = -c_f R[r, f]`` (Cramer).
+        """
+        n = len(self._levels) + 1
+        if n == 1:
+            return (1,)
+        if len(self.forward) != n:
+            raise ValueError("cofactors take n - 1 rows of n columns")
+        if len(self.pivots) < n - 1:
+            return (0,) * n
+        (free,) = set(range(n)).difference(self.pivots)
+        sign = self.sign if free % 2 == 0 else -self.sign
+        at = dict(zip(self.pivots, self._back_substitute(self.forward[free])))
+        return tuple(-sign * at[j] if j in at else sign * self.last_pivot for j in range(n))
+
     def columns(self, cols: Iterable[int]) -> tuple[Vector, ...]:
         """Columns ``cols`` (0-based) of the reduced row-echelon form R:
         :meth:`integer_columns` divided by the last pivot, an entry equal to
@@ -266,10 +285,7 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     if any(len(row) != n for row in rows):
         raise ValueError("determinant requires a square matrix")
     work, scale = clear_denominators(rows)
-    echelon = Echelon(work)
-    if len(echelon.pivots) < n:
-        return _ZERO
-    return Fraction(echelon.sign * echelon.last_pivot, scale**n)
+    return Fraction(Echelon(work).determinant, scale**n)
 
 
 def inverse(rows: Sequence[Sequence[Fraction]]) -> Matrix:

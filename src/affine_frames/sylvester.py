@@ -184,11 +184,14 @@ def integer_system(coefficients: list[list[int]], scale: int) -> SylvesterSystem
     Put in lowest terms over a positive scale and trimmed, those are ``L v``
     and L, so the system is the one :func:`build_sylvester` makes of that
     vector, with no Fraction built.  The one constructor of a system, and
-    so the one place that refuses the zero vector.
+    so the one place that refuses the zero vector.  The lists become the
+    system's, trimmed in place (a Bezout column's can end in zeros), and
+    are divided into copies only for a common factor other than 1, never
+    that of :func:`poly.integer_coefficients`: ``gcd(L, L v) = 1``.
     """
     common = math.gcd(scale, *(x for coeffs in coefficients for x in coeffs))
     common = -common if scale < 0 else common
-    lowest = [[x // common for x in coeffs] for coeffs in coefficients]
+    lowest = coefficients if common == 1 else [[x // common for x in c] for c in coefficients]
     for coeffs in lowest:
         while coeffs and not coeffs[-1]:
             coeffs.pop()

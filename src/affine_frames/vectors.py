@@ -17,10 +17,10 @@ per output coefficient.  :meth:`PolyMatrix.linear_map` is its unshifted
 case, a vector mapped as a one-column matrix, and the group action its
 shifted one.
 
-:func:`outer_product` is the one routine for polynomial minors: one integer
-:class:`ratlin.Echelon` per point reads all n signed minors by Cramer's
-rule, and each is interpolated once.  A determinant is the Laplace pairing
-of its first column with the outer product of the others.
+:func:`outer_product` is the one routine for polynomial minors: the
+:meth:`ratlin.Echelon.cofactors` of one integer pass per point are all n
+signed minors there, and each is interpolated once.  A determinant is the
+Laplace pairing of its first column with the outer product of the others.
 
 :meth:`PolyVector.is_coprime` decides unit gcd by a modular certificate
 (Brown 1971): with denominators cleared, a constant gcd of the components
@@ -41,7 +41,7 @@ from typing import Iterable, Sequence
 
 from . import ratlin
 from .poly import (
-    NEG_INF, Polynomial, Scalar, _coerce, from_integers, from_shifted, horner,
+    Polynomial, Scalar, _coerce, from_integers, from_shifted, horner,
     integer_coefficients, integer_gcd, poly_gcd, sum_of_products, taylor_shift,
 )
 
@@ -361,20 +361,17 @@ def _interpolate(values: list[int], denominator: int) -> Polynomial:
 def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     """Generalized cross product of n-1 vectors in dimension n.
 
-    Component i carries the sign ``(-1)**i`` times the minor that omits row
-    i, so ``w.dot(outer_product(us)) == det([w | us])`` columnwise.  At
-    n = 1 the minor is empty, and the outer product of no vectors is the unit.
+    Component i is ``(-1)**i`` times the minor that omits row i, so
+    ``w.dot(outer_product(us)) == det([w | us])`` columnwise; of no vectors
+    (n = 1, an empty minor) it is the unit.
 
     A minor's degree is at most the smaller of its row and column
     max-degree sums, whatever cancels, so its values at ``0..B``, B the
-    largest such bound, fix it.  Each vector goes over the lcm of its
-    denominators, and one :class:`ratlin.Echelon` of their integer values
-    (by :func:`poly.horner`) per point gives all n minors there.  Below rank
-    n-1 they vanish.  Otherwise one column f is not a pivot, and with the
-    last pivot D and the row sign ``sign``, Cramer's rule gives component f
-    as ``(-1)**f * sign * D`` and the component at the pivot column of row r
-    as ``-(-1)**f * sign * (D R)[r, f]``, R the reduced form.  Each component
-    is interpolated once and divided by the product of the vector scales.
+    largest such bound or 0 (a zero vector zeroes every minor), fix it.
+    Each vector goes over the lcm of its denominators, and one integer pass
+    of their values (by :func:`poly.horner`) per point gives all n minors
+    there by Cramer's rule (:meth:`ratlin.Echelon.cofactors`).  Each is
+    interpolated once and divided by the product of the vector scales.
     """
     if not vectors:
         return PolyVector([Polynomial.one()])
@@ -384,27 +381,17 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
     rows = [vec.components for vec in vectors]
     degrees = [[e.degree for e in row] for row in rows]
     bound = max(
-        _degree_bound([row[:i] + row[i + 1:] for row in degrees]) for i in range(n)
+        0, *(_degree_bound([row[:i] + row[i + 1:] for row in degrees]) for i in range(n))
     )
-    if bound == NEG_INF:
-        return PolyVector([Polynomial.zero()] * n)
     work, denominator = [], 1
     for row in rows:
         comps, scale = integer_coefficients(row)
         work.append([e[::-1] for e in comps])
         denominator *= scale
-    values = []
-    for x in range(bound + 1):
-        echelon = ratlin.Echelon([[horner(e, x) for e in row] for row in work])
-        out, pivots = [0] * n, echelon.pivots
-        if len(pivots) == n - 1:
-            (free,) = set(range(n)).difference(pivots)
-            sign = echelon.sign if free % 2 == 0 else -echelon.sign
-            (scaled,) = echelon.integer_columns((free,))
-            out[free] = sign * echelon.last_pivot
-            for p, y in zip(pivots, scaled):
-                out[p] = -sign * y
-        values.append(out)
+    values = [
+        ratlin.Echelon([[horner(e, x) for e in row] for row in work]).cofactors()
+        for x in range(bound + 1)
+    ]
     return PolyVector(_interpolate(column, denominator) for column in zip(*values))
 
 
@@ -447,8 +434,7 @@ def pivot_profile(v: PolyVector) -> PivotProfile:
         raise RegularityError("components are linearly dependent")
     indices = tuple(d - p for p in reversed(echelon.pivots))
     k = max(set(range(d + 1)) - set(indices), default=-1)
-    sign = echelon.sign * (-1) ** (n * (n - 1) // 2)
-    det_vbar = Fraction(sign * echelon.last_pivot, scale**n)
+    det_vbar = Fraction((-1) ** (n * (n - 1) // 2) * echelon.determinant, scale**n)
     return PivotProfile(indices, k, det_vbar)
 
 

@@ -398,6 +398,21 @@ def test_basis_scale_against_the_outer_product(v, of_bezout, seed):
         assert certified == expected or certified == refused
 
 
+def test_basis_scale_refuses_elements_of_another_dimension():
+    """Elements a component short or long give the leading vectors no
+    n - 1 by n shape, so they are no certificate: the pass's cofactors
+    refuse them rather than read a scale off a pass of the wrong shape."""
+    v = vec((1,), (0, 1), (0, 0, 0, 1))
+    elements = mu_basis(v).elements
+    for resized in (
+        [PolyVector(list(u)[:-1]) for u in elements],
+        [PolyVector([*u, Polynomial.one()]) for u in elements],
+        [PolyVector([*u, Polynomial.zero()]) for u in elements],
+    ):
+        with pytest.raises(ValueError, match="n - 1 rows of n columns"):
+            basis_scale(v, resized)
+
+
 @st.composite
 def window_vectors(draw):
     """n = 1..5 with rational coefficients: generic vectors, unbalanced ones

@@ -465,3 +465,85 @@ def test_solve_matches_fraction_elimination(case):
         d = echelon.last_pivot
         assert solved == tuple(d * row[width] for row in reduced)
         assert all(type(x) is int for x in solved)
+
+
+def _laplace(rows):
+    """Determinant by cofactor expansion along the first row, in Fractions:
+    the reference for what a pass reads off its last pivot."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * Fraction(x) * _laplace([row[:j] + row[j + 1:] for row in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
+
+
+@st.composite
+def integer_rows(draw, nrows, ncols):
+    """``nrows`` x ``ncols`` integers in [-9, 9]: some with a row an integer
+    combination of two others (rank deficient), some with a zero row, some
+    with a 0 atop the first column (so the pass swaps rows), and some with
+    a row negated (so the last pivot takes either sign)."""
+    rows = [draw(st.lists(_SMALL, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, nrows - 1)) for _ in range(3))
+        a, b = draw(_SMALL), draw(_SMALL)
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * ncols
+    if nrows and ncols and draw(st.booleans()):
+        rows[0][0] = 0
+    if nrows and draw(st.booleans()):
+        k = draw(st.integers(0, nrows - 1))
+        rows[k] = [-x for x in rows[k]]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: integer_rows(n, n)))
+@example([])
+@example([[0, 1], [1, 0]])  # one row swap, sign -1
+@example([[1, 2], [3, 4]])  # last pivot -2
+@example([[1, 2, 3], [0, 0, 0], [4, 5, 6]])  # a zero row
+def test_determinant_matches_laplace_expansion(rows):
+    """``Echelon.determinant`` of a square integer matrix, n = 0..5, is its
+    determinant by Fraction cofactor expansion, 0 when it is singular."""
+    determinant = ratlin.Echelon(rows).determinant
+    assert type(determinant) is int
+    assert determinant == _laplace(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(integer_rows(n - 1, n), st.lists(_SMALL, min_size=n, max_size=n))
+))
+@example(([], [3]))  # n = 1: the empty minor
+@example(([[0, 1, 0], [1, 0, 0]], [1, 2, 3]))  # one row swap
+@example(([[1, 2, 0], [3, 4, 1]], [1, 1, 1]))  # last pivot -2
+@example(([[1, 2, 3], [2, 4, 6]], [1, 0, 0]))  # rank 1: every minor 0
+@example(([[1, 0, 2], [0, 0, 0]], [0, 1, 0]))  # a zero row
+def test_cofactors_match_laplace_expansion(case):
+    """``Echelon.cofactors()`` of (n - 1) x n integer rows, n = 1..5: entry
+    i is ``(-1)**i`` times the minor that omits column i, by Fraction
+    cofactor expansion, so a row x pairs with them to ``det [x ; M]``.
+    ``determinant`` is the pivot block's at rank n - 1, else 0."""
+    rows, x = case
+    n = len(x)
+    echelon = ratlin.Echelon(rows)
+    cofactors = echelon.cofactors()
+    assert all(type(c) is int for c in cofactors)
+    assert cofactors == tuple(
+        (-1) ** i * _laplace([row[:i] + row[i + 1:] for row in rows]) for i in range(n)
+    )
+    assert sum(a * c for a, c in zip(x, cofactors)) == _laplace([x, *rows])
+    pivots = echelon.pivots
+    if len(pivots) == n - 1:
+        assert echelon.determinant == _laplace([[row[c] for c in pivots] for row in rows])
+    else:
+        assert echelon.determinant == 0
+
+
+def test_cofactors_need_one_column_more_than_rows():
+    for rows in ([[1, 2, 3]], [[1, 2], [3, 4]], [[0, 0]] * 2):
+        with pytest.raises(ValueError, match="n - 1 rows of n columns"):
+            ratlin.Echelon(rows).cofactors()
