@@ -22,7 +22,10 @@ coefficients already.  Multiplying by a number scales each coefficient.
 :func:`horner` is the integer Horner.
 :func:`integer_gcd` is the one Euclid, by pseudo-remainders on integers,
 reduced mod a prime or divided by their content; a polynomial divides only
-by a number, and :func:`poly_gcd` is the exact run made monic.
+by a number, and :func:`poly_gcd` is the exact run made monic.  A gcd mod a
+prime lifts to a primitive integer candidate by rational reconstruction
+(:func:`rational_lift`), and :func:`divides` is exact division of integer
+coefficient lists, which proves such a candidate a common factor.
 """
 
 from __future__ import annotations
@@ -330,6 +333,51 @@ def integer_gcd(polys: Sequence[Sequence[int]], modulus: int = 0) -> list[int]:
                 return [1]
             g, f = f, _reduced(_pseudo_remainder(g, f), modulus)
     return g
+
+
+def rational_lift(g: Sequence[int], modulus: int) -> list[int] | None:
+    """The primitive integer polynomial with a positive lead whose monic form
+    reduces to ``g`` made monic mod the prime ``modulus``, or None.
+
+    Each coefficient of the monic ``g`` is lifted to the one fraction a/b
+    with ``|a|, b <= isqrt(modulus // 2)`` congruent to it, read off the
+    extended Euclid of the modulus and the residue (Wang, Guy and Davenport
+    1982); None when some coefficient has no such fraction.  Each fraction
+    is in lowest terms (a common divisor of the Euclid's remainder and
+    cofactor divides the prime, and the cofactor is below it), so the monic
+    form over the lcm of the denominators is primitive.  ``g`` is trimmed,
+    of degree at least one, with coefficients in ``[0, modulus)``.
+    """
+    bound = math.isqrt(modulus // 2)
+    inverse = pow(g[-1], -1, modulus)
+    lifted = []
+    for c in g:
+        r0, r1, s0, s1 = modulus, c * inverse % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+        if abs(s1) > bound:
+            return None
+        lifted.append((r1 if s1 > 0 else -r1, abs(s1)))
+    scale = math.lcm(*(b for _, b in lifted))
+    return [a * (scale // b) for a, b in lifted]
+
+
+def divides(d: Sequence[int], f: Sequence[int]) -> bool:
+    """Whether the nonzero integer polynomial ``d`` divides ``f`` in Z[t]
+    (coefficients lowest power first, ``d`` trimmed): one long division, on
+    integers, that stops at the first quotient coefficient its lead does not
+    divide.  For a primitive ``d`` this is division in Q[t] (Gauss's lemma).
+    """
+    rem, lead, top = list(f), d[-1], len(d) - 1
+    for k in range(len(rem) - 1, top - 1, -1):
+        q, r = divmod(rem[k], lead)
+        if r:
+            return False
+        if q:
+            for i in range(top):
+                rem[k - top + i] -= q * d[i]
+    return not any(rem[:top])
 
 
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:

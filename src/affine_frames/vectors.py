@@ -22,15 +22,20 @@ shifted one.
 signed minors there, and each is interpolated once.  A determinant is the
 Laplace pairing of its first column with the outer product of the others.
 
-:meth:`PolyVector.is_coprime` decides unit gcd by a modular certificate
-(Brown 1971): with denominators cleared, a constant gcd of the components
-modulo the prime ``PRIME``, which does not divide the leading coefficient of
-some component f, proves them coprime over Q, since a primitive common
-factor h divides f in Z[t] (Gauss's lemma), so h mod ``PRIME`` keeps its
-degree and divides every reduced component.  When the certificate cannot
-decide, the exact gcd of :meth:`PolyVector.gcd`, one :func:`poly.poly_gcd`
-of all the components, does.  Both run the one integer Euclid,
-:func:`poly.integer_gcd`: mod ``PRIME``, then over Z.
+:meth:`PolyVector.is_coprime` decides unit gcd by two certificates read off
+one modular gcd, with denominators cleared and the prime ``PRIME`` not
+dividing the leading coefficient of some component f.  A constant gcd of
+the components modulo ``PRIME`` proves them coprime over Q (Brown 1971),
+since a primitive common factor h divides f in Z[t] (Gauss's lemma), so h
+mod ``PRIME`` keeps its degree and divides every reduced component.  A
+nonconstant one is lifted to a primitive integer candidate
+(:func:`poly.rational_lift`), and a candidate that divides every cleared
+component exactly (:func:`poly.divides`) proves a shared factor, whether or
+not the prime was lucky.  Only when neither decides (a coefficient past the
+lift's bound, an unlucky prime, or ``PRIME`` dividing every leading
+coefficient) does the exact gcd of :meth:`PolyVector.gcd`, one
+:func:`poly.poly_gcd` of all the components, run.  Both gcds run the one
+integer Euclid, :func:`poly.integer_gcd`: mod ``PRIME``, then over Z.
 """
 
 from __future__ import annotations
@@ -41,8 +46,9 @@ from typing import Iterable, Sequence
 
 from . import ratlin
 from .poly import (
-    Polynomial, Scalar, _coerce, from_integers, from_shifted, horner,
-    integer_coefficients, integer_gcd, poly_gcd, sum_of_products, taylor_shift,
+    Polynomial, Scalar, _coerce, divides, from_integers, from_shifted, horner,
+    integer_coefficients, integer_gcd, poly_gcd, rational_lift, sum_of_products,
+    taylor_shift,
 )
 
 
@@ -155,11 +161,16 @@ class PolyVector:
         return poly_gcd(*self.components)
 
     def is_coprime(self) -> bool:
-        """Whether :meth:`gcd` is one: by the certificate of the module
+        """Whether :meth:`gcd` is one: by the two certificates of the module
         docstring, else by :meth:`gcd` itself, which refuses the zero vector."""
         comps, _ = integer_coefficients([c for c in self.components if not c.is_zero])
-        if any(c[-1] % PRIME for c in comps) and integer_gcd(comps, PRIME) == [1]:
-            return True
+        if any(c[-1] % PRIME for c in comps):
+            g = integer_gcd(comps, PRIME)
+            if g == [1]:
+                return True
+            divisor = rational_lift(g, PRIME)
+            if divisor and all(divides(divisor, c) for c in comps):
+                return False
         return self.gcd() == Polynomial.one()
 
     def coefficient_matrix(self) -> ratlin.Matrix:

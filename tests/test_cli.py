@@ -1130,6 +1130,36 @@ def test_verify_refuses_a_vector_with_a_common_factor(tmp_path, capsys, command)
     assert err == '{"error": "components share a nonconstant factor"}\n'
 
 
+def test_complete_refuses_a_wide_shared_factor_without_the_euclid(
+    tmp_path, capsys, monkeypatch
+):
+    """A degree-17 vector with 64-bit p/q coefficients times (t - 1): the
+    modular gcd lifts to t - 1, which divides every component, so the
+    refusal makes no exact Euclid, whose cost grows with these sizes."""
+    rng = random.Random(21)
+    linear = poly.Polynomial([-1, 1])
+    rows = [
+        poly.Polynomial(
+            Fraction(rng.randint(-(2**64), 2**64), rng.randint(1, 2**64)) for _ in range(18)
+        ) * linear
+        for _ in range(3)
+    ]
+    infile = write(tmp_path / "wide.json", {
+        "n": 3, "coeffs": [[format_rational(c) for c in row.coeffs] for row in rows],
+    })
+    calls = []
+
+    def euclid(*polys):
+        calls.append(len(polys))
+        return poly.poly_gcd(*polys)
+
+    monkeypatch.setattr(vectors, "poly_gcd", euclid)
+    code, out, err = run(tmp_path, capsys, ["complete", "--in", infile])
+    assert (code, out) == (2, "")
+    assert err == '{"error": "components share a nonconstant factor"}\n'
+    assert len(calls) == 0
+
+
 def test_verify_a_mubasis_with_its_last_element_and_scale_doubled(tmp_path, capsys):
     """Still syzygies of the right degrees with a proportional outer
     product; only the normal form, a 1 at each leading column, fails."""

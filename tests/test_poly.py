@@ -1,5 +1,6 @@
 """Exact univariate polynomial arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import NEG_INF, Polynomial, poly_gcd
-from affine_frames.poly import from_integers, from_shifted, integer_gcd, taylor_shift
+from affine_frames.poly import (
+    divides, from_integers, from_shifted, integer_gcd, rational_lift, taylor_shift,
+)
+from affine_frames.vectors import PRIME
 
 from conftest import coefficients, p, polynomials, polynomials_up_to
 
@@ -298,6 +302,72 @@ def test_integer_gcd_examples():
     # t and t + 7 share t modulo 7 only.
     assert integer_gcd([[0, 1], [7, 1]]) == [1]
     assert integer_gcd([[0, 1], [7, 1]], 7) == [0, 1]
+
+
+def _residues(coeffs, unit: int) -> list[int]:
+    """``unit`` times the rational ``coeffs``, each reduced mod ``PRIME``."""
+    return [unit * c.numerator * pow(c.denominator, -1, PRIME) % PRIME for c in coeffs]
+
+
+LIFT_BOUND = math.isqrt(PRIME // 2)
+_lifted = st.builds(Fraction, st.integers(-LIFT_BOUND, LIFT_BOUND), st.integers(1, LIFT_BOUND))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_lifted, min_size=1, max_size=5), st.integers(1, PRIME - 1))
+def test_rational_lift_round_trip(low, unit):
+    """A monic polynomial with coefficients inside the bound, times any unit
+    mod ``PRIME``, lifts to its primitive integer form."""
+    monic = [Fraction(c) for c in low] + [Fraction(1)]
+    scale = math.lcm(*(c.denominator for c in monic))
+    cleared = [int(c * scale) for c in monic]
+    content = math.gcd(*cleared)
+    assert rational_lift(_residues(monic, unit), PRIME) == [x // content for x in cleared]
+
+
+def test_rational_lift_examples():
+    assert rational_lift(_residues([Fraction(-2), Fraction(1)], 5), PRIME) == [-2, 1]
+    assert rational_lift(_residues([Fraction(32767, 32766), 1], 3), PRIME) == [32767, 32766]
+    assert rational_lift(_residues([Fraction(-32767, 32765), 0, 1], 1), PRIME) == [
+        -32767, 0, 32765,
+    ]
+    # Past the bound, a numerator or a denominator of 32768, 10**9 or 3 * 10**9.
+    for c in (32768, Fraction(1, 32768), Fraction(10**9, 7), Fraction(1, 3 * 10**9)):
+        assert rational_lift(_residues([Fraction(c), 1], 1), PRIME) is None
+        assert rational_lift(_residues([1, Fraction(c), 1], 7), PRIME) is None
+
+
+def test_divides_examples():
+    assert divides([-1, 1], [1, 0, -1])  # 1 - t^2 = (1 - t)(1 + t)
+    assert not divides([1, 1], [1, 0, 1])  # remainder 2
+    assert not divides([1, 2], [1, 1])  # 2 does not divide the lead 1
+    assert not divides([1, 2], [1, 1, 2])  # quotient t, remainder 1
+    # Negative leading coefficients, on either side.
+    assert divides([1, -2], [-1, 0, 4])  # (1 - 2t)(-1 - 2t)
+    assert divides([-1, -2], [1, 4, 4])
+    assert not divides([3, -2], [1, 0, 4])
+    # A constant divides by every coefficient.
+    assert divides([3], [3, 6, -9]) and divides([-3], [3, 6, -9])
+    assert not divides([3], [3, 6, -8])
+    # A divisor of higher degree divides only zero.
+    assert not divides([0, 1], [5])
+    assert divides([0, 1], [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(lambda d: d[-1]),
+    st.lists(st.integers(-9, 9), max_size=4),
+    st.lists(st.integers(-9, 9), max_size=3),
+)
+def test_divides_matches_the_fraction_remainder(d, quotient, remainder):
+    """For a primitive divisor, division in Z[t] is division in Q[t]."""
+    content = math.gcd(*d)
+    d = [x // content for x in d]
+    product = Polynomial(d) * Polynomial(quotient)
+    f = product + Polynomial(remainder)
+    assert divides(d, [int(c) for c in f.coeffs]) == (not _remainder(f, Polynomial(d)))
+    assert divides(d, [int(c) for c in product.coeffs])
 
 
 # Integer polynomials with a content of up to 12, and planted factors of

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -42,7 +43,7 @@ from conftest import (
     coefficients, p, polynomials, polynomials_up_to, quartic_tangent,
     quintic_curve, vec,
 )
-from test_poly import reference_gcd
+from test_poly import LIFT_BOUND, reference_gcd
 
 
 def test_vector_degree():
@@ -351,10 +352,69 @@ def test_is_coprime_beyond_the_certificate(monkeypatch):
 
 
 def test_require_regular_rejects_a_planted_factor(monkeypatch):
+    """The lifted modular gcd, t - 2, divides every component: no Euclid."""
     calls = _counting_euclid(monkeypatch)
     with pytest.raises(RegularityError, match="components share a nonconstant factor"):
         require_regular(quartic_tangent().scale(p(-2, 1)))
-    assert calls
+    assert not calls
+
+
+
+def _past_the_lift(g: Polynomial) -> bool:
+    """Whether some coefficient of the monic ``g`` has a numerator or a
+    denominator past the bound of :func:`poly.rational_lift`."""
+    return any(max(abs(c.numerator), c.denominator) > LIFT_BOUND for c in g.coeffs)
+
+
+@st.composite
+def factors_past_the_lift(draw):
+    """2 to 4 nonzero rational components times a linear factor whose monic
+    form the lift cannot reach: a root past the bound, or a leading
+    coefficient of 3 * 10**9."""
+    factor = draw(st.one_of(
+        st.sampled_from(
+            [Fraction(10**9, 7), Fraction(-(10**9), 7), Fraction(32768), Fraction(1, -32768)]
+        ).map(lambda root: Polynomial([-root, 1])),
+        st.integers(-9, 9).filter(bool).map(lambda c: Polynomial([c, 3 * 10**9])),
+    ))
+    bases = draw(st.lists(polynomials_up_to(5).filter(bool), min_size=2, max_size=4))
+    return PolyVector(base * factor for base in bases)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors_past_the_lift())
+def test_is_coprime_with_a_factor_past_the_lift(v):
+    """No lifted candidate can divide every component, since it would be the
+    monic gcd itself, so the exact Euclid decides."""
+    reference = _reference_gcd(v)
+    with mock.patch.object(vectors, "poly_gcd", wraps=poly.poly_gcd) as euclid:
+        assert not v.is_coprime()
+    assert v.gcd() == reference
+    if _past_the_lift(reference):
+        assert euclid.called
+
+
+@st.composite
+def factors_modulo_the_prime(draw):
+    """2 to 4 nonzero rational bases, each times its own t + k * PRIME: the
+    components share t modulo ``PRIME`` but not over Q, unless the bases
+    share a factor."""
+    ks = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True))
+    bases = draw(st.lists(polynomials_up_to(5).filter(bool), min_size=len(ks), max_size=len(ks)))
+    return PolyVector(base * Polynomial([k * PRIME, 1]) for base, k in zip(bases, ks))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors_modulo_the_prime())
+def test_is_coprime_with_a_factor_shared_modulo_the_prime(v):
+    """An unlucky prime: the modular gcd is not constant, no lifted candidate
+    divides coprime components, and the exact Euclid decides."""
+    reference = _reference_gcd(v)
+    with mock.patch.object(vectors, "poly_gcd", wraps=poly.poly_gcd) as euclid:
+        assert v.is_coprime() == (reference == Polynomial.one())
+    assert v.gcd() == reference
+    if reference == Polynomial.one():
+        assert euclid.called
 
 
 def test_coefficient_matrix():
