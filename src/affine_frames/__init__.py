@@ -34,6 +34,7 @@ from .frames import (
     FrameResult,
     moving_frame,
     validate_curve,
+    verify_frame,
 )
 from .groups import AffineElement, GroupElement
 from .poly import NEG_INF, Polynomial, poly_gcd
@@ -89,6 +90,7 @@ __all__ = [
     "shift_section",
     "validate_curve",
     "verify_completion",
+    "verify_frame",
 ]
 
 __version__ = "0.1.0"

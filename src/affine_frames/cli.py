@@ -22,7 +22,7 @@ from .bezout import (
 )
 from .completion import Completion, minimal_completion, verify_completion
 from .equivariance import canonical_shape_violations, section, section_and_canonical
-from .frames import CurveRejection, FrameResult, moving_frame, validate_curve
+from .frames import CurveRejection, FrameResult, moving_frame, validate_curve, verify_frame
 from .io import (
     CurveDocument,
     DocumentError,
@@ -34,7 +34,9 @@ from .io import (
 from .poly import Polynomial
 from .svg import render_plot
 from .sylvester import build_sylvester
-from .vectors import PolyMatrix, RegularityError, outer_product, pivot_profile, require_regular
+from .vectors import (
+    PolyMatrix, RegularityError, RegularVector, outer_product, pivot_profile, require_regular,
+)
 from .groups import GroupElement
 
 
@@ -99,10 +101,9 @@ def _verify_frame(doc: CurveDocument, fields: dict) -> Checks:
         return
     stored = FrameResult(**fields)
     _require_n_by_n(stored.matrix, doc, "frame")
-    g = stored.section
-    is_section = _is_section(tangent, g, stored.canonical_tangent)
-    # Any det-1 g reads the same first column, determinant and least degree.
-    report = verify_completion(stored.matrix, tangent, g if is_section else None)
+    is_section, report = verify_frame(
+        stored.matrix, tangent, stored.section, stored.canonical_tangent
+    )
     reproducible = is_section and _is_minimal_completion(stored, report, tangent)
     yield "matrix_reproducible", reproducible
     yield "first_column_is_tangent", report.first_column_matches
@@ -176,14 +177,6 @@ def _verify_mubasis(doc: CurveDocument, fields: dict) -> Checks:
     yield "basis_reproducible", reproducible and proportional
 
 
-def _is_section(v, g, w=None) -> bool:
-    """Whether g = section(v) and w = g^-1 . v (the default): g maps w to v, and
-    w has the canonical shape, so section(w) = 1 and by equivariance section(v) = g."""
-    if g.dim != v.dim or w is not None and (w.dim != v.dim or g.apply(w) != v):
-        return False
-    return not canonical_shape_violations(g.inverse().apply(v) if w is None else w)
-
-
 def _section(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
     v = require_regular(doc.vector)
     return vars(section(v)), {"profile": _profile_dict(v.profile)}
@@ -196,7 +189,12 @@ def _verify_section(doc: CurveDocument, fields: dict) -> Checks:
         yield "matrix_is_unimodular", False
         return
     yield "matrix_is_unimodular", True
-    yield "section_reproducible", _is_section(require_regular(doc.vector), stored)
+    v = require_regular(doc.vector)
+    # g = section(v) when w = g^-1 . v has the canonical shape: section(w) = 1,
+    # and by equivariance section(v) = g.  The action keeps v's pivot profile.
+    yield "section_reproducible", stored.dim == v.dim and not canonical_shape_violations(
+        RegularVector(stored.inverse().apply(v), v.profile)
+    )
 
 
 def _canonical(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -219,7 +217,7 @@ def _verify_canonical(doc: CurveDocument, fields: dict) -> Checks:
     # always has, and serves that check.
     w = require_regular(stored, profile=pivot_profile(stored))
     canonical = not canonical_shape_violations(w)
-    # As _is_section(v, g, w), with the shape checked once.
+    # As verify_frame's section check, with the shape checked once.
     yield "vector_reproducible", canonical and g.dim == v.dim and g.apply(w) == v
     yield "shape_constraints_hold", canonical
     yield "section_is_identity", canonical

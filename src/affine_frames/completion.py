@@ -114,7 +114,9 @@ def verify_completion(
     minimal completion of the canonical vector ``w = g^-1 . v``.  Acting by
     g keeps the determinant and the column degrees, so the determinant and
     the certificate are read off ``M = g^-1 . m``, whose first column is w
-    exactly when that of m is v.
+    exactly when that of m is v.  g is inverted once and acts once, on m;
+    :func:`frames.verify_frame` reads the section's own check off the same
+    M.
 
     The determinant is ``M[:, 0] . b`` for ``b = outer_product(M[:, 1:])``,
     by Laplace expansion along the first column, and that b is also what
@@ -135,6 +137,17 @@ def verify_completion(
     Raises as :func:`minimal_completion` does when v has no completion: on
     the zero vector, the oracle at determinant one, else ``v.is_coprime()``.
     """
+    degree = _degree(m, v)
+    first = m.column(0) == v
+    if section is None:
+        return _certificate(v, degree, first, m.columns())
+    inverse = section.inverse()
+    return _certificate(v, degree, first, inverse.apply(m).columns(), inverse)
+
+
+def _degree(m: PolyMatrix, v: PolyVector) -> int:
+    """The degree of ``m``, refused as a completion of ``v`` when it is not
+    square of v's dimension or has a zero column."""
     if m.nrows != m.ncols:
         raise ValueError("completion matrix must be square")
     if m.nrows != v.dim:
@@ -142,9 +155,19 @@ def verify_completion(
     degree = m.degree
     if degree == NEG_INF:
         raise RegularityError("completion matrix has a zero column")
-    first = m.column(0) == v
-    inverse = None if section is None else section.inverse()
-    columns = (m if inverse is None else inverse.apply(m)).columns()
+    return int(degree)
+
+
+def _certificate(
+    v: PolyVector,
+    degree: int,
+    first: bool,
+    columns: list[PolyVector],
+    inverse: GroupElement | None = None,
+) -> CompletionReport:
+    """The report of :func:`verify_completion` on the columns of ``M =
+    inverse . m`` (of m without ``inverse``), m of ``degree``, whose first
+    column is v when ``first``."""
     b = outer_product(columns[1:])
     pairing = columns[0].dot(b)
     det_one = pairing == Polynomial.one()
@@ -169,7 +192,7 @@ def verify_completion(
     return CompletionReport(
         first_column_matches=first,
         determinant_one=det_one,
-        degree=int(degree),
+        degree=degree,
         minimal_degree=minimal_degree,
         minimal=minimal,
         reproducible=reproducible,

@@ -7,15 +7,20 @@ vector, which :func:`validate_curve` returns.  The frame attaches the
 equivariant minimal completion of the tangent, yielding a determinant-one
 matrix of polynomials whose first column is the tangent and which transforms
 covariantly under special-affine maps and parameter shifts.
+:func:`verify_frame` checks a stored frame with one inversion of its
+section and one action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .equivariance import equivariant_completion_with_section
+from .completion import CompletionReport, _certificate, _degree
+from .equivariance import canonical_shape_violations, equivariant_completion_with_section
 from .groups import GroupElement
-from .vectors import PolyMatrix, PolyVector, RegularityError, RegularVector, pivot_profile
+from .vectors import (
+    PolyMatrix, PolyVector, RegularityError, RegularVector, pivot_profile, require_regular,
+)
 
 
 @dataclass(frozen=True)
@@ -71,3 +76,33 @@ def moving_frame(tangent: RegularVector) -> FrameResult:
         canonical_tangent=reduced,
         bezout_degree=completion.bezout_degree,
     )
+
+
+def verify_frame(
+    m: PolyMatrix, tangent: PolyVector, g: GroupElement, w: PolyVector
+) -> tuple[bool, CompletionReport]:
+    """Whether ``g`` is the section of ``tangent`` with canonical vector
+    ``w``, and the report of :func:`completion.verify_completion` on ``m``
+    with the section g.  m is what :func:`moving_frame` builds exactly when
+    both hold and the Bezout degree matches the report's.
+
+    g is the section when it maps w to the tangent and w has the canonical
+    shape: then section(w) = 1, and by equivariance section(tangent) = g.
+    A g of another size is none, and m is checked as it stands (any
+    determinant-one g reads the same first column, determinant and least
+    degree).  g is inverted once and acts once, on m: when m's first column
+    is the tangent, ``g . w`` is the tangent exactly when ``(g^-1 . m)[:, 0]``
+    is w, as the action is exact and invertible; otherwise w is mapped
+    forward.  The action keeps the pivot profile, so w's shape is checked
+    on the tangent's.
+    """
+    tangent = require_regular(tangent)
+    degree = _degree(m, tangent)
+    first = m.column(0) == tangent
+    if g.dim != tangent.dim:
+        return False, _certificate(tangent, degree, first, m.columns())
+    inverse = g.inverse()
+    columns = inverse.apply(m).columns()
+    maps = w.dim == tangent.dim and (columns[0] == w if first else g.apply(w) == tangent)
+    is_section = maps and not canonical_shape_violations(RegularVector(w, tangent.profile))
+    return is_section, _certificate(tangent, degree, first, columns, inverse)

@@ -10,7 +10,9 @@ Two actions are used throughout:
 Determinant-one is validated at construction, in one place: an
 :class:`AffineElement` holds its linear part as a :class:`GroupElement`;
 it acts, composes and inverts through it and adds the translation algebra.
-Invalid matrices are rejected rather than normalized.
+Invalid matrices are rejected rather than normalized.  Only
+:meth:`GroupElement.inverse`, whose determinant is 1 with its input's,
+builds its result without the check.
 
 The action on vectors and matrices is one integer pass,
 :func:`vectors.map_columns`: the group matrix is cleared once per call,
@@ -47,6 +49,15 @@ class GroupElement:
         object.__setattr__(self, "shift", Fraction(shift))
 
     @classmethod
+    def _trusted(cls, matrix: ratlin.Matrix, shift: Fraction) -> "GroupElement":
+        """An element of a frozen matrix whose determinant is 1 by
+        construction, without checking it again."""
+        element = object.__new__(cls)
+        object.__setattr__(element, "matrix", matrix)
+        object.__setattr__(element, "shift", shift)
+        return element
+
+    @classmethod
     def identity(cls, n: int) -> "GroupElement":
         return cls(ratlin.identity(n), 0)
 
@@ -62,7 +73,8 @@ class GroupElement:
         )
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(ratlin.inverse(self.matrix), -self.shift)
+        """``(L^-1, -s)``; ``det L^-1 = 1 / det L = 1``."""
+        return GroupElement._trusted(ratlin.inverse(self.matrix), -self.shift)
 
     def apply(self, target: Actable) -> Actable:
         """``L * target(t + s)``, column by column, in one integer pass

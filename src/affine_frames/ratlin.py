@@ -13,8 +13,9 @@ the integer rows: a forward elimination (Bareiss's), then exact
 back-substitution of only the non-pivot columns of the reduced form that
 are read.  Every determinant and signed maximal minor is read off a pass
 in one place, :attr:`Echelon.determinant` and :meth:`Echelon.cofactors`
-(one back-substituted column).  ``rref`` back-substitutes every column;
-``rref_with_transform`` and ``inverse`` read theirs off ``rref`` of
+(one back-substituted column).  ``rref`` back-substitutes every column,
+and ``rref_with_transform`` reads its blocks off ``rref`` of ``[M | I]``;
+``inverse`` back-substitutes only the right block of one pass of
 ``[M | I]``.  Integer results become Fractions once, at the end.
 """
 
@@ -289,10 +290,20 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def inverse(rows: Sequence[Sequence[Fraction]]) -> Matrix:
+    """Inverse of a square matrix of Fractions or ints, off one pass.
+
+    ``[L M | L I]``, L the lcm of M's denominators, has full row rank, and
+    its reduced form is ``[I | M^-1]`` exactly when M is invertible, that
+    is when no pivot lands right of column n - 1.  Only the right block is
+    back-substituted (:meth:`Echelon.columns`).
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("inverse requires a square matrix")
-    reduced, transform, pivots = rref_with_transform(rows)
-    if len(pivots) != n:
+    work, scale = clear_denominators(rows)
+    echelon = Echelon(
+        [[*row, *(scale if i == j else 0 for j in range(n))] for i, row in enumerate(work)]
+    )
+    if n and echelon.pivots[-1] >= n:
         raise ValueError("matrix is singular")
-    return transform
+    return tuple(zip(*echelon.columns(range(n, 2 * n))))

@@ -21,8 +21,9 @@ from affine_frames import (
 )
 from affine_frames.cli import main
 from affine_frames.io import (
-    PAYLOADS, DocumentError, format_rational, parse_curve_dict, write_payload,
+    PAYLOADS, DocumentError, format_rational, parse_curve_dict, read_payload, write_payload,
 )
+from conftest import random_generic_curve
 
 QUINTIC = {
     "n": 3,
@@ -728,11 +729,13 @@ def test_compute_never_builds_the_fraction_sylvester_matrix(
 
 
 def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
-    """A frame's verify inverts its section once, in ``verify_completion``,
-    with the inverse's determinant-one check; the stored canonical tangent
-    is checked by mapping it forward."""
-    calls = {"inverse": 0, "group": 0}
+    """A frame's verify inverts its stored section once, with no second
+    determinant check, and acts once, on the matrix: the stored canonical
+    tangent is checked against the acted first column, on the tangent's
+    pivot profile, the one profile the verify reads."""
+    calls = {"inverse": 0, "group": 0, "profile": 0, "apply": []}
     inverse, group_init = ratlin.inverse, groups.GroupElement.__init__
+    profile, apply = vectors.pivot_profile, groups.GroupElement.apply
 
     def counting_inverse(rows):
         calls["inverse"] += 1
@@ -742,16 +745,149 @@ def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
         calls["group"] += 1
         group_init(self, matrix, shift)
 
+    def counting_profile(v):
+        calls["profile"] += 1
+        return profile(v)
+
+    def recording_apply(self, target):
+        calls["apply"].append(type(target))
+        return apply(self, target)
+
     infile = write(tmp_path / "curve.json", QUINTIC)
     frame_path = tmp_path / "frame.json"
     assert main(["frame", "--in", infile, "--out", str(frame_path)]) == 0
     monkeypatch.setattr(ratlin, "inverse", counting_inverse)
     monkeypatch.setattr(groups.GroupElement, "__init__", counting_init)
+    monkeypatch.setattr(groups.GroupElement, "apply", recording_apply)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("affine_frames.") and vars(module).get("pivot_profile") is profile:
+            monkeypatch.setattr(module, "pivot_profile", counting_profile)
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(frame_path)])
     assert code == 0, err
     assert json.loads(out)["metadata"]["ok"] is True
-    # One for the stored section and one for its inverse; no section is built.
-    assert calls == {"inverse": 1, "group": 2}
+    # The stored section is the one element built; its inverse is not
+    # checked again, and no section is built.
+    assert calls == {"inverse": 1, "group": 1, "profile": 1, "apply": [vectors.PolyMatrix]}
+
+
+def _parent_is_section(tangent, g, w):
+    """The section check of the frame verify that acted twice, kept as a
+    reference: g maps the stored w to the tangent, and w has the canonical
+    shape on its own profile."""
+    w = vectors.PolyVector(w.components)
+    return (
+        g.dim == tangent.dim and w.dim == tangent.dim and g.apply(w) == tangent
+        and not equivariance.canonical_shape_violations(w)
+    )
+
+
+def _parent_verify_frame(doc, fields):
+    """The frame verify that acted twice, kept as a reference: the section
+    check, then ``verify_completion`` given the section only if it holds."""
+    tangent = frames.validate_curve(doc.vector)
+    yield "input_is_generic_curve", not isinstance(tangent, frames.CurveRejection)
+    if isinstance(tangent, frames.CurveRejection):
+        return
+    stored = frames.FrameResult(**fields)
+    is_section = _parent_is_section(tangent, stored.section, stored.canonical_tangent)
+    report = completion.verify_completion(
+        stored.matrix, tangent, stored.section if is_section else None
+    )
+    yield "matrix_reproducible", is_section and report.reproducible and (
+        stored.bezout_degree == report.minimal_degree - int(tangent.degree)
+    )
+    yield "first_column_is_tangent", report.first_column_matches
+    yield "determinant_is_one", report.determinant_one
+    yield "degree_is_minimal", report.minimal
+
+
+def _shear(rng, n):
+    """A determinant-one shear of size n, with a shift or without."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    i, j = rng.sample(range(n), 2)
+    rows[i][j] = rng.choice((-2, -1, 1, 2))
+    return groups.GroupElement(rows, rng.choice((0, 0, 1, Fraction(-1, 2))))
+
+
+def _tangent_moved(rng, fields):
+    w = fields["canonical_tangent"]
+    return fields | {"canonical_tangent": _shear(rng, w.dim).apply(w)}
+
+
+def _tangent_shifted(rng, fields):
+    w = fields["canonical_tangent"]
+    shift = groups.GroupElement(ratlin.identity(w.dim), rng.choice((1, -1, Fraction(1, 3))))
+    return fields | {"canonical_tangent": shift.apply(w)}
+
+
+def _first_column_changed(rng, fields):
+    first, second, *later = fields["matrix"].columns()
+    first = rng.choice((first + second, first + first))
+    return fields | {"matrix": vectors.PolyMatrix.from_columns([first, second, *later])}
+
+
+def _later_column_doubled(rng, fields):
+    columns = fields["matrix"].columns()
+    j = rng.randrange(1, len(columns))
+    columns[j] = columns[j] + columns[j]
+    return fields | {"matrix": vectors.PolyMatrix.from_columns(columns)}
+
+
+def _section_sheared(rng, fields):
+    g = fields["section"]
+    return fields | {"section": g.compose(_shear(rng, g.dim))}
+
+
+def _section_and_tangent_moved(rng, fields):
+    """g h with h^-1 w: the section still maps the stored w to the tangent,
+    and w's shape is then checked on the tangent's profile."""
+    g, w = fields["section"], fields["canonical_tangent"]
+    h = _shear(rng, g.dim)
+    return fields | {"section": g.compose(h), "canonical_tangent": h.inverse().apply(w)}
+
+
+def _section_of_another_size(rng, fields):
+    n = fields["section"].dim
+    return fields | {"section": _shear(rng, rng.choice((n - 1, n + 1)) if n > 2 else 3)}
+
+
+_FRAME_DAMAGES = {
+    "stored": lambda rng, fields: fields,
+    "tangent-moved": _tangent_moved,
+    "tangent-shifted": _tangent_shifted,
+    "first-column-changed": _first_column_changed,
+    "later-column-doubled": _later_column_doubled,
+    "section-sheared": _section_sheared,
+    "section-and-tangent-moved": _section_and_tangent_moved,
+    "section-of-another-size": _section_of_another_size,
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.sampled_from(sorted(_FRAME_DAMAGES)))
+def test_frame_verify_matches_the_two_action_reference(n, seed, damage):
+    """The frame verify that acts once gives the check list and the section
+    verdict of the reference that acted twice, on seeded frames (n = 2..4)
+    and damaged copies: the stored tangent moved by a shear or a shift, the
+    first column changed, a later column doubled, the section sheared (with
+    and without the tangent moved back to match), and a section of another
+    size."""
+    rng = random.Random(seed)
+    curve = random_generic_curve(rng, n, max_degree=n + 3)
+    doc = parse_curve_dict({"n": n, "coeffs": [
+        [format_rational(c) for c in component.coeffs] for component in curve
+    ]})
+    fields, _ = cli.COMMANDS["frame"].compute(doc, {})
+    stored = read_payload("frame", write_payload("frame", _FRAME_DAMAGES[damage](rng, fields)))
+    checks = list(cli._verify_frame(doc, stored))
+    assert checks == list(_parent_verify_frame(doc, stored))
+    assert all(passed for _, passed in checks) == (damage == "stored")
+    # The section verdict, which only a first column equal to the tangent
+    # shows in the checks.
+    tangent = frames.validate_curve(doc.vector)
+    g, w = stored["section"], stored["canonical_tangent"]
+    verdict, _ = frames.verify_frame(stored["matrix"], tangent, g, w)
+    assert verdict == _parent_is_section(tangent, g, w)
 
 
 def test_frame_inverts_no_matrix(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """The fraction-free elimination kernel against Fraction Gauss-Jordan."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affine_frames import Polynomial, PolyVector, build_sylvester, ratlin
+from affine_frames import GroupElement, Polynomial, PolyVector, build_sylvester, ratlin
+from conftest import random_group
 
 
 def _eliminate_fractions(work):
@@ -511,6 +513,45 @@ def test_determinant_matches_laplace_expansion(rows):
     determinant = ratlin.Echelon(rows).determinant
     assert type(determinant) is int
     assert determinant == _laplace(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: integer_rows(n, n)), st.booleans())
+@example([], False)
+@example([[0, 1], [0, 2]], False)  # a zero first column: a pivot lands right of n
+@example([[0, 2, 1], [0, 1, 0], [0, 3, 5]], True)
+@example([[1, 2], [3, 4]], False)  # last pivot -2
+@example([[0, 1, 0], [1, 0, 0], [0, 0, 1]], True)  # one row swap, last pivot -1
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]], True)  # rank 2
+@example([[3]], True)
+def test_inverse_matches_fraction_elimination(rows, rational):
+    """``ratlin.inverse`` of a square matrix, n = 0..5, integer or with row i
+    over i + 2: the transform of Fraction Gauss-Jordan on ``[M | I]``, a
+    two-sided inverse, and ``matrix is singular`` below full rank."""
+    n = len(rows)
+    rows = ratlin.freeze(
+        [[Fraction(x, i + 2) for x in row] for i, row in enumerate(rows)] if rational else rows
+    )
+    if _det_reference(rows) == 0:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            ratlin.inverse(rows)
+        return
+    inverse = ratlin.inverse(rows)
+    assert inverse == _rref_with_transform_reference(rows)[1]
+    assert all(type(x) is Fraction for row in inverse for x in row)
+    assert ratlin.mat_mul(rows, inverse) == ratlin.mat_mul(inverse, rows) == ratlin.identity(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1))
+def test_group_inverse_has_determinant_one(n, seed):
+    """The inverse of a random determinant-one element, built without a
+    second determinant check, composes with it to the identity both ways
+    and has determinant 1, by the kernel and by Fraction elimination."""
+    g = random_group(random.Random(seed), n)
+    inverse = g.inverse()
+    assert ratlin.det(inverse.matrix) == _det_reference(inverse.matrix) == 1
+    assert g.compose(inverse) == inverse.compose(g) == GroupElement.identity(n)
 
 
 @settings(max_examples=200, deadline=None)
