@@ -35,7 +35,6 @@ from .bezout import (
     _vector, bezout_column, bezout_degree_search, certified_basis, is_minimal_bezout,
     is_mu_basis, minimal_bezout, mu_basis,
 )
-from .groups import GroupElement
 from .poly import NEG_INF, Polynomial, integer_coefficients, integer_sum_of_products
 from .sylvester import SylvesterSystem, build_sylvester, integer_system
 from .vectors import PolyMatrix, PolyVector, RegularityError, outer_product
@@ -53,9 +52,7 @@ class Completion:
 class CompletionReport:
     """Outcome of checking a claimed completion against its vector.
 
-    ``reproducible`` says that the matrix is the one :func:`minimal_completion`
-    builds (for a frame, the section applied to the one it builds for the
-    canonical vector).
+    ``reproducible`` says that the matrix is the one :func:`minimal_completion` builds.
     """
 
     first_column_matches: bool
@@ -104,49 +101,36 @@ def minimal_completion(v: PolyVector) -> Completion:
     return _assemble(v, system, *bezout_column(system))
 
 
-def verify_completion(
-    m: PolyMatrix, v: PolyVector, section: GroupElement | None = None
-) -> CompletionReport:
+def verify_completion(m: PolyMatrix, v: PolyVector) -> CompletionReport:
     """Check first-column equality, determinant one, degree minimality, and
     whether ``m`` is the matrix :func:`minimal_completion` builds.
 
-    With a ``section`` g, ``m`` is checked as a frame: g applied to the
-    minimal completion of the canonical vector ``w = g^-1 . v``.  Acting by
-    g keeps the determinant and the column degrees, so the determinant and
-    the certificate are read off ``M = g^-1 . m``, whose first column is w
-    exactly when that of m is v.  g is inverted once and acts once, on m;
-    :func:`frames.verify_frame` reads the section's own check off the same
-    M.
-
-    The determinant is ``M[:, 0] . b`` for ``b = outer_product(M[:, 1:])``,
+    The determinant is ``m[:, 0] . b`` for ``b = outer_product(m[:, 1:])``,
     by Laplace expansion along the first column, and that b is also what
-    the certificate checks: M is the minimal completion exactly when b is
-    the minimal Bezout vector of w (:func:`is_minimal_bezout`) and the later
+    the certificate checks: m is the minimal completion exactly when b is
+    the minimal Bezout vector of v (:func:`is_minimal_bezout`) and the later
     columns are the µ-basis of b with the last one scaled
-    (:func:`is_mu_basis`), since ``w . b = 1`` pins that scale; each
-    ``b . M[:, i]``, i > 0, is a determinant with a repeated column, zero
-    without computing.  The certificate needs e, which the group leaves
-    alone, and A_w's pivots among its first ``n * (e + 1)`` columns.  One
-    :func:`bezout_degree_search` pass gives both, run on ``u = L^-1 . v``
-    for ``g = (L, s)`` (on v without a section): ``w(t) = u(t - s)``, so
-    ``A_w = S A_u U`` with S invertible and U unit upper triangular, and
-    their column prefixes have equal ranks.  With the first column v, b is
-    a Bezout vector of w, so ``deg b >= e`` bounds the pass.  Nothing is
+    (:func:`is_mu_basis`), since ``v . b = 1`` pins that scale; each
+    ``b . m[:, i]``, i > 0, is a determinant with a repeated column, zero
+    without computing.  The certificate needs e and A_v's pivots among its
+    first ``n * (e + 1)`` columns, both from one
+    :func:`bezout_degree_search` pass; with the first column v, b is a
+    Bezout vector of v, so ``deg b >= e`` bounds the pass.  Nothing is
     rebuilt.
 
     Raises as :func:`minimal_completion` does when v has no completion: on
     the zero vector, the oracle at determinant one, else ``v.is_coprime()``.
     """
-    degree = _degree(m, v)
-    first = m.column(0) == v
-    if section is None:
-        return _certificate(v, degree, first, m.columns())
-    inverse = section.inverse()
-    return _certificate(v, degree, first, inverse.apply(m).columns(), inverse)
+    return _certificate(m, v, m.columns(), v)
 
 
-def _degree(m: PolyMatrix, v: PolyVector) -> int:
-    """The degree of ``m``, refused as a completion of ``v`` when it is not
+def _certificate(
+    m: PolyMatrix, v: PolyVector, columns: list[PolyVector], u: PolyVector
+) -> CompletionReport:
+    """The report of :func:`verify_completion` on ``m`` as a completion of
+    ``v``, certified on ``columns`` with the degree oracle run on ``u``:
+    m's columns and v, or others that keep m's determinant, its certificate
+    and the column-prefix ranks of A_v.  m is refused first when it is not
     square of v's dimension or has a zero column."""
     if m.nrows != m.ncols:
         raise ValueError("completion matrix must be square")
@@ -155,26 +139,13 @@ def _degree(m: PolyMatrix, v: PolyVector) -> int:
     degree = m.degree
     if degree == NEG_INF:
         raise RegularityError("completion matrix has a zero column")
-    return int(degree)
-
-
-def _certificate(
-    v: PolyVector,
-    degree: int,
-    first: bool,
-    columns: list[PolyVector],
-    inverse: GroupElement | None = None,
-) -> CompletionReport:
-    """The report of :func:`verify_completion` on the columns of ``M =
-    inverse . m`` (of m without ``inverse``), m of ``degree``, whose first
-    column is v when ``first``."""
+    first = m.column(0) == v
     b = outer_product(columns[1:])
     pairing = columns[0].dot(b)
     det_one = pairing == Polynomial.one()
     minimal_degree, minimal = None, False
     if det_one:
         # The oracle rejects a zero or non-coprime v before its degree is read.
-        u = v if inverse is None else v.linear_map(inverse.matrix)
         e, pivots = bezout_degree_search(u, int(b.degree) if first else None)
         minimal_degree = e + int(v.degree)
         minimal = degree == minimal_degree
@@ -192,7 +163,7 @@ def _certificate(
     return CompletionReport(
         first_column_matches=first,
         determinant_one=det_one,
-        degree=degree,
+        degree=int(degree),
         minimal_degree=minimal_degree,
         minimal=minimal,
         reproducible=reproducible,

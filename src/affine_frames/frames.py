@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import CompletionReport, _certificate, _degree
+from .completion import CompletionReport, _certificate, verify_completion
 from .equivariance import canonical_shape_violations, equivariant_completion_with_section
 from .groups import GroupElement
 from .vectors import (
@@ -82,27 +82,35 @@ def verify_frame(
     m: PolyMatrix, tangent: PolyVector, g: GroupElement, w: PolyVector
 ) -> tuple[bool, CompletionReport]:
     """Whether ``g`` is the section of ``tangent`` with canonical vector
-    ``w``, and the report of :func:`completion.verify_completion` on ``m``
-    with the section g.  m is what :func:`moving_frame` builds exactly when
-    both hold and the Bezout degree matches the report's.
+    ``w``, and m's :class:`completion.CompletionReport` against the tangent,
+    whose ``reproducible`` says that m is g applied to the minimal
+    completion of ``g^-1 . tangent``.  m is what :func:`moving_frame` builds
+    exactly when both hold and the Bezout degree matches the report's.
 
     g is the section when it maps w to the tangent and w has the canonical
     shape: then section(w) = 1, and by equivariance section(tangent) = g.
-    A g of another size is none, and m is checked as it stands (any
-    determinant-one g reads the same first column, determinant and least
-    degree).  g is inverted once and acts once, on m: when m's first column
-    is the tangent, ``g . w`` is the tangent exactly when ``(g^-1 . m)[:, 0]``
-    is w, as the action is exact and invertible; otherwise w is mapped
-    forward.  The action keeps the pivot profile, so w's shape is checked
-    on the tangent's.
+    A g of another size is none, and :func:`completion.verify_completion`
+    checks m as it stands.  Else g is inverted once and acts once, on m,
+    and the certificate is read off ``M = g^-1 . m``, which has m's
+    determinant and column degrees.  When m's first column is the tangent,
+    ``g . w`` is the tangent exactly when ``M[:, 0]`` is w, as the action is
+    exact and invertible; otherwise w is mapped forward.  The action keeps
+    the pivot profile, so w's shape is checked on the tangent's.  The
+    degree oracle runs on ``u = L^-1 . tangent`` for ``g = (L, s)``: with
+    the tangent first in m, ``M[:, 0](t) = u(t - s)``, so its Sylvester
+    matrix is ``S A_u U`` with S invertible and U unit upper triangular, and
+    their column prefixes have equal ranks.
     """
     tangent = require_regular(tangent)
-    degree = _degree(m, tangent)
-    first = m.column(0) == tangent
-    if g.dim != tangent.dim:
-        return False, _certificate(tangent, degree, first, m.columns())
+    n = tangent.dim
+    # m of another shape is refused by verify_completion before any action.
+    if (g.dim, m.nrows, m.ncols) != (n, n, n):
+        return False, verify_completion(m, tangent)
     inverse = g.inverse()
     columns = inverse.apply(m).columns()
-    maps = w.dim == tangent.dim and (columns[0] == w if first else g.apply(w) == tangent)
+    report = _certificate(m, tangent, columns, tangent.linear_map(inverse.matrix))
+    maps = w.dim == n and (
+        columns[0] == w if report.first_column_matches else g.apply(w) == tangent
+    )
     is_section = maps and not canonical_shape_violations(RegularVector(w, tangent.profile))
-    return is_section, _certificate(tangent, degree, first, columns, inverse)
+    return is_section, report

@@ -782,18 +782,26 @@ def _parent_is_section(tangent, g, w):
 
 
 def _parent_verify_frame(doc, fields):
-    """The frame verify that acted twice, kept as a reference: the section
-    check, then ``verify_completion`` given the section only if it holds."""
+    """The frame verify that acted twice, kept as a reference in public
+    calls: the section check, ``verify_completion`` of m against the
+    tangent, and, only if the section check holds and m's first column is
+    the tangent, ``verify_completion`` of ``M = g^-1 . m`` against its own
+    first column w.  A_w and A_u, for ``u = L^-1 . v``, have the same
+    pivots on every column prefix, so this is the certificate that the
+    frame verify reads with the oracle run on u."""
     tangent = frames.validate_curve(doc.vector)
     yield "input_is_generic_curve", not isinstance(tangent, frames.CurveRejection)
     if isinstance(tangent, frames.CurveRejection):
         return
     stored = frames.FrameResult(**fields)
     is_section = _parent_is_section(tangent, stored.section, stored.canonical_tangent)
-    report = completion.verify_completion(
-        stored.matrix, tangent, stored.section if is_section else None
-    )
-    yield "matrix_reproducible", is_section and report.reproducible and (
+    report = completion.verify_completion(stored.matrix, tangent)
+    if report.first_column_matches and is_section:
+        moved = stored.section.inverse().apply(stored.matrix)
+        reproducible = completion.verify_completion(moved, moved.column(0)).reproducible
+    else:
+        reproducible = False
+    yield "matrix_reproducible", reproducible and (
         stored.bezout_degree == report.minimal_degree - int(tangent.degree)
     )
     yield "first_column_is_tangent", report.first_column_matches

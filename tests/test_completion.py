@@ -1,13 +1,16 @@
 """Unimodular completions: minimal, dual, and deliberately inflated."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
+    GroupElement,
     Polynomial,
     PolyMatrix,
     PolyVector,
@@ -15,10 +18,13 @@ from affine_frames import (
     build_sylvester,
     minimal_bezout,
     minimal_completion,
+    moving_frame,
     mu_basis,
     nonminimal_completion,
     quillen_suslin,
+    require_regular,
     verify_completion,
+    verify_frame,
 )
 from affine_frames import bezout, completion, poly, sylvester
 from affine_frames.poly import from_integers, integer_coefficients
@@ -340,3 +346,67 @@ def test_non_bezout_vector_is_caught(monkeypatch):
     monkeypatch.setattr(completion, "bezout_column", doubled)
     with pytest.raises(RegularityError, match="assembled matrix is not unimodular"):
         minimal_completion(SEXTIC)
+
+
+def _refusal_cases():
+    """(m, v, g, w) for each refusal, around the quartic tangent's frame."""
+    tangent = quartic_tangent()
+    frame = moving_frame(require_regular(tangent))
+    g, w, columns = frame.section, frame.canonical_tangent, frame.matrix.columns()
+    shared = vec((0, 1), (0, 0, 1), (0, 0, 0, 1))
+    one = vec((1,))
+    return {
+        "non-square": (PolyMatrix.from_columns(columns[:2]), tangent, g, w),
+        "non-square-wide": (PolyMatrix(frame.matrix.rows[:2]), tangent, g, w),
+        # g is of the tangent's size, so only the shape check stops the action.
+        "square-of-another-size": (PolyMatrix.identity(2), tangent, g, w),
+        "zero-column": (
+            PolyMatrix.from_columns([*columns[:2], columns[2].scale(p(0))]), tangent, g, w
+        ),
+        "one-dimensional": (PolyMatrix.identity(1), one, GroupElement.identity(1), one),
+        "shared-factor": (PolyMatrix.identity(3), shared, g, w),
+        "shared-factor-frame": (frame.matrix, shared, g, w),
+    }
+
+
+# The exception and message of each refusal, for verify_completion(m, v)
+# and verify_frame(m, v, g, w).  A frame's tangent is checked regular first.
+REFUSALS = {
+    "non-square": [(ValueError, "completion matrix must be square")] * 2,
+    "non-square-wide": [(ValueError, "completion matrix must be square")] * 2,
+    "square-of-another-size": [(ValueError, "matrix and vector dimensions differ")] * 2,
+    "zero-column": [(RegularityError, "completion matrix has a zero column")] * 2,
+    "one-dimensional": [
+        (RegularityError, "completion needs dimension at least 2"),
+        (RegularityError, "degree is below the dimension"),
+    ],
+    "shared-factor": [(RegularityError, "components share a nonconstant factor")] * 2,
+    "shared-factor-frame": [(RegularityError, "components share a nonconstant factor")] * 2,
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_verify_refusals_are_pinned(case):
+    """Each refusal keeps its exception type and message; the shape is
+    refused before the section acts on m."""
+    m, v, g, w = _refusal_cases()[case]
+    calls = (lambda: verify_completion(m, v), lambda: verify_frame(m, v, g, w))
+    for call, (kind, message) in zip(calls, REFUSALS[case]):
+        with pytest.raises(Exception) as raised:
+            call()
+        assert (type(raised.value), str(raised.value)) == (kind, message)
+
+
+def test_completion_imports_no_group():
+    """The completion layer is group-free: equivariance, the section and
+    the frame verify import it, and it imports none of them."""
+    tree = ast.parse(Path(completion.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.removeprefix("affine_frames.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "affine_frames"):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.removeprefix("affine_frames."))
+    assert imported.isdisjoint({"groups", "equivariance", "frames"}), imported
