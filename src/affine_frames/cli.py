@@ -101,22 +101,11 @@ def _verify_frame(doc: CurveDocument, fields: dict) -> Checks:
         return
     stored = FrameResult(**fields)
     _require_n_by_n(stored.matrix, doc, "frame")
-    is_section, report = verify_frame(
-        stored.matrix, tangent, stored.section, stored.canonical_tangent
-    )
-    reproducible = is_section and _is_minimal_completion(stored, report, tangent)
-    yield "matrix_reproducible", reproducible
+    report = verify_frame(stored, tangent)
+    yield "matrix_reproducible", report.reproducible
     yield "first_column_is_tangent", report.first_column_matches
     yield "determinant_is_one", report.determinant_one
     yield "degree_is_minimal", report.minimal
-
-
-def _is_minimal_completion(stored, report, v) -> bool:
-    """Whether a stored completion or frame, matrix and Bezout degree, is
-    what the library builds for v, by ``report``'s certificate."""
-    if not report.reproducible:
-        return False
-    return stored.bezout_degree == report.minimal_degree - int(v.degree)
 
 
 def _complete(doc: CurveDocument, options: dict) -> tuple[dict, dict]:
@@ -132,7 +121,9 @@ def _verify_completion(doc: CurveDocument, fields: dict) -> Checks:
     yield "first_column_matches", report.first_column_matches
     yield "determinant_is_one", report.determinant_one
     yield "degree_is_minimal", report.minimal
-    yield "matrix_reproducible", _is_minimal_completion(stored, report, doc.vector)
+    yield "matrix_reproducible", report.reproducible and (
+        stored.bezout_degree == report.minimal_degree - int(doc.vector.degree)
+    )
 
 
 def _bezout(doc: CurveDocument, options: dict) -> tuple[dict, dict]:

@@ -52,7 +52,9 @@ class Completion:
 class CompletionReport:
     """Outcome of checking a claimed completion against its vector.
 
-    ``reproducible`` says that the matrix is the one :func:`minimal_completion` builds.
+    ``reproducible`` says that the matrix is the one :func:`minimal_completion`
+    builds, from :func:`verify_completion`; from :func:`frames.verify_frame`,
+    that the whole stored frame is the one :func:`frames.moving_frame` builds.
     """
 
     first_column_matches: bool

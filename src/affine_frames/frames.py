@@ -13,7 +13,7 @@ section and one action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .completion import CompletionReport, _certificate, verify_completion
 from .equivariance import canonical_shape_violations, equivariant_completion_with_section
@@ -78,39 +78,34 @@ def moving_frame(tangent: RegularVector) -> FrameResult:
     )
 
 
-def verify_frame(
-    m: PolyMatrix, tangent: PolyVector, g: GroupElement, w: PolyVector
-) -> tuple[bool, CompletionReport]:
-    """Whether ``g`` is the section of ``tangent`` with canonical vector
-    ``w``, and m's :class:`completion.CompletionReport` against the tangent,
-    whose ``reproducible`` says that m is g applied to the minimal
-    completion of ``g^-1 . tangent``.  m is what :func:`moving_frame` builds
-    exactly when both hold and the Bezout degree matches the report's.
+def verify_frame(frame: FrameResult, tangent: PolyVector) -> CompletionReport:
+    """The :class:`completion.CompletionReport` of the frame's matrix m
+    against the tangent; its ``reproducible`` says that the whole frame is
+    what :func:`moving_frame` builds.
 
-    g is the section when it maps w to the tangent and w has the canonical
-    shape: then section(w) = 1, and by equivariance section(tangent) = g.
-    A g of another size is none, and :func:`completion.verify_completion`
-    checks m as it stands.  Else g is inverted once and acts once, on m,
-    and the certificate is read off ``M = g^-1 . m``, which has m's
-    determinant and column degrees.  When m's first column is the tangent,
-    ``g . w`` is the tangent exactly when ``M[:, 0]`` is w, as the action is
-    exact and invertible; otherwise w is mapped forward.  The action keeps
-    the pivot profile, so w's shape is checked on the tangent's.  The
-    degree oracle runs on ``u = L^-1 . tangent`` for ``g = (L, s)``: with
-    the tangent first in m, ``M[:, 0](t) = u(t - s)``, so its Sylvester
-    matrix is ``S A_u U`` with S invertible and U unit upper triangular, and
-    their column prefixes have equal ranks.
+    g is inverted once and acts once, on m, and the certificate is read off
+    ``M = g^-1 . m``, which has m's determinant and column degrees.  It
+    holds only with the tangent first in m, so ``g . w`` is the tangent
+    exactly when ``M[:, 0]`` is the stored w; with w of canonical shape
+    (checked on the tangent's profile, which the action keeps) g is then
+    the tangent's section.  The stored Bezout degree must be the least.
+    The degree oracle runs on ``u = L^-1 . tangent`` for ``g = (L, s)``:
+    ``M[:, 0](t) = u(t - s)``, so its Sylvester matrix is ``S A_u U`` with S
+    invertible and U unit upper triangular, of equal prefix ranks.  With a
+    g of another size m is checked as it stands and is not reproducible.
     """
     tangent = require_regular(tangent)
     n = tangent.dim
+    m, g, w = frame.matrix, frame.section, frame.canonical_tangent
     # m of another shape is refused by verify_completion before any action.
     if (g.dim, m.nrows, m.ncols) != (n, n, n):
-        return False, verify_completion(m, tangent)
+        return replace(verify_completion(m, tangent), reproducible=False)
     inverse = g.inverse()
     columns = inverse.apply(m).columns()
     report = _certificate(m, tangent, columns, tangent.linear_map(inverse.matrix))
-    maps = w.dim == n and (
-        columns[0] == w if report.first_column_matches else g.apply(w) == tangent
+    reproducible = report.reproducible and (
+        columns[0] == w
+        and not canonical_shape_violations(RegularVector(w, tangent.profile))
+        and frame.bezout_degree == report.minimal_degree - int(tangent.degree)
     )
-    is_section = maps and not canonical_shape_violations(RegularVector(w, tangent.profile))
-    return is_section, report
+    return replace(report, reproducible=reproducible)

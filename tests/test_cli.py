@@ -106,9 +106,9 @@ def test_frame_golden(tmp_path, capsys):
 
 
 def test_frame_checks_the_tangent_once(tmp_path, capsys, monkeypatch):
-    """One coprimality check and one pivot profile of the tangent, no rank,
-    and no Euclid: the modular certificate decides the coprime tangent."""
-    calls = {"is_coprime": 0, "poly_gcd": 0, "pivot_profile": 0, "rank": 0}
+    """One coprimality check and one pivot profile of the tangent, and no
+    Euclid: the modular certificate decides the coprime tangent."""
+    calls = {"is_coprime": 0, "poly_gcd": 0, "pivot_profile": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -123,11 +123,10 @@ def test_frame_checks_the_tangent_once(tmp_path, capsys, monkeypatch):
     for module in (vectors, frames, equivariance, cli):
         if hasattr(module, "pivot_profile"):
             monkeypatch.setattr(module, "pivot_profile", profile)
-    monkeypatch.setattr(ratlin, "rank", counting("rank", ratlin.rank))
     infile = write(tmp_path / "curve.json", QUINTIC)
     code, out, err = run(tmp_path, capsys, ["frame", "--in", infile])
     assert code == 0, err
-    assert calls == {"is_coprime": 1, "poly_gcd": 0, "pivot_profile": 1, "rank": 0}
+    assert calls == {"is_coprime": 1, "poly_gcd": 0, "pivot_profile": 1}
 
 
 def test_frame_deterministic(tmp_path, capsys):
@@ -403,28 +402,22 @@ def test_sylvester_dump(tmp_path, capsys):
 def test_sylvester_dump_eliminates_once(tmp_path, capsys, monkeypatch):
     """`sylvester --dump-pivots` and its verify each run one forward pass and
     read every reduced column, `reduced` included, off it."""
-    calls = {"echelon": 0, "rref": 0}
-    rref = ratlin.rref
+    calls = {"echelon": 0}
 
     class CountingEchelon(ratlin.Echelon):
         def __init__(self, rows):
             calls["echelon"] += 1
             super().__init__(rows)
 
-    def counting_rref(rows):
-        calls["rref"] += 1
-        return rref(rows)
-
     monkeypatch.setattr(ratlin, "Echelon", CountingEchelon)
-    monkeypatch.setattr(ratlin, "rref", counting_rref)
     infile = write(tmp_path / "vec.json", QUARTIC)
     outfile = str(tmp_path / "sylvester.json")
     assert main(["sylvester", "--dump-pivots", "--in", infile, "--out", outfile]) == 0
     assert "reduced" in json.loads(Path(outfile).read_text(encoding="utf-8"))["payload"]
-    assert calls == {"echelon": 1, "rref": 0}
+    assert calls == {"echelon": 1}
     assert main(["verify", "--in", outfile]) == 0
     assert json.loads(capsys.readouterr().out)["metadata"]["ok"] is True
-    assert calls == {"echelon": 2, "rref": 0}
+    assert calls == {"echelon": 2}
 
 
 @pytest.mark.parametrize(
@@ -770,6 +763,41 @@ def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
     assert calls == {"inverse": 1, "group": 1, "profile": 1, "apply": [vectors.PolyMatrix]}
 
 
+def test_frame_verify_maps_no_stored_tangent_forward(tmp_path, capsys, monkeypatch):
+    """A frame whose first column is not the tangent fails the certificate,
+    so its verify acts once, on the matrix, and checks no shape: the stored
+    canonical tangent is neither mapped forward nor shape-checked."""
+    calls = {"apply": 0, "shape": 0}
+    apply, shape = groups.GroupElement.apply, equivariance.canonical_shape_violations
+
+    def counting_apply(self, target):
+        calls["apply"] += 1
+        return apply(self, target)
+
+    def counting_shape(v):
+        calls["shape"] += 1
+        return shape(v)
+
+    infile = write(tmp_path / "curve.json", QUINTIC)
+    frame_path = tmp_path / "frame.json"
+    assert main(["frame", "--in", infile, "--out", str(frame_path)]) == 0
+    doc = json.loads(frame_path.read_text(encoding="utf-8"))
+    first, second, *later = read_payload("frame", doc["payload"])["matrix"].columns()
+    damaged = vectors.PolyMatrix.from_columns([first + second, second, *later])
+    doc["payload"].update(write_payload("frame", {"matrix": damaged}))
+    frame_path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(groups.GroupElement, "apply", counting_apply)
+    for name, module in list(sys.modules.items()):
+        found = vars(module).get("canonical_shape_violations")
+        if name.startswith("affine_frames.") and found is shape:
+            monkeypatch.setattr(module, "canonical_shape_violations", counting_shape)
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(frame_path)])
+    assert code == 2, err
+    failed = [c["name"] for c in json.loads(out)["metadata"]["checks"] if not c["passed"]]
+    assert failed == ["matrix_reproducible", "first_column_is_tangent"]
+    assert calls == {"apply": 1, "shape": 0}
+
+
 def _parent_is_section(tangent, g, w):
     """The section check of the frame verify that acted twice, kept as a
     reference: g maps the stored w to the tangent, and w has the canonical
@@ -874,8 +902,8 @@ _FRAME_DAMAGES = {
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(2, 4), st.integers(0, 2**32 - 1), st.sampled_from(sorted(_FRAME_DAMAGES)))
 def test_frame_verify_matches_the_two_action_reference(n, seed, damage):
-    """The frame verify that acts once gives the check list and the section
-    verdict of the reference that acted twice, on seeded frames (n = 2..4)
+    """``verify_frame`` of a stored frame, and the frame verify's check
+    list, give the reference's that acted twice, on seeded frames (n = 2..4)
     and damaged copies: the stored tangent moved by a shear or a shift, the
     first column changed, a later column doubled, the section sheared (with
     and without the tangent moved back to match), and a section of another
@@ -887,15 +915,13 @@ def test_frame_verify_matches_the_two_action_reference(n, seed, damage):
     ]})
     fields, _ = cli.COMMANDS["frame"].compute(doc, {})
     stored = read_payload("frame", write_payload("frame", _FRAME_DAMAGES[damage](rng, fields)))
-    checks = list(cli._verify_frame(doc, stored))
-    assert checks == list(_parent_verify_frame(doc, stored))
-    assert all(passed for _, passed in checks) == (damage == "stored")
-    # The section verdict, which only a first column equal to the tangent
-    # shows in the checks.
-    tangent = frames.validate_curve(doc.vector)
-    g, w = stored["section"], stored["canonical_tangent"]
-    verdict, _ = frames.verify_frame(stored["matrix"], tangent, g, w)
-    assert verdict == _parent_is_section(tangent, g, w)
+    reference = list(_parent_verify_frame(doc, stored))
+    assert list(cli._verify_frame(doc, stored)) == reference
+    assert all(passed for _, passed in reference) == (damage == "stored")
+    # The section's part of the verdict, which the reference checked apart
+    # and read only with the tangent first in m, is in ``reproducible``.
+    report = frames.verify_frame(frames.FrameResult(**stored), frames.validate_curve(doc.vector))
+    assert report.reproducible == dict(reference)["matrix_reproducible"]
 
 
 def test_frame_inverts_no_matrix(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
+    FrameResult,
     GroupElement,
     Polynomial,
     PolyMatrix,
@@ -370,7 +371,8 @@ def _refusal_cases():
 
 
 # The exception and message of each refusal, for verify_completion(m, v)
-# and verify_frame(m, v, g, w).  A frame's tangent is checked regular first.
+# and verify_frame of the frame (m, g, w) against v.  A frame's tangent is
+# checked regular first.
 REFUSALS = {
     "non-square": [(ValueError, "completion matrix must be square")] * 2,
     "non-square-wide": [(ValueError, "completion matrix must be square")] * 2,
@@ -390,7 +392,8 @@ def test_verify_refusals_are_pinned(case):
     """Each refusal keeps its exception type and message; the shape is
     refused before the section acts on m."""
     m, v, g, w = _refusal_cases()[case]
-    calls = (lambda: verify_completion(m, v), lambda: verify_frame(m, v, g, w))
+    frame = FrameResult(m, g, w, bezout_degree=0)
+    calls = (lambda: verify_completion(m, v), lambda: verify_frame(frame, v))
     for call, (kind, message) in zip(calls, REFUSALS[case]):
         with pytest.raises(Exception) as raised:
             call()

@@ -97,7 +97,8 @@ def _pivot_indices_reference(v):
     chosen, basis = [], []
     for col in range(int(v.degree), -1, -1):
         candidate = basis + [tuple(row[col] for row in coeffs)]
-        if ratlin.rank(candidate) > len(basis):
+        rank = len(ratlin.Echelon(ratlin.clear_denominators(candidate)[0]).pivots)
+        if rank > len(basis):
             basis = candidate
             chosen.append(col)
             if len(chosen) == v.dim:

@@ -1,7 +1,9 @@
 """The fraction-free elimination kernel against Fraction Gauss-Jordan."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -147,6 +149,11 @@ def _check_against_reference(rows):
     assert ratlin.rank(rows) == len(pivots)
     assert ratlin.mat_mul(transform, rows) == reduced
     assert _echelon(rows).pivots == expected_pivots
+    # E is the right block of one pass of the cleared [M | I], at any rank.
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    both = _echelon([(*row, *e) for row, e in zip(rows, ratlin.identity(nrows))])
+    right = both.columns(range(ncols, ncols + nrows))
+    assert ratlin.transpose(right) == _rref_with_transform_reference(rows)[1]
 
 
 def _check_columns_against_reference(rows, cols):
@@ -244,6 +251,37 @@ def test_shape_errors():
         ratlin.freeze([[1, 2], [3]])
     with pytest.raises(ValueError, match="dimension mismatch"):
         ratlin.mat_mul(ratlin.freeze([[1, 2]]), ratlin.freeze([[1, 2]]))
+
+
+_FULL_PASS_ROUTINES = {"rref", "rref_with_transform", "rank"}
+
+
+def test_no_module_reads_the_full_pass_routines():
+    """``rref``, ``rref_with_transform`` and ``rank`` are kept only as
+    references: no other module of the package imports them or reads them
+    off ``ratlin``; every caller runs :class:`ratlin.Echelon` and reads what
+    it needs.  An attribute of anything else, ``SylvesterSystem.rank`` say,
+    is not a read."""
+    package = Path(ratlin.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "ratlin.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("ratlin"):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name == "ratlin")
+            elif isinstance(node, ast.Import):
+                aliases.update(alias.asname or alias.name for alias in node.names
+                               if alias.name.endswith("ratlin"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in aliases:
+                    read.add(node.attr)
+        assert read.isdisjoint(_FULL_PASS_ROUTINES), (path.name, read & _FULL_PASS_ROUTINES)
 
 
 def clear_denominators_reference(rows):
