@@ -25,7 +25,8 @@ given vectors, each cleared once.
 Being the one member of a normal form, each result can be checked without
 being built: :func:`is_minimal_bezout` and :func:`is_mu_basis` read the
 conditions that single it out (Hong, Hough and Kogan 2017), given the pivot
-columns that :func:`bezout_degree_search` finds on its own.
+columns that :func:`bezout_degree_search` finds on its own and the
+pairings their callers computed.
 """
 
 from __future__ import annotations
@@ -235,34 +236,30 @@ def bezout_degree_search(
 
 
 def is_minimal_bezout(
-    v: PolyVector, b: PolyVector, degree: int, pivots: tuple[int, ...],
-    *, pairing: Polynomial | None = None,
+    b: PolyVector, degree: int, pivots: tuple[int, ...], pairing: Polynomial
 ) -> bool:
-    """Whether ``b`` is ``minimal_bezout(v).vector``, without building it.
+    """Whether ``b`` is ``minimal_bezout(v).vector``, without building it,
+    given the ``pairing`` ``v . b`` its caller computed.
 
     ``degree`` and ``pivots`` are what :func:`bezout_degree_search` returns
     for v (or the same pivots from another pass over A).  The minimal
     Bezout vector has that degree, pairs with v to one, and is supported on
     pivot columns of A; A's pivot columns are independent, so no other
-    vector does all three.  A caller that has ``v . b`` already passes it
-    as ``pairing``.
+    vector does all three.
     """
-    if b.degree != degree:
-        return False
-    if (v.dot(b) if pairing is None else pairing) != Polynomial.one():
+    if b.degree != degree or pairing != Polynomial.one():
         return False
     support = set(pivots)
     return all(j in support for j, x in enumerate(sharp(b, degree)) if x)
 
 
-def is_mu_basis(
-    w: PolyVector, elements, scaled_last: bool = False, *, pairings=None
-) -> bool:
-    """Whether ``elements`` are ``mu_basis(w).elements``, without building them.
+def is_mu_basis(w: PolyVector, elements, pairings, scaled_last: bool = False) -> bool:
+    """Whether ``elements`` are ``mu_basis(w).elements``, without building them,
+    given the ``pairings`` ``w . u_i`` their caller computed, paired with
+    the elements in order by a strict ``zip``.
 
     With ``scaled_last`` the last element may be any nonzero multiple of
-    that one, as in a completion.  A caller that has each ``w . u_i``
-    already passes them, in order, as ``pairings``.  Refuses w as :func:`mu_basis` does: the
+    that one, as in a completion.  Refuses w as :func:`mu_basis` does: the
     zero vector by :meth:`PolyVector.is_coprime`, before its degree is read.
 
     Let e be the degree of w and c_i the last nonzero index of the stacked
@@ -295,11 +292,9 @@ def is_mu_basis(
         or sum(c // n for c in last) != e
     ):
         return False
-    for i, (u, c) in enumerate(zip(elements, last)):
+    for i, (u, c, pairing) in enumerate(zip(elements, last, pairings, strict=True)):
         free = scaled_last and i == n - 2
-        if not (free or u[c % n].leading == 1):
-            return False
-        if not (w.dot(u) if pairings is None else pairings[i]).is_zero:
+        if not (free or u[c % n].leading == 1) or not pairing.is_zero:
             return False
         # The non-pivot columns are the c_j + n k; u has no other one.
         for j, x in enumerate(sharp(u, e)):

@@ -140,7 +140,7 @@ def _verify_bezout(doc: CurveDocument, fields: dict) -> Checks:
     yield "pairing_is_one", pairing == Polynomial.one()
     yield "degree_is_minimal", stored.vector.degree == degree
     yield "vector_reproducible", stored.degree == degree and is_minimal_bezout(
-        doc.vector, stored.vector, degree, pivots, pairing=pairing
+        stored.vector, degree, pivots, pairing
     )
 
 
@@ -164,7 +164,7 @@ def _verify_mubasis(doc: CurveDocument, fields: dict) -> Checks:
     proportional = outer_product(elements) == doc.vector.scale(stored.scale)
     yield "outer_product_proportional", proportional
     # The elements are mu_basis's; proportionality then pins its scale.
-    reproducible = is_mu_basis(doc.vector, elements, pairings=pairings)
+    reproducible = is_mu_basis(doc.vector, elements, pairings)
     yield "basis_reproducible", reproducible and proportional
 
 
@@ -208,7 +208,8 @@ def _verify_canonical(doc: CurveDocument, fields: dict) -> Checks:
     # always has, and serves that check.
     w = require_regular(stored, profile=pivot_profile(stored))
     canonical = not canonical_shape_violations(w)
-    # As verify_frame's section check, with the shape checked once.
+    # g is v's section when w = g^-1 . v has the canonical shape, as in
+    # _verify_section; here w is stored, so g . w = v is what is checked.
     yield "vector_reproducible", canonical and g.dim == v.dim and g.apply(w) == v
     yield "shape_constraints_hold", canonical
     yield "section_is_identity", canonical

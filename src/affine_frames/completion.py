@@ -157,9 +157,9 @@ def _certificate(
     if not det_one and not v.is_coprime():
         raise RegularityError("components share a nonconstant factor")
     reproducible = det_one and first and (
-        is_minimal_bezout(columns[0], b, e, pivots, pairing=pairing)
+        is_minimal_bezout(b, e, pivots, pairing)
         and is_mu_basis(
-            b, columns[1:], scaled_last=True, pairings=[Polynomial.zero()] * (v.dim - 1)
+            b, columns[1:], [Polynomial.zero()] * (v.dim - 1), scaled_last=True
         )
     )
     return CompletionReport(

@@ -36,7 +36,7 @@ from typing import Callable
 from . import ratlin
 from .completion import Completion, minimal_completion
 from .groups import GroupElement
-from .poly import from_shifted, integer_coefficients, taylor_shift
+from .poly import from_integers, integer_coefficients, taylor_shift
 from .vectors import PivotProfile, pivot_profile  # re-exported with the sections
 from .vectors import PolyMatrix, PolyVector, RegularVector, require_regular
 
@@ -136,7 +136,7 @@ def section_and_canonical(v: PolyVector) -> tuple[GroupElement, RegularVector]:
     factors = [(b ** (last - c), pivot) for c in first]
     factors.append((det.numerator, pivot * det.denominator))
     canonical = (
-        from_shifted([x[m] * num for x in solved], den, b)
+        from_integers([x[m] * num for x in solved], den, b)
         for m, (num, den) in enumerate(factors)
     )
     return g, RegularVector(canonical, v.profile)

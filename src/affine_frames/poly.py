@@ -8,18 +8,17 @@ absorbingly under ``max`` and addition, never an integer.
 Sums, products, pairings and the Taylor shift run on integers: coefficients
 go over the lcm of their denominators (:func:`ratlin.clear_denominators`,
 the one clearing helper, which every elimination uses too), the inner loops
-multiply and add integers, and each output coefficient becomes one
-``Fraction`` at the end.  :func:`taylor_shift` is the one integer Taylor
-shift (Horner's, by the numerator of s, on coefficients scaled by powers of
-its denominator); :meth:`Polynomial.shift`, the group action and the
-section pass all run it on cleared coefficients, and :func:`from_shifted`
-divides its output once per coefficient.  :func:`sum_of_products` is the
-one kernel for ``sum(a_i * b_i)``: ``*`` calls it with one pair, ``+`` and
-``-`` with two and the unit weights, ``PolyVector.dot`` and
-``PolyMatrix.__matmul__`` with n.  Its integer loop,
-:func:`integer_sum_of_products`, also serves callers that hold cleared
-coefficients already.  Multiplying by a number scales each coefficient.
-:func:`horner` is the integer Horner.
+multiply and add integers, and :func:`from_integers`, the one way back,
+makes each output coefficient one ``Fraction``.  :func:`taylor_shift` is
+the one integer Taylor shift (Horner's, by the numerator of s, on
+coefficients scaled by powers of its denominator b); :meth:`Polynomial.shift`,
+the group action and the section pass run it and pass b to
+:func:`from_integers`.  :func:`sum_of_products` is the one kernel for
+``sum(a_i * b_i)``: ``*`` calls it with one pair, ``+`` and ``-`` with two
+and the unit weights, ``PolyVector.dot`` and ``PolyMatrix.__matmul__``
+with n.  Its integer loop, :func:`integer_sum_of_products`, also serves
+callers that hold cleared coefficients already.  Multiplying by a number
+scales each coefficient.  :func:`horner` is the integer Horner.
 :func:`integer_gcd` is the one Euclid, by pseudo-remainders on integers,
 reduced mod a prime or divided by their content; a polynomial divides only
 by a number, and :func:`poly_gcd` is the exact run made monic.  A gcd mod a
@@ -155,12 +154,12 @@ class Polynomial:
     def shift(self, s: Scalar) -> "Polynomial":
         """Reparametrized polynomial ``p(t + s)``: :func:`taylor_shift` of
         the coefficients over the lcm ``L`` of their denominators, and one
-        Fraction per coefficient (:func:`from_shifted`)."""
+        Fraction per coefficient (:func:`from_integers` with s's denominator)."""
         s = Fraction(s)
         if s == 0 or not self.coeffs:
             return self
         [work], scale = integer_coefficients([self])
-        return from_shifted(taylor_shift(work, s, len(work) - 1), scale, s.denominator)
+        return from_integers(taylor_shift(work, s, len(work) - 1), scale, s.denominator)
 
     def derivative(self) -> "Polynomial":
         return Polynomial(i * c for i, c in enumerate(self.coeffs) if i > 0)
@@ -272,28 +271,17 @@ def taylor_shift(coeffs: Sequence[int], s: Fraction, degree: int) -> list[int]:
     return work + [0] * (degree - top)
 
 
-def from_shifted(nums: Sequence[int], scale: int, b: int) -> Polynomial:
-    """The polynomial with coefficients ``nums[k] / (scale * b**(D - k))``,
-    ``D = len(nums) - 1``: a :func:`taylor_shift` of coefficients that were
-    over ``scale``, one Fraction per nonzero coefficient."""
-    out, den = [], scale
+def from_integers(nums: Sequence[int], den: int, b: int = 1) -> Polynomial:
+    """The polynomial with coefficients ``nums[k] / (den * b**(D - k))``,
+    ``D = len(nums) - 1``, for any nonzero ``den`` (``Fraction`` normalizes
+    the sign): one Fraction per nonzero coefficient, ``nums`` unchanged.  A
+    :func:`taylor_shift` by ``a/b`` of coefficients over ``den`` passes b."""
+    coeffs: list[Fraction] = []
     for x in reversed(nums):
-        if x or out:
-            out.append(Fraction(x, den) if x else _ZERO)
+        if x or coeffs:
+            coeffs.append(Fraction(x, den) if x else _ZERO)
         den *= b
-    return _trusted(out[::-1])
-
-
-def from_integers(nums: list[int], den: int) -> Polynomial:
-    """The polynomial with coefficients ``nums[i] / den``, for any nonzero
-    ``den``: ``Fraction`` normalizes the sign."""
-    while nums and not nums[-1]:
-        nums.pop()
-    return _trusted([Fraction(c, den) if c else _ZERO for c in nums])
-
-
-def _trusted(coeffs: list[Fraction]) -> Polynomial:
-    """Polynomial of Fractions whose last one is nonzero, without conversions."""
+    coeffs.reverse()
     out = Polynomial.__new__(Polynomial)
     object.__setattr__(out, "coeffs", tuple(coeffs))
     return out

@@ -46,7 +46,7 @@ from typing import Iterable, Sequence
 
 from . import ratlin
 from .poly import (
-    Polynomial, Scalar, _coerce, divides, from_integers, from_shifted, horner,
+    Polynomial, Scalar, _coerce, divides, from_integers, horner,
     integer_coefficients, integer_gcd, poly_gcd, rational_lift, sum_of_products,
     taylor_shift,
 )
@@ -314,7 +314,7 @@ def map_columns(
     ``shift = a/b`` to its degree D (:func:`poly.taylor_shift`), which puts
     coefficient k of every component over ``L * b**(D - k)``.  The integer
     matrix maps it, and each output coefficient is one division by
-    ``R * L * b**(D - k)`` (:func:`poly.from_shifted`).
+    ``R * L * b**(D - k)`` (:func:`poly.from_integers` with b).
     """
     rows, matrix_scale = ratlin.clear_denominators(matrix)
     b = shift.denominator
@@ -333,7 +333,7 @@ def map_columns(
                 if x:
                     for k, c in enumerate(comp):
                         acc[k] += x * c
-            mapped.append(from_shifted(acc, scale, b))
+            mapped.append(from_integers(acc, scale, b))
         out.append(mapped)
     return out
 

@@ -227,7 +227,7 @@ def test_certificates_refuse_what_rebuilding_refused(v):
         assert _outcome(lambda: verify_completion(m, v)) == expected
     expected = _outcome(lambda: mu_basis(v))
     assert expected is not None
-    assert _outcome(lambda: is_mu_basis(v, ())) == expected
+    assert _outcome(lambda: is_mu_basis(v, (), ())) == expected
 
 
 def section_variants(g: GroupElement, rng):
@@ -320,13 +320,31 @@ U1, U2 = vec((0, 1), (-1,), (0,)), vec((0,), (0, 1), (-1,))
     ],
 )
 def test_mu_basis_certificate_conditions(elements, scaled_last, expected):
-    assert is_mu_basis(W, elements, scaled_last) is expected
+    pairings = [W.dot(u) for u in elements]
+    assert is_mu_basis(W, elements, pairings, scaled_last) is expected
+
+
+def test_mu_basis_certificate_reads_the_given_pairings():
+    """The certificate trusts the pairings it is given: a nonzero one
+    refuses the µ-basis, and a list of another length raises."""
+    zero = Polynomial.zero()
+    assert is_mu_basis(W, (U1, U2), [zero, zero])
+    assert not is_mu_basis(W, (U1, U2), [zero, p(1)])
+    assert not is_mu_basis(W, (U1, U2), [p(0, 1), zero])
+    for pairings in ([zero], [zero] * 3):
+        with pytest.raises(ValueError):
+            is_mu_basis(W, (U1, U2), pairings)
 
 
 def test_minimal_bezout_certificate_conditions():
     degree, pivots = bezout_degree_search(W)
     assert (degree, pivots) == (0, (0, 1, 2))
-    assert is_minimal_bezout(W, vec((1,), (0,), (0,)), degree, pivots)
-    assert not is_minimal_bezout(W, vec((1,), (0,), (0,)), degree, (1, 2))
-    assert not is_minimal_bezout(W, vec((1,), (0,), (0,)).scale(2), degree, pivots)
-    assert not is_minimal_bezout(W, vec((1,), (0,), (0,)) + U1, degree, pivots)
+    e1 = vec((1,), (0,), (0,))
+    assert is_minimal_bezout(e1, degree, pivots, W.dot(e1))
+    assert not is_minimal_bezout(e1, degree, (1, 2), W.dot(e1))
+    assert not is_minimal_bezout(e1.scale(2), degree, pivots, W.dot(e1.scale(2)))
+    assert not is_minimal_bezout(e1 + U1, degree, pivots, W.dot(e1 + U1))
+    # The certificate trusts the pairing it is given: the pivot-supported
+    # vector of the least degree is refused with any pairing other than one.
+    for pairing in (Polynomial.zero(), p(2), p(1, 1)):
+        assert not is_minimal_bezout(e1, degree, pivots, pairing)

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import NEG_INF, Polynomial, poly_gcd
 from affine_frames.poly import (
-    divides, from_integers, from_shifted, integer_gcd, rational_lift, taylor_shift,
+    divides, from_integers, integer_gcd, rational_lift, taylor_shift,
 )
 from affine_frames.vectors import PRIME
 
@@ -62,6 +62,27 @@ def test_from_integers_takes_a_signed_denominator(nums, den):
     assert all(
         (x is y) == (x == 0) for x, y in zip(flipped.coeffs, negated.coeffs)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70)), max_size=8),
+    st.integers(-30, 30).filter(bool),
+    st.integers(1, 5),
+)
+@example([], 3, 2)
+@example([0, 0, 0], -4, 3)
+@example([0, 5, 0, 0], 6, 2)
+def test_from_integers_matches_fraction_reference(nums, den, b):
+    """Coefficient k is ``nums[k] / (den * b**(D - k))``, D counting the
+    trailing zeros, which are then trimmed; ``nums`` is left unchanged."""
+    given_nums = list(nums)
+    out = from_integers(nums, den, b)
+    top = len(nums) - 1
+    expected = Polynomial(Fraction(x, den * b ** (top - k)) for k, x in enumerate(nums))
+    assert out.coeffs == expected.coeffs
+    assert all(type(c) is Fraction for c in out.coeffs)
+    assert nums == given_nums
 
 
 def test_degree_and_zero_sentinel():
@@ -188,8 +209,8 @@ def test_taylor_shift_to_any_degree_matches_fraction_horner(nums, s, extra):
     assert len(shifted) == degree + 1
     assert all(type(x) is int for x in shifted)
     expected = shift_reference(Polynomial(nums), s)
-    assert from_shifted(shifted, 1, s.denominator) == expected
-    assert from_shifted([3 * x for x in shifted], 3, s.denominator) == expected
+    assert from_integers(shifted, 1, s.denominator) == expected
+    assert from_integers([3 * x for x in shifted], 3, s.denominator) == expected
 
 
 @settings(max_examples=100, deadline=None)

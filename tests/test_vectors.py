@@ -398,9 +398,11 @@ def test_is_coprime_with_a_factor_past_the_lift(v):
 def factors_modulo_the_prime(draw):
     """2 to 4 nonzero rational bases, each times its own t + k * PRIME: the
     components share t modulo ``PRIME`` but not over Q, unless the bases
-    share a factor."""
+    share a factor.  A zero base becomes 1: filtering zeros out of a list
+    of fixed size fails hypothesis's filter health check at some seeds."""
     ks = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True))
-    bases = draw(st.lists(polynomials_up_to(5).filter(bool), min_size=len(ks), max_size=len(ks)))
+    nonzero = polynomials_up_to(5).map(lambda base: base or Polynomial.one())
+    bases = draw(st.lists(nonzero, min_size=len(ks), max_size=len(ks)))
     return PolyVector(base * Polynomial([k * PRIME, 1]) for base, k in zip(bases, ks))
 
 
@@ -857,7 +859,7 @@ ZERO_REFUSERS = {
     "bezout_degree_search_bounded": lambda v: bezout_degree_search(v, 1),
     "minimal_bezout": minimal_bezout,
     "mu_basis": mu_basis,
-    "is_mu_basis": lambda v: is_mu_basis(v, ()),
+    "is_mu_basis": lambda v: is_mu_basis(v, (), ()),
     "minimal_completion": minimal_completion,
     "quillen_suslin": quillen_suslin,
     "verify_completion": lambda v: verify_completion(PolyMatrix.identity(v.dim), v),
