@@ -31,11 +31,12 @@ from .io import (
     format_rational,
     parse_curve_dict,
 )
-from .poly import Polynomial
+from .poly import Polynomial, from_integers, integer_coefficients, integer_sum_of_products
 from .svg import render_plot
 from .sylvester import build_sylvester
 from .vectors import (
-    PolyMatrix, RegularityError, RegularVector, outer_product, pivot_profile, require_regular,
+    PolyMatrix, RegularityError, RegularVector, outer_product, outer_product_is_multiple,
+    pivot_profile, require_regular,
 )
 from .groups import GroupElement
 
@@ -156,15 +157,28 @@ def _verify_mubasis(doc: CurveDocument, fields: dict) -> Checks:
     elements = stored.elements
     if len(elements) != doc.n - 1 or any(u.dim != doc.n for u in elements):
         raise DocumentError("mubasis elements do not match the curve dimension")
-    pairings = [doc.vector.dot(u) for u in elements]
-    yield "elements_are_syzygies", all(pairing.is_zero for pairing in pairings)
+    left, scale = integer_coefficients(doc.vector.components)
+    cleared = [integer_coefficients(u.components) for u in elements]
+    pairings = [
+        from_integers(integer_sum_of_products(left, comps), scale * den)
+        for comps, den in cleared
+    ]
+    syzygies = all(pairing.is_zero for pairing in pairings)
+    yield "elements_are_syzygies", syzygies
     degrees = [u.degree for u in elements]
     yield "degrees_ascending", degrees == sorted(degrees)
     yield "degrees_sum_to_input", sum(degrees) == doc.vector.degree
-    proportional = outer_product(elements) == doc.vector.scale(stored.scale)
+    # Before the one-minor test, which needs a coprime v: a zero or
+    # non-coprime input is refused here as mu_basis refuses it.
+    reproducible = is_mu_basis(doc.vector, elements, pairings)
+    if syzygies:
+        proportional = outer_product_is_multiple(left, scale, cleared, stored.scale)
+    else:
+        # u . v != 0 = u . outer_product for a non-syzygy u, so no r != 0
+        # fits, and r = 0 holds only if the product is zero.
+        proportional = outer_product(elements) == doc.vector.scale(stored.scale)
     yield "outer_product_proportional", proportional
     # The elements are mu_basis's; proportionality then pins its scale.
-    reproducible = is_mu_basis(doc.vector, elements, pairings)
     yield "basis_reproducible", reproducible and proportional
 
 

@@ -21,6 +21,9 @@ shifted one.
 :meth:`ratlin.Echelon.cofactors` of one integer pass per point are all n
 signed minors there, and each is interpolated once.  A determinant is the
 Laplace pairing of its first column with the outer product of the others.
+Whether syzygies of a coprime vector have an outer product r times it,
+:func:`outer_product_is_multiple` reads off one of those minors at as few
+points as the quotient's degree needs, with no interpolation.
 
 :meth:`PolyVector.is_coprime` decides unit gcd by two certificates read off
 one modular gcd, with denominators cleared and the prime ``PRIME`` not
@@ -40,8 +43,10 @@ integer Euclid, :func:`poly.integer_gcd`: mod ``PRIME``, then over Z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from typing import Iterable, Sequence
 
 from . import ratlin
@@ -399,11 +404,59 @@ def outer_product(vectors: Sequence[PolyVector]) -> PolyVector:
         comps, scale = integer_coefficients(row)
         work.append([e[::-1] for e in comps])
         denominator *= scale
-    values = [
-        ratlin.Echelon([[horner(e, x) for e in row] for row in work]).cofactors()
-        for x in range(bound + 1)
-    ]
+    values = [_cofactors_at(work, x) for x in range(bound + 1)]
     return PolyVector(_interpolate(column, denominator) for column in zip(*values))
+
+
+def _cofactors_at(work: Sequence[Sequence[Sequence[int]]], x: int) -> tuple[int, ...]:
+    """The n signed minors at x of n-1 rows of integer polynomials, each
+    given highest power first: the :meth:`ratlin.Echelon.cofactors` of one
+    pass of their values."""
+    return ratlin.Echelon([[horner(e, x) for e in row] for row in work]).cofactors()
+
+
+def outer_product_is_multiple(
+    left: Sequence[Sequence[int]],
+    scale: int,
+    cleared: Sequence[tuple[Sequence[Sequence[int]], int]],
+    r: Fraction,
+) -> bool:
+    """Whether ``outer_product(us) == r * v`` for syzygies u_j of a coprime
+    v, read off one minor at as few points as its degree needs.
+
+    v is ``left / scale`` and u_j is ``cleared[j]``, both as
+    :func:`poly.integer_coefficients` gives them (coefficient lists, lowest
+    power first, over their lcm); every pairing ``v . u_j`` must be 0.
+
+    w = ``outer_product(us)`` is orthogonal to every u_j (``w . u_j`` is a
+    determinant with a repeated column), and so is v.  Independent u_j
+    leave a line of such vectors over Q(t), so ``w = (p / q) v`` for
+    coprime polynomials p and q; q divides every ``p v_k``, so ``gcd(v) =
+    1`` makes q a constant and p a polynomial.  Dependent u_j give ``w = 0
+    = 0 v``.  Let v_i have the full degree d and B_i bound minor i
+    (:func:`_degree_bound`): ``w_i = p v_i`` gives ``deg p <= B_i - d``
+    for a nonzero p.  So ``p - r`` has degree at most ``max(B_i - d, 0)``,
+    and ``w == r v`` exactly when ``p(x) = w_i(x) / v_i(x)`` is r at one
+    more integer point x with ``v_i(x) != 0`` than that, w_i(x) being
+    cofactor i of one pass of the syzygies' values, as in
+    :func:`outer_product`.  Syzygies whose degrees sum to d have ``B_i <=
+    d``, so one point decides.
+    """
+    d = max(map(len, left)) - 1
+    if d < 0:  # no point would be found
+        raise RegularityError("vector is zero")
+    degrees = [[len(c) - 1 for c in comps] for comps, _ in cleared]
+    bound, i = min(
+        (_degree_bound([row[:k] + row[k + 1:] for row in degrees]), k)
+        for k, c in enumerate(left) if len(c) == d + 1
+    )
+    work = [[c[::-1] for c in comps] for comps, _ in cleared]
+    top = left[i][::-1]
+    points = islice((x for x in count() if horner(top, x)), max(bound - d, 0) + 1)
+    # w_i(x) is the cofactor over the product of the u_j's scales and v_i(x)
+    # is horner(top, x) over scale; cross-multiplied, p(x) = r reads:
+    lhs, rhs = scale * r.denominator, r.numerator * math.prod(den for _, den in cleared)
+    return all(_cofactors_at(work, x)[i] * lhs == rhs * horner(top, x) for x in points)
 
 
 @dataclass(frozen=True)

@@ -656,12 +656,16 @@ def test_plot_params_may_start_with_a_negative_value(tmp_path, capsys):
     assert len(svgs) == 1
 
 
-@pytest.mark.parametrize("command, curve", [("frame", QUINTIC), ("complete", QUARTIC)])
+@pytest.mark.parametrize("command, curve", [
+    ("frame", QUINTIC), ("complete", QUARTIC), ("mubasis", QUARTIC), ("mubasis", WIDE_RATIONAL),
+])
 def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curve):
     """A result is built without a determinant or an outer product (the
-    µ-basis scale comes from its leading-vector certificate); its verify
-    takes exactly one determinant, the first column against one outer
-    product of the others, and no polynomial determinant."""
+    µ-basis scale comes from its leading-vector certificate).  A frame or
+    completion verify takes exactly one determinant, the first column
+    against one outer product of the others, and no polynomial determinant.
+    A µ-basis verify reads its scale off one minor, with no outer product,
+    unless an element is not a syzygy."""
     calls = {"determinant": 0, "outer_product": 0}
     determinant, outer_product = vectors.PolyMatrix.determinant, vectors.outer_product
 
@@ -685,7 +689,17 @@ def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curv
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result)])
     assert code == 0, err
     assert json.loads(out)["metadata"]["ok"] is True
-    assert calls == {"determinant": 0, "outer_product": 1}
+    assert calls == {"determinant": 0, "outer_product": int(command != "mubasis")}
+    if command == "mubasis":
+        doc = json.loads(result.read_text(encoding="utf-8"))
+        n = doc["payload"]["input"]["n"]
+        doc["payload"]["elements"][0] = {"coeffs": [["1"]] + [["0"]] * (n - 1)}
+        write(result, doc)
+        code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result)])
+        assert code == 2, err
+        checks = {c["name"]: c["passed"] for c in json.loads(out)["metadata"]["checks"]}
+        assert checks["elements_are_syzygies"] is False
+        assert calls == {"determinant": 0, "outer_product": 1}
 
 
 @pytest.mark.parametrize("command, curve", [
@@ -1017,23 +1031,41 @@ def test_verify_builds_no_section(tmp_path, capsys, monkeypatch, command, source
 ])
 def test_verify_computes_each_pairing_once(tmp_path, capsys, monkeypatch, command, source):
     """No ``verify`` pairs the same two vectors twice: the pairing of the
-    input with a stored Bezout vector or syzygy, or of a completion's first
-    column with the outer product of the others, serves every check."""
+    input with a stored Bezout vector, or of a completion's first column
+    with the outer product of the others, serves every check.  A µ-basis
+    verify clears the input once and pairs it with each syzygy once, on
+    integers."""
     infile = write(tmp_path / "in.json", source)
     result = str(tmp_path / "result.json")
     assert main([command, "--in", infile, "--out", result]) == 0
-    pairs = []
+    pairs, cleared, paired = [], [], []
     original = vectors.PolyVector.dot
+    clear, pair = cli.integer_coefficients, cli.integer_sum_of_products
 
     def pairing(self, other):
         pairs.append((self, other))
         return original(self, other)
 
+    def clearing(polys):
+        cleared.append(tuple(polys))
+        return clear(polys)
+
+    def integer_pairing(lefts, rights):
+        paired.append(tuple(map(tuple, rights)))
+        return pair(lefts, rights)
+
     monkeypatch.setattr(vectors.PolyVector, "dot", pairing)
+    monkeypatch.setattr(cli, "integer_coefficients", clearing)
+    monkeypatch.setattr(cli, "integer_sum_of_products", integer_pairing)
     capsys.readouterr()
     code, out, err = run(tmp_path, capsys, ["verify", "--in", result])
     assert code == 0, err
-    assert pairs and len(set(pairs)) == len(pairs)
+    if command == "mubasis":
+        v = parse_curve_dict(source).vector.components
+        assert pairs == [] and cleared.count(v) == 1 and len(cleared) == source["n"]
+        assert len(set(paired)) == len(paired) == source["n"] - 1
+    else:
+        assert pairs and len(set(pairs)) == len(pairs)
 
 
 @pytest.mark.parametrize("coeffs, error", [
@@ -1348,6 +1380,26 @@ def test_verify_a_mubasis_with_its_last_element_and_scale_doubled(tmp_path, caps
     assert code == 2, err
     checks = json.loads(out)["metadata"]["checks"]
     assert [c["name"] for c in checks if not c["passed"]] == ["basis_reproducible"]
+
+
+@pytest.mark.parametrize("source, error", [
+    ({"n": 3, "coeffs": [["0"], ["0"], ["0"]]}, "vector is zero"),
+    (PLANTED, "components share a nonconstant factor"),
+], ids=["zero", "shared-factor"])
+def test_mubasis_verify_refuses_the_input_before_reading_the_scale(
+    tmp_path, capsys, source, error
+):
+    """A stored µ-basis whose input is zero or has a shared factor is
+    refused with the message rebuilding gave, not read as a scale."""
+    infile = write(tmp_path / "in.json", QUARTIC)
+    result_path = tmp_path / "result.json"
+    assert main(["mubasis", "--in", infile, "--out", str(result_path)]) == 0
+    doc = json.loads(result_path.read_text(encoding="utf-8"))
+    doc["payload"]["input"] = source
+    write(result_path, doc)
+    capsys.readouterr()
+    code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
+    assert (code, out, err) == (2, "", json.dumps({"error": error}) + "\n")
 
 
 def test_verify_a_nonminimal_completion(tmp_path, capsys):

@@ -829,6 +829,64 @@ def test_minors_share_one_evaluation_loop(monkeypatch):
     assert calls == one_outer_product
 
 
+_SMALL = st.fractions(-9, 9, max_denominator=6)
+
+
+@st.composite
+def syzygies_and_scales(draw):
+    """A coprime v of dimension 2..5, syzygies of it and a scale r.
+
+    One component has the full degree d; with ``roots`` it is
+    ``t (t - 1) a(t)`` and the others are of lower degree, so the one
+    full-degree minor is read past the roots 0 and 1.  The syzygies are the
+    µ-basis as it is, ``non-reduced`` (last + t^k first: the degrees sum
+    past d, so several points decide), ``times t - 1`` (a nonconstant
+    quotient) or ``dependent`` (a zero outer product).  r is the basis
+    scale, twice it, 0 or its negative.
+    """
+    n = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from(("plain", "roots")))
+    d = draw(st.integers(2 if shape == "roots" else 1, 4))
+    if shape == "roots":
+        lead = Polynomial([0, -1, 1]) * Polynomial(
+            draw(st.lists(_SMALL, min_size=d - 2, max_size=d - 2)) + [draw(_SMALL.filter(bool))]
+        )
+        size = d
+    else:
+        lead = Polynomial(draw(st.lists(_SMALL, min_size=d, max_size=d)) + [1])
+        size = d + 1
+    others = draw(st.lists(st.lists(_SMALL, max_size=size).map(Polynomial),
+                           min_size=n - 1, max_size=n - 1))
+    at = draw(st.integers(0, n - 1))
+    v = PolyVector(others[:at] + [lead] + others[at:])
+    assume(v.is_coprime())
+    basis = mu_basis(v)
+    us = list(basis.elements)
+    change = draw(st.sampled_from(("basis", "non-reduced", "times t - 1", "dependent")))
+    if change == "non-reduced" and n >= 3:
+        k = draw(st.integers(0, 3))
+        us[-1] = us[-1] + us[0].scale(Polynomial([0] * k + [1]))
+    elif change == "times t - 1":
+        j = draw(st.integers(0, n - 2))
+        us[j] = us[j].scale(Polynomial([-1, 1]))
+    elif change == "dependent" and n >= 3:
+        us[-1] = us[0].scale(draw(st.sampled_from((Polynomial([2]), Polynomial([1, 1])))))
+    r = basis.scale * draw(st.sampled_from((1, 2, 0, -1)))
+    return v, us, r
+
+
+@settings(max_examples=80, deadline=None)
+@given(syzygies_and_scales())
+def test_outer_product_is_multiple_matches_the_outer_product(case):
+    """The one-minor verdict agrees with interpolating the whole product."""
+    v, us, r = case
+    left, scale = integer_coefficients(v.components)
+    cleared = [integer_coefficients(u.components) for u in us]
+    assert all(v.dot(u).is_zero for u in us)
+    verdict = vectors.outer_product_is_multiple(left, scale, cleared, r)
+    assert verdict == (outer_product(us) == v.scale(r))
+
+
 def test_require_regular():
     require_regular(vec((1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 1), (0, 1)))
     checked = require_regular(quartic_tangent())
@@ -860,6 +918,9 @@ ZERO_REFUSERS = {
     "minimal_bezout": minimal_bezout,
     "mu_basis": mu_basis,
     "is_mu_basis": lambda v: is_mu_basis(v, (), ()),
+    "outer_product_is_multiple": lambda v: vectors.outer_product_is_multiple(
+        *integer_coefficients(v.components), [], Fraction(1)
+    ),
     "minimal_completion": minimal_completion,
     "quillen_suslin": quillen_suslin,
     "verify_completion": lambda v: verify_completion(PolyMatrix.identity(v.dim), v),
