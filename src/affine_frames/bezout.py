@@ -5,12 +5,14 @@ vector, so they are deterministic: the minimal Bezout vector is the unique
 solution of ``A b = e1`` supported on pivotal columns, and each syzygy basis
 element expresses a basic non-pivotal column through the pivotal columns to
 its left.  Both are laid out from integer columns of the one forward pass
-that :attr:`SylvesterSystem.reading` grows up to the last basic block of
-A (:mod:`sylvester`): ``L e1`` solved on it, and the basic columns.  The
+of A (:mod:`sylvester`), each grown only as far as it reads: ``L e1``
+solved on the pass up to the Bezout vector's own degree block
+(:attr:`SylvesterSystem.bezout_reading`), and the basic columns of the
+pass up to the last basic block (:attr:`SylvesterSystem.reading`).  The
 pivots of a column prefix are A's, and both results are unique given the
-pivots, so they are what a pass of all of A gives; a pass that holds the
-µ-basis holds a Bezout vector too.  A shared factor is refused there,
-once, before either reader lays anything out.
+pivots, so they are what a pass of all of A gives.  A shared factor is
+refused at the last basic block, once, before either reader lays
+anything out.
 A syzygy basis is checked as it is built, on the integer columns it is
 read off, by the certificate of :func:`basis_scale` (Song and Goldman
 2009): syzygies whose degrees sum to deg v and whose leading vectors are
@@ -70,8 +72,8 @@ class MuBasis:
 def minimal_bezout(v: PolyVector, system: SylvesterSystem | None = None) -> BezoutVector:
     """Minimal-degree b with ``v . b = 1``, supported on pivotal columns.
 
-    ``L e1`` solved on the system's ``reading`` pass, which refuses a
-    shared factor.  The result is unique among Bezout vectors supported
+    ``L e1`` solved on the system's ``bezout_reading`` pass, which refuses
+    a shared factor.  The result is unique among Bezout vectors supported
     on pivotal columns.
     """
     sys = system if system is not None else build_sylvester(v)
@@ -94,11 +96,12 @@ def mu_basis(v: PolyVector, system: SylvesterSystem | None = None) -> MuBasis:
 
 def bezout_column(sys: SylvesterSystem) -> tuple[list[list[int]], int]:
     """The minimal Bezout vector of the system's vector on integers, ``L e1``
-    solved on the ``reading`` pass (:mod:`sylvester`): its component
-    coefficient lists, lowest power first, and their nonzero denominator."""
-    echelon, _ = sys.reading
-    scaled = echelon.solve([sys.scale] + [0] * (sys.nrows - 1))
-    return _stacked(sys.n, echelon.pivots, scaled), echelon.last_pivot
+    solved on the pass grown to its own degree block, the system's
+    ``bezout_reading`` (:mod:`sylvester`): its component coefficient
+    lists, lowest power first, and their nonzero denominator, that pass's
+    last pivot."""
+    pivots, scaled, den = sys.bezout_reading
+    return _stacked(sys.n, pivots, scaled), den
 
 
 def certified_basis(sys: SylvesterSystem) -> tuple[list, Fraction]:

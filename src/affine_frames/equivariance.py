@@ -100,13 +100,25 @@ def _section_pass(
     v: PolyVector,
 ) -> tuple[GroupElement, RegularVector, list[list[int]], int]:
     """``(g, v, rows, b)``: the section g = (L, s) of ``v``, s = a/b, and
-    ``v(t - s)`` as the integer rows that ``L`` is read off."""
+    ``v(t - s)`` as the integer rows that ``L`` is read off.
+
+    g is built without eliminating its determinant again, which is 1 by
+    construction.  Let V be the coefficient matrix of v, S its selected
+    columns and T the Taylor shift by -s, which adds to each coefficient
+    column multiples of the columns to its right.  Each column not in S
+    lies in the span of the columns of S to its right, since S is read
+    right to left.  So each shifted column ``(V T)[:, c]``, c in S, is
+    ``V[:, c]`` plus a combination of the columns of S right of c, that is
+    ``(V T)[:, S] = V[:, S] M`` with M unit triangular, and ``det (V T)[:,
+    S] = det V[:, S] = det_vbar``.  L is ``(V T)[:, S]`` with its last
+    column divided by ``det_vbar``, so ``det L = det_vbar / det_vbar = 1``.
+    """
     v = require_regular(v)
     rows, scale = _cleared(v)
     s = _shift(v.profile, rows, scale)
     shifted = [taylor_shift(row, -s, len(row) - 1) for row in rows]
     b = s.denominator
-    return GroupElement(_linear(v.profile, shifted, scale, b), s), v, shifted, b
+    return GroupElement._trusted(_linear(v.profile, shifted, scale, b), s), v, shifted, b
 
 
 def section(v: PolyVector) -> GroupElement:

@@ -11,8 +11,9 @@ Determinant-one is validated at construction, in one place: an
 :class:`AffineElement` holds its linear part as a :class:`GroupElement`;
 it acts, composes and inverts through it and adds the translation algebra.
 Invalid matrices are rejected rather than normalized.  Only
-:meth:`GroupElement.inverse`, whose determinant is 1 with its input's,
-builds its result without the check.
+:meth:`GroupElement.inverse`, whose determinant is 1 with its input's, and
+the section of :mod:`equivariance`, whose determinant is 1 by
+construction, build their results without the check.
 
 The action on vectors and matrices is one integer pass,
 :func:`vectors.map_columns`: the group matrix is cleared once per call,

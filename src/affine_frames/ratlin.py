@@ -149,13 +149,16 @@ class Echelon:
             self.forward.append(col)
         self.pivots = tuple(pivots)
 
-    def reduce(self, column: Sequence[int]) -> list[int]:
-        """``column`` brought through every logged step, as a new list,
-        without becoming a pivot: its entries in the coordinates of U."""
+    def reduce(self, column: Sequence[int], start: int = 0) -> list[int]:
+        """``column`` brought through the logged steps from step ``start``
+        on, as a new list, without becoming a pivot: its entries in the
+        coordinates of U.  Steps are logged once and never change, so a
+        column reduced through the first ``start`` steps and continued here
+        has the bits of one reduced from step 0."""
         col = list(column)
         if len(col) != len(self._levels):
             raise ValueError("column length differs from the number of rows")
-        for k, src, prev, level, p, eliminated in self._steps:
+        for k, src, prev, level, p, eliminated in self._steps[start:] if start else self._steps:
             if src != k:
                 col[k], col[src] = col[src], col[k]
             y = col[k]

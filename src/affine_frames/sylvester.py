@@ -25,9 +25,24 @@ the leading vectors of the µ-basis span the hyperplane orthogonal to v's
 leading vector, where a Bezout vector's leading vector lies too, so the
 syzygies would reduce a Bezout vector of higher degree.  So the pass that
 ends at the block of the last basic column (all of A at d = 0) holds L e1
-in its span for a coprime vector, and both readers of :mod:`bezout`
-answer off it (:attr:`SylvesterSystem.reading`).  The pivot data and the
-reduced form grow the same pass to all of A.
+in its span for a coprime vector; the µ-basis is read there
+(:attr:`SylvesterSystem.reading`).
+
+The minimal Bezout vector b is read earlier, at its own block
+(:attr:`SylvesterSystem.bezout_reading`).  L e1 is brought through each
+new block's steps only, and the pass stops at the first block whose rank
+holds it: where the reduced column is zero below the rank.  The steps on
+a column prefix are the first steps of any longer pass, and later steps
+combine only rows below the prefix's rank, invertibly, so L e1 lies in the
+span of a prefix exactly when it is zero below that prefix's rank; the
+first such prefix ends at block deg b.  The solution there supported on
+the prefix's pivots is A's pivot-supported solution, since the prefix's
+pivots are A's and pivot columns are independent, so a solution supported
+on them is unique.  A shared factor keeps L e1 out of every span, so the
+Bezout reading reaches the µ-basis's stopping point, n - 1 basic classes,
+and refuses there exactly as ``reading`` does; for a coprime vector of
+d > 0 the lemma puts b's block first.  The pivot data and the reduced form
+grow the same pass to all of A.
 
 The column indices of A that :class:`SylvesterSystem` reports are 1-based,
 to match the usual pivot bookkeeping; the pass, :func:`basic_columns`
@@ -72,8 +87,10 @@ class SylvesterSystem:
     ``echelon`` is the pass of ``L A``.  ``reading`` grows it until its
     non-pivot columns reach n - 1 classes mod n, and is ``(echelon,
     basic)``, ``basic`` holding those classes' first non-pivot columns,
-    0-based; it refuses a shared factor when their degrees sum below d.  No
-    column is back-substituted until a reader asks.  The other attributes
+    0-based; it refuses a shared factor when their degrees sum below d.
+    ``bezout_reading`` grows it only until its rank holds ``L e1``, and is
+    ``(pivots, D x, D)`` there (module docstring).  No other column is
+    back-substituted until a reader asks.  The other attributes
     grow the same pass to all of A.  ``pivot_cols`` are the 1-based indices
     of columns that are linearly independent of all columns to their left;
     ``basic_nonpivot`` keeps the first non-pivotal index of each residue
@@ -103,16 +120,42 @@ class SylvesterSystem:
             for coeffs in self.coefficients:
                 yield [0] * k + coeffs + [0] * (self.nrows - k - len(coeffs))
 
-    @cached_property
-    def reading(self) -> tuple[ratlin.Echelon, tuple[int, ...]]:
+    def _basic(self, blocks: int) -> tuple[int, ...] | None:
+        """A's basic non-pivot columns once the pass, grown to ``blocks``
+        degree blocks, has a non-pivot column in n - 1 classes mod n, else
+        None; a shared factor is refused when their degrees sum below d."""
         n = self.n
-        for blocks in range(1, self.d + 2):
-            basic = basic_columns(self._grown(blocks).pivots, n * blocks, n)
-            if len(basic) >= n - 1:
-                break
+        basic = basic_columns(self._grown(blocks).pivots, n * blocks, n)
+        if len(basic) < n - 1:
+            return None
         if sum(j // n for j in basic) < self.d:
             raise RegularityError("components share a nonconstant factor")
-        return self.echelon, basic
+        return basic
+
+    @cached_property
+    def reading(self) -> tuple[ratlin.Echelon, tuple[int, ...]]:
+        # A nonzero vector has n - 1 basic classes among A's columns.
+        for blocks in range(1, self.d + 2):
+            basic = self._basic(blocks)
+            if basic is not None:
+                return self.echelon, basic
+
+    @cached_property
+    def bezout_reading(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """``(pivots, D x, D)``: the pass's pivots, x the solution of ``L A x
+        = L e1`` supported on them, and D the pass's last pivot, with the
+        pass grown no further than the first block whose rank holds ``L
+        e1``.  ``D x`` is back-substituted at once, since a later reader may
+        grow the pass."""
+        echelon, done = self.echelon, 0
+        column = [self.scale] + [0] * (self.nrows - 1)
+        for blocks in range(1, self.d + 2):
+            self._grown(blocks)
+            column, done = echelon.reduce(column, done), len(echelon.pivots)
+            if not any(column[done:]):
+                break
+            self._basic(blocks)  # refuses a shared factor where ``reading`` does
+        return echelon.pivots, echelon._back_substitute(column), echelon.last_pivot
 
     @cached_property
     def matrix(self) -> ratlin.Matrix:

@@ -483,18 +483,24 @@ def pivot_profile(v: PolyVector) -> PivotProfile:
     """Select the columns independent of all columns to their right.
 
     These are the pivot columns of the coefficient matrix read right to
-    left, found by one forward elimination of the column-reversed matrix.
-    Its pivot columns are the selected submatrix with the n columns in
-    reverse order, so ``det_vbar`` is their determinant, read off the same
-    pass, times ``(-1)**(n(n-1)/2)``.  :meth:`PolyVector.coefficient_matrix`
+    left, found by one forward elimination of the column-reversed matrix,
+    fed a column at a time until it has n pivots: no later column can
+    pivot, and the determinant is final at full row rank.  Its pivot
+    columns are the selected submatrix with the n columns in reverse
+    order, so ``det_vbar`` is their determinant, read off the same pass,
+    times ``(-1)**(n(n-1)/2)``.  :meth:`PolyVector.coefficient_matrix`
     refuses the zero vector before its degree is read.
     """
     work, scale = ratlin.clear_denominators(
         [row[::-1] for row in v.coefficient_matrix()]
     )
     d, n = int(v.degree), v.dim
-    echelon = ratlin.Echelon(work)
-    if len(echelon.pivots) < n:
+    echelon = ratlin.Echelon([[]] * n)
+    for column in zip(*work):
+        echelon.extend([column])
+        if len(echelon.pivots) == n:
+            break
+    else:
         raise RegularityError("components are linearly dependent")
     indices = tuple(d - p for p in reversed(echelon.pivots))
     k = max(set(range(d + 1)) - set(indices), default=-1)

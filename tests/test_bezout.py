@@ -466,6 +466,19 @@ SYLVESTER_FIELDS = ("pivot_cols", "nonpivot_cols", "basic_nonpivot", "reduced", 
 UNBALANCED = vec((1, 2, 0, 1, 1), (3, 0, 1, 2, 1), (7, 0, 4, 4, 2))
 
 
+def _seeded_44_and_18():
+    rng = random.Random(46)
+    generic = vec(*([rng.randint(-9, 9) for _ in range(8)] + [1] for _ in range(3)))
+    a, b = generic[0], generic[1]
+    return generic, PolyVector([a, b, a * p(1, 2) + b * p(-3, 1)])
+
+
+# A seeded n = 3, degree-8 vector with µ-degrees (4, 4) and Bezout degree 3,
+# and (a, b, a (1 + 2t) + b (t - 3)) of its first two components: degree 9,
+# µ-degrees (1, 8) and Bezout degree 7.
+GENERIC_44, UNBALANCED_18 = _seeded_44_and_18()
+
+
 @settings(max_examples=150, deadline=None)
 @given(window_vectors())
 @example(vec((0, 1)))  # (t): the shared factor before the dimension
@@ -501,6 +514,52 @@ def test_window_readers_match_the_full_pass(v):
         assert _reader_outcomes(v) == outcomes
 
 
+def reference_bezout(v):
+    """The minimal Bezout vector by one pass of all of A in Fractions
+    (cleared to ``L A``): ``L e1`` solved on it, or the shared-factor
+    refusal when it lies outside the span."""
+    system = build_sylvester(v)
+    matrix, scale = ratlin.clear_denominators(system.matrix)
+    echelon = ratlin.Echelon(matrix)
+    scaled = echelon.solve([scale] + [0] * (len(matrix) - 1))
+    if scaled is None:
+        raise RegularityError("components share a nonconstant factor")
+    stacked = [Fraction(0)] * system.ncols
+    for col, x in zip(echelon.pivots, scaled):
+        stacked[col] = Fraction(x, echelon.last_pivot)
+    return flat(stacked, system.n, system.d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_vectors())
+@example(vec((0, 1)))  # (t): a shared factor at n = 1
+@example(vec((3,)))
+@example(UNBALANCED)
+@example(UNBALANCED_18)
+@example(UNBALANCED_18.scale(p(2, -1)))
+def test_bezout_reading_matches_the_full_pass(v):
+    """``minimal_bezout`` reads b off the pass grown to b's own block, and
+    gives the vector, or the refusal message, of ``L e1`` solved on a pass
+    of all of A.  On a coprime vector that pass is n (deg b + 1) columns
+    wide; on a shared factor it refuses where the µ-basis reading does,
+    after as many columns."""
+    system = build_sylvester(v)
+    try:
+        expected = reference_bezout(v)
+    except RegularityError as exc:
+        with pytest.raises(RegularityError) as refused:
+            minimal_bezout(v, system)
+        assert str(refused.value) == str(exc)
+        fresh = build_sylvester(v)
+        with pytest.raises(RegularityError, match=str(exc)):
+            fresh.reading
+        assert len(system.echelon.forward) == len(fresh.echelon.forward)
+    else:
+        b = minimal_bezout(v, system)
+        assert b.vector == expected
+        assert len(system.echelon.forward) == system.n * (b.degree + 1)
+
+
 def _columns_taken(reader, v):
     """How many of A's columns ``reader`` took on a new system of v, of
     how many, and its outcome."""
@@ -512,29 +571,28 @@ def _columns_taken(reader, v):
     return (len(system.echelon.forward), system.ncols), outcome
 
 
-def test_readers_take_columns_to_the_last_basic_block():
-    """Each reader takes A's columns up to the block of the last basic
-    column and no further, wherever the Bezout vector lies: the µ (4, 4)
-    vector 15 of 27, ``UNBALANCED`` (µ (1, 3)) 12 of 15, the µ (1, 8) vector
-    27 of 30.  A shared factor is refused by both after as many columns as
-    the µ-basis takes."""
-    rng = random.Random(46)
-    generic = vec(*([rng.randint(-9, 9) for _ in range(8)] + [1] for _ in range(3)))
-    a, b = generic[0], generic[1]
-    unbalanced = PolyVector([a, b, a * p(1, 2) + b * p(-3, 1)])  # µ (1, 8), e = 7
+def test_readers_take_columns_to_their_own_blocks():
+    """``minimal_bezout`` takes A's columns up to the block of the Bezout
+    vector, n (e + 1), and ``mu_basis`` up to the block of the last basic
+    column: for the µ (4, 4) vector (e = 3) 12 and 15 of 27, for
+    ``UNBALANCED`` (µ (1, 3), e = 2) 9 and 12 of 15, for the µ (1, 8) vector
+    (e = 7) 24 and 27 of 30.  A shared factor is refused by both after as
+    many columns as the µ-basis takes."""
+    generic, unbalanced = GENERIC_44, UNBALANCED_18
     factor = "components share a nonconstant factor"
     assert [u.degree for u in mu_basis(generic).elements] == [4, 4]
     assert [u.degree for u in mu_basis(unbalanced).elements] == [1, 8]
+    assert [minimal_bezout(v).degree for v in (generic, UNBALANCED, unbalanced)] == [3, 2, 7]
     cases = [
-        (generic, (15, 27), None),
-        (UNBALANCED, (12, 15), None),
-        (unbalanced, (27, 30), None),
-        (generic.scale(p(-2, 1)), (15, 30), factor),
+        (generic, (12, 15), 27, None),
+        (UNBALANCED, (9, 12), 15, None),
+        (unbalanced, (24, 27), 30, None),
+        (generic.scale(p(-2, 1)), (15, 15), 30, factor),
     ]
-    for v, taken, refusal in cases:
-        for reader in (minimal_bezout, mu_basis):
+    for v, widths, ncols, refusal in cases:
+        for reader, width in zip((minimal_bezout, mu_basis), widths):
             got, outcome = _columns_taken(reader, v)
-            assert got == taken, (v, reader)
+            assert got == (width, ncols), (v, reader)
             assert (outcome if isinstance(outcome, str) else None) == refusal
 
 

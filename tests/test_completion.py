@@ -24,13 +24,16 @@ from affine_frames import (
     nonminimal_completion,
     quillen_suslin,
     require_regular,
+    validate_curve,
     verify_completion,
     verify_frame,
 )
 from affine_frames import bezout, completion, poly, sylvester
 from affine_frames.poly import from_integers, integer_coefficients
+from affine_frames.sylvester import integer_system
 
-from conftest import p, quartic_tangent, random_regular_vector, vec
+from conftest import p, quartic_tangent, random_generic_curve, random_regular_vector, vec
+from test_bezout import UNBALANCED_18
 
 SEXTIC = vec((1, 0, 0, 0, 0, 0, 1), (0, 0, 0, 1), (0, 1))
 
@@ -288,6 +291,41 @@ def test_one_sylvester_build_per_distinct_vector(monkeypatch):
     built.clear()
     nonminimal_completion(v)
     assert len(built) == 2 and built[0] == own and built[1] != own
+
+
+def test_completion_and_frame_stop_at_the_bezout_block(monkeypatch):
+    """``minimal_completion(v)`` takes the n (e + 1) columns of v's pass up
+    to the block of its Bezout degree e and no further, and ``moving_frame``
+    as many of w's, w the canonical tangent.  For the µ (1, 8) vector that
+    is 24 of A's 30, where its µ-basis takes 27; each frame's pass stops
+    a block or more before its µ-basis reading would."""
+    built = []
+    real = completion.build_sylvester
+
+    def build(v):
+        built.append(real(v))
+        return built[-1]
+
+    def taken(system):
+        return len(system.echelon.forward)
+
+    def mu_width(system):
+        """The columns the µ-basis reading takes on a new copy of ``system``."""
+        echelon, _ = integer_system([*map(list, system.coefficients)], system.scale).reading
+        return len(echelon.forward)
+
+    monkeypatch.setattr(completion, "build_sylvester", build)
+    result = minimal_completion(UNBALANCED_18)
+    (system,) = built
+    assert (taken(system), mu_width(system), system.ncols) == (24, 27, 30)
+    assert result.bezout_degree == 7
+    rng = random.Random(47)
+    for n in (2, 3, 4, 4):
+        built.clear()
+        frame = moving_frame(validate_curve(random_generic_curve(rng, n, 8)))
+        (system,) = built
+        assert system.coefficients == integer_coefficients(frame.canonical_tangent.components)[0]
+        assert taken(system) == n * (frame.bezout_degree + 1) < mu_width(system)
 
 
 def test_minimal_completion_stays_on_integers(monkeypatch):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from affine_frames import (
     Completion,
     GroupElement,
+    PivotProfile,
     PolyMatrix,
     Polynomial,
     PolyVector,
@@ -138,6 +139,44 @@ def test_pivot_profile_matches_right_to_left_rank_loop():
     assert dependent >= 5
 
 
+def _full_pass_profile(v):
+    """The profile off one elimination of the whole column-reversed
+    coefficient matrix, every column taken; None below n pivots."""
+    work, scale = ratlin.clear_denominators(
+        [row[::-1] for row in v.coefficient_matrix()]
+    )
+    n, d = v.dim, int(v.degree)
+    echelon = ratlin.Echelon(work)
+    if len(echelon.pivots) < n:
+        return None
+    indices = tuple(d - c for c in reversed(echelon.pivots))
+    k = max(set(range(d + 1)) - set(indices), default=-1)
+    det = Fraction((-1) ** (n * (n - 1) // 2) * echelon.determinant, scale**n)
+    return PivotProfile(indices, k, det)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pivot_profile_matches_the_full_pass(data):
+    """``pivot_profile`` stops its pass at the n-th pivot, with the
+    indices, gap column and determinant of the pass that takes every
+    column, on rational vectors with repeated and dependent columns and
+    components."""
+    n = data.draw(st.integers(1, 5), label="n")
+    d = data.draw(st.integers(0, 7), label="d")
+    entry = st.one_of(st.sampled_from((0, 0, 1, -1, 2)), st.fractions(-3, 3, max_denominator=5))
+    rows = data.draw(st.lists(st.lists(entry, min_size=d + 1, max_size=d + 1),
+                              min_size=n, max_size=n), label="rows")
+    v = PolyVector(Polynomial(row) for row in rows)
+    assume(not v.is_zero)
+    expected = _full_pass_profile(v)
+    if expected is None:
+        with pytest.raises(RegularityError, match="linearly dependent"):
+            pivot_profile(v)
+    else:
+        assert pivot_profile(v) == expected
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4)))
 def test_pivot_profile_invariant_under_group_action(seed, n):
@@ -260,15 +299,16 @@ def rational_regular_vectors(draw):
         assume(False)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    rational_regular_vectors(),
-    st.one_of(
-        st.just(Fraction(0)),
-        st.integers(-5, 5).map(Fraction),
-        st.fractions(-5, 5, max_denominator=7).filter(lambda s: s.denominator > 1),
-    ),
+# A section shift that is 0, an integer or a fraction over b > 1.
+SHIFTS = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(-5, 5, max_denominator=7).filter(lambda s: s.denominator > 1),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_regular_vectors(), SHIFTS)
 def test_section_pass_matches_the_fraction_references(u, s):
     """The integer section pass against the Fraction path it replaced, at a
     shift that is 0, an integer or a fraction over b > 1."""
@@ -285,6 +325,18 @@ def test_section_pass_matches_the_fraction_references(u, s):
     assert section(v) == g and canonical_form(v) == w
     assert shift_section(v) == s
     assert linear_section(v) == _linear_section_reference(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_regular_vectors(), SHIFTS)
+def test_section_matrix_has_determinant_one(u, s):
+    """The section's matrix is built without its determinant being
+    eliminated; one elimination here finds it 1, at a shift that is 0, an
+    integer or a fraction over b > 1."""
+    v = require_regular(u.shift(s - shift_section(u)))
+    g = section(v)
+    assert g.shift == s
+    assert ratlin.det(g.matrix) == 1
 
 
 def test_section_goldens():

@@ -149,21 +149,24 @@ def test_reduced_data_of_coprime_vectors():
 
 
 def _dense_16():
-    """A generic dense vector, n = 3 and d = 16: µ-degrees (8, 8), so both
-    readers answer off the first 3 * (8 + 1) = 27 of A's 51 columns."""
+    """A generic dense vector, n = 3 and d = 16: µ-degrees (8, 8) and Bezout
+    degree 7, so ``minimal_bezout`` answers off the first 3 * (7 + 1) = 24
+    of A's 51 columns and ``mu_basis`` off the first 3 * (8 + 1) = 27."""
     rng = random.Random(97)
     return vec(*([rng.randint(-9, 9) for _ in range(16)] + [lead] for lead in (1, 2, -1)))
 
 
 def test_readers_grow_one_pass(tmp_path, monkeypatch):
     """``minimal_bezout`` and ``mu_basis`` of one system read one Sylvester
-    pass, which takes A's columns a degree block at a time up to the last
-    basic block: 27 of 51.  ``minimal_bezout`` solves L e1 on it, and
-    ``mu_basis`` back-substitutes its n - 1 basic columns in one read.  The
-    pivot data that ``--dump-pivots`` writes grow the same pass by the
-    other 24 columns, and no column is taken twice.  ``minimal_bezout``
-    refuses v (t - 2) after 27 of its 54 columns.  ``sylvester
-    --dump-pivots`` takes all 51 columns in one pass."""
+    pass, which takes A's columns a degree block at a time, each reader as
+    far as it reads: 24 of 51 for ``minimal_bezout``, which brings L e1
+    through each new block's steps only and solves it there, then 27 for
+    ``mu_basis``, which back-substitutes its n - 1 basic columns in one
+    read.  The pivot data that ``--dump-pivots`` writes grow the same pass
+    by the other 24 columns, and no column is taken twice.
+    ``minimal_bezout`` refuses v (t - 2) after 27 of its 54 columns, where
+    ``mu_basis`` does.  ``sylvester --dump-pivots`` takes all 51 columns in
+    one pass."""
     v = _dense_16()
     passes, reads, reduced = [], [], []
 
@@ -173,10 +176,10 @@ def test_readers_grow_one_pass(tmp_path, monkeypatch):
                 passes.append(self)
             super().__init__(rows)
 
-        def reduce(self, column):
+        def reduce(self, column, start=0):
             if self in passes:
-                reduced.append(self)
-            return super().reduce(column)
+                reduced.append(start)
+            return super().reduce(column, start)
 
         def integer_columns(self, cols):
             cols = tuple(cols)
@@ -189,8 +192,12 @@ def test_readers_grow_one_pass(tmp_path, monkeypatch):
     assert sys.ncols == 51 and passes == []
     b = minimal_bezout(v, sys)
     (echelon,) = passes
-    # 27 columns taken, then L e1 reduced without joining them
-    assert len(echelon.forward) == 27 and len(reduced) == 28 and reads == []
+    # 24 columns taken, and L e1 brought through each block's new steps
+    # without joining them: 8 reductions, each but the first starting at the
+    # rank of the blocks before
+    assert len(echelon.forward) == 24 and len(reduced) == 24 + 8 and reads == []
+    ranks = [sum(c < 3 * k for c in echelon.pivots) for k in range(1, 8)]
+    assert [start for start in reduced if start] == ranks
     mu = mu_basis(v, sys)
     mu_basis(v, sys)
     (basic,) = set(reads)
@@ -199,12 +206,12 @@ def test_readers_grow_one_pass(tmp_path, monkeypatch):
     assert [u.degree for u in mu.elements] == [8, 8] and b.degree == 7
     fields = (sys.pivot_cols, sys.nonpivot_cols, sys.basic_nonpivot, sys.reduced)
     assert passes == [echelon] and len(echelon.forward) == 51
-    assert len(reduced) == 51 + 1
+    assert len(reduced) == 51 + 8
     assert fields[2] == tuple(j + 1 for j in basic)
     passes.clear()
     minimal_bezout(v)
     mu_basis(v)
-    assert [len(e.forward) for e in passes] == [27, 27]
+    assert [len(e.forward) for e in passes] == [24, 27]
     passes.clear()
     with pytest.raises(RegularityError, match="nonconstant factor"):
         minimal_bezout(v.scale(p(-2, 1)))
