@@ -24,7 +24,10 @@ behaves under equivariance.
 
 ``verify_completion`` checks a claimed completion, and whether it is the
 one ``minimal_completion`` builds, by the normal-form certificates of
-:mod:`bezout`; it never builds a completion itself.
+:mod:`bezout`; it never builds a completion itself.  With v first, v's
+minimal Bezout vector b* comes off the degree oracle's own pass, and the
+later columns are certified against it as the µ-basis is, so no outer
+product is built; b is interpolated only where that certificate fails.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bezout import (
-    _vector, bezout_column, bezout_degree_search, certified_basis, is_minimal_bezout,
-    is_mu_basis, minimal_bezout, mu_basis,
+    _oracle_bezout, _scale, _vector, bezout_column, bezout_degree_search, certified_basis,
+    is_minimal_bezout, is_mu_basis, minimal_bezout, mu_basis,
 )
 from .poly import NEG_INF, Polynomial, integer_coefficients, integer_sum_of_products
 from .sylvester import SylvesterSystem, build_sylvester, integer_system
@@ -115,10 +118,18 @@ def verify_completion(m: PolyMatrix, v: PolyVector) -> CompletionReport:
     (:func:`is_mu_basis`), since ``v . b = 1`` pins that scale; each
     ``b . m[:, i]``, i > 0, is a determinant with a repeated column, zero
     without computing.  The certificate needs e and A_v's pivots among its
-    first ``n * (e + 1)`` columns, both from one
-    :func:`bezout_degree_search` pass; with the first column v, b is a
-    Bezout vector of v, so ``deg b >= e`` bounds the pass.  Nothing is
-    rebuilt.
+    first ``n * (e + 1)`` columns, both from one pass of the degree oracle.
+
+    With the first column v, b has degree at most B, the sum of the later
+    columns' degrees, so a determinant one puts e at most B, and the
+    oracle's pass bounded by B also gives b*, A_v's pivot-supported Bezout
+    vector (:func:`bezout._oracle_bezout`).  When the later columns certify
+    against b* (:func:`_unimodular`), ``b = r b*`` and the determinant is r,
+    with no outer product built; when the pass holds no Bezout vector, the
+    determinant is not one.  Later columns that fail the certificate leave
+    b to be interpolated and checked on that same pass; a first column
+    other than v interpolates b and runs the pass on all of A_v.  Nothing
+    is rebuilt.
 
     Raises as :func:`minimal_completion` does when v has no completion: on
     the zero vector, the oracle at determinant one, else ``v.is_coprime()``.
@@ -133,7 +144,11 @@ def _certificate(
     ``v``, certified on ``columns`` with the degree oracle run on ``u``:
     m's columns and v, or others that keep m's determinant, its certificate
     and the column-prefix ranks of A_v.  m is refused first when it is not
-    square of v's dimension or has a zero column."""
+    square of v's dimension or has a zero column.
+
+    With u the first of ``columns``, b is read off the oracle's pass where
+    the later columns certify against it (:func:`_unimodular`); otherwise
+    it is interpolated, as ``outer_product(columns[1:])``."""
     if m.nrows != m.ncols:
         raise ValueError("completion matrix must be square")
     if m.nrows != v.dim:
@@ -142,13 +157,25 @@ def _certificate(
     if degree == NEG_INF:
         raise RegularityError("completion matrix has a zero column")
     first = m.column(0) == v
-    b = outer_product(columns[1:])
-    pairing = columns[0].dot(b)
-    det_one = pairing == Polynomial.one()
+    later = columns[1:]
+    e = det_one = None
+    if v.dim > 1 and columns[0] == u:
+        # det m = u . outer_product(later), of degree at most B, the sum of
+        # their degrees: at det m = 1 the oracle bounded by B finds e and b*.
+        e, pivots, system, bezout = _oracle_bezout(u, sum(int(c.degree) for c in later))
+        det_one = False if bezout is None else _unimodular(system, bezout, e, later)
+    if det_one is None:
+        b = outer_product(later)
+        pairing = columns[0].dot(b)
+        det_one = pairing == Polynomial.one()
+        if det_one and e is None:
+            # The oracle rejects a zero or non-coprime u before its degree is read.
+            e, pivots = bezout_degree_search(u, int(b.degree) if first else None)
+    elif det_one:
+        # b* is the minimal Bezout vector by construction; is_mu_basis is left.
+        b, pairing = _vector(*bezout), None
     minimal_degree, minimal = None, False
     if det_one:
-        # The oracle rejects a zero or non-coprime v before its degree is read.
-        e, pivots = bezout_degree_search(u, int(b.degree) if first else None)
         minimal_degree = e + int(v.degree)
         minimal = degree == minimal_degree
     # Where minimal_completion(v) would refuse v, so does its certificate.
@@ -157,10 +184,8 @@ def _certificate(
     if not det_one and not v.is_coprime():
         raise RegularityError("components share a nonconstant factor")
     reproducible = det_one and first and (
-        is_minimal_bezout(b, e, pivots, pairing)
-        and is_mu_basis(
-            b, columns[1:], [Polynomial.zero()] * (v.dim - 1), scaled_last=True
-        )
+        (pairing is None or is_minimal_bezout(b, e, pivots, pairing))
+        and is_mu_basis(b, later, [Polynomial.zero()] * (v.dim - 1), scaled_last=True)
     )
     return CompletionReport(
         first_column_matches=first,
@@ -170,6 +195,29 @@ def _certificate(
         minimal=minimal,
         reproducible=reproducible,
     )
+
+
+def _unimodular(system: SylvesterSystem, bezout, degree: int, later) -> bool | None:
+    """Whether ``det [u | later]`` is one, u the system's vector and
+    ``bezout`` its b* of that degree, as ``(coefficient lists,
+    denominator)``; None when b* does not pair with u to one or the later
+    columns do not certify against b*.
+
+    ``u . b* = 1`` is paired once, on integers.  Columns that
+    :func:`bezout.basis_scale`'s certificate passes against b* (syzygies of
+    b*, degrees summing to deg b*, independent leading vectors) have
+    ``outer_product(later) = r b*``, so the determinant is ``u . r b* = r``
+    by Laplace expansion along the first column.  No outer product is built.
+    """
+    coefficients, den = bezout
+    pairing = integer_sum_of_products(system.coefficients, coefficients)
+    if pairing[:1] != [system.scale * den] or any(pairing[1:]):
+        return None
+    cleared = [integer_coefficients(c.components) for c in later]
+    try:
+        return _scale(coefficients, den, degree, [c.degree for c in later], cleared) == 1
+    except RegularityError:
+        return None
 
 
 def quillen_suslin(v: PolyVector) -> PolyMatrix:

@@ -661,10 +661,13 @@ def test_plot_params_may_start_with_a_negative_value(tmp_path, capsys):
 ])
 def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curve):
     """A result is built without a determinant or an outer product (the
-    µ-basis scale comes from its leading-vector certificate).  A frame or
-    completion verify takes exactly one determinant, the first column
-    against one outer product of the others, and no polynomial determinant.
-    A µ-basis verify reads its scale off one minor, with no outer product,
+    µ-basis scale comes from its leading-vector certificate).  A frame
+    verify takes exactly one determinant, the first column against one
+    outer product of the others, and no polynomial determinant; this
+    frame's section shift is not 0, so its Bezout vector is not on the
+    oracle's pass.  A completion verify reads b off the oracle's pass and
+    certifies the later columns against it, with no outer product.  A
+    µ-basis verify reads its scale off one minor, with no outer product,
     unless an element is not a syzygy."""
     calls = {"determinant": 0, "outer_product": 0}
     determinant, outer_product = vectors.PolyMatrix.determinant, vectors.outer_product
@@ -689,7 +692,7 @@ def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curv
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result)])
     assert code == 0, err
     assert json.loads(out)["metadata"]["ok"] is True
-    assert calls == {"determinant": 0, "outer_product": int(command != "mubasis")}
+    assert calls == {"determinant": 0, "outer_product": int(command == "frame")}
     if command == "mubasis":
         doc = json.loads(result.read_text(encoding="utf-8"))
         n = doc["payload"]["input"]["n"]
@@ -1031,16 +1034,18 @@ def test_verify_builds_no_section(tmp_path, capsys, monkeypatch, command, source
 ])
 def test_verify_computes_each_pairing_once(tmp_path, capsys, monkeypatch, command, source):
     """No ``verify`` pairs the same two vectors twice: the pairing of the
-    input with a stored Bezout vector, or of a completion's first column
-    with the outer product of the others, serves every check.  A µ-basis
-    verify clears the input once and pairs it with each syzygy once, on
-    integers."""
+    input with a stored Bezout vector, or of a frame's first column with
+    the outer product of the others, serves every check.  A µ-basis verify
+    clears the input once and pairs it with each syzygy once, on integers.
+    A completion verify pairs no Fractions: on integers, the input with the
+    Bezout vector b* off the oracle's pass once, and b* with each later
+    column once."""
     infile = write(tmp_path / "in.json", source)
     result = str(tmp_path / "result.json")
     assert main([command, "--in", infile, "--out", result]) == 0
     pairs, cleared, paired = [], [], []
     original = vectors.PolyVector.dot
-    clear, pair = cli.integer_coefficients, cli.integer_sum_of_products
+    clear = cli.integer_coefficients
 
     def pairing(self, other):
         pairs.append((self, other))
@@ -1050,13 +1055,18 @@ def test_verify_computes_each_pairing_once(tmp_path, capsys, monkeypatch, comman
         cleared.append(tuple(polys))
         return clear(polys)
 
-    def integer_pairing(lefts, rights):
-        paired.append(tuple(map(tuple, rights)))
-        return pair(lefts, rights)
+    def integer_pairing(pair):
+        def paired_once(lefts, rights):
+            paired.append((tuple(map(tuple, lefts)), tuple(map(tuple, rights))))
+            return pair(lefts, rights)
+        return paired_once
 
     monkeypatch.setattr(vectors.PolyVector, "dot", pairing)
     monkeypatch.setattr(cli, "integer_coefficients", clearing)
-    monkeypatch.setattr(cli, "integer_sum_of_products", integer_pairing)
+    for module in (cli, completion, bezout):
+        monkeypatch.setattr(
+            module, "integer_sum_of_products", integer_pairing(module.integer_sum_of_products)
+        )
     capsys.readouterr()
     code, out, err = run(tmp_path, capsys, ["verify", "--in", result])
     assert code == 0, err
@@ -1064,6 +1074,8 @@ def test_verify_computes_each_pairing_once(tmp_path, capsys, monkeypatch, comman
         v = parse_curve_dict(source).vector.components
         assert pairs == [] and cleared.count(v) == 1 and len(cleared) == source["n"]
         assert len(set(paired)) == len(paired) == source["n"] - 1
+    elif command == "complete":
+        assert pairs == [] and len(set(paired)) == len(paired) == source["n"]
     else:
         assert pairs and len(set(pairs)) == len(pairs)
 
@@ -1234,7 +1246,9 @@ def _forbid_everywhere(monkeypatch, original):
 def test_verify_runs_no_compute_path(tmp_path, capsys, monkeypatch, command, source,
                                      damage, failed, asked, digest):
     """``verify`` checks a stored result by its certificate: no command's
-    compute path runs, and the output bytes are those of rebuilding it."""
+    compute path runs, no Sylvester system's Bezout reading either, and
+    the output bytes are those of rebuilding it.  ``asked`` counts the
+    degree oracle's passes; a completion's reads b off its one pass."""
     infile = write(tmp_path / "in.json", source)
     result_path = tmp_path / "result.json"
     assert main([command, "--in", infile, "--out", str(result_path)]) == 0
@@ -1243,17 +1257,26 @@ def test_verify_runs_no_compute_path(tmp_path, capsys, monkeypatch, command, sou
         damage(doc)
         write(result_path, doc)
     for original in (frames.moving_frame, completion.minimal_completion,
-                     bezout.minimal_bezout, bezout.mu_basis, sylvester.build_sylvester):
+                     bezout.minimal_bezout, bezout.mu_basis, sylvester.build_sylvester,
+                     bezout.bezout_column):
         _forbid_everywhere(monkeypatch, original)
-    calls = []
-    oracle = bezout.bezout_degree_search
 
-    def counting_oracle(v, bound=None):
+    def forbidden_reading(system):
+        raise AssertionError("verify read a Sylvester system's Bezout vector")
+
+    monkeypatch.setattr(
+        sylvester.SylvesterSystem, "bezout_reading", property(forbidden_reading)
+    )
+    calls = []
+    oracle = bezout._oracle_pass
+
+    def counting_oracle(v, bound):
         calls.append(v)
         return oracle(v, bound)
 
-    for module in (bezout, completion, cli):
-        monkeypatch.setattr(module, "bezout_degree_search", counting_oracle)
+    # Both readers of the oracle, bezout_degree_search and the completion's
+    # _oracle_bezout, run its pass here.
+    monkeypatch.setattr(bezout, "_oracle_pass", counting_oracle)
     capsys.readouterr()
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])
     assert code == (2 if failed else 0), err

@@ -2,11 +2,12 @@
 
 import ast
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
@@ -29,8 +30,11 @@ from affine_frames import (
     verify_frame,
 )
 from affine_frames import bezout, completion, poly, sylvester
+from affine_frames.bezout import bezout_degree_search, is_minimal_bezout, is_mu_basis
+from affine_frames.completion import CompletionReport
 from affine_frames.poly import from_integers, integer_coefficients
 from affine_frames.sylvester import integer_system
+from affine_frames.vectors import outer_product
 
 from conftest import p, quartic_tangent, random_generic_curve, random_regular_vector, vec
 from test_bezout import UNBALANCED_18
@@ -131,23 +135,194 @@ def test_verify_completion_known_witnesses():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_verify_completion_pairs_only_the_first_column(monkeypatch, n):
-    """Verifying the minimal completion computes one pairing, the first
-    column with b, the outer product of the others: each of the n - 1
-    pairings of b with a later column is a determinant with a repeated
-    column, known to be zero, and none is computed."""
+    """Verifying the minimal completion computes one pairing with the first
+    column, with b* off the oracle's pass, once and on integers, and no
+    pairing of Fraction vectors: each later column is certified against b*
+    by :func:`bezout._scale`, whose pairings are syzygy checks, and each
+    pairing of b with a later column is a determinant with a repeated
+    column, known to be zero."""
     v = random_regular_vector(random.Random(40 + n), n=n, max_degree=6)
     m = minimal_completion(v).matrix
-    pairs = []
-    original = PolyVector.dot
+    pairs, paired = [], []
+    original, pair = PolyVector.dot, completion.integer_sum_of_products
 
     def pairing(self, other):
         pairs.append((self, other))
         return original(self, other)
 
+    def integer_pairing(lefts, rights):
+        paired.append(lefts)
+        return pair(lefts, rights)
+
     monkeypatch.setattr(PolyVector, "dot", pairing)
+    monkeypatch.setattr(completion, "integer_sum_of_products", integer_pairing)
     report = verify_completion(m, v)
     assert report.reproducible and report.minimal
-    assert len(pairs) == 1 and pairs[0][0] == v
+    assert pairs == []
+    assert paired == [integer_coefficients(v.components)[0]]
+
+
+def _count_routes(monkeypatch):
+    """Counters of ``outer_product`` calls and oracle passes in a verify."""
+    calls = {"outer_product": 0, "oracle": 0}
+    outer, oracle = completion.outer_product, bezout._oracle_pass
+
+    def counting_outer(vectors):
+        calls["outer_product"] += 1
+        return outer(vectors)
+
+    def counting_oracle(v, bound):
+        calls["oracle"] += 1
+        return oracle(v, bound)
+
+    monkeypatch.setattr(completion, "outer_product", counting_outer)
+    monkeypatch.setattr(bezout, "_oracle_pass", counting_oracle)
+    return calls
+
+
+def _with_column(m: PolyMatrix, j: int, column: PolyVector) -> PolyMatrix:
+    columns = m.columns()
+    columns[j] = column
+    return PolyMatrix.from_columns(columns)
+
+
+def test_verify_completion_interpolates_only_off_the_pass(monkeypatch):
+    """A valid completion is certified on the oracle's one pass, with no
+    outer product, and so is any determinant that the pass pins: a doubled
+    last column (det 2), later columns too low to hold a Bezout vector, or
+    the last column plus t times the second, still syzygies of b* of the
+    same degrees (det 1, normal form broken).  A completion whose later
+    columns do not certify against b* (a larger Bezout vector, or t**2
+    times the second column added to the last, which raises the degree
+    sum) interpolates b exactly once, with the oracle's pass still one."""
+    v = quartic_tangent()
+    m = minimal_completion(v).matrix
+    _, second, last = m.columns()
+    calls = _count_routes(monkeypatch)
+    low = PolyMatrix.from_columns([v, vec((0,), (1,), (0,)), vec((0,), (0,), (1,))])
+    cases = [
+        (m, (True, True), 0),
+        (_with_column(m, 2, last.scale(p(2))), (False, False), 0),
+        (low, (False, False), 0),
+        (_with_column(m, 2, last + second.scale(p(0, 1))), (True, False), 0),
+        (nonminimal_completion(v).matrix, (True, False), 1),
+        (_with_column(m, 2, last + second.scale(p(0, 0, 1))), (True, False), 1),
+    ]
+    for matrix, (det_one, reproducible), interpolated in cases:
+        calls.update(outer_product=0, oracle=0)
+        report = verify_completion(matrix, v)
+        assert (report.determinant_one, report.reproducible) == (det_one, reproducible)
+        assert calls == {"outer_product": interpolated, "oracle": 1}
+
+
+def _interpolated_report(m: PolyMatrix, v: PolyVector) -> CompletionReport:
+    """The report of ``verify_completion(m, v)`` with b interpolated, as
+    ``outer_product(m[:, 1:])``, and the degree oracle unbounded, for a
+    square m of v's dimension with no zero column and a coprime v."""
+    columns = m.columns()
+    first = columns[0] == v
+    b = outer_product(columns[1:])
+    pairing = columns[0].dot(b)
+    det_one = pairing == Polynomial.one()
+    minimal_degree, reproducible = None, False
+    if det_one:
+        e, pivots = bezout_degree_search(v)
+        minimal_degree = e + int(v.degree)
+        zeros = [Polynomial.zero()] * (v.dim - 1)
+        reproducible = first and (
+            is_minimal_bezout(b, e, pivots, pairing)
+            and is_mu_basis(b, columns[1:], zeros, scaled_last=True)
+        )
+    return CompletionReport(
+        first_column_matches=first,
+        determinant_one=det_one,
+        degree=int(m.degree),
+        minimal_degree=minimal_degree,
+        minimal=minimal_degree is not None and m.degree == minimal_degree,
+        reproducible=reproducible,
+    )
+
+
+def _damaged_completions(v: PolyVector) -> list[PolyMatrix]:
+    """The minimal completion of v and documents around it: the inflated
+    completion, the later columns swapped, the last one doubled, the last
+    plus t times the second (the first at n = 2; det 1 kept, normal form
+    broken), a later column plus v (no syzygy of b*), a first column that
+    is not v (both det 1) and the later columns of the identity, too low
+    to hold a Bezout vector of a nonconstant v."""
+    m = minimal_completion(v).matrix
+    columns = m.columns()
+    n = v.dim
+    docs = [
+        m,
+        _with_column(m, n - 1, columns[-1].scale(p(2))),
+        _with_column(m, n - 1, columns[-1] + columns[1 if n > 2 else 0].scale(p(0, 1))),
+        _with_column(m, 1, columns[1] + v),
+        _with_column(m, 0, v + columns[1]),
+        PolyMatrix.from_columns([v, *PolyMatrix.identity(n).columns()[1:]]),
+    ]
+    if not v[0].is_zero:
+        docs.append(nonminimal_completion(v).matrix)
+    if n > 2:
+        docs.append(PolyMatrix.from_columns([columns[0], columns[2], columns[1], *columns[3:]]))
+    return docs
+
+
+@st.composite
+def coprime_vectors(draw):
+    """n = 2-5, degree 0-5, integer or p/q coefficients, coprime components."""
+    n = draw(st.integers(2, 5))
+    d = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+    v = PolyVector(
+        Polynomial(draw(st.lists(entry, min_size=d + 1, max_size=d + 1))) for _ in range(n)
+    )
+    assume(not v.is_zero and v.is_coprime())
+    return v
+
+
+@settings(max_examples=30, deadline=None)
+@given(coprime_vectors())
+def test_verify_completion_matches_the_interpolating_certificate(v):
+    """Reading b off the oracle's pass changes no report field: on the
+    minimal completion and each damaged document the report is the one
+    that interpolates b as the outer product of the later columns."""
+    for m in _damaged_completions(v):
+        assert verify_completion(m, v) == _interpolated_report(m, v)
+
+
+def test_frame_verify_at_shift_zero_reads_b_off_the_pass(monkeypatch):
+    """A frame whose section shift is 0 has the oracle's vector first once
+    its section is undone, so it is certified on the oracle's pass like a
+    completion, with no outer product.  Its report, and those of the frame
+    with its last column doubled or plus t times its second, are the ones
+    of the interpolating route."""
+    rng = random.Random(48)
+    calls = _count_routes(monkeypatch)
+    for n in (2, 3, 4):
+        curve = random_generic_curve(rng, n, n + 3)
+        curve = curve.shift(-moving_frame(validate_curve(curve)).section.shift)
+        tangent = require_regular(curve.derivative())
+        frame = moving_frame(validate_curve(curve))
+        assert frame.section.shift == 0
+        columns = frame.matrix.columns()
+        frames = [
+            frame,
+            replace(frame, matrix=_with_column(frame.matrix, n - 1, columns[-1].scale(p(2)))),
+            replace(frame, matrix=_with_column(
+                frame.matrix, n - 1, columns[-1] + columns[1 if n > 2 else 0].scale(p(0, 1))
+            )),
+        ]
+        reports = []
+        for stored in frames:
+            calls.update(outer_product=0, oracle=0)
+            reports.append(verify_frame(stored, tangent))
+            assert calls["oracle"] == 1
+            if stored is frame:
+                assert calls["outer_product"] == 0 and reports[-1].reproducible
+        with monkeypatch.context() as forced:
+            forced.setattr(completion, "_unimodular", lambda *args: None)
+            assert [verify_frame(stored, tangent) for stored in frames] == reports
 
 
 def test_verify_completion_trivial_and_failures():
