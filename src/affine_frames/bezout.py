@@ -28,8 +28,9 @@ Being the one member of a normal form, each result can be checked without
 being built: :func:`is_minimal_bezout` and :func:`is_mu_basis` read the
 conditions that single it out (Hong, Hough and Kogan 2017), given the pivot
 columns that :func:`bezout_degree_search` finds on its own and the
-pairings their callers computed.  A completion's check also reads the
-minimal Bezout vector off that oracle's pass (:func:`_oracle_bezout`).
+pairings their callers computed.  A completion's check runs that oracle's
+pass (:func:`_oracle_pass`) once and back-substitutes its reduced
+``L e1`` for the minimal Bezout vector.
 """
 
 from __future__ import annotations
@@ -227,7 +228,14 @@ def bezout_degree_search(
 
 def _oracle_pass(v: PolyVector, bound: int | None):
     """:func:`bezout_degree_search`'s two values, then its system, its pass
-    and ``L e1`` reduced through that pass."""
+    and ``L e1`` reduced through that pass.
+
+    Back-substituting that reduced ``L e1``, zero past row k, on the pass
+    of A_E gives b*: it solves ``A_E x = e1`` on A_E's pivots among its
+    first ``n (e + 1)`` columns, which are A's since E >= e.  A's pivot
+    columns are independent, so b* is A's one pivot-supported Bezout
+    vector, the one :func:`minimal_bezout` reads off a system's pass.
+    """
     # L A_E has the pivots of A_E, and L e1 lies in its span when e1 lies in A_E's.
     system = integer_system(*integer_coefficients(v.components))
     n, d = system.n, system.d
@@ -243,29 +251,6 @@ def _oracle_pass(v: PolyVector, bound: int | None):
     k = max(i for i, x in enumerate(e1) if x)
     degree = pivots[k] // n
     return degree, tuple(p for p in pivots if p < n * (degree + 1)), system, echelon, e1
-
-
-def _oracle_bezout(v: PolyVector, bound: int | None):
-    """:func:`bezout_degree_search`'s ``(degree, pivots)``, the system it
-    laid out, and b*, A's pivot-supported minimal Bezout vector, as
-    ``(coefficient lists, denominator)`` off the same pass; b* is None when
-    the oracle finds no degree up to ``bound``.
-
-    The reduced ``L e1`` is zero past row k, the row of the pivot column
-    ``pivots[k]`` in block e, and back-substitution on the pass of A_E
-    keeps it so: b* solves ``A_E x = e1`` on A_E's pivots among its first
-    ``n (e + 1)`` columns.  Since E >= e, A_E's pivots among those columns
-    are A's, a column's pivot status being fixed by the columns to its
-    left.  So b* solves ``A x = e1`` on A's pivot columns, which are
-    independent: it is A's one pivot-supported solution, the vector that
-    :func:`minimal_bezout` reads off a system's pass, read here off the
-    oracle's own.
-    """
-    degree, pivots, system, echelon, e1 = _oracle_pass(v, bound)
-    if degree is None:
-        return degree, pivots, system, None
-    scaled = echelon._back_substitute(e1)
-    return degree, pivots, system, (_stacked(system.n, echelon.pivots, scaled), echelon.last_pivot)
 
 
 def is_minimal_bezout(

@@ -24,19 +24,21 @@ behaves under equivariance.
 
 ``verify_completion`` checks a claimed completion, and whether it is the
 one ``minimal_completion`` builds, by the normal-form certificates of
-:mod:`bezout`; it never builds a completion itself.  With v first, v's
-minimal Bezout vector b* comes off the degree oracle's own pass, and the
-later columns are certified against it as the µ-basis is, so no outer
-product is built; b is interpolated only where that certificate fails.
+:mod:`bezout`; it never builds a completion itself.  It runs the degree
+oracle's pass once, up front, and checks one b: with v first, v's minimal
+Bezout vector b* read off that pass where the later columns certify
+against it, so no outer product is built; otherwise the interpolated
+outer product of the later columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import bezout
 from .bezout import (
-    _oracle_bezout, _scale, _vector, bezout_column, bezout_degree_search, certified_basis,
-    is_minimal_bezout, is_mu_basis, minimal_bezout, mu_basis,
+    _scale, _stacked, _vector, bezout_column, certified_basis, is_minimal_bezout, is_mu_basis,
+    minimal_bezout, mu_basis,
 )
 from .poly import NEG_INF, Polynomial, integer_coefficients, integer_sum_of_products
 from .sylvester import SylvesterSystem, build_sylvester, integer_system
@@ -83,8 +85,7 @@ def _assemble(v: PolyVector, system: SylvesterSystem, coefficients, scale: int) 
     coefficients one Fraction, so the output is deterministic and the
     column degrees are untouched.
     """
-    pairing = integer_sum_of_products(system.coefficients, coefficients)
-    if pairing[:1] != [system.scale * scale] or any(pairing[1:]):
+    if not _pairs_to_one(system, coefficients, scale):
         raise RegularityError("assembled matrix is not unimodular")
     b = integer_system(coefficients, scale)
     (*first, (last, den)), r = certified_basis(b)
@@ -118,21 +119,22 @@ def verify_completion(m: PolyMatrix, v: PolyVector) -> CompletionReport:
     (:func:`is_mu_basis`), since ``v . b = 1`` pins that scale; each
     ``b . m[:, i]``, i > 0, is a determinant with a repeated column, zero
     without computing.  The certificate needs e and A_v's pivots among its
-    first ``n * (e + 1)`` columns, both from one pass of the degree oracle.
+    first ``n * (e + 1)`` columns, both from the degree oracle's one pass,
+    which runs before b is read.
 
     With the first column v, b has degree at most B, the sum of the later
-    columns' degrees, so a determinant one puts e at most B, and the
-    oracle's pass bounded by B also gives b*, A_v's pivot-supported Bezout
-    vector (:func:`bezout._oracle_bezout`).  When the later columns certify
-    against b* (:func:`_unimodular`), ``b = r b*`` and the determinant is r,
-    with no outer product built; when the pass holds no Bezout vector, the
-    determinant is not one.  Later columns that fail the certificate leave
-    b to be interpolated and checked on that same pass; a first column
-    other than v interpolates b and runs the pass on all of A_v.  Nothing
-    is rebuilt.
+    columns' degrees, so the pass is bounded by B, and one that finds no
+    degree within B pins the determinant as not one.  Otherwise b comes
+    from one of two sources.  With v first, one back-substitution on the
+    pass gives b*, A_v's pivot-supported Bezout vector; when the later
+    columns certify against b* (:func:`_unimodular`), ``b = r b*`` and the
+    determinant is r, with no outer product built.  Later columns that fail
+    that certificate, and a first column other than v (whose pass covers
+    all of A_v), leave b interpolated.  Nothing is rebuilt.
 
-    Raises as :func:`minimal_completion` does when v has no completion: on
-    the zero vector, the oracle at determinant one, else ``v.is_coprime()``.
+    Raises as :func:`minimal_completion` does when v has no completion: the
+    pass refuses the zero vector and a shared factor, and n = 1 is refused
+    after the oracle runs where m's one entry is one.
     """
     return _certificate(m, v, m.columns(), v)
 
@@ -143,12 +145,8 @@ def _certificate(
     """The report of :func:`verify_completion` on ``m`` as a completion of
     ``v``, certified on ``columns`` with the degree oracle run on ``u``:
     m's columns and v, or others that keep m's determinant, its certificate
-    and the column-prefix ranks of A_v.  m is refused first when it is not
-    square of v's dimension or has a zero column.
-
-    With u the first of ``columns``, b is read off the oracle's pass where
-    the later columns certify against it (:func:`_unimodular`); otherwise
-    it is interpolated, as ``outer_product(columns[1:])``."""
+    and the column-prefix ranks of A_v.  With u the first of ``columns``, b
+    is b* where the later columns certify against it."""
     if m.nrows != m.ncols:
         raise ValueError("completion matrix must be square")
     if m.nrows != v.dim:
@@ -158,33 +156,32 @@ def _certificate(
         raise RegularityError("completion matrix has a zero column")
     first = m.column(0) == v
     later = columns[1:]
-    e = det_one = None
-    if v.dim > 1 and columns[0] == u:
-        # det m = u . outer_product(later), of degree at most B, the sum of
-        # their degrees: at det m = 1 the oracle bounded by B finds e and b*.
-        e, pivots, system, bezout = _oracle_bezout(u, sum(int(c.degree) for c in later))
-        det_one = False if bezout is None else _unimodular(system, bezout, e, later)
-    if det_one is None:
-        b = outer_product(later)
-        pairing = columns[0].dot(b)
-        det_one = pairing == Polynomial.one()
-        if det_one and e is None:
-            # The oracle rejects a zero or non-coprime u before its degree is read.
-            e, pivots = bezout_degree_search(u, int(b.degree) if first else None)
-    elif det_one:
-        # b* is the minimal Bezout vector by construction; is_mu_basis is left.
-        b, pairing = _vector(*bezout), None
-    minimal_degree, minimal = None, False
-    if det_one:
-        minimal_degree = e + int(v.degree)
-        minimal = degree == minimal_degree
-    # Where minimal_completion(v) would refuse v, so does its certificate.
+    # det m = columns[0] . outer_product(later), of degree at most B: with v
+    # first, det m = 1 puts the least Bezout degree e at most B.
+    bound = sum(int(c.degree) for c in later) if first else None
     if v.dim < 2:
+        # Where minimal_completion(v) would refuse v, so does its certificate;
+        # at det m = 1 the oracle refuses a zero or non-coprime u first.
+        if columns[0][0] == Polynomial.one():
+            bezout._oracle_pass(u, bound)
         raise RegularityError("completion needs dimension at least 2")
-    if not det_one and not v.is_coprime():
-        raise RegularityError("components share a nonconstant factor")
+    e, pivots, system, echelon, e1 = bezout._oracle_pass(u, bound)
+    det_one = e is not None
+    if det_one:
+        certified = None
+        if columns[0] == u:
+            # b*, A's pivot-supported solution of A x = e1 (bezout._oracle_pass).
+            scaled = echelon._back_substitute(e1)
+            star = _stacked(system.n, echelon.pivots, scaled), echelon.last_pivot
+            certified = _unimodular(system, star, e, later)
+        if certified is None:
+            b = outer_product(later)
+            det_one = columns[0].dot(b) == Polynomial.one()
+        else:
+            b, det_one = _vector(*star), certified
+    minimal_degree = e + int(v.degree) if det_one else None
     reproducible = det_one and first and (
-        (pairing is None or is_minimal_bezout(b, e, pivots, pairing))
+        is_minimal_bezout(b, e, pivots, Polynomial.one())
         and is_mu_basis(b, later, [Polynomial.zero()] * (v.dim - 1), scaled_last=True)
     )
     return CompletionReport(
@@ -192,32 +189,36 @@ def _certificate(
         determinant_one=det_one,
         degree=int(degree),
         minimal_degree=minimal_degree,
-        minimal=minimal,
+        minimal=degree == minimal_degree,
         reproducible=reproducible,
     )
 
 
-def _unimodular(system: SylvesterSystem, bezout, degree: int, later) -> bool | None:
+def _unimodular(system: SylvesterSystem, star, degree: int, later) -> bool | None:
     """Whether ``det [u | later]`` is one, u the system's vector and
-    ``bezout`` its b* of that degree, as ``(coefficient lists,
+    ``star`` its b* of that degree, as ``(coefficient lists,
     denominator)``; None when b* does not pair with u to one or the later
     columns do not certify against b*.
 
-    ``u . b* = 1`` is paired once, on integers.  Columns that
-    :func:`bezout.basis_scale`'s certificate passes against b* (syzygies of
-    b*, degrees summing to deg b*, independent leading vectors) have
-    ``outer_product(later) = r b*``, so the determinant is ``u . r b* = r``
-    by Laplace expansion along the first column.  No outer product is built.
+    Columns that :func:`bezout.basis_scale`'s certificate passes against b*
+    (syzygies of b*, degrees summing to deg b*, independent leading
+    vectors) have ``outer_product(later) = r b*``, so the determinant is
+    ``u . r b* = r`` by Laplace expansion along the first column.
     """
-    coefficients, den = bezout
-    pairing = integer_sum_of_products(system.coefficients, coefficients)
-    if pairing[:1] != [system.scale * den] or any(pairing[1:]):
+    if not _pairs_to_one(system, *star):
         return None
     cleared = [integer_coefficients(c.components) for c in later]
     try:
-        return _scale(coefficients, den, degree, [c.degree for c in later], cleared) == 1
+        return _scale(*star, degree, [c.degree for c in later], cleared) == 1
     except RegularityError:
         return None
+
+
+def _pairs_to_one(system: SylvesterSystem, coefficients, den: int) -> bool:
+    """Whether ``coefficients / den`` pairs with the system's vector to one,
+    on integers."""
+    pairing = integer_sum_of_products(system.coefficients, coefficients)
+    return pairing[:1] == [system.scale * den] and not any(pairing[1:])
 
 
 def quillen_suslin(v: PolyVector) -> PolyMatrix:

@@ -91,11 +91,14 @@ def verify_frame(frame: FrameResult, tangent: PolyVector) -> CompletionReport:
     the tangent's section.  The stored Bezout degree must be the least.
     The degree oracle runs on ``u = L^-1 . tangent`` for ``g = (L, s)``:
     ``M[:, 0](t) = u(t - s)``, so its Sylvester matrix is ``S A_u U`` with S
-    invertible and U unit upper triangular, of equal prefix ranks.  At
-    s = 0, ``M[:, 0]`` is u itself, so the certificate reads b off the
-    oracle's pass as :func:`completion.verify_completion` does; any other
-    shift interpolates b.  With a g of another size m is checked as it
-    stands and is not reproducible.
+    invertible and U unit upper triangular, of equal prefix ranks.  Its
+    one pass runs first, bounded as :func:`completion.verify_completion`
+    bounds it when m's first column is the tangent, and the degree sum B of
+    M's later columns is m's.  At s = 0, ``M[:, 0]`` is u itself, so the
+    certificate reads b off that pass as a completion's does; any other
+    shift interpolates b, unless the pass finds no Bezout degree within B.
+    With a g of another size m is checked as it stands and is not
+    reproducible.
     """
     tangent = require_regular(tangent)
     n = tangent.dim

@@ -886,6 +886,22 @@ def _later_column_doubled(rng, fields):
     return fields | {"matrix": vectors.PolyMatrix.from_columns(columns)}
 
 
+def _later_column_lowered(rng, fields):
+    """The last column replaced by e_n: the later columns' degrees sum
+    below the least Bezout degree e."""
+    columns = fields["matrix"].columns()
+    columns[-1] = vectors.PolyMatrix.identity(len(columns)).column(len(columns) - 1)
+    return fields | {"matrix": vectors.PolyMatrix.from_columns(columns)}
+
+
+def _later_column_raised(rng, fields):
+    """The last column plus t^2 times the second (the first at n = 2)."""
+    columns = fields["matrix"].columns()
+    added = columns[1 if len(columns) > 2 else 0].scale(poly.Polynomial.monomial(2))
+    columns[-1] = columns[-1] + added
+    return fields | {"matrix": vectors.PolyMatrix.from_columns(columns)}
+
+
 def _section_sheared(rng, fields):
     g = fields["section"]
     return fields | {"section": g.compose(_shear(rng, g.dim))}
@@ -910,6 +926,8 @@ _FRAME_DAMAGES = {
     "tangent-shifted": _tangent_shifted,
     "first-column-changed": _first_column_changed,
     "later-column-doubled": _later_column_doubled,
+    "later-column-lowered": _later_column_lowered,
+    "later-column-raised": _later_column_raised,
     "section-sheared": _section_sheared,
     "section-and-tangent-moved": _section_and_tangent_moved,
     "section-of-another-size": _section_of_another_size,
@@ -922,9 +940,11 @@ def test_frame_verify_matches_the_two_action_reference(n, seed, damage):
     """``verify_frame`` of a stored frame, and the frame verify's check
     list, give the reference's that acted twice, on seeded frames (n = 2..4)
     and damaged copies: the stored tangent moved by a shear or a shift, the
-    first column changed, a later column doubled, the section sheared (with
-    and without the tangent moved back to match), and a section of another
-    size."""
+    first column changed, a later column doubled, the last column lowered to
+    a constant (the oracle's pass, bounded by the later columns' degree sum,
+    then finds no Bezout degree) or raised by t^2 times another, the section
+    sheared (with and without the tangent moved back to match), and a
+    section of another size."""
     rng = random.Random(seed)
     curve = random_generic_curve(rng, n, max_degree=n + 3)
     doc = parse_curve_dict({"n": n, "coeffs": [
@@ -1236,9 +1256,10 @@ def _forbid_everywhere(monkeypatch, original):
          "75b9ad237dc1d4ddb668c0ea515aedac7ea52dffd2f6764d40e630f33b8781b8"),
         ("mubasis", QUARTIC, None, [], 0,
          "ce3a373c9522e24eae41c8d20633d389ce7e80c3a1e8f8234f8af0b38ee74196"),
-        # A determinant of two fails both checks; the degree oracle is not asked.
+        # A determinant of two fails both checks; the oracle's one pass runs
+        # first, as for every completion or frame.
         ("frame", QUINTIC, _double_column_one,
-         ["matrix_reproducible", "determinant_is_one", "degree_is_minimal"], 0,
+         ["matrix_reproducible", "determinant_is_one", "degree_is_minimal"], 1,
          "2d5f9ab87e66c8935260fcdad87d5badefb0b7fe6cff21796e7bfbd7791248c0"),
     ],
     ids=["frame", "completion", "bezout", "mubasis", "frame-doubled-column"],
@@ -1248,7 +1269,8 @@ def test_verify_runs_no_compute_path(tmp_path, capsys, monkeypatch, command, sou
     """``verify`` checks a stored result by its certificate: no command's
     compute path runs, no Sylvester system's Bezout reading either, and
     the output bytes are those of rebuilding it.  ``asked`` counts the
-    degree oracle's passes; a completion's reads b off its one pass."""
+    degree oracle's passes: one for every completion or frame, damaged or
+    not."""
     infile = write(tmp_path / "in.json", source)
     result_path = tmp_path / "result.json"
     assert main([command, "--in", infile, "--out", str(result_path)]) == 0
@@ -1274,8 +1296,8 @@ def test_verify_runs_no_compute_path(tmp_path, capsys, monkeypatch, command, sou
         calls.append(v)
         return oracle(v, bound)
 
-    # Both readers of the oracle, bezout_degree_search and the completion's
-    # _oracle_bezout, run its pass here.
+    # Both readers of the oracle, bezout_degree_search and the certificate
+    # of a completion or frame, run its pass here.
     monkeypatch.setattr(bezout, "_oracle_pass", counting_oracle)
     capsys.readouterr()
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result_path)])

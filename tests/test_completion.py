@@ -325,6 +325,34 @@ def test_frame_verify_at_shift_zero_reads_b_off_the_pass(monkeypatch):
             assert [verify_frame(stored, tangent) for stored in frames] == reports
 
 
+def test_frame_verify_runs_one_pass(monkeypatch):
+    """A frame whose section shift is not 0 runs the oracle's one pass,
+    bounded by the later columns' degree sum B, and interpolates b: once
+    for the stored frame and for its last column doubled (det 2), and not
+    at all for its later columns lowered below e, where the pass finds no
+    Bezout degree within B and so pins det m as not one."""
+    rng = random.Random(49)
+    calls = _count_routes(monkeypatch)
+    for n in (2, 3, 4):
+        curve = random_generic_curve(rng, n, n + 3)
+        tangent = require_regular(curve.derivative())
+        frame = moving_frame(validate_curve(curve))
+        assert frame.section.shift != 0 and frame.bezout_degree > 0
+        columns = frame.matrix.columns()
+        doubled = _with_column(frame.matrix, n - 1, columns[-1].scale(p(2)))
+        lowered = PolyMatrix.from_columns([columns[0], *PolyMatrix.identity(n).columns()[1:]])
+        cases = [
+            (frame, (True, True), 1),
+            (replace(frame, matrix=doubled), (False, False), 1),
+            (replace(frame, matrix=lowered), (False, False), 0),
+        ]
+        for stored, (det_one, reproducible), interpolated in cases:
+            calls.update(outer_product=0, oracle=0)
+            report = verify_frame(stored, tangent)
+            assert (report.determinant_one, report.reproducible) == (det_one, reproducible)
+            assert calls == {"outer_product": interpolated, "oracle": 1}
+
+
 def test_verify_completion_trivial_and_failures():
     ident = PolyMatrix.identity(3)
     e1 = vec((1,), (0,), (0,))
