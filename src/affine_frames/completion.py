@@ -14,7 +14,9 @@ All of it runs on integers: b is ``L e1`` solved on v's Sylvester pass,
 paired with v's cleared coefficients and laid out as its own
 Sylvester system from its own integer coefficients; the certificate reads
 the µ-basis columns of that system's pass, and the last one is divided by
-the scale as it becomes Fractions.
+the scale as it becomes Fractions.  Both are pivot-supported normal forms,
+which move with a parameter shift of v: ``minimal_completion(v(t + s))``
+is ``minimal_completion(v)(t + s)`` (proof in :mod:`frames`).
 
 ``quillen_suslin`` builds instead a matrix Q with ``v^T Q = e1^T`` from the
 same ingredients computed for v itself; its inverse transpose is a
@@ -28,7 +30,8 @@ one ``minimal_completion`` builds, by the normal-form certificates of
 oracle's pass once, up front, and checks one b: with v first, v's minimal
 Bezout vector b* read off that pass where the later columns certify
 against it, so no outer product is built; otherwise the interpolated
-outer product of the later columns.
+outer product of the later columns.  :func:`frames.verify_frame` is this
+check of a frame mapped back by its section's linear part.
 """
 
 from __future__ import annotations
@@ -136,17 +139,6 @@ def verify_completion(m: PolyMatrix, v: PolyVector) -> CompletionReport:
     pass refuses the zero vector and a shared factor, and n = 1 is refused
     after the oracle runs where m's one entry is one.
     """
-    return _certificate(m, v, m.columns(), v)
-
-
-def _certificate(
-    m: PolyMatrix, v: PolyVector, columns: list[PolyVector], u: PolyVector
-) -> CompletionReport:
-    """The report of :func:`verify_completion` on ``m`` as a completion of
-    ``v``, certified on ``columns`` with the degree oracle run on ``u``:
-    m's columns and v, or others that keep m's determinant, its certificate
-    and the column-prefix ranks of A_v.  With u the first of ``columns``, b
-    is b* where the later columns certify against it."""
     if m.nrows != m.ncols:
         raise ValueError("completion matrix must be square")
     if m.nrows != v.dim:
@@ -154,22 +146,22 @@ def _certificate(
     degree = m.degree
     if degree == NEG_INF:
         raise RegularityError("completion matrix has a zero column")
-    first = m.column(0) == v
-    later = columns[1:]
+    columns = m.columns()
+    first, later = columns[0] == v, columns[1:]
     # det m = columns[0] . outer_product(later), of degree at most B: with v
     # first, det m = 1 puts the least Bezout degree e at most B.
     bound = sum(int(c.degree) for c in later) if first else None
     if v.dim < 2:
         # Where minimal_completion(v) would refuse v, so does its certificate;
-        # at det m = 1 the oracle refuses a zero or non-coprime u first.
+        # at det m = 1 the oracle refuses a zero or non-coprime v first.
         if columns[0][0] == Polynomial.one():
-            bezout._oracle_pass(u, bound)
+            bezout._oracle_pass(v, bound)
         raise RegularityError("completion needs dimension at least 2")
-    e, pivots, system, echelon, e1 = bezout._oracle_pass(u, bound)
+    e, pivots, system, echelon, e1 = bezout._oracle_pass(v, bound)
     det_one = e is not None
     if det_one:
         certified = None
-        if columns[0] == u:
+        if first:
             # b*, A's pivot-supported solution of A x = e1 (bezout._oracle_pass).
             scaled = echelon._back_substitute(e1)
             star = _stacked(system.n, echelon.pivots, scaled), echelon.last_pivot

@@ -23,9 +23,11 @@ column j of ``v(t - s)`` over ``b**(d - j) * L_v``; g's matrix is read off
 the selected shifted columns, and the canonical vector
 ``w = L^-1 . v(t - s)`` off one :class:`ratlin.Echelon` of them, with one
 Fraction per coefficient.  ``linear_section`` and ``shift_section`` read
-the same formulas off the unshifted rows.  The equivariant completion acts
-by g (one integer pass, :mod:`groups`) on the later columns only: the first
-column of a completion of w is w, and ``g . w`` is v.
+the same formulas off the unshifted rows.  ``equivariantize`` conjugates
+any completion map by g, acting on the whole matrix (one integer pass,
+:mod:`groups`).  The minimal completion commutes with parameter shifts
+(proof in :mod:`frames`), so :func:`frames.moving_frame` builds the same
+frame as ``L . minimal_completion(L^-1 . v)``, with no shifted action.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .completion import Completion, minimal_completion
 from .groups import GroupElement
 from .poly import from_integers, integer_coefficients, taylor_shift
 from .vectors import PivotProfile, pivot_profile  # re-exported with the sections
-from .vectors import PolyMatrix, PolyVector, RegularVector, require_regular
+from .vectors import PolyVector, RegularVector, require_regular
 
 
 def _cleared(v: RegularVector) -> tuple[list[list[int]], int]:
@@ -126,15 +128,18 @@ def section(v: PolyVector) -> GroupElement:
     return _section_pass(v)[0]
 
 
-def section_and_canonical(v: PolyVector) -> tuple[GroupElement, RegularVector]:
-    """Section g of ``v`` and the canonical vector ``g^-1 . v``, from one pass.
+def _canonical_pass(v: PolyVector) -> tuple[GroupElement, RegularVector, list, int]:
+    """``(g, w, rows, b)``: the section g = (L, s) of ``v``, s = a/b, the
+    canonical vector ``w = L^-1 . v(t - s)``, one Fraction per coefficient,
+    and its row m as the integers ``rows[m] = (nums, den)`` that it is read
+    off, ``w_m = from_integers(nums, den, b)``.
 
     With C the selected columns of the shifted rows, ``L = C diag(f)^-1``
-    (:func:`_linear`), so row m of ``w = L^-1 . v(t - s)`` at column j is
-    ``f_m (C^-1 E_j)_m / (scale * b**(d - j))``, E_j the shifted column j.
-    One :class:`ratlin.Echelon` of C gives ``D C^-1 E_j``, D its last pivot:
+    (:func:`_linear`), so row m of w at column j is ``f_m (C^-1 E_j)_m /
+    (scale * b**(d - j))``, E_j the shifted column j.  One
+    :class:`ratlin.Echelon` of C gives ``D C^-1 E_j``, D its last pivot:
     ``D e_m`` at the selected column c_m, and a :meth:`~ratlin.Echelon.solve`
-    elsewhere.  Each coefficient of w becomes one Fraction.
+    elsewhere.
     """
     g, v, rows, b = _section_pass(v)
     indices, det = v.profile.indices, v.profile.det_vbar
@@ -147,11 +152,14 @@ def section_and_canonical(v: PolyVector) -> tuple[GroupElement, RegularVector]:
     (*first, last), pivot = indices, echelon.last_pivot
     factors = [(b ** (last - c), pivot) for c in first]
     factors.append((det.numerator, pivot * det.denominator))
-    canonical = (
-        from_integers([x[m] * num for x in solved], den, b)
-        for m, (num, den) in enumerate(factors)
-    )
-    return g, RegularVector(canonical, v.profile)
+    rows = [([x[m] * num for x in solved], den) for m, (num, den) in enumerate(factors)]
+    return g, RegularVector((from_integers(*row, b) for row in rows), v.profile), rows, b
+
+
+def section_and_canonical(v: PolyVector) -> tuple[GroupElement, RegularVector]:
+    """Section g of ``v`` and the canonical vector ``g^-1 . v``, from one
+    pass (:func:`_canonical_pass`)."""
+    return _canonical_pass(v)[:2]
 
 
 def canonical_form(v: PolyVector) -> PolyVector:
@@ -192,25 +200,14 @@ def canonical_shape_violations(w: PolyVector) -> list[str]:
 
 
 def equivariant_completion_with_section(
-    v: PolyVector,
-    completion_map: Callable[[PolyVector], Completion] | None = None,
+    v: PolyVector, completion_map: Callable[[PolyVector], Completion]
 ) -> tuple[Completion, GroupElement, PolyVector]:
-    """``completion_map`` conjugated by the section, plus section and reduced vector.
-
-    The map defaults to :func:`minimal_completion`, looked up at call time.
-    A :class:`Completion` has the completed vector w as its first column,
-    and ``g . w`` is v exactly, so only the later columns are acted on; a
-    map that breaks that contract has its whole matrix acted on.
-    """
+    """``completion_map`` conjugated by the section, plus section and
+    reduced vector: ``g . completion_map(g^-1 . v)``, the whole matrix
+    acted on."""
     g, reduced = section_and_canonical(v)
-    base = (completion_map or minimal_completion)(reduced)
-    first, *later = zip(*base.matrix.rows)
-    if first == reduced.components:
-        acted = g.apply(PolyMatrix(zip(*later))).rows
-        matrix = PolyMatrix((x, *row) for x, row in zip(v, acted))
-    else:
-        matrix = g.apply(base.matrix)
-    return Completion(matrix, base.bezout_degree), g, reduced
+    base = completion_map(reduced)
+    return Completion(g.apply(base.matrix), base.bezout_degree), g, reduced
 
 
 def equivariantize(

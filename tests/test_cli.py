@@ -661,14 +661,13 @@ def test_plot_params_may_start_with_a_negative_value(tmp_path, capsys):
 ])
 def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curve):
     """A result is built without a determinant or an outer product (the
-    µ-basis scale comes from its leading-vector certificate).  A frame
-    verify takes exactly one determinant, the first column against one
-    outer product of the others, and no polynomial determinant; this
-    frame's section shift is not 0, so its Bezout vector is not on the
-    oracle's pass.  A completion verify reads b off the oracle's pass and
-    certifies the later columns against it, with no outer product.  A
-    µ-basis verify reads its scale off one minor, with no outer product,
-    unless an element is not a syzygy."""
+    µ-basis scale comes from its leading-vector certificate).  A completion
+    verify reads b off the oracle's pass and certifies the later columns
+    against it, with no outer product, and so does a frame verify, on the
+    frame mapped by the section's inverse linear part, whatever the
+    section's shift (this frame's is not 0).  A µ-basis verify reads its
+    scale off one minor, with no outer product, unless an element is not a
+    syzygy."""
     calls = {"determinant": 0, "outer_product": 0}
     determinant, outer_product = vectors.PolyMatrix.determinant, vectors.outer_product
 
@@ -692,7 +691,7 @@ def test_determinant_only_in_verify(tmp_path, capsys, monkeypatch, command, curv
     code, out, err = run(tmp_path, capsys, ["verify", "--in", str(result)])
     assert code == 0, err
     assert json.loads(out)["metadata"]["ok"] is True
-    assert calls == {"determinant": 0, "outer_product": int(command == "frame")}
+    assert calls == {"determinant": 0, "outer_product": 0}
     if command == "mubasis":
         doc = json.loads(result.read_text(encoding="utf-8"))
         n = doc["payload"]["input"]["n"]
@@ -739,13 +738,16 @@ def test_compute_never_builds_the_fraction_sylvester_matrix(
 
 
 def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
-    """A frame's verify inverts its stored section once, with no second
-    determinant check, and acts once, on the matrix: the stored canonical
-    tangent is checked against the acted first column, on the tangent's
-    pivot profile, the one profile the verify reads."""
-    calls = {"inverse": 0, "group": 0, "profile": 0, "apply": []}
+    """A frame's verify inverts its stored section's matrix once, builds
+    and applies no group element, and maps the tangent and the matrix's
+    columns by that inverse in one integer pass, which clears it once, with
+    no shift: the stored canonical tangent is shifted to the mapped tangent
+    and shape-checked on the tangent's pivot profile, the one profile the
+    verify reads."""
+    calls = {"inverse": 0, "group": 0, "profile": 0, "apply": 0, "mapped": []}
     inverse, group_init = ratlin.inverse, groups.GroupElement.__init__
     profile, apply = vectors.pivot_profile, groups.GroupElement.apply
+    map_columns = frames.map_columns
 
     def counting_inverse(rows):
         calls["inverse"] += 1
@@ -759,16 +761,22 @@ def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
         calls["profile"] += 1
         return profile(v)
 
-    def recording_apply(self, target):
-        calls["apply"].append(type(target))
+    def counting_apply(self, target):
+        calls["apply"] += 1
         return apply(self, target)
+
+    def recording_map(matrix, columns, *shift):
+        columns = list(columns)
+        calls["mapped"].append((len(columns), shift))
+        return map_columns(matrix, columns, *shift)
 
     infile = write(tmp_path / "curve.json", QUINTIC)
     frame_path = tmp_path / "frame.json"
     assert main(["frame", "--in", infile, "--out", str(frame_path)]) == 0
     monkeypatch.setattr(ratlin, "inverse", counting_inverse)
     monkeypatch.setattr(groups.GroupElement, "__init__", counting_init)
-    monkeypatch.setattr(groups.GroupElement, "apply", recording_apply)
+    monkeypatch.setattr(groups.GroupElement, "apply", counting_apply)
+    monkeypatch.setattr(frames, "map_columns", recording_map)
     for name, module in list(sys.modules.items()):
         if name.startswith("affine_frames.") and vars(module).get("pivot_profile") is profile:
             monkeypatch.setattr(module, "pivot_profile", counting_profile)
@@ -777,19 +785,26 @@ def test_frame_verify_inverts_the_section_once(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["metadata"]["ok"] is True
     # The stored section is the one element built; its inverse is not
     # checked again, and no section is built.
-    assert calls == {"inverse": 1, "group": 1, "profile": 1, "apply": [vectors.PolyMatrix]}
+    n = QUINTIC["n"]
+    assert calls == {"inverse": 1, "group": 1, "profile": 1, "apply": 0, "mapped": [(n + 1, ())]}
 
 
 def test_frame_verify_maps_no_stored_tangent_forward(tmp_path, capsys, monkeypatch):
     """A frame whose first column is not the tangent fails the certificate,
-    so its verify acts once, on the matrix, and checks no shape: the stored
-    canonical tangent is neither mapped forward nor shape-checked."""
-    calls = {"apply": 0, "shape": 0}
-    apply, shape = groups.GroupElement.apply, equivariance.canonical_shape_violations
+    so its verify maps the tangent and the matrix once and checks no
+    section: the stored canonical tangent is neither shifted nor
+    shape-checked."""
+    calls = {"map": 0, "shift": 0, "shape": 0}
+    map_columns, shape = frames.map_columns, equivariance.canonical_shape_violations
+    shift = vectors.PolyVector.shift
 
-    def counting_apply(self, target):
-        calls["apply"] += 1
-        return apply(self, target)
+    def counting_map(*args):
+        calls["map"] += 1
+        return map_columns(*args)
+
+    def counting_shift(self, s):
+        calls["shift"] += 1
+        return shift(self, s)
 
     def counting_shape(v):
         calls["shape"] += 1
@@ -803,7 +818,8 @@ def test_frame_verify_maps_no_stored_tangent_forward(tmp_path, capsys, monkeypat
     damaged = vectors.PolyMatrix.from_columns([first + second, second, *later])
     doc["payload"].update(write_payload("frame", {"matrix": damaged}))
     frame_path.write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setattr(groups.GroupElement, "apply", counting_apply)
+    monkeypatch.setattr(frames, "map_columns", counting_map)
+    monkeypatch.setattr(vectors.PolyVector, "shift", counting_shift)
     for name, module in list(sys.modules.items()):
         found = vars(module).get("canonical_shape_violations")
         if name.startswith("affine_frames.") and found is shape:
@@ -812,7 +828,7 @@ def test_frame_verify_maps_no_stored_tangent_forward(tmp_path, capsys, monkeypat
     assert code == 2, err
     failed = [c["name"] for c in json.loads(out)["metadata"]["checks"] if not c["passed"]]
     assert failed == ["matrix_reproducible", "first_column_is_tangent"]
-    assert calls == {"apply": 1, "shape": 0}
+    assert calls == {"map": 1, "shift": 0, "shape": 0}
 
 
 def _parent_is_section(tangent, g, w):
@@ -1059,7 +1075,8 @@ def test_verify_computes_each_pairing_once(tmp_path, capsys, monkeypatch, comman
     clears the input once and pairs it with each syzygy once, on integers.
     A completion verify pairs no Fractions: on integers, the input with the
     Bezout vector b* off the oracle's pass once, and b* with each later
-    column once."""
+    column once; so does a frame verify, on the frame mapped by the
+    section's inverse linear part."""
     infile = write(tmp_path / "in.json", source)
     result = str(tmp_path / "result.json")
     assert main([command, "--in", infile, "--out", result]) == 0
@@ -1094,7 +1111,7 @@ def test_verify_computes_each_pairing_once(tmp_path, capsys, monkeypatch, comman
         v = parse_curve_dict(source).vector.components
         assert pairs == [] and cleared.count(v) == 1 and len(cleared) == source["n"]
         assert len(set(paired)) == len(paired) == source["n"] - 1
-    elif command == "complete":
+    elif command in ("complete", "frame"):
         assert pairs == [] and len(set(paired)) == len(paired) == source["n"]
     else:
         assert pairs and len(set(pairs)) == len(pairs)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from affine_frames import (
@@ -18,6 +18,7 @@ from affine_frames import (
     PolyVector,
     RegularityError,
     build_sylvester,
+    equivariantize,
     minimal_bezout,
     minimal_completion,
     moving_frame,
@@ -29,7 +30,7 @@ from affine_frames import (
     verify_completion,
     verify_frame,
 )
-from affine_frames import bezout, completion, poly, sylvester
+from affine_frames import bezout, completion, poly, ratlin, sylvester
 from affine_frames.bezout import bezout_degree_search, is_minimal_bezout, is_mu_basis
 from affine_frames.completion import CompletionReport
 from affine_frames.poly import from_integers, integer_coefficients
@@ -291,6 +292,66 @@ def test_verify_completion_matches_the_interpolating_certificate(v):
         assert verify_completion(m, v) == _interpolated_report(m, v)
 
 
+@st.composite
+def shifted_vectors(draw):
+    """``(v, s)``: v with n = 2-5, rational coefficients and components of
+    uneven degrees 0-8, unbalanced ones ``(a, b, a p + b q, ...)`` with p, q
+    linear, either kind times a linear t - r (a shared factor); s is 0, an
+    integer or a fraction."""
+    n = draw(st.integers(2, 5))
+    entry = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+
+    def poly(degree):
+        return Polynomial(draw(st.lists(entry, min_size=degree + 1, max_size=degree + 1)))
+
+    rows = [poly(draw(st.integers(0, 8))) for _ in range(n)]
+    if n >= 3 and draw(st.booleans()):
+        rows[2] = rows[0] * poly(1) + rows[1] * poly(1)
+    v = PolyVector(rows)
+    if draw(st.booleans()):
+        v = v.scale(Polynomial([-draw(st.integers(-3, 3)), 1]))
+    assume(not v.is_zero)
+    s = draw(st.one_of(
+        st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=7),
+    ))
+    return v, Fraction(s)
+
+
+def _completion_or_refusal(v):
+    try:
+        return minimal_completion(v)
+    except RegularityError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shifted_vectors())
+@example((UNBALANCED_18, Fraction(-2, 7)))
+@example((UNBALANCED_18.scale(p(2, -1)), Fraction(3)))
+def test_minimal_completion_commutes_with_parameter_shifts(case):
+    """``minimal_completion(v(t - s))``, shifted back by s, is
+    ``minimal_completion(v)`` with the same Bezout degree, or both refuse
+    with the same message: the pivot-supported normal forms are unchanged
+    by a parameter shift.  So a frame, built as ``L .
+    minimal_completion(L^-1 . v)``, is the minimal completion of the
+    canonical vector conjugated by the section in full."""
+    v, s = case
+    direct, shifted = map(_completion_or_refusal, (v, v.shift(-s)))
+    if isinstance(direct, str):
+        assert shifted == direct
+    else:
+        back = GroupElement(ratlin.identity(v.dim), s)
+        assert back.apply(shifted.matrix) == direct.matrix
+        assert shifted.bezout_degree == direct.bezout_degree
+    try:
+        tangent = require_regular(v)
+    except RegularityError:
+        return
+    frame = moving_frame(tangent)
+    reference = equivariantize(minimal_completion)(tangent)
+    assert (frame.matrix, frame.bezout_degree) == (reference.matrix, reference.bezout_degree)
+
+
 def test_frame_verify_at_shift_zero_reads_b_off_the_pass(monkeypatch):
     """A frame whose section shift is 0 has the oracle's vector first once
     its section is undone, so it is certified on the oracle's pass like a
@@ -326,11 +387,15 @@ def test_frame_verify_at_shift_zero_reads_b_off_the_pass(monkeypatch):
 
 
 def test_frame_verify_runs_one_pass(monkeypatch):
-    """A frame whose section shift is not 0 runs the oracle's one pass,
-    bounded by the later columns' degree sum B, and interpolates b: once
-    for the stored frame and for its last column doubled (det 2), and not
-    at all for its later columns lowered below e, where the pass finds no
-    Bezout degree within B and so pins det m as not one."""
+    """A frame mapped by its section's inverse linear part has the oracle's
+    vector ``u = L^-1 . tangent`` first, whatever the section's shift, so a
+    frame whose shift is not 0 is certified on the oracle's one pass like a
+    completion, bounded by the later columns' degree sum B: b is read off
+    that pass, with no outer product, for the stored frame and for its last
+    column doubled (det 2), and the pass finds no Bezout degree within B for
+    its later columns lowered below e.  Those reports, and the one of the
+    frame with its last column plus t times its second, are the ones of the
+    interpolating route."""
     rng = random.Random(49)
     calls = _count_routes(monkeypatch)
     for n in (2, 3, 4):
@@ -341,16 +406,28 @@ def test_frame_verify_runs_one_pass(monkeypatch):
         columns = frame.matrix.columns()
         doubled = _with_column(frame.matrix, n - 1, columns[-1].scale(p(2)))
         lowered = PolyMatrix.from_columns([columns[0], *PolyMatrix.identity(n).columns()[1:]])
+        raised = _with_column(
+            frame.matrix, n - 1, columns[-1] + columns[1 if n > 2 else 0].scale(p(0, 1))
+        )
         cases = [
-            (frame, (True, True), 1),
-            (replace(frame, matrix=doubled), (False, False), 1),
-            (replace(frame, matrix=lowered), (False, False), 0),
+            (frame, (True, True)),
+            (replace(frame, matrix=doubled), (False, False)),
+            (replace(frame, matrix=lowered), (False, False)),
         ]
-        for stored, (det_one, reproducible), interpolated in cases:
+        reports = []
+        for stored, (det_one, reproducible) in cases:
             calls.update(outer_product=0, oracle=0)
-            report = verify_frame(stored, tangent)
-            assert (report.determinant_one, report.reproducible) == (det_one, reproducible)
-            assert calls == {"outer_product": interpolated, "oracle": 1}
+            reports.append(verify_frame(stored, tangent))
+            assert (reports[-1].determinant_one, reports[-1].reproducible) == (
+                det_one, reproducible
+            )
+            assert calls == {"outer_product": 0, "oracle": 1}
+        documents = [stored for stored, _ in cases] + [replace(frame, matrix=raised)]
+        reports.append(verify_frame(documents[-1], tangent))
+        assert not reports[-1].reproducible
+        with monkeypatch.context() as forced:
+            forced.setattr(completion, "_unimodular", lambda *args: None)
+            assert [verify_frame(doc, tangent) for doc in documents] == reports
 
 
 def test_verify_completion_trivial_and_failures():
@@ -499,9 +576,10 @@ def test_one_sylvester_build_per_distinct_vector(monkeypatch):
 def test_completion_and_frame_stop_at_the_bezout_block(monkeypatch):
     """``minimal_completion(v)`` takes the n (e + 1) columns of v's pass up
     to the block of its Bezout degree e and no further, and ``moving_frame``
-    as many of w's, w the canonical tangent.  For the µ (1, 8) vector that
-    is 24 of A's 30, where its µ-basis takes 27; each frame's pass stops
-    a block or more before its µ-basis reading would."""
+    as many of u's, ``u = L^-1 . tangent = w(t + s)`` for the section (L, s)
+    and the canonical tangent w.  For the µ (1, 8) vector that is 24 of A's
+    30, where its µ-basis takes 27; each frame's pass stops a block or more
+    before its µ-basis reading would."""
     built = []
     real = completion.build_sylvester
 
@@ -527,7 +605,8 @@ def test_completion_and_frame_stop_at_the_bezout_block(monkeypatch):
         built.clear()
         frame = moving_frame(validate_curve(random_generic_curve(rng, n, 8)))
         (system,) = built
-        assert system.coefficients == integer_coefficients(frame.canonical_tangent.components)[0]
+        u = frame.canonical_tangent.shift(frame.section.shift)
+        assert system.coefficients == integer_coefficients(u.components)[0]
         assert taken(system) == n * (frame.bezout_degree + 1) < mu_width(system)
 
 

@@ -1,6 +1,7 @@
 """Curve validation and the moving frame pipeline."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from affine_frames import (
     CurveRejection,
+    GroupElement,
     PolyMatrix,
     Polynomial,
     PolyVector,
@@ -20,6 +22,8 @@ from affine_frames import (
     require_regular,
     validate_curve,
 )
+from affine_frames import sylvester, vectors
+from affine_frames.poly import integer_coefficients
 
 from conftest import (
     p,
@@ -247,3 +251,77 @@ def test_frame_is_equivariant_and_minimal_in_dimensions_2_to_5(seed, n, rational
     assert frame.matrix.column(0) == tangent
     assert frame.matrix.degree == tangent.degree + bezout_degree_search(tangent)[0]
     assert frame.matrix.determinant() == p(1)
+
+
+def test_moving_frame_runs_no_pass_of_w_and_no_shifted_action(monkeypatch):
+    """A frame is ``L . minimal_completion(u)`` for its section (L, s) and
+    ``u = L^-1 . tangent = w(t + s)``: the only Sylvester systems laid out
+    are u's and its Bezout vector's, never the canonical tangent w's at a
+    shift other than 0, and the one action maps the later columns with no
+    shift, through no group element."""
+    rng = random.Random(51)
+    curves = [quintic_curve(), *(random_rational_curve(rng, n) for n in (2, 3, 4))]
+    systems, shifts, applied = [], [], []
+    real_system, real_map = sylvester.integer_system, vectors.map_columns
+
+    def recording_system(coefficients, scale):
+        systems.append(real_system(coefficients, scale))
+        return systems[-1]
+
+    def recording_map(matrix, columns, shift=Fraction(0)):
+        shifts.append(shift)
+        return real_map(matrix, columns, shift)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("affine_frames."):
+            if vars(module).get("integer_system") is real_system:
+                monkeypatch.setattr(module, "integer_system", recording_system)
+            if vars(module).get("map_columns") is real_map:
+                monkeypatch.setattr(module, "map_columns", recording_map)
+    monkeypatch.setattr(GroupElement, "apply", lambda *args: applied.append(args))
+    for curve in curves:
+        systems.clear()
+        shifts.clear()
+        frame = moving_frame(validate_curve(curve))
+        w, s = frame.canonical_tangent, frame.section.shift
+        u = w.shift(s)
+        assert s != 0 and u != w
+        assert len(systems) == 2 and shifts == [0] and applied == []
+        assert systems[0].coefficients == integer_coefficients(u.components)[0]
+
+
+def _curve_of_tangent_degree(rng, n, d):
+    """A generic curve whose tangent has degree d, with integer
+    coefficients in [-9, 9] and a leading one from {1, 2, 3, -1}."""
+    while True:
+        tangent = [
+            [rng.randint(-9, 9) for _ in range(d)] + [rng.choice((1, 2, 3, -1))]
+            for _ in range(n)
+        ]
+        curve = PolyVector(
+            Polynomial([rng.randint(-4, 4), *(Fraction(c, i + 1) for i, c in enumerate(row))])
+            for row in tangent
+        )
+        if not isinstance(validate_curve(curve), CurveRejection):
+            return curve
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3, 4)), st.integers(15, 25))
+def test_frame_is_equivariant_and_minimal_at_tangent_degree_15_to_25(seed, n, d):
+    """The paper's properties on larger curves: moving_frame(a . c) = a .
+    moving_frame(c) for a random special-affine a with a shift, the frame's
+    degree is the tangent's plus the least Bezout degree, its first column
+    is the tangent, and its determinant is one at a random point."""
+    rng = random.Random(seed)
+    curve = _curve_of_tangent_degree(rng, n, d)
+    a = random_affine(rng, n)
+    tangent = validate_curve(curve)
+    frame = moving_frame(tangent)
+    moved = moving_frame(validate_curve(a.apply(curve)))
+    assert moved.matrix == a.linear_part.apply(frame.matrix)
+    assert moved.bezout_degree == frame.bezout_degree
+    assert frame.matrix.column(0) == tangent
+    assert frame.matrix.degree == d + bezout_degree_search(tangent)[0]
+    point = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    assert ratlin.det(frame.matrix.evaluate(point)) == 1
